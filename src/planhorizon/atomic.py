@@ -1,5 +1,4 @@
-"""The seven atomic query tools, their S-expression compilation, and an
-in-memory graph store that evaluates the same semantics."""
+"""The seven atomic query tools over an in-memory graph store."""
 
 from __future__ import annotations
 
@@ -15,10 +14,7 @@ from .kb import (
     parse_value_text,
 )
 from .outcome import ToolOutcome
-
-
-class SExprError(Exception):
-    pass
+from .plans import tool_catalog
 
 
 @dataclass(frozen=True)
@@ -75,112 +71,6 @@ class NodeSet:
 
 
 # ---------------------------------------------------------------------------
-# S-expressions
-
-HEADS = ("JOIN", "AND", "ARGMIN", "ARGMAX", "LT", "LE", "GT", "GE", "TC", "COUNT")
-_ARITY = {"JOIN": 3, "AND": 2, "ARGMIN": 2, "ARGMAX": 2,
-          "LT": 2, "LE": 2, "GT": 2, "GE": 2, "TC": 3, "COUNT": 1}
-
-_OP_TO_HEAD = {"<": "LT", "<=": "LE", "≤": "LE", ">": "GT", ">=": "GE", "≥": "GE"}
-
-
-@dataclass(frozen=True)
-class Seed:
-    """A leaf term: an entity mention, class name, or typed literal text."""
-
-    text: str
-
-
-@dataclass(frozen=True)
-class App:
-    head: str
-    args: tuple
-
-    def __post_init__(self):
-        if self.head not in HEADS:
-            raise SExprError(f"unknown head {self.head!r}")
-        if len(self.args) != _ARITY[self.head]:
-            raise SExprError(
-                f"{self.head} takes {_ARITY[self.head]} arguments, got {len(self.args)}"
-            )
-
-
-SExpr = Seed | App
-
-
-def _token(text: str) -> str:
-    if any(ch in text for ch in ' ()"'):
-        return '"' + text.replace('"', '\\"') + '"'
-    return text
-
-
-def serialize_sexpr(expr: SExpr) -> str:
-    if isinstance(expr, Seed):
-        return _token(expr.text)
-    parts = [expr.head]
-    for arg in expr.args:
-        parts.append(serialize_sexpr(arg) if isinstance(arg, (Seed, App)) else _token(str(arg)))
-    return "(" + " ".join(parts) + ")"
-
-
-def parse_sexpr(text: str) -> SExpr:
-    tokens = _tokenize(text)
-    expr, rest = _parse_tokens(tokens)
-    if rest:
-        raise SExprError(f"trailing tokens: {rest!r}")
-    return expr
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens, i = [], 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == '"':
-            j, buf = i + 1, []
-            while j < len(text) and text[j] != '"':
-                if text[j] == "\\" and j + 1 < len(text):
-                    j += 1
-                buf.append(text[j])
-                j += 1
-            if j >= len(text):
-                raise SExprError("unterminated string")
-            tokens.append('"' + "".join(buf))
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
-
-
-def _parse_tokens(tokens: list[str]):
-    if not tokens:
-        raise SExprError("empty expression")
-    head, rest = tokens[0], tokens[1:]
-    if head == "(":
-        if not rest or rest[0] in "()":
-            raise SExprError("expected a head symbol after '('")
-        name, rest = rest[0], rest[1:]
-        args = []
-        while rest and rest[0] != ")":
-            arg, rest = _parse_tokens(rest)
-            args.append(arg)
-        if not rest:
-            raise SExprError("missing ')'")
-        return App(name, tuple(args)), rest[1:]
-    if head == ")":
-        raise SExprError("unexpected ')'")
-    return Seed(head[1:] if head.startswith('"') else head), rest
-
-
-# ---------------------------------------------------------------------------
 # Tool catalog
 
 _CATALOG_SPEC = [
@@ -199,21 +89,10 @@ _CATALOG_SPEC = [
     ("Count", [("input", "set")], "Count the number of input entities"),
 ]
 
-ATOMIC_TOOLS = tuple(name for name, _, _ in _CATALOG_SPEC)
-_PARAMS = {name: params for name, params, _ in _CATALOG_SPEC}
 
 
 def atomic_catalog() -> list[dict]:
-    return [
-        {"name": name,
-         "params": [{"name": p, "kind": k} for p, k in params],
-         "description": desc}
-        for name, params, desc in _CATALOG_SPEC
-    ]
-
-
-def ref_params(tool: str) -> list[str]:
-    return [p for p, k in _PARAMS[tool] if k == "set"]
+    return tool_catalog(_CATALOG_SPEC)
 
 
 # ---------------------------------------------------------------------------
@@ -401,133 +280,7 @@ def run_tool(store: GraphStore, grounder: Grounder, tool: str, args: dict,
                                args["literal"], eval_year)
     if tool == "Count":
         return count_nodes(args["input"])
-    raise SExprError(f"unknown atomic tool {tool!r}")
-
-
-# ---------------------------------------------------------------------------
-# Chain compilation and S-expression evaluation
-
-def compile_chain(chain) -> SExpr:
-    """Convert a chain of atomic tool calls with $i references into one SExpr.
-
-    Each chain element is a mapping {"tool": name, "args": {...}} where set
-    parameters hold "$i" references to earlier steps.
-    """
-    exprs: list[SExpr] = []
-    for i, step in enumerate(chain):
-        tool, args = step["tool"], step["args"]
-        if tool not in _PARAMS:
-            raise SExprError(f"step {i}: unknown tool {tool!r}")
-
-        def sub(param):
-            ref = args.get(param)
-            if not (isinstance(ref, str) and ref.startswith("$")):
-                raise SExprError(f"step {i}: {param} must be a $i reference")
-            j = int(ref[1:])
-            if not (0 <= j < i):
-                raise SExprError(f"step {i}: dangling reference {ref}")
-            return exprs[j]
-
-        if tool == "Extract_entity":
-            exprs.append(Seed(str(args["input"])))
-        elif tool == "Find_relation":
-            exprs.append(App("JOIN", (Seed(args["relation"]),
-                                      Seed(args.get("direction", "forward")),
-                                      sub("target"))))
-        elif tool == "Merge":
-            exprs.append(App("AND", (sub("input1"), sub("input2"))))
-        elif tool == "Order":
-            head = "ARGMIN" if args["mode"] == "argmin" else "ARGMAX"
-            exprs.append(App(head, (sub("input"), Seed(args["property"]))))
-        elif tool == "Compare":
-            head = _OP_TO_HEAD.get(args["operator"])
-            if head is None:
-                raise SExprError(f"step {i}: bad operator {args['operator']!r}")
-            exprs.append(App(head, (Seed(args["property"]), Seed(str(args["literal"])))))
-        elif tool == "Time_constraint":
-            exprs.append(App("TC", (sub("input"), Seed(args["relation"]),
-                                    Seed(str(args["literal"])))))
-        elif tool == "Count":
-            exprs.append(App("COUNT", (sub("input"),)))
-    if not exprs:
-        raise SExprError("empty chain")
-    return exprs[-1]
-
-
-def eval_sexpr(store: GraphStore, grounder: Grounder, expr: SExpr,
-               eval_year: int = 2026, _path: str = "") -> ToolOutcome:
-    """Bottom-up evaluation; the first failing sub-expression aborts with its path."""
-
-    def fail(outcome: ToolOutcome, path: str) -> ToolOutcome:
-        return ToolOutcome.failure(f"at {path or '/'}: {outcome.feedback}",
-                                   outcome.candidates)
-
-    if isinstance(expr, Seed):
-        outcome = extract_entity(store, grounder, expr.text)
-        return outcome if outcome.ok else fail(outcome, _path)
-
-    def child(i):
-        return eval_sexpr(store, grounder, expr.args[i], eval_year,
-                          f"{_path}/{expr.head}[{i}]")
-
-    if expr.head == "JOIN":
-        target = child(2)
-        if not target.ok:
-            return target
-        out = find_relation(store, grounder, expr.args[0].text,
-                            expr.args[1].text, target.value)
-    elif expr.head == "AND":
-        a, b = child(0), child(1)
-        if not a.ok:
-            return a
-        if not b.ok:
-            return b
-        out = merge(a.value, b.value)
-    elif expr.head in ("ARGMIN", "ARGMAX"):
-        base = child(0)
-        if not base.ok:
-            return base
-        out = order(store, grounder, expr.head.lower(), base.value, expr.args[1].text)
-    elif expr.head in ("LT", "LE", "GT", "GE"):
-        op = {"LT": "<", "LE": "<=", "GT": ">", "GE": ">="}[expr.head]
-        out = compare(store, grounder, op, expr.args[0].text,
-                      parse_value_text(expr.args[1].text))
-    elif expr.head == "TC":
-        base = child(0)
-        if not base.ok:
-            return base
-        out = time_constraint(store, grounder, base.value, expr.args[1].text,
-                              expr.args[2].text, eval_year)
-    elif expr.head == "COUNT":
-        base = child(0)
-        if not base.ok:
-            return base
-        out = count_nodes(base.value)
-    else:  # pragma: no cover
-        raise SExprError(f"unknown head {expr.head!r}")
-    return out if out.ok else fail(out, _path or "/" + expr.head)
-
-
-def execute_chain(store: GraphStore, grounder: Grounder, chain,
-                  eval_year: int = 2026) -> ToolOutcome:
-    """Step-by-step execution of a chain; the oracle twin of eval(compile(chain))."""
-    results = []
-    for i, step in enumerate(chain):
-        args = dict(step["args"])
-        for param in ref_params(step["tool"]):
-            ref = args[param]
-            j = int(str(ref)[1:])
-            if not (0 <= j < i):
-                raise SExprError(f"step {i}: dangling reference {ref}")
-            args[param] = results[j]
-        outcome = run_tool(store, grounder, step["tool"], args, eval_year)
-        if not outcome.ok:
-            return ToolOutcome.failure(f"step {i} failed: {outcome.feedback}",
-                                       outcome.candidates)
-        results.append(outcome.value)
-    if not results:
-        return ToolOutcome.failure("empty chain")
-    return ToolOutcome.success(results[-1])
+    raise ValueError(f"unknown atomic tool {tool!r}")
 
 
 def render_node_set(store: GraphStore, value) -> str:
@@ -538,3 +291,22 @@ def render_node_set(store: GraphStore, value) -> str:
     if isinstance(value, TypedValue):
         return value.render()
     return str(value)
+
+
+class AtomicEngine:
+    """The atomic tools over one graph store; "NOW" in Time_constraint means
+    `eval_year`."""
+
+    grounded = True
+    catalog = atomic_catalog()
+
+    def __init__(self, store: GraphStore, grounder: Grounder, eval_year: int = 2026):
+        self.store = store
+        self.grounder = grounder
+        self.eval_year = eval_year
+
+    def run_tool(self, tool: str, args: dict) -> ToolOutcome:
+        return run_tool(self.store, self.grounder, tool, args, self.eval_year)
+
+    def render(self, value) -> str:
+        return render_node_set(self.store, value)

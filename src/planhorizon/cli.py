@@ -131,18 +131,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             for trial in range(config["trials"]):
                 jobs.append((task, planner, trial))
 
-    part_dir = out_dir / "parts"
-    part_dir.mkdir(exist_ok=True)
-
     def worker(job):
         task, planner, trial = job
-        trace = _run_one(dataset, task, planner, config["policy"],
-                         config["robustness"], trial, config["seed"], budget)
-        part = part_dir / f"{task.id}-{planner}-t{trial}.jsonl"
-        with part.open("w", encoding="utf-8") as handle:
-            for line in trace.log_lines():
-                handle.write(line + "\n")
-        return job, trace
+        return job, _run_one(dataset, task, planner, config["policy"],
+                             config["robustness"], trial, config["seed"], budget)
 
     try:
         if args.jobs and args.jobs > 1:
@@ -154,12 +146,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    # merge per-task parts into one deterministic trace log
+    # one deterministic trace log, whatever order the jobs finished in
     results.sort(key=lambda item: (item[0][0].id, item[0][1], item[0][2]))
     with (out_dir / "traces.jsonl").open("w", encoding="utf-8") as handle:
-        for (task, planner, trial), _trace in results:
-            part = part_dir / f"{task.id}-{planner}-t{trial}.jsonl"
-            handle.write(part.read_text(encoding="utf-8"))
+        for _job, trace in results:
+            for line in trace.log_lines():
+                handle.write(line + "\n")
 
     outcomes = [_outcome_from_trace(trace, task, planner)
                 for (task, planner, _t), trace in results]

@@ -13,12 +13,12 @@ from __future__ import annotations
 import importlib.resources
 import json
 from dataclasses import dataclass, field
+from typing import Protocol
 
-from . import atomic, kopl, mocktools
 from .grounding import Grounder, SchemaIndex, build_index
-from .kb import KnowledgeBase, TypedValue
 from .outcome import ToolOutcome
-from .plans import Invocation, Plan, PlanParseError, StepRecord, ToolCall, Trace, parse_plan
+from .plans import (Invocation, Plan, PlanParseError, StepRecord, ToolCall, Trace,
+                    parse_plan, rewrite_refs, step_ref)
 
 
 class HarnessError(Exception):
@@ -41,9 +41,6 @@ def whitespace_tokenizer(text: str) -> int:
     return len(text.split())
 
 
-TOKENIZERS = {"whitespace": whitespace_tokenizer}
-
-
 @dataclass(frozen=True)
 class Budget:
     max_tool_calls: int = 30
@@ -62,19 +59,27 @@ class TokenStats:
     invocations: int = 0
 
 
+class Engine(Protocol):
+    """A tool engine over its loaded data: what the drivers need of it.
+
+    `make_env` builds one as ``engine_type(data, grounder, **settings)``; an
+    engine type sets `grounded` when its tools take schema terms to ground."""
+
+    catalog: list[dict]
+
+    def run_tool(self, tool: str, args: dict) -> ToolOutcome:
+        """Execute one tool; reference arguments arrive as resolved values."""
+
+    def render(self, value) -> str:
+        """Observation and answer text for a tool output."""
+
+
 @dataclass
 class Environment:
     """Tool catalog plus a deterministic executor over immutable data."""
 
-    kind: str  # kopl | atomic | mock
-    catalog: list[dict]
-    kb: KnowledgeBase | None = None
-    store: atomic.GraphStore | None = None
-    corpus: mocktools.MockCorpus | None = None
-    grounder: Grounder | None = None
-    eval_year: int = 2026
-    top_k: int = 10
-    _param_kinds: dict = field(default_factory=dict)
+    engine: Engine
+    _param_kinds: dict = field(init=False)
 
     def __post_init__(self):
         self._param_kinds = {
@@ -83,15 +88,11 @@ class Environment:
         }
 
     @property
-    def robustness(self) -> str:
-        return self.grounder.mode if self.grounder else "high"
+    def catalog(self) -> list[dict]:
+        return self.engine.catalog
 
     def render(self, value) -> str:
-        if self.kind == "kopl":
-            return kopl.render_value(self.kb, value)
-        if self.kind == "atomic":
-            return atomic.render_node_set(self.store, value)
-        return str(value)
+        return self.engine.render(value)
 
     def execute(self, call: ToolCall, bindings: dict[int, object]) -> tuple[ToolOutcome, dict]:
         """Resolve $i references against executed outputs, then dispatch.
@@ -105,11 +106,11 @@ class Environment:
         for name, value in call.args.items():
             kind = kinds.get(name, "string")
             if kind in ("set", "value-ref"):
-                if not (isinstance(value, str) and value.startswith("$")):
+                j = step_ref(value)
+                if j is None:
                     return ToolOutcome.failure(
                         f"parameter {name!r} of {call.tool} must reference a step ($i)"
                     ), dict(call.args)
-                j = int(value[1:])
                 if j not in bindings:
                     return ToolOutcome.failure(
                         f"reference {value} does not point to a successfully "
@@ -117,24 +118,12 @@ class Environment:
                     ), dict(call.args)
                 resolved[name] = bindings[j]
             elif isinstance(value, str):
-                resolved[name] = _substitute_refs(value, bindings, self.render)
+                # free text: inline $i become the rendered outputs (mock tools)
+                resolved[name] = rewrite_refs(
+                    value, lambda j: self.render(bindings[j]) if j in bindings else None)
             else:
                 resolved[name] = value
-        if self.kind == "kopl":
-            outcome = kopl.run_tool(self.kb, self.grounder, call.tool, resolved)
-        elif self.kind == "atomic":
-            outcome = atomic.run_tool(self.store, self.grounder, call.tool, resolved,
-                                      self.eval_year)
-        elif self.kind == "mock":
-            if call.tool == "search":
-                outcome = mocktools.mock_search(self.corpus, resolved["question"],
-                                                self.top_k)
-            elif call.tool == "reasoning":
-                outcome = mocktools.mock_reasoning(resolved["instruction"])
-            else:  # pragma: no cover - catalog guards this
-                raise UnknownToolError(call.tool)
-        else:
-            raise HarnessError(f"unknown environment kind {self.kind!r}")
+        outcome = self.engine.run_tool(call.tool, resolved)
         repetition_args = {
             k: (self.render(v) if not isinstance(v, (str, int, float)) else v)
             for k, v in resolved.items()
@@ -142,39 +131,11 @@ class Environment:
         return outcome, repetition_args
 
 
-def _substitute_refs(text: str, bindings: dict[int, object], render) -> str:
-    """Inline $i substitution for free-text parameters (mock tools)."""
-    out, i = [], 0
-    while i < len(text):
-        if text[i] == "$" and i + 1 < len(text) and text[i + 1].isdigit():
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            idx = int(text[i + 1 : j])
-            out.append(render(bindings[idx]) if idx in bindings else text[i:j])
-            i = j
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
-
-
-def make_kopl_env(kb: KnowledgeBase, robustness: str = "high", **grounder_kwargs) -> Environment:
-    grounder = Grounder(build_index(kb), mode=robustness, **grounder_kwargs)
-    return Environment(kind="kopl", catalog=kopl.kopl_catalog(), kb=kb, grounder=grounder)
-
-
-def make_atomic_env(store: atomic.GraphStore, robustness: str = "high",
-                    eval_year: int = 2026, **grounder_kwargs) -> Environment:
-    grounder = Grounder(build_index(store), mode=robustness, **grounder_kwargs)
-    return Environment(kind="atomic", catalog=atomic.atomic_catalog(), store=store,
-                       grounder=grounder, eval_year=eval_year)
-
-
-def make_mock_env(corpus: mocktools.MockCorpus, top_k: int | None = None) -> Environment:
-    return Environment(kind="mock", catalog=mocktools.mock_catalog(), corpus=corpus,
-                       grounder=Grounder(SchemaIndex(), mode="high"),
-                       top_k=corpus.top_k if top_k is None else top_k)
+def make_env(engine_type, data, robustness: str = "high", **settings) -> Environment:
+    """Build an engine of `engine_type` over `data`. Its grounder matches schema
+    terms indexed from `data` (engines with `grounded` set) under `robustness`."""
+    index = build_index(data) if engine_type.grounded else SchemaIndex()
+    return Environment(engine_type(data, Grounder(index, mode=robustness), **settings))
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +237,8 @@ def _record(trace: Trace, env: Environment, call: ToolCall,
     return rec
 
 
-def execute_step(env: Environment, call: ToolCall, bindings: dict[int, object],
-                 seed: int = 0) -> ToolOutcome:
-    """One-off dispatch used outside a driver loop. Deterministic given inputs."""
-    outcome, _ = env.execute(call, bindings)
-    return outcome
-
-
 def run_sh(task, policy, env: Environment, budget: Budget = Budget(),
-           seed: int = 0, tokenizer=whitespace_tokenizer) -> Trace:
+           tokenizer=whitespace_tokenizer) -> Trace:
     """Eager monitoring: every executed step is preceded by a policy invocation."""
     trace = Trace(query=task.question, question_id=task.id, planner="sh")
     bindings: dict[int, object] = {}
@@ -310,7 +264,7 @@ def run_sh(task, policy, env: Environment, budget: Budget = Budget(),
 
 
 def run_fh(task, policy, env: Environment, budget: Budget = Budget(),
-           seed: int = 0, tokenizer=whitespace_tokenizer) -> Trace:
+           tokenizer=whitespace_tokenizer) -> Trace:
     """Lazy monitoring: one upfront plan; replan only on execution failure.
 
     The executed prefix is immutable across replans; each continuation is
@@ -360,10 +314,9 @@ def run_fh(task, policy, env: Environment, budget: Budget = Budget(),
 
 
 def run_task(task, policy, env: Environment, planner: str,
-             budget: Budget = Budget(), seed: int = 0,
-             tokenizer=whitespace_tokenizer) -> Trace:
+             budget: Budget = Budget(), tokenizer=whitespace_tokenizer) -> Trace:
     driver = run_sh if planner == "sh" else run_fh
-    return driver(task, policy, env, budget, seed, tokenizer)
+    return driver(task, policy, env, budget, tokenizer)
 
 
 def account_tokens(trace: Trace, tokenizer=whitespace_tokenizer) -> TokenStats:

@@ -249,10 +249,6 @@ class KnowledgeBase:
     concepts: dict[str, Concept] = field(default_factory=dict)
     name_index: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def entity_ids(self) -> list[str]:
-        # insertion order is the deterministic tie-break order everywhere
-        return list(self.entities)
-
 
 def _parse_qualifiers(items, location) -> tuple[tuple[str, TypedValue], ...]:
     out = []

@@ -19,6 +19,7 @@ from .kb import (
     KBError,
 )
 from .outcome import ToolOutcome
+from .plans import tool_catalog
 
 
 class ContractViolationError(Exception):
@@ -44,18 +45,6 @@ class EntitySet:
 
     def __len__(self):
         return len(self.ids)
-
-
-@dataclass(frozen=True)
-class KoplStep:
-    tool: str
-    args: dict
-    inputs: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class KoplProgram:
-    steps: tuple[KoplStep, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -116,25 +105,11 @@ _CATALOG_SPEC = [
      "Access a qualifier value of a specified relation fact"),
 ]
 
-KOPL_TOOLS = tuple(name for name, _, _ in _CATALOG_SPEC)
 _PARAMS = {name: params for name, params, _ in _CATALOG_SPEC}
 
 
 def kopl_catalog() -> list[dict]:
-    """Machine-readable tool catalog embedded in policy prompts."""
-    return [
-        {
-            "name": name,
-            "params": [{"name": p, "kind": k} for p, k in params],
-            "description": desc,
-        }
-        for name, params, desc in _CATALOG_SPEC
-    ]
-
-
-def ref_params(tool: str) -> list[str]:
-    """Names of parameters that carry step references, in positional order."""
-    return [p for p, k in _PARAMS[tool] if k in ("set", "value-ref")]
+    return tool_catalog(_CATALOG_SPEC)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +356,7 @@ def verify(queried: TypedValue, target: TypedValue, op: str = "=") -> ToolOutcom
 def query_name(kb: KnowledgeBase, entities: EntitySet) -> ToolOutcome:
     if not entities.ids:
         return ToolOutcome.failure("cannot query the name of an empty entity set")
-    names = tuple(kb.entities[i].name for i in entities.ids)
-    return ToolOutcome.success(names[0], details=names)
+    return ToolOutcome.success(kb.entities[entities.ids[0]].name)
 
 
 def query_attr(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
@@ -395,15 +369,15 @@ def query_attr(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
             format_candidate_feedback(result, key, "attribute-key"), result.candidates
         )
     key = result.matched_term
-    values = tuple(
+    value = next((
         fact.value
         for eid in entities.ids
         for fact in kb.entities[eid].attributes
         if fact.key == key
-    )
-    if not values:
+    ), None)
+    if value is None:
         return ToolOutcome.failure(f"no value for attribute {key!r}")
-    return ToolOutcome.success(values[0], details=values)
+    return ToolOutcome.success(value)
 
 
 def query_attr_under_condition(kb: KnowledgeBase, grounder: Grounder,
@@ -419,18 +393,18 @@ def query_attr_under_condition(kb: KnowledgeBase, grounder: Grounder,
             key = res.matched_term
         else:
             qkey = res.matched_term
-    values = tuple(
+    value = next((
         fact.value
         for eid in entities.ids
         for fact in kb.entities[eid].attributes
         if fact.key == key
         and any(k == qkey and _comparable(v, "=", qvalue) for k, v in fact.qualifiers)
-    )
-    if not values:
+    ), None)
+    if value is None:
         return ToolOutcome.failure(
             f"no {key!r} fact carries qualifier {qkey} = {qvalue.render()}"
         )
-    return ToolOutcome.success(values[0], details=values)
+    return ToolOutcome.success(value)
 
 
 def query_relation(kb: KnowledgeBase, a: EntitySet, b: EntitySet) -> ToolOutcome:
@@ -448,7 +422,7 @@ def query_relation(kb: KnowledgeBase, a: EntitySet, b: EntitySet) -> ToolOutcome
         return ToolOutcome.failure(
             f"no relation from {kb.entities[ea].name!r} to {kb.entities[eb].name!r}"
         )
-    return ToolOutcome.success(predicates[0], details=tuple(predicates))
+    return ToolOutcome.success(predicates[0])
 
 
 def query_attr_qualifier(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
@@ -463,19 +437,19 @@ def query_attr_qualifier(kb: KnowledgeBase, grounder: Grounder, entities: Entity
             key = res.matched_term
         else:
             qkey = res.matched_term
-    found = tuple(
+    found = next((
         qv
         for eid in entities.ids
         for fact in kb.entities[eid].attributes
         if fact.key == key and _comparable(fact.value, "=", value)
         for qk, qv in fact.qualifiers
         if qk == qkey
-    )
-    if not found:
+    ), None)
+    if found is None:
         return ToolOutcome.failure(
             f"no qualifier {qkey!r} on fact {key} = {value.render()}"
         )
-    return ToolOutcome.success(found[0], details=found)
+    return ToolOutcome.success(found)
 
 
 def query_relation_qualifier(kb: KnowledgeBase, grounder: Grounder, a: EntitySet,
@@ -504,7 +478,7 @@ def query_relation_qualifier(kb: KnowledgeBase, grounder: Grounder, a: EntitySet
         return ToolOutcome.failure(
             f"no qualifier {qkey!r} on the {relation!r} relation"
         )
-    return ToolOutcome.success(found[0], details=tuple(found))
+    return ToolOutcome.success(found[0])
 
 
 # ---------------------------------------------------------------------------
@@ -573,43 +547,6 @@ def run_tool(kb: KnowledgeBase, grounder: Grounder, tool: str, args: dict) -> To
     raise ProgramError(f"unhandled tool {tool!r}")  # pragma: no cover
 
 
-def validate_program(program: KoplProgram) -> None:
-    for i, step in enumerate(program.steps):
-        if step.tool not in _PARAMS:
-            raise ProgramError(f"step {i}: unknown tool {step.tool!r}")
-        for j in step.inputs:
-            if not (0 <= j < i):
-                raise ProgramError(
-                    f"step {i}: input {j} does not reference a strictly earlier step"
-                )
-        if len(step.inputs) != len(ref_params(step.tool)):
-            raise ProgramError(
-                f"step {i}: {step.tool} expects {len(ref_params(step.tool))} inputs, "
-                f"got {len(step.inputs)}"
-            )
-
-
-def execute_program(kb: KnowledgeBase, grounder: Grounder,
-                    program: KoplProgram) -> ToolOutcome:
-    """Evaluate steps in order, threading outputs by input index."""
-    validate_program(program)
-    results: list = []
-    for i, step in enumerate(program.steps):
-        args = dict(step.args)
-        for param, j in zip(ref_params(step.tool), step.inputs):
-            args[param] = results[j]
-        outcome = run_tool(kb, grounder, step.tool, args)
-        if not outcome.ok:
-            return ToolOutcome.failure(
-                f"step {i} ({step.tool}) failed: {outcome.feedback}",
-                outcome.candidates,
-            )
-        results.append(outcome.value)
-    return ToolOutcome.success(results[-1]) if results else ToolOutcome.failure(
-        "empty program"
-    )
-
-
 def render_value(kb: KnowledgeBase | None, value) -> str:
     """Render any tool output as answer/observation text."""
     if isinstance(value, EntitySet):
@@ -621,3 +558,20 @@ def render_value(kb: KnowledgeBase | None, value) -> str:
     if isinstance(value, TypedValue):
         return value.render()
     return str(value)
+
+
+class KoplEngine:
+    """The KoPL tools over one knowledge base."""
+
+    grounded = True
+    catalog = kopl_catalog()
+
+    def __init__(self, kb: KnowledgeBase, grounder: Grounder):
+        self.kb = kb
+        self.grounder = grounder
+
+    def run_tool(self, tool: str, args: dict) -> ToolOutcome:
+        return run_tool(self.kb, self.grounder, tool, args)
+
+    def render(self, value) -> str:
+        return render_value(self.kb, value)

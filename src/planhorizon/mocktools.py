@@ -11,9 +11,10 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .grounding import trigram_similarity
+from .grounding import Grounder, trigram_similarity
 from .kb import MalformedDocumentError
 from .outcome import ToolOutcome
+from .plans import tool_catalog
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,27 @@ _CATALOG_SPEC = [
 
 
 def mock_catalog() -> list[dict]:
-    return [
-        {"name": name,
-         "params": [{"name": p, "kind": k} for p, k in params],
-         "description": desc}
-        for name, params, desc in _CATALOG_SPEC
-    ]
+    return tool_catalog(_CATALOG_SPEC)
+
+
+class MockEngine:
+    """search and reasoning over one corpus. The tools take free text, so
+    there are no schema terms to ground; low robustness restricts retrieval
+    to the top hit."""
+
+    grounded = False
+    catalog = mock_catalog()
+
+    def __init__(self, corpus: MockCorpus, grounder: Grounder):
+        self.corpus = corpus
+        self.top_k = 1 if grounder.mode == "low" else corpus.top_k
+
+    def run_tool(self, tool: str, args: dict) -> ToolOutcome:
+        if tool == "search":
+            return mock_search(self.corpus, args["question"], self.top_k)
+        if tool == "reasoning":
+            return mock_reasoning(args["instruction"])
+        raise ValueError(f"unknown mock tool {tool!r}")
+
+    def render(self, value) -> str:
+        return str(value)

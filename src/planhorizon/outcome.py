@@ -11,11 +11,10 @@ class ToolOutcome:
     value: object = None
     feedback: str = ""
     candidates: tuple = ()
-    details: tuple = ()  # full multi-valued result when value is the first item
 
     @staticmethod
-    def success(value, details: tuple = ()) -> "ToolOutcome":
-        return ToolOutcome(ok=True, value=value, details=details)
+    def success(value) -> "ToolOutcome":
+        return ToolOutcome(ok=True, value=value)
 
     @staticmethod
     def failure(feedback: str, candidates: tuple = ()) -> "ToolOutcome":

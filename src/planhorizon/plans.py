@@ -1,9 +1,10 @@
 """Plan and trace representation: $i reference parsing, DAG construction,
-depth/breadth metrics, gold-DAG derivation, and repetition detection."""
+depth/breadth metrics, and repetition detection."""
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -16,6 +17,32 @@ class PlanParseError(Exception):
         self.reason = reason
 
 
+_REF = re.compile(r"\$([0-9]+)")
+
+
+def step_ref(value) -> int | None:
+    """The step index of a whole-value reference "$i"; None for a value that
+    is not one. A string starting with "$" that is not a reference raises
+    ValueError: in a plan every such string must point at a step."""
+    if not (isinstance(value, str) and value.startswith("$")):
+        return None
+    match = _REF.fullmatch(value)
+    if match is None:
+        raise ValueError(f"malformed reference {value!r}")
+    return int(match.group(1))
+
+
+def rewrite_refs(text: str, replace) -> str:
+    """Rewrite every inline "$i" in free text as replace(i); a reference for
+    which replace returns None stays as written."""
+
+    def sub(match) -> str:
+        new = replace(int(match.group(1)))
+        return match.group(0) if new is None else new
+
+    return _REF.sub(sub, text)
+
+
 @dataclass(frozen=True)
 class ToolCall:
     tool: str
@@ -23,17 +50,20 @@ class ToolCall:
     final: bool = False  # SH terminal marker: execute this step, then stop
 
     def references(self) -> list[int]:
-        out = []
-        for v in self.args.values():
-            if isinstance(v, str) and v.startswith("$") and v[1:].isdigit():
-                out.append(int(v[1:]))
-        return out
+        """Steps referenced by whole-value arguments."""
+        return [j for j in map(step_ref, self.args.values()) if j is not None]
 
-    def to_json(self) -> dict:
-        doc = {"tool": self.tool, "args": dict(self.args)}
-        if self.final:
-            doc["final"] = True
-        return doc
+
+def tool_catalog(spec) -> list[dict]:
+    """The machine-readable tool catalog embedded in policy prompts, from
+    (name, [(parameter, kind), ...], description) triples. Parameters of
+    kind "set" or "value-ref" take whole-value $i references."""
+    return [
+        {"name": name,
+         "params": [{"name": p, "kind": k} for p, k in params],
+         "description": desc}
+        for name, params, desc in spec
+    ]
 
 
 @dataclass(frozen=True)
@@ -74,22 +104,19 @@ def parse_plan(text: str, catalog: list[dict], base_index: int = 0,
                 raise PlanParseError(
                     f"step {absolute}: {tool} has no parameter {key!r}", "bad-argument"
                 )
-            if isinstance(value, str) and value.startswith("$"):
-                if not value[1:].isdigit():
-                    raise PlanParseError(
-                        f"step {absolute}: malformed reference {value!r}", "bad-reference"
-                    )
-                if int(value[1:]) >= absolute:
-                    raise PlanParseError(
-                        f"step {absolute}: reference {value} does not point to an "
-                        "earlier step", "bad-reference"
-                    )
+            try:
+                ref = step_ref(value)
+            except ValueError:
+                raise PlanParseError(
+                    f"step {absolute}: malformed reference {value!r}", "bad-reference"
+                )
+            if ref is not None and ref >= absolute:
+                raise PlanParseError(
+                    f"step {absolute}: reference {value} does not point to an "
+                    "earlier step", "bad-reference"
+                )
         steps.append(ToolCall(tool=tool, args=dict(args), final=bool(item.get("final"))))
     return Plan(steps=tuple(steps), origin=origin)
-
-
-def serialize_plan(plan: Plan) -> str:
-    return json.dumps([step.to_json() for step in plan.steps])
 
 
 # ---------------------------------------------------------------------------
@@ -131,32 +158,6 @@ def depth(graph: ExecutionGraph) -> int:
 def breadth(graph: ExecutionGraph) -> Fraction:
     """Average parallelism |V| / depth, kept exact as a rational."""
     return Fraction(graph.node_count, depth(graph))
-
-
-def derive_gold_dag_kopl(program) -> ExecutionGraph:
-    """Build the step tree of a KoPL program and merge structurally identical
-    subtrees (same tool, same args, same merged inputs) into single nodes."""
-    from .kopl import validate_program
-
-    validate_program(program)
-    signatures: list = []
-    for step in program.steps:
-        sig = (step.tool, tuple(sorted(step.args.items())),
-               tuple(signatures[j] for j in step.inputs))
-        signatures.append(sig)
-    node_of: dict = {}
-    order = []
-    for sig in signatures:
-        if sig not in node_of:
-            node_of[sig] = len(order)
-            order.append(sig)
-    edges = set()
-    for sig in order:
-        target = node_of[sig]
-        for child in sig[2]:
-            edges.add((node_of[child], target))
-    labels = tuple((sig[0], dict(sig[1])) for sig in order)
-    return ExecutionGraph(labels=labels, edges=frozenset(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import requests
 
 from .grounding import trigram_similarity
 from .harness import PolicyRequest
-from .plans import Plan, ToolCall
+from .plans import Plan, ToolCall, rewrite_refs, step_ref
 
 
 class PolicyError(Exception):
@@ -23,13 +23,12 @@ def _success_steps(history: list[dict]) -> list[int]:
 
 
 def _remap_refs(args: dict, mapping) -> dict:
-    out = {}
-    for key, value in args.items():
-        if isinstance(value, str) and value.startswith("$") and value[1:].isdigit():
-            out[key] = f"${mapping(int(value[1:]))}"
-        else:
-            out[key] = value
-    return out
+    """Renumber every $i, whole-value or inline in free text, as $mapping(i)."""
+    return {
+        key: rewrite_refs(value, lambda j: f"${mapping(j)}")
+        if isinstance(value, str) else value
+        for key, value in args.items()
+    }
 
 
 def _emit(steps: list[dict]) -> str:
@@ -129,12 +128,12 @@ def noisy_policy(gold_plan: Plan, noise: NoiseModel, catalog: list[dict]):
         if rng.random() < noise.wrong_schema_rate:
             for param in string_params.get(doc["tool"], []):
                 value = doc["args"].get(param)
-                if isinstance(value, str) and not value.startswith("$"):
+                if isinstance(value, str) and step_ref(value) is None:
                     doc = {**doc, "args": {**doc["args"], param: corrupt_term(value)}}
                     break
         if rng.random() < noise.wrong_reference_rate:
             for param, value in doc["args"].items():
-                if isinstance(value, str) and value.startswith("$") and value != "$0":
+                if step_ref(value) not in (None, 0):
                     doc = {**doc, "args": {**doc["args"], param: "$0"}}
                     break
         return doc

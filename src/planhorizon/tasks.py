@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
 
 from . import atomic, harness, kb as kbmod, kopl, mocktools
 from .plans import Plan, parse_plan
+
+# A dataset file's "engine" field -> (key of its data file, loader, engine
+# type, optional dataset fields handed on to the engine).
+ENGINES = {
+    "kopl": ("kb", kbmod.load_kb, kopl.KoplEngine, ()),
+    "atomic": ("graph", atomic.load_graph, atomic.AtomicEngine, ("eval_year",)),
+    "mock": ("corpus", mocktools.load_corpus, mocktools.MockEngine, ()),
+}
 
 
 class DatasetError(Exception):
@@ -28,10 +37,10 @@ class Task:
 class Dataset:
     engine: str
     tasks: tuple[Task, ...]
-    env_factory: object  # () -> Environment given a robustness mode
+    env_factory: object  # robustness mode -> Environment
 
-    def make_env(self, robustness: str = "high", **kwargs):
-        return self.env_factory(robustness, **kwargs)
+    def make_env(self, robustness: str = "high"):
+        return self.env_factory(robustness)
 
 
 def load_dataset(path) -> Dataset:
@@ -39,42 +48,17 @@ def load_dataset(path) -> Dataset:
         doc = json.load(fh)
     base = os.path.dirname(os.path.abspath(path))
     engine = doc.get("engine")
-    if engine not in ("kopl", "atomic", "mock"):
-        raise DatasetError(f"engine must be kopl, atomic, or mock, got {engine!r}")
-
-    if engine == "kopl":
-        kb = kbmod.load_kb(os.path.join(base, doc["kb"]))
-        catalog_name = "kopl"
-
-        def factory(robustness, **kwargs):
-            return harness.make_kopl_env(kb, robustness, **kwargs)
-    elif engine == "atomic":
-        store = atomic.load_graph(os.path.join(base, doc["graph"]))
-        eval_year = doc.get("eval_year", 2026)
-        catalog_name = "atomic"
-
-        def factory(robustness, **kwargs):
-            return harness.make_atomic_env(store, robustness, eval_year=eval_year,
-                                           **kwargs)
-    else:
-        corpus = mocktools.load_corpus(os.path.join(base, doc["corpus"]))
-        catalog_name = "mock"
-
-        def factory(robustness, top_k=None, **kwargs):
-            if top_k is None and robustness == "low":
-                top_k = 1  # low robustness restricts retrieval to the top hit
-            return harness.make_mock_env(corpus, top_k=top_k)
-
-    catalog = {
-        "kopl": kopl.kopl_catalog(),
-        "atomic": atomic.atomic_catalog(),
-        "mock": mocktools.mock_catalog(),
-    }[catalog_name]
+    if engine not in ENGINES:
+        raise DatasetError(f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
+    data_key, loader, engine_type, fields = ENGINES[engine]
+    data = loader(os.path.join(base, doc[data_key]))
+    settings = {name: doc[name] for name in fields if name in doc}
+    factory = functools.partial(harness.make_env, engine_type, data, **settings)
 
     tasks = []
     for i, t in enumerate(doc.get("tasks", [])):
         try:
-            plan = parse_plan(json.dumps(t["gold_plan"]), catalog)
+            plan = parse_plan(json.dumps(t["gold_plan"]), engine_type.catalog)
         except Exception as exc:
             raise DatasetError(f"tasks[{i}] gold plan invalid: {exc}")
         tasks.append(Task(

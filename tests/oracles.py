@@ -1,0 +1,360 @@
+"""Reference implementations the tests compare the pipeline against.
+
+The pipeline executes plans one tool call at a time through
+``harness.Environment``. The oracles here evaluate the same tools another
+way: KoPL programs with positional inputs, atomic call chains compiled to
+S-expressions, and the gold DAG with structurally identical KoPL subtrees
+merged. None of them is used by ``src/``.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+from planhorizon import atomic, kopl
+from planhorizon.grounding import Grounder
+from planhorizon.kb import KnowledgeBase, parse_value_text
+from planhorizon.outcome import ToolOutcome
+from planhorizon.plans import ExecutionGraph, Plan, ToolCall
+
+
+def ref_params(catalog: list[dict], tool: str) -> list[str]:
+    """Names of the parameters of `tool` that carry step references, in
+    positional order."""
+    entry = next(e for e in catalog if e["name"] == tool)
+    return [p["name"] for p in entry["params"] if p["kind"] in ("set", "value-ref")]
+
+
+# ---------------------------------------------------------------------------
+# Plan wire format
+
+def to_json(step: ToolCall) -> dict:
+    doc = {"tool": step.tool, "args": dict(step.args)}
+    if step.final:
+        doc["final"] = True
+    return doc
+
+
+def serialize_plan(plan: Plan) -> str:
+    return json.dumps([to_json(step) for step in plan.steps])
+
+
+# ---------------------------------------------------------------------------
+# KoPL programs: steps thread earlier outputs by input index
+
+KOPL_CATALOG = kopl.kopl_catalog()
+
+
+@dataclass(frozen=True)
+class KoplStep:
+    tool: str
+    args: dict
+    inputs: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class KoplProgram:
+    steps: tuple[KoplStep, ...]
+
+
+def validate_program(program: KoplProgram) -> None:
+    for i, step in enumerate(program.steps):
+        if step.tool not in {entry["name"] for entry in KOPL_CATALOG}:
+            raise kopl.ProgramError(f"step {i}: unknown tool {step.tool!r}")
+        for j in step.inputs:
+            if not (0 <= j < i):
+                raise kopl.ProgramError(
+                    f"step {i}: input {j} does not reference a strictly earlier step"
+                )
+        expected = len(ref_params(KOPL_CATALOG, step.tool))
+        if len(step.inputs) != expected:
+            raise kopl.ProgramError(
+                f"step {i}: {step.tool} expects {expected} inputs, "
+                f"got {len(step.inputs)}"
+            )
+
+
+def execute_program(kb: KnowledgeBase, grounder: Grounder,
+                    program: KoplProgram) -> ToolOutcome:
+    """Evaluate steps in order, threading outputs by input index."""
+    validate_program(program)
+    results: list = []
+    for i, step in enumerate(program.steps):
+        args = dict(step.args)
+        for param, j in zip(ref_params(KOPL_CATALOG, step.tool), step.inputs):
+            args[param] = results[j]
+        outcome = kopl.run_tool(kb, grounder, step.tool, args)
+        if not outcome.ok:
+            return ToolOutcome.failure(
+                f"step {i} ({step.tool}) failed: {outcome.feedback}",
+                outcome.candidates,
+            )
+        results.append(outcome.value)
+    return ToolOutcome.success(results[-1]) if results else ToolOutcome.failure(
+        "empty program"
+    )
+
+
+def derive_gold_dag_kopl(program) -> ExecutionGraph:
+    """Build the step tree of a KoPL program and merge structurally identical
+    subtrees (same tool, same args, same merged inputs) into single nodes."""
+    validate_program(program)
+    signatures: list = []
+    for step in program.steps:
+        sig = (step.tool, tuple(sorted(step.args.items())),
+               tuple(signatures[j] for j in step.inputs))
+        signatures.append(sig)
+    node_of: dict = {}
+    order = []
+    for sig in signatures:
+        if sig not in node_of:
+            node_of[sig] = len(order)
+            order.append(sig)
+    edges = set()
+    for sig in order:
+        target = node_of[sig]
+        for child in sig[2]:
+            edges.add((node_of[child], target))
+    labels = tuple((sig[0], dict(sig[1])) for sig in order)
+    return ExecutionGraph(labels=labels, edges=frozenset(edges))
+
+
+# ---------------------------------------------------------------------------
+# Atomic chains as S-expressions
+
+class SExprError(Exception):
+    pass
+
+
+ATOMIC_CATALOG = atomic.atomic_catalog()
+
+HEADS = ("JOIN", "AND", "ARGMIN", "ARGMAX", "LT", "LE", "GT", "GE", "TC", "COUNT")
+_ARITY = {"JOIN": 3, "AND": 2, "ARGMIN": 2, "ARGMAX": 2,
+          "LT": 2, "LE": 2, "GT": 2, "GE": 2, "TC": 3, "COUNT": 1}
+
+_OP_TO_HEAD = {"<": "LT", "<=": "LE", "≤": "LE", ">": "GT", ">=": "GE", "≥": "GE"}
+
+
+@dataclass(frozen=True)
+class Seed:
+    """A leaf term: an entity mention, class name, or typed literal text."""
+
+    text: str
+
+
+@dataclass(frozen=True)
+class App:
+    head: str
+    args: tuple
+
+    def __post_init__(self):
+        if self.head not in HEADS:
+            raise SExprError(f"unknown head {self.head!r}")
+        if len(self.args) != _ARITY[self.head]:
+            raise SExprError(
+                f"{self.head} takes {_ARITY[self.head]} arguments, got {len(self.args)}"
+            )
+
+
+SExpr = Seed | App
+
+
+def _token(text: str) -> str:
+    if any(ch in text for ch in ' ()"'):
+        return '"' + text.replace('"', '\\"') + '"'
+    return text
+
+
+def serialize_sexpr(expr: SExpr) -> str:
+    if isinstance(expr, Seed):
+        return _token(expr.text)
+    parts = [expr.head]
+    for arg in expr.args:
+        parts.append(serialize_sexpr(arg) if isinstance(arg, (Seed, App)) else _token(str(arg)))
+    return "(" + " ".join(parts) + ")"
+
+
+def parse_sexpr(text: str) -> SExpr:
+    tokens = _tokenize(text)
+    expr, rest = _parse_tokens(tokens)
+    if rest:
+        raise SExprError(f"trailing tokens: {rest!r}")
+    return expr
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens, i = [], 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            tokens.append(ch)
+            i += 1
+        elif ch == '"':
+            j, buf = i + 1, []
+            while j < len(text) and text[j] != '"':
+                if text[j] == "\\" and j + 1 < len(text):
+                    j += 1
+                buf.append(text[j])
+                j += 1
+            if j >= len(text):
+                raise SExprError("unterminated string")
+            tokens.append('"' + "".join(buf))
+            i = j + 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in '()"':
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
+
+
+def _parse_tokens(tokens: list[str]):
+    if not tokens:
+        raise SExprError("empty expression")
+    head, rest = tokens[0], tokens[1:]
+    if head == "(":
+        if not rest or rest[0] in "()":
+            raise SExprError("expected a head symbol after '('")
+        name, rest = rest[0], rest[1:]
+        args = []
+        while rest and rest[0] != ")":
+            arg, rest = _parse_tokens(rest)
+            args.append(arg)
+        if not rest:
+            raise SExprError("missing ')'")
+        return App(name, tuple(args)), rest[1:]
+    if head == ")":
+        raise SExprError("unexpected ')'")
+    return Seed(head[1:] if head.startswith('"') else head), rest
+
+
+# ---------------------------------------------------------------------------
+# Chain compilation and S-expression evaluation
+
+def compile_chain(chain) -> SExpr:
+    """Convert a chain of atomic tool calls with $i references into one SExpr.
+
+    Each chain element is a mapping {"tool": name, "args": {...}} where set
+    parameters hold "$i" references to earlier steps.
+    """
+    exprs: list[SExpr] = []
+    for i, step in enumerate(chain):
+        tool, args = step["tool"], step["args"]
+        if tool not in {entry["name"] for entry in ATOMIC_CATALOG}:
+            raise SExprError(f"step {i}: unknown tool {tool!r}")
+
+        def sub(param):
+            ref = args.get(param)
+            if not (isinstance(ref, str) and ref.startswith("$")):
+                raise SExprError(f"step {i}: {param} must be a $i reference")
+            j = int(ref[1:])
+            if not (0 <= j < i):
+                raise SExprError(f"step {i}: dangling reference {ref}")
+            return exprs[j]
+
+        if tool == "Extract_entity":
+            exprs.append(Seed(str(args["input"])))
+        elif tool == "Find_relation":
+            exprs.append(App("JOIN", (Seed(args["relation"]),
+                                      Seed(args.get("direction", "forward")),
+                                      sub("target"))))
+        elif tool == "Merge":
+            exprs.append(App("AND", (sub("input1"), sub("input2"))))
+        elif tool == "Order":
+            head = "ARGMIN" if args["mode"] == "argmin" else "ARGMAX"
+            exprs.append(App(head, (sub("input"), Seed(args["property"]))))
+        elif tool == "Compare":
+            head = _OP_TO_HEAD.get(args["operator"])
+            if head is None:
+                raise SExprError(f"step {i}: bad operator {args['operator']!r}")
+            exprs.append(App(head, (Seed(args["property"]), Seed(str(args["literal"])))))
+        elif tool == "Time_constraint":
+            exprs.append(App("TC", (sub("input"), Seed(args["relation"]),
+                                    Seed(str(args["literal"])))))
+        elif tool == "Count":
+            exprs.append(App("COUNT", (sub("input"),)))
+    if not exprs:
+        raise SExprError("empty chain")
+    return exprs[-1]
+
+
+def eval_sexpr(store: atomic.GraphStore, grounder: Grounder, expr: SExpr,
+               eval_year: int = 2026, _path: str = "") -> ToolOutcome:
+    """Bottom-up evaluation; the first failing sub-expression aborts with its path."""
+
+    def fail(outcome: ToolOutcome, path: str) -> ToolOutcome:
+        return ToolOutcome.failure(f"at {path or '/'}: {outcome.feedback}",
+                                   outcome.candidates)
+
+    if isinstance(expr, Seed):
+        outcome = atomic.extract_entity(store, grounder, expr.text)
+        return outcome if outcome.ok else fail(outcome, _path)
+
+    def child(i):
+        return eval_sexpr(store, grounder, expr.args[i], eval_year,
+                          f"{_path}/{expr.head}[{i}]")
+
+    if expr.head == "JOIN":
+        target = child(2)
+        if not target.ok:
+            return target
+        out = atomic.find_relation(store, grounder, expr.args[0].text,
+                            expr.args[1].text, target.value)
+    elif expr.head == "AND":
+        a, b = child(0), child(1)
+        if not a.ok:
+            return a
+        if not b.ok:
+            return b
+        out = atomic.merge(a.value, b.value)
+    elif expr.head in ("ARGMIN", "ARGMAX"):
+        base = child(0)
+        if not base.ok:
+            return base
+        out = atomic.order(store, grounder, expr.head.lower(), base.value, expr.args[1].text)
+    elif expr.head in ("LT", "LE", "GT", "GE"):
+        op = {"LT": "<", "LE": "<=", "GT": ">", "GE": ">="}[expr.head]
+        out = atomic.compare(store, grounder, op, expr.args[0].text,
+                      parse_value_text(expr.args[1].text))
+    elif expr.head == "TC":
+        base = child(0)
+        if not base.ok:
+            return base
+        out = atomic.time_constraint(store, grounder, base.value, expr.args[1].text,
+                              expr.args[2].text, eval_year)
+    elif expr.head == "COUNT":
+        base = child(0)
+        if not base.ok:
+            return base
+        out = atomic.count_nodes(base.value)
+    else:  # pragma: no cover
+        raise SExprError(f"unknown head {expr.head!r}")
+    return out if out.ok else fail(out, _path or "/" + expr.head)
+
+
+def execute_chain(store: atomic.GraphStore, grounder: Grounder, chain,
+                  eval_year: int = 2026) -> ToolOutcome:
+    """Step-by-step execution of a chain; the oracle twin of eval(compile(chain))."""
+    results = []
+    for i, step in enumerate(chain):
+        args = dict(step["args"])
+        for param in ref_params(ATOMIC_CATALOG, step["tool"]):
+            ref = args[param]
+            j = int(str(ref)[1:])
+            if not (0 <= j < i):
+                raise SExprError(f"step {i}: dangling reference {ref}")
+            args[param] = results[j]
+        outcome = atomic.run_tool(store, grounder, step["tool"], args, eval_year)
+        if not outcome.ok:
+            return ToolOutcome.failure(f"step {i} failed: {outcome.feedback}",
+                                       outcome.candidates)
+        results.append(outcome.value)
+    if not results:
+        return ToolOutcome.failure("empty chain")
+    return ToolOutcome.success(results[-1])
+
+

@@ -14,9 +14,10 @@ import pytest
 
 from planhorizon import atomic, harness, kopl, mocktools, plans, policies, stats, tasks
 from planhorizon.grounding import Grounder, build_index, ground
-from planhorizon.kopl import KoplProgram, KoplStep
 from planhorizon.mocktools import MockCorpus, MockDocument
 from planhorizon.plans import ExecutionGraph, breadth, build_dag, depth
+
+import oracles
 
 
 def report(name):
@@ -69,11 +70,11 @@ def test_table_1b_golden_run(atomic_dataset, fixtures_dir):
     grounder = Grounder(build_index(store), mode="high")
     task = next(t for t in atomic_dataset.tasks if t.id == "atomic-short-film")
     chain = [{"tool": s.tool, "args": s.args} for s in task.gold_plan.steps]
-    expr = atomic.compile_chain(chain)
-    text = atomic.serialize_sexpr(expr)
+    expr = oracles.compile_chain(chain)
+    text = oracles.serialize_sexpr(expr)
     assert text.startswith("(AND (JOIN ")
-    compiled = atomic.eval_sexpr(store, grounder, expr)
-    stepwise = atomic.execute_chain(store, grounder, chain)
+    compiled = oracles.eval_sexpr(store, grounder, expr)
+    stepwise = oracles.execute_chain(store, grounder, chain)
     assert compiled.ok and stepwise.ok and compiled.value == stepwise.value
     assert compiled.value.ids == ("m.02686wj",)
     assert time.monotonic() - start < 1.0
@@ -212,7 +213,7 @@ def test_token_accounting():
     for task in task_list:
         totals = {}
         for planner in ("sh", "fh"):
-            env = harness.make_mock_env(corpus)
+            env = harness.make_env(mocktools.MockEngine, corpus)
             policy = policies.oracle_policy(task.gold_plan)
             trace = harness.run_task(task, policy, env, planner)
             assert trace.status == "answered"

