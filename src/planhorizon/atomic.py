@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -32,6 +33,24 @@ class GraphStore:
     def node_order(self, ids) -> tuple[str, ...]:
         wanted = set(ids)
         return tuple(i for i in self.nodes if i in wanted)
+
+    # Triple indexes, built on first use and kept with the store.
+
+    @functools.cached_property
+    def objects(self) -> dict[tuple[str, str], tuple]:
+        """(subject id, predicate) -> its objects, in triple order."""
+        objects: dict[tuple[str, str], list] = {}
+        for s, p, o in self.triples:
+            objects.setdefault((s, p), []).append(o)
+        return {key: tuple(objs) for key, objs in objects.items()}
+
+    @functools.cached_property
+    def by_predicate(self) -> dict[str, tuple[tuple, ...]]:
+        """Predicate -> its triples, in triple order."""
+        triples: dict[str, list[tuple]] = {}
+        for triple in self.triples:
+            triples.setdefault(triple[1], []).append(triple)
+        return {p: tuple(ts) for p, ts in triples.items()}
 
 
 def load_graph(path_or_doc) -> GraphStore:
@@ -149,9 +168,7 @@ def find_relation(store: GraphStore, grounder: Grounder, relation: str,
     predicate = result.matched_term
     wanted = set(target.ids)
     found = []
-    for s, p, o in store.triples:
-        if p != predicate:
-            continue
+    for s, _p, o in store.by_predicate.get(predicate, ()):
         if direction == "forward" and isinstance(o, str) and o in wanted:
             found.append(s)
         elif direction == "backward" and s in wanted and isinstance(o, str):
@@ -171,12 +188,13 @@ def merge(a: NodeSet, b: NodeSet) -> ToolOutcome:
 
 
 def _property_values(store: GraphStore, ids, prop: str):
+    """(id, first literal value of prop) for each id that has one."""
     out = []
     for nid in ids:
-        for s, p, o in store.triples:
-            if s == nid and p == prop and isinstance(o, TypedValue):
-                out.append((nid, o))
-                break
+        value = next((o for o in store.objects.get((nid, prop), ())
+                      if isinstance(o, TypedValue)), None)
+        if value is not None:
+            out.append((nid, value))
     return out
 
 
@@ -213,8 +231,8 @@ def compare(store: GraphStore, grounder: Grounder, operator: str, prop: str,
         )
     prop = result.matched_term
     found = []
-    for s, p, o in store.triples:
-        if p != prop or not isinstance(o, TypedValue):
+    for s, _p, o in store.by_predicate.get(prop, ()):
+        if not isinstance(o, TypedValue):
             continue
         try:
             strict = compare_typed(o, operator.rstrip("="), literal)
@@ -240,16 +258,13 @@ def time_constraint(store: GraphStore, grounder: Grounder, nodes: NodeSet,
         )
     relation = result.matched_term
     year = eval_year if str(literal).strip().upper() == "NOW" else int(str(literal).strip())
-    kept = []
-    for nid in nodes.ids:
-        for s, p, o in store.triples:
-            if s == nid and p == relation and isinstance(o, TypedValue):
-                matches = (o.kind == "year" and o.year_value == year) or (
-                    o.kind == "date" and o.date_value.year == year
-                )
-                if matches:
-                    kept.append(nid)
-                    break
+    kept = [
+        nid for nid in nodes.ids
+        if any((o.kind == "year" and o.year_value == year)
+               or (o.kind == "date" and o.date_value.year == year)
+               for o in store.objects.get((nid, relation), ())
+               if isinstance(o, TypedValue))
+    ]
     ids = store.node_order(kept)
     if not ids:
         return ToolOutcome.failure(f"no entities satisfy {relation} = {year}")

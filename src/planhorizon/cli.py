@@ -63,8 +63,7 @@ def _load_config(path: Path, overrides: argparse.Namespace) -> dict:
     return config
 
 
-def _run_one(dataset, task, planner, policy_spec, robustness, trial, seed, budget):
-    env = dataset.make_env(robustness=robustness)
+def _run_one(env, task, planner, policy_spec, trial, seed, budget):
     spec = dict(policy_spec)
     if spec.get("kind") == "noisy":
         spec.setdefault("seed", seed + trial)
@@ -133,10 +132,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     def worker(job):
         task, planner, trial = job
-        return job, _run_one(dataset, task, planner, config["policy"],
-                             config["robustness"], trial, config["seed"], budget)
+        return job, _run_one(env, task, planner, config["policy"], trial,
+                             config["seed"], budget)
 
     try:
+        # one environment serves every job: the engines are immutable and the
+        # grounding memo is a pure function of (term, namespace, mode)
+        env = dataset.make_env(config["robustness"])
         if args.jobs and args.jobs > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(worker, jobs))

@@ -7,6 +7,7 @@ back only the single nearest candidate.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ _SEP = re.compile(r"[\s_\-./]+")
 
 
 def _normalize(term: str) -> str:
-    return _SEP.sub(" ", term.strip().lower())
+    return _SEP.sub(" ", term.lower()).strip()
 
 
 def _trigrams(term: str) -> set[str]:
@@ -38,18 +39,21 @@ def _trigrams(term: str) -> set[str]:
     return {term[i : i + 3] for i in range(len(term) - 2)}
 
 
-def trigram_similarity(a: str, b: str) -> float:
-    """Character-trigram Jaccard on normalized terms; 1.0 iff normalized-equal."""
-    na, nb = _normalize(a), _normalize(b)
-    if na == nb:
-        return 1.0
-    ta, tb = _trigrams(na), _trigrams(nb)
+def _jaccard(ta: set[str], tb: set[str]) -> float:
     if not ta or not tb:
         return 0.0
     inter = len(ta & tb)
     if inter == 0:
         return 0.0
     return inter / (len(ta) + len(tb) - inter)
+
+
+def trigram_similarity(a: str, b: str) -> float:
+    """Character-trigram Jaccard on normalized terms; 1.0 iff normalized-equal."""
+    na, nb = _normalize(a), _normalize(b)
+    if na == nb:
+        return 1.0
+    return _jaccard(_trigrams(na), _trigrams(nb))
 
 
 @dataclass(frozen=True)
@@ -66,14 +70,34 @@ class GroundingResult:
 
 @dataclass
 class SchemaIndex:
-    """Per-namespace term sets built from a KnowledgeBase or GraphStore."""
+    """Per-namespace term sets built from a KnowledgeBase or GraphStore.
+
+    The terms of a namespace are distinct. The soft-matching tables of a
+    namespace are built on its first non-exact lookup and live as long as the
+    index, which `planhorizon run` builds once per run."""
 
     terms: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def namespace(self, namespace: str) -> tuple[str, ...]:
         if namespace not in NAMESPACES:
             raise UnknownNamespaceError(f"unknown namespace {namespace!r}")
         return self.terms.get(namespace, ())
+
+    def match_tables(self, namespace: str):
+        """(normalized form -> first term with that form, ((term, trigrams of
+        its normalized form), ...) in vocabulary order) for one namespace."""
+        tables = self._tables.get(namespace)
+        if tables is None:
+            by_norm: dict[str, str] = {}
+            grams = []
+            for term in self.namespace(namespace):
+                norm = _normalize(term)
+                by_norm.setdefault(norm, term)
+                grams.append((term, _trigrams(norm)))
+            # built whole before it is published, so threads see all or nothing
+            tables = self._tables[namespace] = (by_norm, tuple(grams))
+        return tables
 
 
 def build_index(source) -> SchemaIndex:
@@ -103,16 +127,18 @@ def build_index(source) -> SchemaIndex:
 
 
 class Grounder:
-    """Caches grounding per (term, namespace, mode) within a run for determinism."""
+    """Caches grounding per (term, namespace, mode) for determinism.
+
+    `planhorizon run` builds one environment, hence one grounder and one
+    schema index, per run: the memo and the index's tables serve every
+    trajectory of the run."""
 
     def __init__(self, index: SchemaIndex, mode: str = "high",
-                 similarity=trigram_similarity, threshold: float = DEFAULT_THRESHOLD,
-                 validator=None):
+                 threshold: float = DEFAULT_THRESHOLD, validator=None):
         if mode not in ("high", "low"):
             raise GroundingError(f"robustness mode must be high or low, got {mode!r}")
         self.index = index
         self.mode = mode
-        self.similarity = similarity
         self.threshold = threshold
         self.validator = validator or (lambda term, cand, score: score >= threshold)
         self._cache: dict[tuple[str, str, str], GroundingResult] = {}
@@ -122,29 +148,32 @@ class Grounder:
         key = (term, namespace, mode)
         if key not in self._cache:
             self._cache[key] = ground(self.index, term, namespace, mode,
-                                      similarity=self.similarity,
                                       validator=self.validator)
         return self._cache[key]
 
 
 def ground(index: SchemaIndex, term: str, namespace: str, mode: str,
-           similarity=trigram_similarity, validator=None) -> GroundingResult:
-    """Ground a planner-supplied term against the schema. Exact match always wins."""
+           validator=None) -> GroundingResult:
+    """Ground a planner-supplied term against the schema. Exact match always wins.
+
+    Candidates are ranked by trigram similarity; ties keep vocabulary order."""
     vocabulary = index.namespace(namespace)
     if term in vocabulary:
         return GroundingResult("exact", term, (), mode)
+    by_norm, grams = index.match_tables(namespace)
     norm = _normalize(term)
-    for candidate in vocabulary:
-        if _normalize(candidate) == norm:
-            return GroundingResult("exact", candidate, (), mode)
+    if norm in by_norm:
+        return GroundingResult("exact", by_norm[norm], (), mode)
 
-    scored = sorted(
-        ((cand, similarity(term, cand)) for cand in vocabulary),
-        key=lambda pair: (-pair[1], vocabulary.index(pair[0])),
-    )
+    # no candidate is normalized-equal here, so similarity is the plain Jaccard
+    query = _trigrams(norm)
+    limit = MAX_CANDIDATES_LOW if mode == "low" else MAX_CANDIDATES_HIGH
+    # nsmallest is a stable sort truncated to `limit`
+    top = tuple(heapq.nsmallest(
+        limit, ((cand, _jaccard(query, cand_grams)) for cand, cand_grams in grams),
+        key=lambda pair: -pair[1]))
     if mode == "low":
-        return GroundingResult("failed", None, tuple(scored[:MAX_CANDIDATES_LOW]), mode)
-    top = tuple(scored[:MAX_CANDIDATES_HIGH])
+        return GroundingResult("failed", None, top, mode)
     validator = validator or (lambda t, c, s: s >= DEFAULT_THRESHOLD)
     for candidate, score in top:
         if validator(term, candidate, score):

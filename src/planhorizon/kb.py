@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -249,6 +250,28 @@ class KnowledgeBase:
     concepts: dict[str, Concept] = field(default_factory=dict)
     name_index: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
+    # Lookup tables derived from the immutable fields, built on first use and
+    # kept with the KB, so loading does no indexing.
+
+    @functools.cached_property
+    def incoming(self) -> dict[str, tuple[tuple[str, RelationEdge], ...]]:
+        """Target id -> ((source id, edge), ...) over every stored edge that
+        points at it, in KB order (source entity, then its edge order)."""
+        incoming: dict[str, list[tuple[str, RelationEdge]]] = {}
+        for e in self.entities.values():
+            for edge in e.relations:
+                incoming.setdefault(edge.target, []).append((e.id, edge))
+        return {target: tuple(pairs) for target, pairs in incoming.items()}
+
+    @functools.cached_property
+    def subclasses(self) -> dict[str, tuple[str, ...]]:
+        """Concept id -> ids of its direct subclasses, in KB order."""
+        children: dict[str, list[str]] = {cid: [] for cid in self.concepts}
+        for c in self.concepts.values():
+            for parent in c.subclass_of:
+                children[parent].append(c.id)
+        return {cid: tuple(ids) for cid, ids in children.items()}
+
 
 def _parse_qualifiers(items, location) -> tuple[tuple[str, TypedValue], ...]:
     out = []
@@ -408,10 +431,7 @@ def concept_closure(kb: KnowledgeBase, concept_id: str) -> set[str]:
     """The concept plus all transitive subclasses (specializations match filters)."""
     if concept_id not in kb.concepts:
         raise UnknownConceptError(f"unknown concept {concept_id!r}")
-    children: dict[str, list[str]] = {cid: [] for cid in kb.concepts}
-    for c in kb.concepts.values():
-        for parent in c.subclass_of:
-            children[parent].append(c.id)
+    children = kb.subclasses
     closure = set()
     frontier = [concept_id]
     while frontier:

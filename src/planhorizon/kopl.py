@@ -220,18 +220,14 @@ def qualifier_filter(grounder: Grounder, entities: EntitySet, qkey: str,
 
 
 def _neighbors(kb: KnowledgeBase, eid: str, predicate: str, direction: str):
-    """Targets reachable from eid via predicate in the given direction."""
+    """Targets reachable from eid via predicate in the given direction: its
+    own edges, then the flipped edges other entities store towards it."""
     flip = "backward" if direction == "forward" else "forward"
-    out = []
-    for edge in kb.entities[eid].relations:
-        if edge.predicate == predicate and edge.direction == direction:
-            out.append((edge.target, edge))
-    for other in kb.entities.values():
-        if other.id == eid:
-            continue
-        for edge in other.relations:
-            if edge.predicate == predicate and edge.direction == flip and edge.target == eid:
-                out.append((other.id, edge))
+    out = [(edge.target, edge) for edge in kb.entities[eid].relations
+           if edge.predicate == predicate and edge.direction == direction]
+    out.extend((source, edge) for source, edge in kb.incoming.get(eid, ())
+               if source != eid and edge.predicate == predicate
+               and edge.direction == flip)
     return out
 
 
@@ -246,13 +242,9 @@ def relate(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
         )
     predicate = result.matched_term
     seen: dict[str, list] = {}
-    order = []
     for eid in entities.ids:
         for target, edge in _neighbors(kb, eid, predicate, direction):
-            if target not in seen:
-                seen[target] = []
-                order.append(target)
-            seen[target].append(edge)
+            seen.setdefault(target, []).append(edge)
     # deterministic order: KB insertion order
     ordered = [i for i in kb.entities if i in seen]
     if not ordered:
@@ -264,11 +256,13 @@ def relate(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
 
 def set_op(kb: KnowledgeBase, a: EntitySet, b: EntitySet, kind: str) -> ToolOutcome:
     if kind == "and":
-        ids = tuple(i for i in a.ids if i in set(b.ids))
+        right = set(b.ids)
+        ids = tuple(i for i in a.ids if i in right)
         if not ids:
             return ToolOutcome.failure("the intersection is empty")
     elif kind == "or":
-        ids = tuple(a.ids) + tuple(i for i in b.ids if i not in set(a.ids))
+        left = set(a.ids)
+        ids = tuple(a.ids) + tuple(i for i in b.ids if i not in left)
         if not ids:
             return ToolOutcome.failure("the union of two empty sets is empty")
     else:

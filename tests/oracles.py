@@ -3,8 +3,9 @@
 The pipeline executes plans one tool call at a time through
 ``harness.Environment``. The oracles here evaluate the same tools another
 way: KoPL programs with positional inputs, atomic call chains compiled to
-S-expressions, and the gold DAG with structurally identical KoPL subtrees
-merged. None of them is used by ``src/``.
+S-expressions, the gold DAG with structurally identical KoPL subtrees
+merged, and the lookups the engines and the grounder answer from indexes
+done by scanning everything. None of them is used by ``src/``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,12 @@ import json
 from dataclasses import dataclass
 
 from planhorizon import atomic, kopl
-from planhorizon.grounding import Grounder
-from planhorizon.kb import KnowledgeBase, parse_value_text
+from planhorizon.grounding import (DEFAULT_THRESHOLD, MAX_CANDIDATES_HIGH,
+                                   MAX_CANDIDATES_LOW, Grounder, GroundingResult,
+                                   SchemaIndex, _normalize, format_candidate_feedback,
+                                   trigram_similarity)
+from planhorizon.kb import (KBError, KnowledgeBase, TypedValue, UnknownConceptError,
+                            compare_typed, parse_value_text)
 from planhorizon.outcome import ToolOutcome
 from planhorizon.plans import ExecutionGraph, Plan, ToolCall
 
@@ -358,3 +363,162 @@ def execute_chain(store: atomic.GraphStore, grounder: Grounder, chain,
     return ToolOutcome.success(results[-1])
 
 
+
+
+# ---------------------------------------------------------------------------
+# Full scans: what the KB, graph-store and schema indexes must reproduce,
+# order and ties included
+
+def kopl_neighbors(kb: KnowledgeBase, eid: str, predicate: str, direction: str):
+    """kopl._neighbors by scanning every entity for edges towards eid."""
+    flip = "backward" if direction == "forward" else "forward"
+    out = []
+    for edge in kb.entities[eid].relations:
+        if edge.predicate == predicate and edge.direction == direction:
+            out.append((edge.target, edge))
+    for other in kb.entities.values():
+        if other.id == eid:
+            continue
+        for edge in other.relations:
+            if edge.predicate == predicate and edge.direction == flip and edge.target == eid:
+                out.append((other.id, edge))
+    return out
+
+
+def concept_closure(kb: KnowledgeBase, concept_id: str) -> set[str]:
+    """kb.concept_closure with the children map rebuilt on every call."""
+    if concept_id not in kb.concepts:
+        raise UnknownConceptError(f"unknown concept {concept_id!r}")
+    children: dict[str, list[str]] = {cid: [] for cid in kb.concepts}
+    for c in kb.concepts.values():
+        for parent in c.subclass_of:
+            children[parent].append(c.id)
+    closure = set()
+    frontier = [concept_id]
+    while frontier:
+        cid = frontier.pop()
+        if cid in closure:
+            continue
+        closure.add(cid)
+        frontier.extend(children[cid])
+    return closure
+
+
+def property_values(store: atomic.GraphStore, ids, prop: str):
+    """atomic._property_values by scanning every triple per node."""
+    out = []
+    for nid in ids:
+        for s, p, o in store.triples:
+            if s == nid and p == prop and isinstance(o, TypedValue):
+                out.append((nid, o))
+                break
+    return out
+
+
+def find_relation(store: atomic.GraphStore, grounder: Grounder, relation: str,
+                  direction: str, target: atomic.NodeSet) -> ToolOutcome:
+    """atomic.find_relation over every triple."""
+    if not target.ids:
+        return ToolOutcome.failure("Find_relation needs a nonempty target set")
+    result = grounder.ground(relation, "relation")
+    if not result.ok:
+        return ToolOutcome.failure(
+            format_candidate_feedback(result, relation, "relation"), result.candidates
+        )
+    predicate = result.matched_term
+    wanted = set(target.ids)
+    found = []
+    for s, p, o in store.triples:
+        if p != predicate:
+            continue
+        if direction == "forward" and isinstance(o, str) and o in wanted:
+            found.append(s)
+        elif direction == "backward" and s in wanted and isinstance(o, str):
+            found.append(o)
+    ids = store.node_order(found)
+    if not ids:
+        return ToolOutcome.failure(f"no entities connected via {relation!r}")
+    return ToolOutcome.success(atomic.NodeSet(ids))
+
+
+def compare(store: atomic.GraphStore, grounder: Grounder, operator: str, prop: str,
+            literal: TypedValue) -> ToolOutcome:
+    """atomic.compare over every triple."""
+    operator = {"≤": "<=", "≥": ">="}.get(operator, operator)
+    if operator not in ("<", "<=", ">", ">="):
+        return ToolOutcome.failure("Compare operator must be one of <, <=, >, >=")
+    result = grounder.ground(prop, "relation")
+    if not result.ok:
+        return ToolOutcome.failure(
+            format_candidate_feedback(result, prop, "relation"), result.candidates
+        )
+    prop = result.matched_term
+    found = []
+    for s, p, o in store.triples:
+        if p != prop or not isinstance(o, TypedValue):
+            continue
+        try:
+            strict = compare_typed(o, operator.rstrip("="), literal)
+            equal = compare_typed(o, "=", literal)
+        except KBError:
+            continue
+        if strict or (operator.endswith("=") and equal):
+            found.append(s)
+    ids = store.node_order(found)
+    if not ids:
+        return ToolOutcome.failure(
+            f"no entities with {prop} {operator} {literal.render()}"
+        )
+    return ToolOutcome.success(atomic.NodeSet(ids))
+
+
+def time_constraint(store: atomic.GraphStore, grounder: Grounder, nodes: atomic.NodeSet,
+                    relation: str, literal: str, eval_year: int) -> ToolOutcome:
+    """atomic.time_constraint scanning every triple per input node."""
+    result = grounder.ground(relation, "relation")
+    if not result.ok:
+        return ToolOutcome.failure(
+            format_candidate_feedback(result, relation, "relation"), result.candidates
+        )
+    relation = result.matched_term
+    year = eval_year if str(literal).strip().upper() == "NOW" else int(str(literal).strip())
+    kept = []
+    for nid in nodes.ids:
+        for s, p, o in store.triples:
+            if s == nid and p == relation and isinstance(o, TypedValue):
+                matches = (o.kind == "year" and o.year_value == year) or (
+                    o.kind == "date" and o.date_value.year == year
+                )
+                if matches:
+                    kept.append(nid)
+                    break
+    ids = store.node_order(kept)
+    if not ids:
+        return ToolOutcome.failure(f"no entities satisfy {relation} = {year}")
+    return ToolOutcome.success(atomic.NodeSet(ids))
+
+
+def ground(index: SchemaIndex, term: str, namespace: str, mode: str,
+           validator=None) -> GroundingResult:
+    """grounding.ground re-normalizing and re-scoring every candidate per
+    lookup, ties broken by vocabulary position."""
+    vocabulary = index.namespace(namespace)
+    if term in vocabulary:
+        return GroundingResult("exact", term, (), mode)
+    norm = _normalize(term)
+    for candidate in vocabulary:
+        if _normalize(candidate) == norm:
+            return GroundingResult("exact", candidate, (), mode)
+
+    scored = sorted(
+        ((cand, trigram_similarity(term, cand)) for cand in vocabulary),
+        key=lambda pair: (-pair[1], vocabulary.index(pair[0])),
+    )
+    if mode == "low":
+        return GroundingResult("failed", None, tuple(scored[:MAX_CANDIDATES_LOW]), mode)
+    top = tuple(scored[:MAX_CANDIDATES_HIGH])
+    validator = validator or (lambda t, c, s: s >= DEFAULT_THRESHOLD)
+    for candidate, score in top:
+        if validator(term, candidate, score):
+            return GroundingResult("soft-matched", candidate, top, mode)
+    return GroundingResult("failed", None, top, mode)

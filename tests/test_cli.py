@@ -1,9 +1,10 @@
 import json
 import shutil
+import sys
 
 import pytest
 
-from planhorizon import cli
+from planhorizon import cli, harness
 
 
 def run_cli(*argv):
@@ -74,6 +75,39 @@ class TestRun:
                 "--out", str(parallel), "--jobs", "4")
         capsys.readouterr()
         assert (serial / "traces.jsonl").read_bytes() == (parallel / "traces.jsonl").read_bytes()
+
+    def test_one_environment_per_run(self, tmp_path, fixtures_dir, monkeypatch, capsys):
+        built = []
+        make_env = harness.make_env
+
+        def counting_make_env(*args, **kwargs):
+            built.append(args)
+            return make_env(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "make_env", counting_make_env)
+        for jobs in ("1", "3"):
+            built.clear()
+            assert run_cli("run", "--config", str(fixtures_dir / "run_kopl_oracle.json"),
+                           "--out", str(tmp_path / jobs), "--jobs", jobs) == 0
+            assert len(built) == 1  # for 5 tasks x 2 planners x 3 trials
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("config", ["run_atomic_oracle", "run_mock_noisy"])
+    def test_threads_sharing_the_environment_change_no_output(self, config, tmp_path,
+                                                              fixtures_dir, capsys):
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        assert run_cli("run", "--config", str(fixtures_dir / f"{config}.json"),
+                       "--trials", "10", "--out", str(serial)) == 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            assert run_cli("run", "--config", str(fixtures_dir / f"{config}.json"),
+                           "--trials", "10", "--out", str(parallel), "--jobs", "3") == 0
+        finally:
+            sys.setswitchinterval(interval)
+        capsys.readouterr()
+        for name in ("traces.jsonl", "outcomes.jsonl"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
 class TestStats:

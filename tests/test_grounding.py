@@ -9,7 +9,10 @@ from planhorizon.grounding import Grounder, SchemaIndex, build_index, ground, tr
 
 
 def _trigrams(text: str) -> set:
-    text = " ".join(text.lower().replace("_", " ").replace("-", " ").split())
+    # the program's separators: whitespace, "_", "-", "." and "/"
+    for sep in "_-./":
+        text = text.replace(sep, " ")
+    text = " ".join(text.lower().split())
     return {text[i:i + 3] for i in range(len(text) - 2)} if len(text) >= 3 else {text}
 
 
@@ -83,6 +86,20 @@ class TestGround:
     def test_unknown_namespace(self, index):
         with pytest.raises(grounding.UnknownNamespaceError):
             ground(index, "x", "nope", "high")
+
+    def test_later_misses_trigram_only_their_query(self, index, monkeypatch):
+        # counts, not wall time: rescoring the vocabulary per miss is quadratic
+        # over a run
+        trigrammed = []
+        trigrams = grounding._trigrams
+        monkeypatch.setattr(grounding, "_trigrams",
+                            lambda term: trigrammed.append(term) or trigrams(term))
+        names = index.namespace("entity-name")
+        assert ground(index, "Gogle", "entity-name", "high").status != "exact"
+        assert len(trigrammed) == len(names) + 1
+        trigrammed.clear()
+        assert ground(index, "Instagrm", "entity-name", "low").status == "failed"
+        assert trigrammed == ["instagrm"]
 
 
 class TestGrounder:

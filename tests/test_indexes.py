@@ -1,0 +1,157 @@
+"""The indexed lookups (KB reverse adjacency and subclass map, graph-store
+triple indexes, grounding tables) return exactly what full scans return:
+the same ids, in the same order, with the same admitting facts and the same
+ranked candidates."""
+
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planhorizon import atomic, grounding, kb as kbmod, kopl
+from planhorizon.atomic import NodeSet
+from planhorizon.grounding import Grounder, SchemaIndex, build_index
+from planhorizon.kb import TypedValue
+from planhorizon.kopl import EntitySet
+
+import oracles
+
+# small pools, so that names repeat, edges collide and scores tie
+NAMES = ("Ada", "Bo", "Cy")
+PREDICATES = ("p", "q")
+DIRECTIONS = ("forward", "backward")
+FLIP = {"forward": "backward", "backward": "forward"}
+
+
+@st.composite
+def knowledge_bases(draw):
+    concept_ids = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
+    concepts = [
+        # parents come from earlier concepts only, so the taxonomy is acyclic
+        {"id": cid, "name": cid,
+         "subclass_of": draw(st.lists(st.sampled_from(concept_ids[:i]), unique=True,
+                                      max_size=2)) if i else []}
+        for i, cid in enumerate(concept_ids)
+    ]
+    ids = [f"e{i}" for i in range(draw(st.integers(1, 6)))]
+    relations = {eid: [] for eid in ids}
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(PREDICATES),
+                                    st.sampled_from(DIRECTIONS), st.sampled_from(ids),
+                                    st.booleans()), max_size=12))
+    for k, (source, predicate, direction, target, both_ends) in enumerate(edges):
+        # the qualifier tells apart edges that are otherwise equal
+        qualifiers = [{"key": "k", "value": {"kind": "number", "value": k}}]
+        relations[source].append({"predicate": predicate, "direction": direction,
+                                  "target": target, "qualifiers": qualifiers})
+        if both_ends:  # the same fact, stored on its other endpoint too
+            relations[target].append({"predicate": predicate,
+                                      "direction": FLIP[direction],
+                                      "target": source, "qualifiers": qualifiers})
+    entities = [
+        {"id": eid, "name": draw(st.sampled_from(NAMES)),
+         "instance_of": draw(st.lists(st.sampled_from(concept_ids), unique=True,
+                                      max_size=2)),
+         "relations": relations[eid]}
+        for eid in ids
+    ]
+    return kbmod.load_kb({"concepts": concepts, "entities": entities})
+
+
+@given(knowledge_bases())
+def test_neighbors_match_full_scan(kb):
+    for eid in kb.entities:
+        for predicate in PREDICATES:
+            for direction in DIRECTIONS:
+                assert (kopl._neighbors(kb, eid, predicate, direction)
+                        == oracles.kopl_neighbors(kb, eid, predicate, direction))
+
+
+@given(knowledge_bases(), st.data())
+def test_relate_matches_full_scan(kb, data):
+    ids = data.draw(st.lists(st.sampled_from(list(kb.entities)), unique=True))
+    relation = data.draw(st.sampled_from(PREDICATES))
+    direction = data.draw(st.sampled_from(DIRECTIONS))
+    grounder = Grounder(build_index(kb))
+    indexed = kopl.relate(kb, grounder, EntitySet(tuple(ids)), relation, direction)
+    with mock.patch.object(kopl, "_neighbors", oracles.kopl_neighbors):
+        scanned = kopl.relate(kb, grounder, EntitySet(tuple(ids)), relation, direction)
+    assert indexed == scanned
+    if indexed.ok:
+        assert indexed.value.facts == scanned.value.facts
+
+
+@given(knowledge_bases())
+def test_concept_closure_matches_full_scan(kb):
+    for cid in kb.concepts:
+        assert kbmod.concept_closure(kb, cid) == oracles.concept_closure(kb, cid)
+
+
+YEARS = st.integers(1990, 1992)
+LITERALS = st.one_of(
+    YEARS.map(lambda y: {"kind": "year", "value": y}),
+    st.tuples(YEARS, st.integers(1, 12)).map(
+        lambda ym: {"kind": "date", "value": f"{ym[0]}-{ym[1]:02d}-01"}),
+    st.tuples(st.integers(0, 3), st.sampled_from([None, "minute"])).map(
+        lambda nu: {"kind": "number", "value": nu[0], **({"unit": nu[1]} if nu[1] else {})}),
+)
+
+
+@st.composite
+def graph_stores(draw):
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
+    nodes = [{"id": nid, "name": draw(st.sampled_from(NAMES))} for nid in ids]
+    objects = st.one_of(st.sampled_from(ids).map(lambda o: {"o_node": o}),
+                        LITERALS.map(lambda v: {"o_literal": v}))
+    # subjects and node objects share one pool: self-loops, repeated
+    # (subject, predicate) pairs and several literals per pair all occur
+    triples = [{"s": s, "p": p, **o} for s, p, o in draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(PREDICATES), objects),
+        max_size=16))]
+    return atomic.load_graph({"nodes": nodes, "triples": triples})
+
+
+@given(graph_stores(), st.data())
+def test_property_values_match_full_scan(store, data):
+    ids = data.draw(st.lists(st.sampled_from(list(store.nodes))))
+    for prop in PREDICATES:
+        assert (atomic._property_values(store, ids, prop)
+                == oracles.property_values(store, ids, prop))
+
+
+@given(graph_stores(), st.data())
+def test_triple_tools_match_full_scan(store, data):
+    grounder = Grounder(build_index(store))
+    node_ids = st.lists(st.sampled_from(list(store.nodes)), min_size=1).map(
+        lambda ids: NodeSet(tuple(ids)))
+    relation = data.draw(st.sampled_from(PREDICATES))
+
+    target = data.draw(node_ids)
+    for direction in DIRECTIONS:
+        assert (atomic.find_relation(store, grounder, relation, direction, target)
+                == oracles.find_relation(store, grounder, relation, direction, target))
+
+    literal = TypedValue.from_json(data.draw(LITERALS))
+    for operator in ("<", "<=", ">", ">="):
+        assert (atomic.compare(store, grounder, operator, relation, literal)
+                == oracles.compare(store, grounder, operator, relation, literal))
+
+    nodes = data.draw(node_ids)
+    year = data.draw(st.one_of(YEARS.map(str), st.just("NOW")))
+    assert (atomic.time_constraint(store, grounder, nodes, relation, year, 1991)
+            == oracles.time_constraint(store, grounder, nodes, relation, year, 1991))
+
+
+# few letters and the separators the normalizer folds: many terms are
+# normalized-equal and many candidates tie on score
+TERMS = st.text(alphabet="abAB _-", max_size=6)
+
+
+@settings(max_examples=200)
+@given(st.lists(TERMS, unique=True, max_size=12), st.lists(TERMS, min_size=1, max_size=4),
+       st.sampled_from(["high", "low"]))
+def test_ground_matches_full_scan(vocabulary, queries, mode):
+    index = SchemaIndex(terms={"relation": tuple(vocabulary)})
+    # later queries reuse the tables the first non-exact one built
+    for query in queries:
+        assert (grounding.ground(index, query, "relation", mode)
+                == oracles.ground(index, query, "relation", mode))
