@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol
 
 from .grounding import Grounder, SchemaIndex, build_index
@@ -76,10 +77,14 @@ class Engine(Protocol):
 
 @dataclass
 class Environment:
-    """Tool catalog plus a deterministic executor over immutable data."""
+    """Tool catalog plus a deterministic executor over immutable data.
+
+    Prompt files are read, and the catalog serialized, on first use and kept
+    with the environment, which `planhorizon run` builds once per run."""
 
     engine: Engine
     _param_kinds: dict = field(init=False)
+    _prompts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._param_kinds = {
@@ -93,6 +98,17 @@ class Environment:
 
     def render(self, value) -> str:
         return self.engine.render(value)
+
+    def prompt(self, name: str) -> str:
+        """The text of package prompt file `name`."""
+        text = self._prompts.get(name)
+        if text is None:
+            text = self._prompts[name] = load_prompt(name)
+        return text
+
+    @cached_property
+    def tool_definitions(self) -> str:
+        return json.dumps(self.catalog)
 
     def execute(self, call: ToolCall, bindings: dict[int, object]) -> tuple[ToolOutcome, dict]:
         """Resolve $i references against executed outputs, then dispatch.
@@ -175,16 +191,16 @@ class PolicyRequest:
 
 def build_prompts(env: Environment, query: str, mode: str, history: list[dict],
                   start_index: int, demonstrations: str = "") -> tuple[str, str]:
-    template = load_prompt("sh_system" if mode == "sh-next-step" else "fh_system")
+    template = env.prompt("sh_system" if mode == "sh-next-step" else "fh_system")
     system = template.format(
-        tool_definitions=json.dumps(env.catalog),
+        tool_definitions=env.tool_definitions,
         demonstrations=demonstrations or "(none)",
     )
     user = f"Question: {query}"
     if history:
         user += "\n\nExecuted steps:\n" + serialize_history(history)
     if mode == "fh-replan":
-        user += "\n\n" + load_prompt("replan_message").format(start_index=start_index)
+        user += "\n\n" + env.prompt("replan_message").format(start_index=start_index)
     return system, user
 
 

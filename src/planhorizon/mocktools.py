@@ -7,11 +7,14 @@ failure/replan behavior, not QA quality.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .grounding import Grounder, trigram_similarity
+from . import grounding
+from .grounding import Grounder
 from .kb import MalformedDocumentError
 from .outcome import ToolOutcome
 from .plans import tool_catalog
@@ -35,6 +38,18 @@ class MockCorpus:
             raise MalformedDocumentError("document titles must be unique")
         if self.top_k < 1:
             raise MalformedDocumentError("top_k must be >= 1")
+
+    @cached_property
+    def search_table(self) -> tuple[tuple[str, set[str]], ...]:
+        """((normalized "title text", its trigrams), ...) in document order.
+
+        Built whole on the first search and kept with the corpus, which
+        `planhorizon run` loads once per run."""
+        rows = []
+        for d in self.documents:
+            norm = grounding._normalize(f"{d.title} {d.text}")
+            rows.append((norm, grounding._trigrams(norm)))
+        return tuple(rows)
 
 
 _PUNCT = re.compile(r"[^a-z0-9 ]+")
@@ -61,13 +76,20 @@ def load_corpus(path_or_doc, top_k: int = 10) -> MockCorpus:
     return MockCorpus(documents=documents, top_k=doc.get("top_k", top_k))
 
 
-def rank_documents(corpus: MockCorpus, question: str) -> list[MockDocument]:
-    scored = [
-        (trigram_similarity(question, f"{d.title} {d.text}"), i, d)
-        for i, d in enumerate(corpus.documents)
-    ]
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return [d for _, _, d in scored]
+def rank_documents(corpus: MockCorpus, question: str,
+                   k: int | None = None) -> list[MockDocument]:
+    """Documents by descending trigram similarity of "title text" to
+    `question`, ties in corpus order; only the first `k` when given."""
+    norm = grounding._normalize(question)
+    grams = grounding._trigrams(norm)
+    # (-score, position): positions are distinct, so tuple order is the tie-break
+    scored = ((-1.0 if doc_norm == norm else -grounding._jaccard(grams, doc_grams), i)
+              for i, (doc_norm, doc_grams) in enumerate(corpus.search_table))
+    if k is None or k >= len(corpus.documents):
+        ranked = sorted(scored)
+    else:
+        ranked = heapq.nsmallest(k, scored)
+    return [corpus.documents[i] for _, i in ranked]
 
 
 def mock_search(corpus: MockCorpus, question: str, k: int | None = None) -> ToolOutcome:
@@ -76,7 +98,7 @@ def mock_search(corpus: MockCorpus, question: str, k: int | None = None) -> Tool
     if k < 1:
         raise ValueError("k must be >= 1")
     needle = normalize_question(question)
-    for doc in rank_documents(corpus, question)[:k]:
+    for doc in rank_documents(corpus, question, k):
         if needle in doc.answers:
             return ToolOutcome.success(doc.answers[needle])
     return ToolOutcome.failure(
@@ -153,6 +175,9 @@ def mock_catalog() -> list[dict]:
     return tool_catalog(_CATALOG_SPEC)
 
 
+_TEXT_PARAM = {tool: params[0][0] for tool, params, _ in _CATALOG_SPEC}
+
+
 class MockEngine:
     """search and reasoning over one corpus. The tools take free text, so
     there are no schema terms to ground; low robustness restricts retrieval
@@ -166,11 +191,17 @@ class MockEngine:
         self.top_k = 1 if grounder.mode == "low" else corpus.top_k
 
     def run_tool(self, tool: str, args: dict) -> ToolOutcome:
+        if tool not in _TEXT_PARAM:
+            raise ValueError(f"unknown mock tool {tool!r}")
+        name = _TEXT_PARAM[tool]
+        text = args.get(name)
+        if not isinstance(text, str):
+            problem = (f"must be a string, got {text!r}" if name in args
+                       else "is missing")
+            return ToolOutcome.failure(f"Error in {tool}: argument {name!r} {problem}")
         if tool == "search":
-            return mock_search(self.corpus, args["question"], self.top_k)
-        if tool == "reasoning":
-            return mock_reasoning(args["instruction"])
-        raise ValueError(f"unknown mock tool {tool!r}")
+            return mock_search(self.corpus, text, self.top_k)
+        return mock_reasoning(text)
 
     def render(self, value) -> str:
         return str(value)

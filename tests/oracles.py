@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from planhorizon import atomic, kopl
+from planhorizon import atomic, kopl, mocktools
 from planhorizon.grounding import (DEFAULT_THRESHOLD, MAX_CANDIDATES_HIGH,
                                    MAX_CANDIDATES_LOW, Grounder, GroundingResult,
                                    SchemaIndex, _normalize, format_candidate_feedback,
@@ -366,8 +366,8 @@ def execute_chain(store: atomic.GraphStore, grounder: Grounder, chain,
 
 
 # ---------------------------------------------------------------------------
-# Full scans: what the KB, graph-store and schema indexes must reproduce,
-# order and ties included
+# Full scans: what the KB, graph-store, schema and corpus indexes must
+# reproduce, order and ties included
 
 def kopl_neighbors(kb: KnowledgeBase, eid: str, predicate: str, direction: str):
     """kopl._neighbors by scanning every entity for edges towards eid."""
@@ -522,3 +522,14 @@ def ground(index: SchemaIndex, term: str, namespace: str, mode: str,
         if validator(term, candidate, score):
             return GroundingResult("soft-matched", candidate, top, mode)
     return GroundingResult("failed", None, top, mode)
+
+
+def rank_documents(corpus: mocktools.MockCorpus, question: str) -> list:
+    """mocktools.rank_documents re-normalizing and re-trigramming every
+    document per search, ties broken by corpus position."""
+    scored = [
+        (trigram_similarity(question, f"{d.title} {d.text}"), i, d)
+        for i, d in enumerate(corpus.documents)
+    ]
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    return [d for _, _, d in scored]

@@ -134,6 +134,23 @@ class TestDrivers:
         assert trace.answer == "5"
         assert trace.replans == 1
 
+    def test_prompt_files_are_read_once_per_environment(self, kopl_env, taller_task,
+                                                        monkeypatch):
+        read = []
+        load_prompt = harness.load_prompt
+        monkeypatch.setattr(harness, "load_prompt",
+                            lambda name: read.append(name) or load_prompt(name))
+        # FH replans after every failed step, so it reads the replan message
+        for planner in ("sh", "fh", "sh", "fh"):
+            harness.run_task(taller_task, fixed_policy(FAIL_STEP), kopl_env, planner)
+        assert sorted(read) == ["fh_system", "replan_message", "sh_system"]
+        # the prompts are the package files, filled in as on every call
+        system, user = harness.build_prompts(kopl_env, "q?", "fh-replan", [], 3)
+        assert system == load_prompt("fh_system").format(
+            tool_definitions=json.dumps(kopl_env.catalog), demonstrations="(none)")
+        assert user == "Question: q?\n\n" + load_prompt("replan_message").format(
+            start_index=3)
+
     def test_determinism(self, kopl_dataset, taller_task):
         results = []
         for _ in range(2):

@@ -1,18 +1,19 @@
 """The indexed lookups (KB reverse adjacency and subclass map, graph-store
-triple indexes, grounding tables) return exactly what full scans return:
-the same ids, in the same order, with the same admitting facts and the same
-ranked candidates."""
+triple indexes, grounding tables, the corpus search table) return exactly
+what full scans return: the same ids, in the same order, with the same
+admitting facts, the same ranked candidates and the same ranked documents."""
 
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planhorizon import atomic, grounding, kb as kbmod, kopl
+from planhorizon import atomic, grounding, kb as kbmod, kopl, mocktools
 from planhorizon.atomic import NodeSet
 from planhorizon.grounding import Grounder, SchemaIndex, build_index
 from planhorizon.kb import TypedValue
 from planhorizon.kopl import EntitySet
+from planhorizon.mocktools import MockCorpus, MockDocument
 
 import oracles
 
@@ -155,3 +156,38 @@ def test_ground_matches_full_scan(vocabulary, queries, mode):
     for query in queries:
         assert (grounding.ground(index, query, "relation", mode)
                 == oracles.ground(index, query, "relation", mode))
+
+
+# short texts over a few letters, case and the separators the normalizer
+# folds: texts repeat or are normalized-equal, many are empty or shorter than
+# a trigram, and many documents tie on score
+TEXTS = st.text(alphabet="abA _.", max_size=5)
+
+
+@settings(max_examples=300)
+@given(st.lists(TEXTS, unique=True, max_size=8), st.lists(TEXTS, min_size=1, max_size=3),
+       st.data())
+def test_search_matches_full_scan(titles, texts, data):
+    texts = [data.draw(st.sampled_from(texts)) for _ in titles]
+    # a question is free text or some document's "title text", recased, so
+    # that it is normalized-equal to that document
+    questions = data.draw(st.lists(st.one_of(TEXTS, *(
+        [st.sampled_from([f"{t} {x}".upper() for t, x in zip(titles, texts)])]
+        if titles else [])), min_size=1, max_size=4))
+    needles = [mocktools.normalize_question(q) for q in questions]
+    corpus = MockCorpus(documents=tuple(
+        MockDocument(title, text, {needle: f"{i}:{needle}" for needle in
+                                   data.draw(st.lists(st.sampled_from(needles)))})
+        for i, (title, text) in enumerate(zip(titles, texts))))
+    # later searches reuse the table the first one built
+    for question in questions:
+        scanned = oracles.rank_documents(corpus, question)
+        assert ([d.title for d in mocktools.rank_documents(corpus, question)]
+                == [d.title for d in scanned])
+        for k in range(1, len(titles) + 2):
+            assert ([d.title for d in mocktools.rank_documents(corpus, question, k)]
+                    == [d.title for d in scanned[:k]])
+            with mock.patch.object(mocktools, "rank_documents",
+                                   lambda c, q, k: scanned[:k]):
+                expected = mocktools.mock_search(corpus, question, k)
+            assert mocktools.mock_search(corpus, question, k) == expected

@@ -1,3 +1,4 @@
+import json
 import random
 import string
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planhorizon import mocktools
+from planhorizon import grounding, harness, mocktools, tasks
 from planhorizon.kb import MalformedDocumentError
 from planhorizon.mocktools import (MockCorpus, MockDocument, load_corpus,
                                    mock_reasoning, mock_search, rank_documents)
@@ -55,6 +56,47 @@ class TestSearch:
     def test_question_normalization(self, corpus):
         out = mock_search(corpus, "where IS the eiffel tower", 1)
         assert out.ok and out.value == "Paris"
+
+    def test_documents_are_trigrammed_on_the_first_search_only(self, fixtures_dir,
+                                                                monkeypatch):
+        # counts, not wall time: set-up must stay free of the table, and
+        # rescoring the corpus per search is quadratic over a run
+        trigrammed = []
+        trigrams = grounding._trigrams
+        monkeypatch.setattr(grounding, "_trigrams",
+                            lambda term: trigrammed.append(term) or trigrams(term))
+        env = tasks.load_dataset(fixtures_dir / "mock_tasks.json").make_env("high")
+        assert trigrammed == []
+        corpus = env.engine.corpus
+        assert mock_search(corpus, "Where is the Eiffel Tower?").ok
+        assert len(trigrammed) == len(corpus.documents) + 1
+        trigrammed.clear()
+        q = "When was the Great Wall of China built?"
+        assert mock_search(corpus, q, 3).ok
+        assert trigrammed == [grounding._normalize(q)]
+
+
+BAD_ARGUMENTS = [
+    pytest.param("search", {}, "'question' is missing", id="search-missing"),
+    pytest.param("search", {"question": 5}, "'question' must be a string, got 5",
+                 id="search-number"),
+    pytest.param("search", {"question": None}, "'question' must be a string, got None",
+                 id="search-null"),
+    pytest.param("reasoning", {}, "'instruction' is missing", id="reasoning-missing"),
+    pytest.param("reasoning", {"instruction": 7}, "'instruction' must be a string, got 7",
+                 id="reasoning-number"),
+]
+
+
+@pytest.mark.parametrize("planner", ["sh", "fh"])
+@pytest.mark.parametrize("tool,args,problem", BAD_ARGUMENTS)
+def test_bad_text_argument_is_a_failed_step(mock_dataset, planner, tool, args, problem):
+    plan = json.dumps([{"tool": tool, "args": args, "final": True}])
+    trace = harness.run_task(mock_dataset.tasks[0], lambda request: plan,
+                             mock_dataset.make_env("high"), planner)
+    assert trace.status in ("retry-budget-failed", "replan-budget-failed")
+    assert trace.records and not any(rec.ok for rec in trace.records)
+    assert trace.records[0].observation == f"Error in {tool}: argument {problem}"
 
 
 class TestReasoning:
