@@ -14,7 +14,7 @@ from .kb import (
     compare_typed,
     parse_value_text,
 )
-from .outcome import ToolOutcome
+from .outcome import ToolFailure, ToolOutcome, text_arg, tool
 from .plans import tool_catalog
 
 
@@ -156,16 +156,12 @@ def extract_entity(store: GraphStore, grounder: Grounder, text: str) -> ToolOutc
     )
 
 
+@tool
 def find_relation(store: GraphStore, grounder: Grounder, relation: str,
                   direction: str, target: NodeSet) -> ToolOutcome:
     if not target.ids:
         return ToolOutcome.failure("Find_relation needs a nonempty target set")
-    result = grounder.ground(relation, "relation")
-    if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, relation, "relation"), result.candidates
-        )
-    predicate = result.matched_term
+    predicate = grounder.term(relation, "relation")
     wanted = set(target.ids)
     found = []
     for s, _p, o in store.by_predicate.get(predicate, ()):
@@ -198,16 +194,12 @@ def _property_values(store: GraphStore, ids, prop: str):
     return out
 
 
+@tool
 def order(store: GraphStore, grounder: Grounder, mode: str, nodes: NodeSet,
           prop: str) -> ToolOutcome:
     if mode not in ("argmin", "argmax"):
         return ToolOutcome.failure(f"Order mode must be argmin or argmax, got {mode!r}")
-    result = grounder.ground(prop, "relation")
-    if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, prop, "relation"), result.candidates
-        )
-    valued = _property_values(store, nodes.ids, result.matched_term)
+    valued = _property_values(store, nodes.ids, grounder.term(prop, "relation"))
     if not valued:
         return ToolOutcome.failure(f"no node in the set has property {prop!r}")
     units = {v.unit for _, v in valued if v.kind == "number"}
@@ -219,17 +211,13 @@ def order(store: GraphStore, grounder: Grounder, mode: str, nodes: NodeSet,
     return ToolOutcome.success(NodeSet(ids))  # ties keep all extrema
 
 
+@tool
 def compare(store: GraphStore, grounder: Grounder, operator: str, prop: str,
             literal: TypedValue) -> ToolOutcome:
     operator = {"≤": "<=", "≥": ">="}.get(operator, operator)
     if operator not in ("<", "<=", ">", ">="):
         return ToolOutcome.failure("Compare operator must be one of <, <=, >, >=")
-    result = grounder.ground(prop, "relation")
-    if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, prop, "relation"), result.candidates
-        )
-    prop = result.matched_term
+    prop = grounder.term(prop, "relation")
     found = []
     for s, _p, o in store.by_predicate.get(prop, ()):
         if not isinstance(o, TypedValue):
@@ -249,15 +237,15 @@ def compare(store: GraphStore, grounder: Grounder, operator: str, prop: str,
     return ToolOutcome.success(NodeSet(ids))
 
 
+@tool
 def time_constraint(store: GraphStore, grounder: Grounder, nodes: NodeSet,
                     relation: str, literal: str, eval_year: int) -> ToolOutcome:
-    result = grounder.ground(relation, "relation")
-    if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, relation, "relation"), result.candidates
-        )
-    relation = result.matched_term
-    year = eval_year if str(literal).strip().upper() == "NOW" else int(str(literal).strip())
+    relation = grounder.term(relation, "relation")
+    try:
+        year = eval_year if str(literal).strip().upper() == "NOW" else int(str(literal).strip())
+    except ValueError:
+        raise ToolFailure(
+            f"Error in Time_constraint: literal {literal!r} is not a year or 'NOW'") from None
     kept = [
         nid for nid in nodes.ids
         if any((o.kind == "year" and o.year_value == year)
@@ -275,11 +263,12 @@ def count_nodes(nodes: NodeSet) -> ToolOutcome:
     return ToolOutcome.success(len(nodes.ids))
 
 
+@tool
 def run_tool(store: GraphStore, grounder: Grounder, tool: str, args: dict,
              eval_year: int = 2026) -> ToolOutcome:
     """Execute one atomic tool with already-resolved set arguments."""
     if tool == "Extract_entity":
-        return extract_entity(store, grounder, args["input"])
+        return extract_entity(store, grounder, text_arg(tool, args, "input"))
     if tool == "Find_relation":
         return find_relation(store, grounder, args["relation"],
                              args.get("direction", "forward"), args["target"])

@@ -11,6 +11,8 @@ import heapq
 import re
 from dataclasses import dataclass, field
 
+from .outcome import ToolFailure
+
 DEFAULT_THRESHOLD = 0.4
 MAX_CANDIDATES_HIGH = 10
 MAX_CANDIDATES_LOW = 1
@@ -150,6 +152,15 @@ class Grounder:
             self._cache[key] = ground(self.index, term, namespace, mode,
                                       validator=self.validator)
         return self._cache[key]
+
+    def term(self, term: str, namespace: str) -> str:
+        """The schema term `term` grounds to; a term that grounds to nothing
+        raises ToolFailure with the candidate feedback."""
+        result = self.ground(term, namespace)
+        if not result.ok:
+            raise ToolFailure(format_candidate_feedback(result, term, namespace),
+                              result.candidates)
+        return result.matched_term
 
 
 def ground(index: SchemaIndex, term: str, namespace: str, mode: str,

@@ -157,7 +157,7 @@ def make_env(engine_type, data, robustness: str = "high", **settings) -> Environ
 # ---------------------------------------------------------------------------
 # History serialization (shared by SH prompts and FH replanning prompts)
 
-def render_history(env: Environment, records) -> list[dict]:
+def render_history(records) -> list[dict]:
     return [
         {
             "step": rec.step,
@@ -207,7 +207,7 @@ def build_prompts(env: Environment, query: str, mode: str, history: list[dict],
 def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
             base_index: int, budget: Budget, tokenizer) -> Plan | None:
     """Invoke the policy with format retries; returns None on retry exhaustion."""
-    history = render_history(env, trace.records)
+    history = render_history(trace.records)
     system, user = build_prompts(env, query, mode, history, base_index)
     errors: list[str] = []
     for attempt in range(budget.max_format_retries):

@@ -389,44 +389,6 @@ def _check_acyclic_taxonomy(concepts: dict[str, Concept]) -> None:
             visit(cid, [cid])
 
 
-def serialize_kb(kb: KnowledgeBase) -> dict:
-    return {
-        "concepts": [
-            {"id": c.id, "name": c.name, "subclass_of": list(c.subclass_of)}
-            for c in kb.concepts.values()
-        ],
-        "entities": [
-            {
-                "id": e.id,
-                "name": e.name,
-                "instance_of": list(e.instance_of),
-                "attributes": [
-                    {
-                        "key": a.key,
-                        "value": a.value.to_json(),
-                        "qualifiers": [
-                            {"key": k, "value": v.to_json()} for k, v in a.qualifiers
-                        ],
-                    }
-                    for a in e.attributes
-                ],
-                "relations": [
-                    {
-                        "predicate": r.predicate,
-                        "direction": r.direction,
-                        "target": r.target,
-                        "qualifiers": [
-                            {"key": k, "value": v.to_json()} for k, v in r.qualifiers
-                        ],
-                    }
-                    for r in e.relations
-                ],
-            }
-            for e in kb.entities.values()
-        ],
-    }
-
-
 def concept_closure(kb: KnowledgeBase, concept_id: str) -> set[str]:
     """The concept plus all transitive subclasses (specializations match filters)."""
     if concept_id not in kb.concepts:

@@ -1,15 +1,16 @@
 """Deterministic interpreter for the 27 KoPL tools over a KnowledgeBase.
 
 Every tool returns a ToolOutcome; an empty entity-set result is a failure
-(except Count, whose zero is a valid value). Tie-breaking is KB insertion
-order throughout.
+(except Count, whose zero is a valid value), and so is a schema term that
+grounds to nothing or an argument value that does not parse (ToolFailure).
+Tie-breaking is KB insertion order throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grounding import Grounder, format_candidate_feedback
+from .grounding import Grounder
 from .kb import (
     KnowledgeBase,
     TypedValue,
@@ -18,7 +19,7 @@ from .kb import (
     parse_value_text,
     KBError,
 )
-from .outcome import ToolOutcome
+from .outcome import ToolFailure, ToolOutcome, tool
 from .plans import tool_catalog
 
 
@@ -130,27 +131,19 @@ def find_all(kb: KnowledgeBase) -> ToolOutcome:
     return ToolOutcome.success(EntitySet(ids))
 
 
+@tool
 def find(kb: KnowledgeBase, grounder: Grounder, name: str) -> ToolOutcome:
-    result = grounder.ground(name, "entity-name")
-    if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, name, "entity-name"),
-            result.candidates,
-        )
-    ids = kb.name_index.get(result.matched_term, ())
+    ids = kb.name_index.get(grounder.term(name, "entity-name"), ())
     if not ids:
         return ToolOutcome.failure(f"no entity named {name!r}")
     return ToolOutcome.success(EntitySet(tuple(ids)))
 
 
+@tool
 def filter_concept(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
                    concept: str) -> ToolOutcome:
-    result = grounder.ground(concept, "concept")
-    if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, concept, "concept"), result.candidates
-        )
-    by_name = [c.id for c in kb.concepts.values() if c.name == result.matched_term]
+    matched = grounder.term(concept, "concept")
+    by_name = [c.id for c in kb.concepts.values() if c.name == matched]
     closure: set[str] = set()
     for cid in by_name:
         closure |= concept_closure(kb, cid)
@@ -167,14 +160,10 @@ def _comparable(fact_value: TypedValue, op: str, target: TypedValue) -> bool:
         return False  # facts of another kind/unit simply do not match
 
 
+@tool
 def filter_attribute(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
                      key: str, target: TypedValue, op: str = "=") -> ToolOutcome:
-    result = grounder.ground(key, "attribute-key")
-    if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, key, "attribute-key"), result.candidates
-        )
-    key = result.matched_term
+    key = grounder.term(key, "attribute-key")
     kept_ids, kept_facts = [], []
     for eid in entities.ids:
         admitting = tuple(
@@ -191,18 +180,14 @@ def filter_attribute(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
     return ToolOutcome.success(EntitySet(tuple(kept_ids), tuple(kept_facts)))
 
 
+@tool
 def qualifier_filter(grounder: Grounder, entities: EntitySet, qkey: str,
                      qvalue: TypedValue, op: str = "=") -> ToolOutcome:
     if entities.facts is None:
         raise ContractViolationError(
             "qualifier filters need the admitting facts of the previous filter"
         )
-    result = grounder.ground(qkey, "qualifier-key")
-    if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, qkey, "qualifier-key"), result.candidates
-        )
-    qkey = result.matched_term
+    qkey = grounder.term(qkey, "qualifier-key")
     kept_ids, kept_facts = [], []
     for eid, facts in zip(entities.ids, entities.facts):
         admitting = tuple(
@@ -231,16 +216,13 @@ def _neighbors(kb: KnowledgeBase, eid: str, predicate: str, direction: str):
     return out
 
 
+@tool
 def relate(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
            relation: str, direction: str = "forward") -> ToolOutcome:
     if direction not in ("forward", "backward"):
-        raise ContractViolationError(f"bad direction {direction!r}")
-    result = grounder.ground(relation, "relation")
-    if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, relation, "relation"), result.candidates
-        )
-    predicate = result.matched_term
+        raise ToolFailure(
+            f"Error in Relate: direction must be forward or backward, got {direction!r}")
+    predicate = grounder.term(relation, "relation")
     seen: dict[str, list] = {}
     for eid in entities.ids:
         for target, edge in _neighbors(kb, eid, predicate, direction):
@@ -254,7 +236,7 @@ def relate(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
     )
 
 
-def set_op(kb: KnowledgeBase, a: EntitySet, b: EntitySet, kind: str) -> ToolOutcome:
+def set_op(a: EntitySet, b: EntitySet, kind: str) -> ToolOutcome:
     if kind == "and":
         right = set(b.ids)
         ids = tuple(i for i in a.ids if i in right)
@@ -281,18 +263,15 @@ def _number_attr(kb: KnowledgeBase, eid: str, key: str) -> TypedValue | None:
     return None
 
 
+@tool
 def select_between(kb: KnowledgeBase, grounder: Grounder, a: EntitySet,
                    b: EntitySet, key: str, mode: str) -> ToolOutcome:
     if not a.ids or not b.ids:
         return ToolOutcome.failure("SelectBetween needs two nonempty entity sets")
     if mode not in ("greater", "less"):
-        raise ContractViolationError(f"bad mode {mode!r}")
-    result = grounder.ground(key, "attribute-key")
-    if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, key, "attribute-key"), result.candidates
-        )
-    key = result.matched_term
+        raise ToolFailure(
+            f"Error in SelectBetween: mode must be greater or less, got {mode!r}")
+    key = grounder.term(key, "attribute-key")
     # non-singleton inputs take the first element of each (ambiguity noted)
     ea, eb = a.ids[0], b.ids[0]
     va, vb = _number_attr(kb, ea, key), _number_attr(kb, eb, key)
@@ -312,18 +291,15 @@ def select_between(kb: KnowledgeBase, grounder: Grounder, a: EntitySet,
     return ToolOutcome.success(kb.entities[winner].name)
 
 
+@tool
 def select_among(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
                  key: str, mode: str) -> ToolOutcome:
     if not entities.ids:
         return ToolOutcome.failure("SelectAmong needs a nonempty entity set")
     if mode not in ("largest", "smallest"):
-        raise ContractViolationError(f"bad mode {mode!r}")
-    result = grounder.ground(key, "attribute-key")
-    if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, key, "attribute-key"), result.candidates
-        )
-    key = result.matched_term
+        raise ToolFailure(
+            f"Error in SelectAmong: mode must be largest or smallest, got {mode!r}")
+    key = grounder.term(key, "attribute-key")
     valued = [(eid, _number_attr(kb, eid, key)) for eid in entities.ids]
     valued = [(eid, v) for eid, v in valued if v is not None]
     if not valued:
@@ -353,16 +329,12 @@ def query_name(kb: KnowledgeBase, entities: EntitySet) -> ToolOutcome:
     return ToolOutcome.success(kb.entities[entities.ids[0]].name)
 
 
+@tool
 def query_attr(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
                key: str) -> ToolOutcome:
     if not entities.ids:
         return ToolOutcome.failure("cannot query an attribute of an empty entity set")
-    result = grounder.ground(key, "attribute-key")
-    if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, key, "attribute-key"), result.candidates
-        )
-    key = result.matched_term
+    key = grounder.term(key, "attribute-key")
     value = next((
         fact.value
         for eid in entities.ids
@@ -374,19 +346,12 @@ def query_attr(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
     return ToolOutcome.success(value)
 
 
+@tool
 def query_attr_under_condition(kb: KnowledgeBase, grounder: Grounder,
                                entities: EntitySet, key: str, qkey: str,
                                qvalue: TypedValue) -> ToolOutcome:
-    for namespace, term in (("attribute-key", key), ("qualifier-key", qkey)):
-        res = grounder.ground(term, namespace)
-        if not res.ok:
-            return ToolOutcome.failure(
-                format_candidate_feedback(res, term, namespace), res.candidates
-            )
-        if namespace == "attribute-key":
-            key = res.matched_term
-        else:
-            qkey = res.matched_term
+    key = grounder.term(key, "attribute-key")
+    qkey = grounder.term(qkey, "qualifier-key")
     value = next((
         fact.value
         for eid in entities.ids
@@ -419,18 +384,11 @@ def query_relation(kb: KnowledgeBase, a: EntitySet, b: EntitySet) -> ToolOutcome
     return ToolOutcome.success(predicates[0])
 
 
+@tool
 def query_attr_qualifier(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
                          key: str, value: TypedValue, qkey: str) -> ToolOutcome:
-    for namespace, term in (("attribute-key", key), ("qualifier-key", qkey)):
-        res = grounder.ground(term, namespace)
-        if not res.ok:
-            return ToolOutcome.failure(
-                format_candidate_feedback(res, term, namespace), res.candidates
-            )
-        if namespace == "attribute-key":
-            key = res.matched_term
-        else:
-            qkey = res.matched_term
+    key = grounder.term(key, "attribute-key")
+    qkey = grounder.term(qkey, "qualifier-key")
     found = next((
         qv
         for eid in entities.ids
@@ -446,18 +404,11 @@ def query_attr_qualifier(kb: KnowledgeBase, grounder: Grounder, entities: Entity
     return ToolOutcome.success(found)
 
 
+@tool
 def query_relation_qualifier(kb: KnowledgeBase, grounder: Grounder, a: EntitySet,
                              b: EntitySet, relation: str, qkey: str) -> ToolOutcome:
-    for namespace, term in (("relation", relation), ("qualifier-key", qkey)):
-        res = grounder.ground(term, namespace)
-        if not res.ok:
-            return ToolOutcome.failure(
-                format_candidate_feedback(res, term, namespace), res.candidates
-            )
-        if namespace == "relation":
-            relation = res.matched_term
-        else:
-            qkey = res.matched_term
+    relation = grounder.term(relation, "relation")
+    qkey = grounder.term(qkey, "qualifier-key")
     if not a.ids or not b.ids:
         return ToolOutcome.failure("QueryRelationQualifier needs two nonempty sets")
     ea, eb = a.ids[0], b.ids[0]
@@ -478,13 +429,18 @@ def query_relation_qualifier(kb: KnowledgeBase, grounder: Grounder, a: EntitySet
 # ---------------------------------------------------------------------------
 # Dispatch
 
+@tool
 def run_tool(kb: KnowledgeBase, grounder: Grounder, tool: str, args: dict) -> ToolOutcome:
     """Execute one KoPL tool. Set/value-ref args must already be resolved objects."""
     if tool not in _PARAMS:
         raise ProgramError(f"unknown KoPL tool {tool!r}")
 
     def val(name, kind):
-        return parse_value_text(args[name], kind)
+        try:
+            return parse_value_text(args[name], kind)
+        except (ValueError, KBError):
+            raise ToolFailure(
+                f"Error in {tool}: {name} {args[name]!r} is not a {kind}") from None
 
     if tool == "FindAll":
         return find_all(kb)
@@ -506,9 +462,9 @@ def run_tool(kb: KnowledgeBase, grounder: Grounder, tool: str, args: dict) -> To
         return relate(kb, grounder, args["entities"], args["relation"],
                       args.get("direction", "forward"))
     if tool == "And":
-        return set_op(kb, args["left"], args["right"], "and")
+        return set_op(args["left"], args["right"], "and")
     if tool == "Or":
-        return set_op(kb, args["left"], args["right"], "or")
+        return set_op(args["left"], args["right"], "or")
     if tool == "Count":
         return count(args["entities"])
     if tool == "SelectAmong":

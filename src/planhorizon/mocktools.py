@@ -16,7 +16,7 @@ from functools import cached_property
 from . import grounding
 from .grounding import Grounder
 from .kb import MalformedDocumentError
-from .outcome import ToolOutcome
+from .outcome import ToolOutcome, text_arg, tool
 from .plans import tool_catalog
 
 
@@ -190,15 +190,11 @@ class MockEngine:
         self.corpus = corpus
         self.top_k = 1 if grounder.mode == "low" else corpus.top_k
 
+    @tool
     def run_tool(self, tool: str, args: dict) -> ToolOutcome:
         if tool not in _TEXT_PARAM:
             raise ValueError(f"unknown mock tool {tool!r}")
-        name = _TEXT_PARAM[tool]
-        text = args.get(name)
-        if not isinstance(text, str):
-            problem = (f"must be a string, got {text!r}" if name in args
-                       else "is missing")
-            return ToolOutcome.failure(f"Error in {tool}: argument {name!r} {problem}")
+        text = text_arg(tool, args, _TEXT_PARAM[tool])
         if tool == "search":
             return mock_search(self.corpus, text, self.top_k)
         return mock_reasoning(text)

@@ -206,14 +206,6 @@ def fit_clustered_logit(X, y, clusters, names=None, tol: float = 1e-8,
                   n_obs=n, n_clusters=len(by_cluster))
 
 
-def model_based_covariance(X, beta) -> np.ndarray:
-    """Inverse Fisher information at beta (the non-robust covariance)."""
-    X = np.asarray(X, dtype=float)
-    mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
-    w = mu * (1.0 - mu)
-    return np.linalg.inv(X.T @ (X * w[:, None]))
-
-
 # ---------------------------------------------------------------------------
 # Outcome records and design matrices
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from planhorizon import atomic, kopl, mocktools
 from planhorizon.grounding import (DEFAULT_THRESHOLD, MAX_CANDIDATES_HIGH,
                                    MAX_CANDIDATES_LOW, Grounder, GroundingResult,
@@ -533,3 +535,53 @@ def rank_documents(corpus: mocktools.MockCorpus, question: str) -> list:
     ]
     scored.sort(key=lambda t: (-t[0], t[1]))
     return [d for _, _, d in scored]
+
+
+# ---------------------------------------------------------------------------
+# A KB's document form and the model-based (non-robust) GEE covariance
+
+def serialize_kb(kb: KnowledgeBase) -> dict:
+    """The JSON document `kb.load_kb` reads back into `kb`."""
+    return {
+        "concepts": [
+            {"id": c.id, "name": c.name, "subclass_of": list(c.subclass_of)}
+            for c in kb.concepts.values()
+        ],
+        "entities": [
+            {
+                "id": e.id,
+                "name": e.name,
+                "instance_of": list(e.instance_of),
+                "attributes": [
+                    {
+                        "key": a.key,
+                        "value": a.value.to_json(),
+                        "qualifiers": [
+                            {"key": k, "value": v.to_json()} for k, v in a.qualifiers
+                        ],
+                    }
+                    for a in e.attributes
+                ],
+                "relations": [
+                    {
+                        "predicate": r.predicate,
+                        "direction": r.direction,
+                        "target": r.target,
+                        "qualifiers": [
+                            {"key": k, "value": v.to_json()} for k, v in r.qualifiers
+                        ],
+                    }
+                    for r in e.relations
+                ],
+            }
+            for e in kb.entities.values()
+        ],
+    }
+
+
+def model_based_covariance(X, beta) -> np.ndarray:
+    """Inverse Fisher information at beta (the non-robust covariance)."""
+    X = np.asarray(X, dtype=float)
+    mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
+    w = mu * (1.0 - mu)
+    return np.linalg.inv(X.T @ (X * w[:, None]))

@@ -301,7 +301,7 @@ def test_information_parity(kopl_dataset):
                 replan_events += 1
                 # rebuild what an SH policy invocation would receive after the
                 # same executed prefix, and compare element-wise
-                expected = harness.render_history(env, trace.records[:start_index])
+                expected = harness.render_history(trace.records[:start_index])
                 assert len(history) == len(expected)
                 for got, want in zip(history, expected):
                     assert got == want

@@ -1,0 +1,257 @@
+"""One failure path for the KoPL and atomic tools: a schema term that grounds
+to nothing, or an argument value a tool cannot use, ends the tool with a
+failed step, whether the tool is called directly or through its engine."""
+
+import json
+
+import pytest
+
+from planhorizon import atomic, harness, kopl
+from planhorizon.atomic import AtomicEngine, NodeSet, load_graph
+from planhorizon.grounding import Grounder, SchemaIndex, build_index, format_candidate_feedback
+from planhorizon.kb import load_kb, parse_value_text
+from planhorizon.kopl import EntitySet, KoplEngine
+from planhorizon.outcome import ToolOutcome
+
+UNKNOWN = "zzqx wvy"
+OTHER_UNKNOWN = "qqjv xzk"
+
+EVERYONE = EntitySet(("q_lebron", "q_lebron_jr", "q_google", "q_instagram", "q_meta"))
+JUNIOR = EntitySet(("q_lebron_jr",))
+SENIOR = EntitySet(("q_lebron",))
+WITH_FACTS = EntitySet(("q_lebron",), facts=((),))
+TAYLOR = NodeSet(("m.0f7hw",))
+FILMS = NodeSet(("m.02686wj", "m.0dtfn", "m.0shrt1"))
+
+
+def _filter(kind):
+    return lambda kb, g, a: kopl.filter_attribute(
+        kb, g, a["entities"], a["key"], parse_value_text(a["value"], kind), a["op"])
+
+
+def _qfilter(kind):
+    return lambda kb, g, a: kopl.qualifier_filter(
+        g, a["entities"], a["qkey"], parse_value_text(a["qvalue"], kind), a["op"])
+
+
+def _query_attr_under_condition(kb, g, a):
+    return kopl.query_attr_under_condition(kb, g, a["entities"], a["key"], a["qkey"],
+                                           parse_value_text(a["qvalue"]))
+
+
+def _query_attr_qualifier(kb, g, a):
+    return kopl.query_attr_qualifier(kb, g, a["entities"], a["key"],
+                                     parse_value_text(a["value"]), a["qkey"])
+
+
+def _query_relation_qualifier(kb, g, a):
+    return kopl.query_relation_qualifier(kb, g, a["left"], a["right"], a["relation"],
+                                         a["qkey"])
+
+
+# (tool, valid arguments, the function behind the tool called directly,
+#  its grounded parameters with their namespaces in grounding order)
+KOPL_TOOLS = [
+    ("Find", {"name": "LeBron James"},
+     lambda kb, g, a: kopl.find(kb, g, a["name"]), [("name", "entity-name")]),
+    ("FilterConcept", {"entities": EVERYONE, "concept": "human"},
+     lambda kb, g, a: kopl.filter_concept(kb, g, a["entities"], a["concept"]),
+     [("concept", "concept")]),
+    *[(tool, {"entities": EVERYONE, "key": "height", "value": value, "op": "="},
+       _filter(kind), [("key", "attribute-key")])
+      for tool, kind, value in (("FilterStr", "string", "tall"),
+                                ("FilterNum", "number", "206 centimetre"),
+                                ("FilterYear", "year", "2003"),
+                                ("FilterDate", "date", "2003-01-01"))],
+    *[(tool, {"entities": WITH_FACTS, "qkey": "point in time", "qvalue": value, "op": "="},
+       _qfilter(kind), [("qkey", "qualifier-key")])
+      for tool, kind, value in (("QFilterStr", "string", "then"),
+                                ("QFilterNum", "number", "3"),
+                                ("QFilterYear", "year", "2003"),
+                                ("QFilterDate", "date", "2003-01-01"))],
+    ("Relate", {"entities": JUNIOR, "relation": "father", "direction": "forward"},
+     lambda kb, g, a: kopl.relate(kb, g, a["entities"], a["relation"], a["direction"]),
+     [("relation", "relation")]),
+    ("SelectAmong", {"entities": EVERYONE, "key": "height", "mode": "largest"},
+     lambda kb, g, a: kopl.select_among(kb, g, a["entities"], a["key"], a["mode"]),
+     [("key", "attribute-key")]),
+    ("SelectBetween", {"left": JUNIOR, "right": SENIOR, "key": "height", "mode": "greater"},
+     lambda kb, g, a: kopl.select_between(kb, g, a["left"], a["right"], a["key"], a["mode"]),
+     [("key", "attribute-key")]),
+    ("QueryAttr", {"entities": EVERYONE, "key": "height"},
+     lambda kb, g, a: kopl.query_attr(kb, g, a["entities"], a["key"]),
+     [("key", "attribute-key")]),
+    ("QueryAttrUnderCondition",
+     {"entities": EVERYONE, "key": "height", "qkey": "point in time", "qvalue": "2003"},
+     _query_attr_under_condition, [("key", "attribute-key"), ("qkey", "qualifier-key")]),
+    ("QueryAttrQualifier",
+     {"entities": EVERYONE, "key": "height", "value": "206 centimetre",
+      "qkey": "point in time"},
+     _query_attr_qualifier, [("key", "attribute-key"), ("qkey", "qualifier-key")]),
+    ("QueryRelationQualifier",
+     {"left": JUNIOR, "right": SENIOR, "relation": "father", "qkey": "point in time"},
+     _query_relation_qualifier, [("relation", "relation"), ("qkey", "qualifier-key")]),
+]
+
+ATOMIC_TOOLS = [
+    ("Extract_entity", {"input": "Taylor Lautner"},
+     lambda s, g, a: atomic.extract_entity(s, g, a["input"]), [("input", "entity-name")]),
+    ("Find_relation", {"relation": "starring", "direction": "forward", "target": TAYLOR},
+     lambda s, g, a: atomic.find_relation(s, g, a["relation"], a["direction"], a["target"]),
+     [("relation", "relation")]),
+    ("Order", {"mode": "argmax", "input": FILMS, "property": "runtime"},
+     lambda s, g, a: atomic.order(s, g, a["mode"], a["input"], a["property"]),
+     [("property", "relation")]),
+    ("Compare", {"operator": "<", "property": "runtime", "literal": "60 minutes"},
+     lambda s, g, a: atomic.compare(s, g, a["operator"], a["property"],
+                                    parse_value_text(a["literal"])),
+     [("property", "relation")]),
+    ("Time_constraint", {"input": FILMS, "relation": "release_year", "literal": "2008"},
+     lambda s, g, a: atomic.time_constraint(s, g, a["input"], a["relation"], a["literal"],
+                                            2026),
+     [("relation", "relation")]),
+]
+
+GROUNDED = (
+    [("kopl", tool, args, direct, param, namespace)
+     for tool, args, direct, params in KOPL_TOOLS for param, namespace in params]
+    + [("atomic", tool, args, direct, param, namespace)
+       for tool, args, direct, params in ATOMIC_TOOLS for param, namespace in params]
+)
+TWO_TERM = [(tool, args, direct, params)
+            for tool, args, direct, params in KOPL_TOOLS if len(params) == 2]
+
+
+ENGINES = {"kopl": KoplEngine, "atomic": AtomicEngine}
+
+
+@pytest.fixture(scope="module")
+def data(fixtures_dir):
+    return {"kopl": load_kb(fixtures_dir / "mini_kb.json"),
+            "atomic": load_graph(fixtures_dir / "toy_graph.json")}
+
+
+def unknown_term_failure(source, mode: str, term: str, namespace: str) -> ToolOutcome:
+    r = Grounder(build_index(source), mode=mode).ground(term, namespace)
+    assert not r.ok
+    return ToolOutcome.failure(format_candidate_feedback(r, term, namespace), r.candidates)
+
+
+def both_paths(engine, source, mode, tool, args, direct):
+    """The outcome through the engine and through the tool function, each
+    with a fresh grounder."""
+    via_engine = ENGINES[engine](source, Grounder(build_index(source), mode=mode))
+    return (via_engine.run_tool(tool, dict(args)),
+            direct(source, Grounder(build_index(source), mode=mode), args))
+
+
+@pytest.mark.parametrize("mode", ["high", "low"])
+@pytest.mark.parametrize("engine,tool,args,direct,param,namespace", GROUNDED,
+                         ids=[f"{tool}-{param}" for _, tool, _, _, param, _ in GROUNDED])
+def test_unknown_term_is_the_candidate_feedback(data, mode, engine, tool, args, direct,
+                                                param, namespace):
+    source = data[engine]
+    args = {**args, param: UNKNOWN}
+    expected = unknown_term_failure(source, mode, UNKNOWN, namespace)
+    for outcome in both_paths(engine, source, mode, tool, args, direct):
+        assert outcome == expected
+
+
+@pytest.mark.parametrize("mode", ["high", "low"])
+@pytest.mark.parametrize("tool,args,direct,params", TWO_TERM,
+                         ids=[tool for tool, *_ in TWO_TERM])
+def test_first_unknown_term_is_reported(data, mode, tool, args, direct, params):
+    (first, first_ns), (second, _) = params
+    source = data["kopl"]
+    args = {**args, first: UNKNOWN, second: OTHER_UNKNOWN}
+    expected = unknown_term_failure(source, mode, UNKNOWN, first_ns)
+    for outcome in both_paths("kopl", source, mode, tool, args, direct):
+        assert outcome == expected
+
+
+class TestFeedbackQuotesThePlannersTerm:
+    """Failures after a soft match name the term the planner wrote."""
+
+    def test_find(self, data):
+        kb = data["kopl"]
+        index = SchemaIndex(terms={"entity-name": ("Ghost Writer",)})
+        out = kopl.find(kb, Grounder(index), "Ghost Writers")
+        assert out == ToolOutcome.failure("no entity named 'Ghost Writers'")
+
+    def test_filter_concept(self, data):
+        kb = data["kopl"]
+        out = kopl.filter_concept(kb, Grounder(build_index(kb)), EntitySet(("q_google",)),
+                                  "humans")
+        assert out == ToolOutcome.failure("no entities are instances of 'humans'")
+
+    def test_order(self, data):
+        store = data["atomic"]
+        out = atomic.order(store, Grounder(build_index(store)), "argmax", TAYLOR, "runtimes")
+        assert out == ToolOutcome.failure("no node in the set has property 'runtimes'")
+
+
+# ---------------------------------------------------------------------------
+# Bad argument values: a failed step under either planner, never an exception
+
+def scripted_policy(steps):
+    """Emit `steps` as one plan (FH) or one step per invocation (SH); every
+    later invocation repeats the last step."""
+    def policy(request):
+        if request.mode == "sh-next-step":
+            return json.dumps([steps[min(len(request.history), len(steps) - 1)]])
+        return json.dumps(steps if request.mode == "fh-initial" else steps[-1:])
+    return policy
+
+
+def step(tool, final=False, **args):
+    return {"tool": tool, "args": args, **({"final": True} if final else {})}
+
+
+BAD_ARGUMENTS = [
+    pytest.param("kopl", [step("FindAll"), step("FilterYear", True, entities="$0",
+                                                 key="height", value="nineteen", op="=")],
+                 "Error in FilterYear: value 'nineteen' is not a year", id="FilterYear"),
+    pytest.param("kopl", [step("FindAll"), step("FilterNum", True, entities="$0",
+                                                 key="height", value="tall", op=">")],
+                 "Error in FilterNum: value 'tall' is not a number", id="FilterNum"),
+    pytest.param("kopl", [step("Find", name="LeBron James Jr."),
+                          step("Relate", True, entities="$0", relation="father",
+                               direction="up")],
+                 "Error in Relate: direction must be forward or backward, got 'up'",
+                 id="Relate"),
+    pytest.param("kopl", [step("FindAll"), step("SelectAmong", True, entities="$0",
+                                                 key="height", mode="biggest")],
+                 "Error in SelectAmong: mode must be largest or smallest, got 'biggest'",
+                 id="SelectAmong"),
+    pytest.param("kopl", [step("Find", name="LeBron James Jr."),
+                          step("Find", name="LeBron James"),
+                          step("SelectBetween", True, left="$0", right="$1", key="height",
+                               mode="biggest")],
+                 "Error in SelectBetween: mode must be greater or less, got 'biggest'",
+                 id="SelectBetween"),
+    pytest.param("atomic", [step("Extract_entity", input="film"),
+                            step("Time_constraint", True, input="$0",
+                                 relation="release_year", literal="soon")],
+                 "Error in Time_constraint: literal 'soon' is not a year or 'NOW'",
+                 id="Time_constraint"),
+    pytest.param("atomic", [step("Extract_entity", True, input=5)],
+                 "Error in Extract_entity: argument 'input' must be a string, got 5",
+                 id="Extract_entity-int"),
+    pytest.param("atomic", [step("Extract_entity", True)],
+                 "Error in Extract_entity: argument 'input' is missing",
+                 id="Extract_entity-missing"),
+]
+
+
+@pytest.mark.parametrize("planner", ["sh", "fh"])
+@pytest.mark.parametrize("engine,steps,feedback", BAD_ARGUMENTS)
+def test_bad_argument_value_is_a_failed_step(kopl_dataset, atomic_dataset, planner,
+                                             engine, steps, feedback):
+    dataset = kopl_dataset if engine == "kopl" else atomic_dataset
+    trace = harness.run_task(dataset.tasks[0], scripted_policy(steps),
+                             dataset.make_env("high"), planner)
+    assert trace.status in ("retry-budget-failed", "replan-budget-failed")
+    assert all(rec.ok for rec in trace.records[:len(steps) - 1])
+    failed = trace.records[len(steps) - 1:]
+    assert failed and not any(rec.ok for rec in failed)
+    assert {rec.observation for rec in failed} == {feedback}
