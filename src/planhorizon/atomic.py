@@ -159,6 +159,9 @@ def extract_entity(store: GraphStore, grounder: Grounder, text: str) -> ToolOutc
 @tool
 def find_relation(store: GraphStore, grounder: Grounder, relation: str,
                   direction: str, target: NodeSet) -> ToolOutcome:
+    if direction not in ("forward", "backward"):
+        raise ToolFailure(
+            f"Error in Find_relation: direction must be forward or backward, got {direction!r}")
     if not target.ids:
         return ToolOutcome.failure("Find_relation needs a nonempty target set")
     predicate = grounder.term(relation, "relation")

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 runtime failure, 2 config error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -124,31 +123,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     planners = ["sh", "fh"] if config["planner"] == "both" else [config["planner"]]
     budget = harness.Budget()
-    jobs = []
-    for task in dataset.tasks:
-        for planner in planners:
-            for trial in range(config["trials"]):
-                jobs.append((task, planner, trial))
-
-    def worker(job):
-        task, planner, trial = job
-        return job, _run_one(env, task, planner, config["policy"], trial,
-                             config["seed"], budget)
-
     try:
-        # one environment serves every job: the engines are immutable and the
-        # grounding memo is a pure function of (term, namespace, mode)
         env = dataset.make_env(config["robustness"])
-        if args.jobs and args.jobs > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(worker, jobs))
-        else:
-            results = [worker(job) for job in jobs]
+        results = [((task, planner, trial),
+                    _run_one(env, task, planner, config["policy"], trial,
+                             config["seed"], budget))
+                   for task in dataset.tasks
+                   for planner in planners
+                   for trial in range(config["trials"])]
     except Exception as exc:  # noqa: BLE001 - surfaced as a runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    # one deterministic trace log, whatever order the jobs finished in
+    # one deterministic trace log, ordered by (task id, planner, trial)
     results.sort(key=lambda item: (item[0][0].id, item[0][1], item[0][2]))
     with (out_dir / "traces.jsonl").open("w", encoding="utf-8") as handle:
         for _job, trace in results:
@@ -277,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--planner", choices=("sh", "fh", "both"), default=None)
     run.add_argument("--robustness", choices=("high", "low"), default=None)
     run.add_argument("--trials", type=int, default=None)
-    run.add_argument("--jobs", type=int, default=1)
     run.set_defaults(func=cmd_run)
 
     st = sub.add_parser("stats", help="summarize a finished run")

@@ -1,8 +1,8 @@
 """Schema alignment: exact-first lookup, then soft matching under a robustness mode.
 
 High robustness retrieves up to 10 similar candidates and substitutes the best
-one passing the validator; low robustness rejects any non-exact term and feeds
-back only the single nearest candidate.
+one if it scores at least DEFAULT_THRESHOLD; low robustness rejects any
+non-exact term and feeds back only the single nearest candidate.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ class SchemaIndex:
                 norm = _normalize(term)
                 by_norm.setdefault(norm, term)
                 grams.append((term, _trigrams(norm)))
-            # built whole before it is published, so threads see all or nothing
             tables = self._tables[namespace] = (by_norm, tuple(grams))
         return tables
 
@@ -129,28 +128,23 @@ def build_index(source) -> SchemaIndex:
 
 
 class Grounder:
-    """Caches grounding per (term, namespace, mode) for determinism.
+    """Caches grounding per (term, namespace) under one robustness mode.
 
     `planhorizon run` builds one environment, hence one grounder and one
     schema index, per run: the memo and the index's tables serve every
     trajectory of the run."""
 
-    def __init__(self, index: SchemaIndex, mode: str = "high",
-                 threshold: float = DEFAULT_THRESHOLD, validator=None):
+    def __init__(self, index: SchemaIndex, mode: str = "high"):
         if mode not in ("high", "low"):
             raise GroundingError(f"robustness mode must be high or low, got {mode!r}")
         self.index = index
         self.mode = mode
-        self.threshold = threshold
-        self.validator = validator or (lambda term, cand, score: score >= threshold)
-        self._cache: dict[tuple[str, str, str], GroundingResult] = {}
+        self._cache: dict[tuple[str, str], GroundingResult] = {}
 
-    def ground(self, term: str, namespace: str, mode: str | None = None) -> GroundingResult:
-        mode = mode or self.mode
-        key = (term, namespace, mode)
+    def ground(self, term: str, namespace: str) -> GroundingResult:
+        key = (term, namespace)
         if key not in self._cache:
-            self._cache[key] = ground(self.index, term, namespace, mode,
-                                      validator=self.validator)
+            self._cache[key] = ground(self.index, term, namespace, self.mode)
         return self._cache[key]
 
     def term(self, term: str, namespace: str) -> str:
@@ -163,8 +157,7 @@ class Grounder:
         return result.matched_term
 
 
-def ground(index: SchemaIndex, term: str, namespace: str, mode: str,
-           validator=None) -> GroundingResult:
+def ground(index: SchemaIndex, term: str, namespace: str, mode: str) -> GroundingResult:
     """Ground a planner-supplied term against the schema. Exact match always wins.
 
     Candidates are ranked by trigram similarity; ties keep vocabulary order."""
@@ -185,10 +178,9 @@ def ground(index: SchemaIndex, term: str, namespace: str, mode: str,
         key=lambda pair: -pair[1]))
     if mode == "low":
         return GroundingResult("failed", None, top, mode)
-    validator = validator or (lambda t, c, s: s >= DEFAULT_THRESHOLD)
-    for candidate, score in top:
-        if validator(term, candidate, score):
-            return GroundingResult("soft-matched", candidate, top, mode)
+    # top is sorted by descending score, so only the best can pass
+    if top and top[0][1] >= DEFAULT_THRESHOLD:
+        return GroundingResult("soft-matched", top[0][0], top, mode)
     return GroundingResult("failed", None, top, mode)
 
 

@@ -151,7 +151,7 @@ def make_env(engine_type, data, robustness: str = "high", **settings) -> Environ
     """Build an engine of `engine_type` over `data`. Its grounder matches schema
     terms indexed from `data` (engines with `grounded` set) under `robustness`."""
     index = build_index(data) if engine_type.grounded else SchemaIndex()
-    return Environment(engine_type(data, Grounder(index, mode=robustness), **settings))
+    return Environment(engine_type(data, Grounder(index, robustness), **settings))
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +205,11 @@ def build_prompts(env: Environment, query: str, mode: str, history: list[dict],
 
 
 def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
-            base_index: int, budget: Budget, tokenizer) -> Plan | None:
-    """Invoke the policy with format retries; returns None on retry exhaustion."""
+            base_index: int, budget: Budget) -> Plan | None:
+    """Invoke the policy with format retries; returns None on retry exhaustion.
+
+    Tokens are counted by the module's `whitespace_tokenizer`, looked up at
+    call time."""
     history = render_history(trace.records)
     system, user = build_prompts(env, query, mode, history, base_index)
     errors: list[str] = []
@@ -218,13 +221,12 @@ def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
         invocation = Invocation(
             id=len(trace.invocations), mode=mode,
             prompt_text=request.prompt, completion_text=text,
-            prompt_tokens=tokenizer(request.prompt),
-            completion_tokens=tokenizer(text),
+            prompt_tokens=whitespace_tokenizer(request.prompt),
+            completion_tokens=whitespace_tokenizer(text),
         )
         trace.invocations.append(invocation)
         try:
-            origin = "replanned-continuation" if mode == "fh-replan" else "initial"
-            plan = parse_plan(text, env.catalog, base_index=base_index, origin=origin)
+            plan = parse_plan(text, env.catalog, base_index=base_index)
             if mode == "sh-next-step" and len(plan.steps) != 1:
                 raise PlanParseError("SH mode must yield exactly one step", "sh-arity")
             return plan
@@ -243,7 +245,6 @@ def _record(trace: Trace, env: Environment, call: ToolCall,
         call=call,
         ok=outcome.ok,
         observation=env.render(outcome.value) if outcome.ok else outcome.feedback,
-        value=outcome.value if outcome.ok else None,
         invocation_id=len(trace.invocations) - 1,
         resolved_args=resolved,
     )
@@ -253,16 +254,14 @@ def _record(trace: Trace, env: Environment, call: ToolCall,
     return rec
 
 
-def run_sh(task, policy, env: Environment, budget: Budget = Budget(),
-           tokenizer=whitespace_tokenizer) -> Trace:
+def run_sh(task, policy, env: Environment, budget: Budget = Budget()) -> Trace:
     """Eager monitoring: every executed step is preceded by a policy invocation."""
     trace = Trace(query=task.question, question_id=task.id, planner="sh")
     bindings: dict[int, object] = {}
     failures = 0
     while trace.executed_calls < budget.max_tool_calls:
         plan = _invoke(policy, env, trace, task.question, "sh-next-step",
-                       base_index=len(trace.records), budget=budget,
-                       tokenizer=tokenizer)
+                       base_index=len(trace.records), budget=budget)
         if plan is None:
             return trace
         rec = _record(trace, env, plan.steps[0], bindings)
@@ -279,8 +278,7 @@ def run_sh(task, policy, env: Environment, budget: Budget = Budget(),
     return trace
 
 
-def run_fh(task, policy, env: Environment, budget: Budget = Budget(),
-           tokenizer=whitespace_tokenizer) -> Trace:
+def run_fh(task, policy, env: Environment, budget: Budget = Budget()) -> Trace:
     """Lazy monitoring: one upfront plan; replan only on execution failure.
 
     The executed prefix is immutable across replans; each continuation is
@@ -289,7 +287,7 @@ def run_fh(task, policy, env: Environment, budget: Budget = Budget(),
     trace = Trace(query=task.question, question_id=task.id, planner="fh")
     bindings: dict[int, object] = {}
     plan = _invoke(policy, env, trace, task.question, "fh-initial",
-                   base_index=0, budget=budget, tokenizer=tokenizer)
+                   base_index=0, budget=budget)
     if plan is None:
         return trace
     pending = list(plan.steps)
@@ -321,8 +319,7 @@ def run_fh(task, policy, env: Environment, budget: Budget = Budget(),
         trace.replans += 1
         start_index = len(trace.records)  # the failed step consumed an index
         continuation = _invoke(policy, env, trace, task.question, "fh-replan",
-                               base_index=start_index, budget=budget,
-                               tokenizer=tokenizer)
+                               base_index=start_index, budget=budget)
         if continuation is None:
             return trace
         pending = list(continuation.steps)
@@ -330,9 +327,9 @@ def run_fh(task, policy, env: Environment, budget: Budget = Budget(),
 
 
 def run_task(task, policy, env: Environment, planner: str,
-             budget: Budget = Budget(), tokenizer=whitespace_tokenizer) -> Trace:
+             budget: Budget = Budget()) -> Trace:
     driver = run_sh if planner == "sh" else run_fh
-    return driver(task, policy, env, budget, tokenizer)
+    return driver(task, policy, env, budget)
 
 
 def account_tokens(trace: Trace, tokenizer=whitespace_tokenizer) -> TokenStats:

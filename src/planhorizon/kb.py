@@ -114,20 +114,6 @@ class TypedValue:
             return self.date_value.isoformat()
         return str(self.payload())
 
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind}
-        if self.kind == "string":
-            doc["value"] = self.string_value
-        elif self.kind == "number":
-            doc["value"] = self.numeric_value
-            if self.unit is not None:
-                doc["unit"] = self.unit
-        elif self.kind == "year":
-            doc["value"] = self.year_value
-        else:
-            doc["value"] = self.date_value.isoformat()
-        return doc
-
     @staticmethod
     def from_json(doc: dict, location: str = "") -> "TypedValue":
         try:
@@ -283,11 +269,9 @@ def _parse_qualifiers(items, location) -> tuple[tuple[str, TypedValue], ...]:
 
 
 def load_kb(path_or_doc) -> KnowledgeBase:
-    """Load and validate a KB document (path, file object, or parsed dict)."""
+    """Load and validate a KB document (path or parsed dict)."""
     if isinstance(path_or_doc, dict):
         doc = path_or_doc
-    elif hasattr(path_or_doc, "read"):
-        doc = json.load(path_or_doc)
     else:
         with open(path_or_doc, encoding="utf-8") as fh:
             doc = json.load(fh)

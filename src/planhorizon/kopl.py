@@ -497,14 +497,10 @@ def run_tool(kb: KnowledgeBase, grounder: Grounder, tool: str, args: dict) -> To
     raise ProgramError(f"unhandled tool {tool!r}")  # pragma: no cover
 
 
-def render_value(kb: KnowledgeBase | None, value) -> str:
+def render_value(kb: KnowledgeBase, value) -> str:
     """Render any tool output as answer/observation text."""
     if isinstance(value, EntitySet):
-        if kb is not None:
-            names = [kb.entities[i].name for i in value.ids]
-        else:
-            names = list(value.ids)
-        return "; ".join(names)
+        return "; ".join(kb.entities[i].name for i in value.ids)
     if isinstance(value, TypedValue):
         return value.render()
     return str(value)

@@ -69,11 +69,9 @@ def tool_catalog(spec) -> list[dict]:
 @dataclass(frozen=True)
 class Plan:
     steps: tuple[ToolCall, ...]
-    origin: str = "initial"  # or "replanned-continuation"
 
 
-def parse_plan(text: str, catalog: list[dict], base_index: int = 0,
-               origin: str = "initial") -> Plan:
+def parse_plan(text: str, catalog: list[dict], base_index: int = 0) -> Plan:
     """Parse the plan wire format against a tool catalog.
 
     `base_index` is the absolute index of the first step, nonzero for
@@ -116,7 +114,7 @@ def parse_plan(text: str, catalog: list[dict], base_index: int = 0,
                     "earlier step", "bad-reference"
                 )
         steps.append(ToolCall(tool=tool, args=dict(args), final=bool(item.get("final"))))
-    return Plan(steps=tuple(steps), origin=origin)
+    return Plan(steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,6 @@ class StepRecord:
     call: ToolCall
     ok: bool
     observation: str
-    value: object = None
     invocation_id: int = -1
     resolved_args: dict = field(default_factory=dict)
 

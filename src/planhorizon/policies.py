@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import json
 import random
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
-
-import requests
 
 from .grounding import trigram_similarity
 from .harness import PolicyRequest
@@ -226,8 +226,10 @@ def remote_llm_policy(cfg: RemotePolicyConfig, catalog: list[dict]):
     if cfg.startup_check:
         base = cfg.endpoint.rsplit("/chat/completions", 1)[0]
         try:
-            requests.get(base, timeout=cfg.timeout)
-        except requests.RequestException as exc:
+            urllib.request.urlopen(base, timeout=cfg.timeout).close()
+        except urllib.error.HTTPError as answer:
+            answer.close()  # any HTTP answer means the endpoint is reachable
+        except OSError as exc:  # URLError included
             raise PolicyError(f"endpoint {cfg.endpoint!r} unreachable: {exc}")
 
     def policy(request: PolicyRequest) -> str:
@@ -247,9 +249,12 @@ def remote_llm_policy(cfg: RemotePolicyConfig, catalog: list[dict]):
             "temperature": cfg.temperature,
             "response_format": schema,
         }
-        response = requests.post(cfg.endpoint, json=body, timeout=cfg.timeout)
-        response.raise_for_status()
-        return response.json()["choices"][0]["message"]["content"]
+        post = urllib.request.Request(
+            cfg.endpoint, data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"})
+        # a non-2xx answer raises HTTPError
+        with urllib.request.urlopen(post, timeout=cfg.timeout) as response:
+            return json.load(response)["choices"][0]["message"]["content"]
 
     return policy
 

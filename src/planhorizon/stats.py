@@ -117,12 +117,8 @@ class GeeFit:
     p: np.ndarray
     n_iter: int
     converged: bool
-    separation: bool
     n_obs: int
     n_clusters: int
-
-    def coefficient(self, name: str) -> float:
-        return float(self.beta[self.names.index(name)])
 
     def table(self) -> list[dict]:
         return [
@@ -155,9 +151,9 @@ def fit_clustered_logit(X, y, clusters, names=None, tol: float = 1e-8,
     if np.linalg.matrix_rank(X) < p:
         raise RankDeficiencyError("design matrix is rank deficient")
 
+    diverged = "divergent coefficients: the outcome is (quasi-)separated"
     beta = np.zeros(p)
     converged = False
-    separation = False
     it = 0
     for it in range(1, max_iter + 1):
         eta = X @ beta
@@ -168,19 +164,13 @@ def fit_clustered_logit(X, y, clusters, names=None, tol: float = 1e-8,
         try:
             delta = np.linalg.solve(A, score)
         except np.linalg.LinAlgError:
-            separation = True
-            break
+            raise SeparationError(diverged) from None
         beta = beta + delta
         if np.max(np.abs(beta)) > 1e3:
-            separation = True
-            break
+            raise SeparationError(diverged)
         if np.max(np.abs(delta)) < tol:
             converged = True
             break
-    if separation:
-        raise SeparationError(
-            "divergent coefficients: the outcome is (quasi-)separated"
-        )
 
     eta = X @ beta
     mu = 1.0 / (1.0 + np.exp(-eta))
@@ -202,8 +192,7 @@ def fit_clustered_logit(X, y, clusters, names=None, tol: float = 1e-8,
     z = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
     pvals = np.array([2.0 * _normal_sf(abs(zi)) for zi in z])
     return GeeFit(names=list(names), beta=beta, cov=cov, se=se, z=z, p=pvals,
-                  n_iter=it, converged=converged, separation=False,
-                  n_obs=n, n_clusters=len(by_cluster))
+                  n_iter=it, converged=converged, n_obs=n, n_clusters=len(by_cluster))
 
 
 # ---------------------------------------------------------------------------

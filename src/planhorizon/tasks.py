@@ -11,11 +11,13 @@ from . import atomic, harness, kb as kbmod, kopl, mocktools
 from .plans import Plan, parse_plan
 
 # A dataset file's "engine" field -> (key of its data file, loader, engine
-# type, optional dataset fields handed on to the engine).
+# type, optional dataset fields handed on to the engine). Each loader looks its
+# module's function up at call time, as the engines do for their tools.
 ENGINES = {
-    "kopl": ("kb", kbmod.load_kb, kopl.KoplEngine, ()),
-    "atomic": ("graph", atomic.load_graph, atomic.AtomicEngine, ("eval_year",)),
-    "mock": ("corpus", mocktools.load_corpus, mocktools.MockEngine, ()),
+    "kopl": ("kb", lambda path: kbmod.load_kb(path), kopl.KoplEngine, ()),
+    "atomic": ("graph", lambda path: atomic.load_graph(path), atomic.AtomicEngine,
+               ("eval_year",)),
+    "mock": ("corpus", lambda path: mocktools.load_corpus(path), mocktools.MockEngine, ()),
 }
 
 

@@ -500,8 +500,7 @@ def time_constraint(store: atomic.GraphStore, grounder: Grounder, nodes: atomic.
     return ToolOutcome.success(atomic.NodeSet(ids))
 
 
-def ground(index: SchemaIndex, term: str, namespace: str, mode: str,
-           validator=None) -> GroundingResult:
+def ground(index: SchemaIndex, term: str, namespace: str, mode: str) -> GroundingResult:
     """grounding.ground re-normalizing and re-scoring every candidate per
     lookup, ties broken by vocabulary position."""
     vocabulary = index.namespace(namespace)
@@ -519,9 +518,8 @@ def ground(index: SchemaIndex, term: str, namespace: str, mode: str,
     if mode == "low":
         return GroundingResult("failed", None, tuple(scored[:MAX_CANDIDATES_LOW]), mode)
     top = tuple(scored[:MAX_CANDIDATES_HIGH])
-    validator = validator or (lambda t, c, s: s >= DEFAULT_THRESHOLD)
     for candidate, score in top:
-        if validator(term, candidate, score):
+        if score >= DEFAULT_THRESHOLD:
             return GroundingResult("soft-matched", candidate, top, mode)
     return GroundingResult("failed", None, top, mode)
 
@@ -540,6 +538,22 @@ def rank_documents(corpus: mocktools.MockCorpus, question: str) -> list:
 # ---------------------------------------------------------------------------
 # A KB's document form and the model-based (non-robust) GEE covariance
 
+def typed_value_json(value: TypedValue) -> dict:
+    """The document form `TypedValue.from_json` reads back into `value`."""
+    doc = {"kind": value.kind}
+    if value.kind == "string":
+        doc["value"] = value.string_value
+    elif value.kind == "number":
+        doc["value"] = value.numeric_value
+        if value.unit is not None:
+            doc["unit"] = value.unit
+    elif value.kind == "year":
+        doc["value"] = value.year_value
+    else:
+        doc["value"] = value.date_value.isoformat()
+    return doc
+
+
 def serialize_kb(kb: KnowledgeBase) -> dict:
     """The JSON document `kb.load_kb` reads back into `kb`."""
     return {
@@ -555,9 +569,9 @@ def serialize_kb(kb: KnowledgeBase) -> dict:
                 "attributes": [
                     {
                         "key": a.key,
-                        "value": a.value.to_json(),
+                        "value": typed_value_json(a.value),
                         "qualifiers": [
-                            {"key": k, "value": v.to_json()} for k, v in a.qualifiers
+                            {"key": k, "value": typed_value_json(v)} for k, v in a.qualifiers
                         ],
                     }
                     for a in e.attributes
@@ -568,7 +582,7 @@ def serialize_kb(kb: KnowledgeBase) -> dict:
                         "direction": r.direction,
                         "target": r.target,
                         "qualifiers": [
-                            {"key": k, "value": v.to_json()} for k, v in r.qualifiers
+                            {"key": k, "value": typed_value_json(v)} for k, v in r.qualifiers
                         ],
                     }
                     for r in e.relations

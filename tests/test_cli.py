@@ -1,6 +1,4 @@
 import json
-import shutil
-import sys
 
 import pytest
 
@@ -67,15 +65,6 @@ class TestRun:
         capsys.readouterr()
         assert outs[0] == outs[1]
 
-    def test_jobs_flag_gives_same_merged_log(self, tmp_path, fixtures_dir, capsys):
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        run_cli("run", "--config", str(fixtures_dir / "run_kopl_oracle.json"),
-                "--out", str(serial))
-        run_cli("run", "--config", str(fixtures_dir / "run_kopl_oracle.json"),
-                "--out", str(parallel), "--jobs", "4")
-        capsys.readouterr()
-        assert (serial / "traces.jsonl").read_bytes() == (parallel / "traces.jsonl").read_bytes()
-
     def test_one_environment_per_run(self, tmp_path, fixtures_dir, monkeypatch, capsys):
         built = []
         make_env = harness.make_env
@@ -85,29 +74,10 @@ class TestRun:
             return make_env(*args, **kwargs)
 
         monkeypatch.setattr(harness, "make_env", counting_make_env)
-        for jobs in ("1", "3"):
-            built.clear()
-            assert run_cli("run", "--config", str(fixtures_dir / "run_kopl_oracle.json"),
-                           "--out", str(tmp_path / jobs), "--jobs", jobs) == 0
-            assert len(built) == 1  # for 5 tasks x 2 planners x 3 trials
+        assert run_cli("run", "--config", str(fixtures_dir / "run_kopl_oracle.json"),
+                       "--out", str(tmp_path / "o")) == 0
+        assert len(built) == 1  # for 5 tasks x 2 planners x 3 trials
         capsys.readouterr()
-
-    @pytest.mark.parametrize("config", ["run_atomic_oracle", "run_mock_noisy"])
-    def test_threads_sharing_the_environment_change_no_output(self, config, tmp_path,
-                                                              fixtures_dir, capsys):
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert run_cli("run", "--config", str(fixtures_dir / f"{config}.json"),
-                       "--trials", "10", "--out", str(serial)) == 0
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            assert run_cli("run", "--config", str(fixtures_dir / f"{config}.json"),
-                           "--trials", "10", "--out", str(parallel), "--jobs", "3") == 0
-        finally:
-            sys.setswitchinterval(interval)
-        capsys.readouterr()
-        for name in ("traces.jsonl", "outcomes.jsonl"):
-            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
 class TestStats:

@@ -112,15 +112,6 @@ class TestGrounder:
         with pytest.raises(grounding.GroundingError):
             Grounder(index, mode="medium")
 
-    def test_custom_validator_can_reject(self, index):
-        grounder = Grounder(index, mode="high", validator=lambda term, cand, score: False)
-        assert grounder.ground("employees", "attribute-key").status == "failed"
-
-    def test_threshold_knob(self, index):
-        # 6/14 ~ 0.43: a stricter threshold turns the soft match into a failure
-        strict = Grounder(index, mode="high", threshold=0.5)
-        assert strict.ground("employees", "attribute-key").status == "failed"
-
 
 class TestBuildIndex:
     def test_kb_namespaces(self, index):

@@ -222,6 +222,25 @@ class TestTokens:
         assert stats.invocations == 4
         assert stats.prompt_tokens == sum(i.prompt_tokens for i in trace.invocations)
 
+    @pytest.mark.parametrize("planner", ["sh", "fh"])
+    def test_drivers_look_the_tokenizer_up_at_call_time(self, kopl_dataset, taller_task,
+                                                        planner, monkeypatch):
+        counted = []
+
+        def counting_tokenizer(text):
+            counted.append(text)
+            return len(text)  # characters, so a whitespace count cannot pass
+
+        monkeypatch.setattr(harness, "whitespace_tokenizer", counting_tokenizer)
+        trace = harness.run_task(taller_task, policies.oracle_policy(taller_task.gold_plan),
+                                 kopl_dataset.make_env("high"), planner)
+        assert trace.invocations
+        assert counted == [text for inv in trace.invocations
+                           for text in (inv.prompt_text, inv.completion_text)]
+        for inv in trace.invocations:
+            assert inv.prompt_tokens == len(inv.prompt_text)
+            assert inv.completion_tokens == len(inv.completion_text)
+
 
 class TestLogLines:
     def test_wire_fields(self, kopl_dataset, taller_task):

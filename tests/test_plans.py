@@ -71,8 +71,8 @@ class TestParsePlan:
         text = '[{"tool": "Count", "args": {"entities": "$1"}}]'
         with pytest.raises(PlanParseError):
             parse_plan(text, CATALOG, base_index=0)
-        plan = parse_plan(text, CATALOG, base_index=2, origin="replanned-continuation")
-        assert plan.origin == "replanned-continuation"
+        plan = parse_plan(text, CATALOG, base_index=2)
+        assert plan.steps[0].references() == [1]
 
 
 class TestMetrics:
@@ -146,7 +146,7 @@ class TestRepetition:
         for i, (tool, args) in enumerate(calls):
             trace.records.append(plans.StepRecord(
                 step=i, call=ToolCall(tool, args), ok=True, observation="",
-                value=None, invocation_id=0, resolved_args=args))
+                invocation_id=0, resolved_args=args))
         return trace
 
     def test_identical_resolved_args_detected(self):

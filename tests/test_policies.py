@@ -121,18 +121,22 @@ class TestNoisyPolicy:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    responses = []
+    """Answers each POST with the next scripted plan and `status`; it has no
+    do_GET, so a GET gets 501."""
+
+    replies = []  # not "responses": that name is the base class status table
     requests_seen = []
+    status = 200
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).requests_seen.append(body)
-        plan = type(self).responses[min(len(type(self).requests_seen) - 1,
-                                        len(type(self).responses) - 1)]
+        plan = type(self).replies[min(len(type(self).requests_seen) - 1,
+                                      len(type(self).replies) - 1)]
         payload = {"choices": [{"message": {"content": plan}}]}
         raw = json.dumps(payload).encode()
-        self.send_response(200)
+        self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
@@ -147,16 +151,18 @@ def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    _StubHandler.responses = []
+    _StubHandler.replies = []
     _StubHandler.requests_seen = []
+    _StubHandler.status = 200
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 class TestRemotePolicy:
     def test_round_trip_through_stub(self, stub_server, kopl_dataset, taller_task):
         gold = json.dumps([oracles.to_json(step) for step in taller_task.gold_plan.steps])
-        _StubHandler.responses = [gold]
+        _StubHandler.replies = [gold]
         env = kopl_dataset.make_env("high")
         policy = remote_llm_policy(RemotePolicyConfig(endpoint=stub_server),
                                    env.catalog)
@@ -170,7 +176,7 @@ class TestRemotePolicy:
     def test_error_messages_become_user_turns(self, stub_server, kopl_dataset,
                                               taller_task):
         gold = json.dumps([oracles.to_json(step) for step in taller_task.gold_plan.steps])
-        _StubHandler.responses = ["still not json", gold]
+        _StubHandler.replies = ["still not json", gold]
         env = kopl_dataset.make_env("high")
         policy = remote_llm_policy(RemotePolicyConfig(endpoint=stub_server),
                                    env.catalog)
@@ -185,6 +191,21 @@ class TestRemotePolicy:
                                  timeout=0.2, startup_check=True)
         with pytest.raises(policies.PolicyError):
             remote_llm_policy(cfg, [])
+
+    def test_startup_check_accepts_any_http_answer(self, stub_server):
+        cfg = RemotePolicyConfig(endpoint=stub_server, timeout=5.0, startup_check=True)
+        remote_llm_policy(cfg, [])  # the stub answers the GET with 501
+
+    def test_error_status_raises(self, stub_server):
+        _StubHandler.replies = ["[]"]
+        _StubHandler.status = 500
+        policy = remote_llm_policy(RemotePolicyConfig(endpoint=stub_server, timeout=5.0),
+                                   [])
+        request = harness.PolicyRequest(query="q", mode="fh-initial", history=[],
+                                        start_index=0, system_prompt="s", user_prompt="u")
+        with pytest.raises(OSError):  # an HTTP error status
+            policy(request)
+        assert len(_StubHandler.requests_seen) == 1
 
 
 class TestPlanSchema:

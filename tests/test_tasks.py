@@ -2,10 +2,24 @@ import json
 
 import pytest
 
-from planhorizon import tasks
+from planhorizon import atomic, kb, mocktools, tasks
 
 
 class TestLoadDataset:
+    @pytest.mark.parametrize("name,module,loader", [
+        ("kopl_tasks.json", kb, "load_kb"),
+        ("atomic_tasks.json", atomic, "load_graph"),
+        ("mock_tasks.json", mocktools, "load_corpus"),
+    ])
+    def test_loaders_are_looked_up_at_call_time(self, fixtures_dir, monkeypatch,
+                                                name, module, loader):
+        loaded = []
+        original = getattr(module, loader)
+        monkeypatch.setattr(module, loader,
+                            lambda path: loaded.append(path) or original(path))
+        tasks.load_dataset(fixtures_dir / name)
+        assert len(loaded) == 1
+
     def test_engines(self, kopl_dataset, atomic_dataset, mock_dataset):
         assert kopl_dataset.engine == "kopl"
         assert atomic_dataset.engine == "atomic"

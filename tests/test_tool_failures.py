@@ -234,6 +234,11 @@ BAD_ARGUMENTS = [
                                  relation="release_year", literal="soon")],
                  "Error in Time_constraint: literal 'soon' is not a year or 'NOW'",
                  id="Time_constraint"),
+    pytest.param("atomic", [step("Extract_entity", input="film"),
+                            step("Find_relation", True, relation="starring",
+                                 direction="up", target="$0")],
+                 "Error in Find_relation: direction must be forward or backward, got 'up'",
+                 id="Find_relation"),
     pytest.param("atomic", [step("Extract_entity", True, input=5)],
                  "Error in Extract_entity: argument 'input' must be a string, got 5",
                  id="Extract_entity-int"),
