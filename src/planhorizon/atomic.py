@@ -13,6 +13,7 @@ from .kb import (
     TypedValue,
     compare_typed,
     parse_value_text,
+    require_keys,
 )
 from .outcome import ToolFailure, ToolOutcome, text_arg, tool
 from .plans import tool_catalog
@@ -61,14 +62,14 @@ def load_graph(path_or_doc) -> GraphStore:
             doc = json.load(fh)
     nodes = {}
     for i, n in enumerate(doc.get("nodes", [])):
-        if "id" not in n or "name" not in n:
-            raise MalformedDocumentError("node needs id and name", f"nodes[{i}]")
+        require_keys(n, ("id", "name"), "node", f"nodes[{i}]")
         nodes[n["id"]] = GraphNode(n["id"], n["name"], tuple(n.get("classes", [])))
     triples = []
     for i, t in enumerate(doc.get("triples", [])):
         loc = f"triples[{i}]"
-        if t.get("s") not in nodes:
-            raise MalformedDocumentError(f"unknown subject {t.get('s')!r}", loc)
+        require_keys(t, ("s", "p"), "triple", loc)
+        if t["s"] not in nodes:
+            raise MalformedDocumentError(f"unknown subject {t['s']!r}", loc)
         if "o_node" in t:
             if t["o_node"] not in nodes:
                 raise MalformedDocumentError(f"unknown object {t['o_node']!r}", loc)
@@ -117,25 +118,10 @@ def atomic_catalog() -> list[dict]:
 # ---------------------------------------------------------------------------
 # Operations
 
-def _looks_like_literal(text: str) -> bool:
-    head = text.split()[0] if text.split() else ""
-    try:
-        float(head)
-        return True
-    except ValueError:
-        pass
-    try:
-        import datetime
-
-        datetime.date.fromisoformat(text.strip())
-        return True
-    except ValueError:
-        return False
-
-
 def extract_entity(store: GraphStore, grounder: Grounder, text: str) -> ToolOutcome:
-    if _looks_like_literal(text):
-        return ToolOutcome.success(parse_value_text(text))
+    literal = parse_value_text(text)
+    if literal.kind != "string":
+        return ToolOutcome.success(literal)
     name_result = grounder.ground(text, "entity-name")
     if name_result.ok:
         ids = store.node_order(
@@ -205,12 +191,12 @@ def order(store: GraphStore, grounder: Grounder, mode: str, nodes: NodeSet,
     valued = _property_values(store, nodes.ids, grounder.term(prop, "relation"))
     if not valued:
         return ToolOutcome.failure(f"no node in the set has property {prop!r}")
-    units = {v.unit for _, v in valued if v.kind == "number"}
-    if len(units) > 1:
+    if len({v.kind for _, v in valued}) > 1:
+        return ToolOutcome.failure(f"kind mismatch across {prop!r}")
+    if len({v.unit for _, v in valued}) > 1:
         return ToolOutcome.failure(f"unit mismatch across {prop!r}")
-    key = lambda pair: pair[1].payload()
-    extreme = (min if mode == "argmin" else max)(valued, key=key)[1].payload()
-    ids = store.node_order([nid for nid, v in valued if v.payload() == extreme])
+    extreme = (min if mode == "argmin" else max)(v.value for _, v in valued)
+    ids = store.node_order([nid for nid, v in valued if v.value == extreme])
     return ToolOutcome.success(NodeSet(ids))  # ties keep all extrema
 
 
@@ -251,8 +237,8 @@ def time_constraint(store: GraphStore, grounder: Grounder, nodes: NodeSet,
             f"Error in Time_constraint: literal {literal!r} is not a year or 'NOW'") from None
     kept = [
         nid for nid in nodes.ids
-        if any((o.kind == "year" and o.year_value == year)
-               or (o.kind == "date" and o.date_value.year == year)
+        if any((o.kind == "year" and o.value == year)
+               or (o.kind == "date" and o.value.year == year)
                for o in store.objects.get((nid, relation), ())
                if isinstance(o, TypedValue))
     ]

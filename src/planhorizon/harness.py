@@ -190,12 +190,9 @@ class PolicyRequest:
 
 
 def build_prompts(env: Environment, query: str, mode: str, history: list[dict],
-                  start_index: int, demonstrations: str = "") -> tuple[str, str]:
+                  start_index: int) -> tuple[str, str]:
     template = env.prompt("sh_system" if mode == "sh-next-step" else "fh_system")
-    system = template.format(
-        tool_definitions=env.tool_definitions,
-        demonstrations=demonstrations or "(none)",
-    )
+    system = template.format(tool_definitions=env.tool_definitions, demonstrations="(none)")
     user = f"Question: {query}"
     if history:
         user += "\n\nExecuted steps:\n" + serialize_history(history)

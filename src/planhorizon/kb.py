@@ -42,7 +42,6 @@ class UnsupportedOperatorError(KBError):
     pass
 
 
-VALUE_KINDS = ("string", "number", "year", "date")
 COMPARE_OPS = ("=", "!=", "<", ">")
 
 # accepted aliases on input
@@ -56,109 +55,87 @@ def _norm_op(op: str) -> str:
     return op
 
 
+def require_keys(doc, keys: tuple[str, ...], what: str, location: str) -> None:
+    """Raise MalformedDocumentError unless `doc` is an object holding every key."""
+    if isinstance(doc, dict):
+        for key in keys:  # a loop, not any(): this runs for every attribute and relation
+            if key not in doc:
+                break
+        else:
+            return
+    raise MalformedDocumentError(f"{what} needs {' and '.join(keys)}", location)
+
+
+# kind -> the payload type its `value` holds, and the converter that reads
+# that payload from a JSON document
+_PAYLOAD_TYPES = {"string": str, "number": (int, float), "year": int, "date": datetime.date}
+_FROM_JSON = {"string": str, "number": float, "year": int, "date": datetime.date.fromisoformat}
+
+
 @dataclass(frozen=True)
 class TypedValue:
-    """One of four value kinds: string, number (with unit), year, date."""
+    """A string, a number (with an optional unit), a year or a date."""
 
     kind: str
-    string_value: str | None = None
-    numeric_value: float | None = None
+    value: str | int | float | datetime.date
     unit: str | None = None
-    year_value: int | None = None
-    date_value: datetime.date | None = None
 
     def __post_init__(self):
-        if self.kind not in VALUE_KINDS:
+        payload_type = _PAYLOAD_TYPES.get(self.kind)
+        if payload_type is None:
             raise KindMismatchError(f"unknown value kind {self.kind!r}")
-        populated = {
-            "string": self.string_value is not None,
-            "number": self.numeric_value is not None,
-            "year": self.year_value is not None,
-            "date": self.date_value is not None,
-        }
-        if not populated[self.kind] or sum(populated.values()) != 1:
+        if not isinstance(self.value, payload_type):
             raise KindMismatchError(
-                f"exactly one payload must be set and match kind={self.kind!r}"
-            )
-
-    @staticmethod
-    def string(v: str) -> "TypedValue":
-        return TypedValue(kind="string", string_value=v)
-
-    @staticmethod
-    def number(v: float, unit: str | None = None) -> "TypedValue":
-        return TypedValue(kind="number", numeric_value=v, unit=unit)
-
-    @staticmethod
-    def year(v: int) -> "TypedValue":
-        return TypedValue(kind="year", year_value=int(v))
-
-    @staticmethod
-    def date(v: datetime.date) -> "TypedValue":
-        return TypedValue(kind="date", date_value=v)
-
-    def payload(self):
-        return {
-            "string": self.string_value,
-            "number": self.numeric_value,
-            "year": self.year_value,
-            "date": self.date_value,
-        }[self.kind]
+                f"a {self.kind} value cannot be {type(self.value).__name__} {self.value!r}")
+        if self.unit is not None and (self.kind != "number" or not isinstance(self.unit, str)):
+            raise KindMismatchError(f"a {self.kind} value cannot have unit {self.unit!r}")
 
     def render(self) -> str:
-        if self.kind == "number":
-            num = self.numeric_value
-            text = str(int(num)) if float(num).is_integer() else str(num)
-            return f"{text} {self.unit}" if self.unit else text
-        if self.kind == "date":
-            return self.date_value.isoformat()
-        return str(self.payload())
+        if self.kind != "number":
+            return str(self.value)
+        num = self.value
+        text = str(int(num)) if float(num).is_integer() else str(num)
+        return f"{text} {self.unit}" if self.unit else text
 
     @staticmethod
     def from_json(doc: dict, location: str = "") -> "TypedValue":
         try:
-            kind = doc["kind"]
-            value = doc["value"]
+            kind, value = doc["kind"], doc["value"]
         except (KeyError, TypeError) as exc:
             raise MalformedDocumentError(f"bad value object: {exc}", location)
-        if kind == "string":
-            return TypedValue.string(str(value))
-        if kind == "number":
-            return TypedValue.number(float(value), doc.get("unit"))
-        if kind == "year":
-            return TypedValue.year(int(value))
-        if kind == "date":
-            try:
-                return TypedValue.date(datetime.date.fromisoformat(value))
-            except ValueError as exc:
-                raise MalformedDocumentError(str(exc), location)
-        raise MalformedDocumentError(f"unknown value kind {kind!r}", location)
+        convert = _FROM_JSON.get(kind) if isinstance(kind, str) else None
+        if convert is None:
+            raise MalformedDocumentError(f"unknown value kind {kind!r}", location)
+        try:
+            return TypedValue(kind, convert(value), doc.get("unit") if kind == "number" else None)
+        except (ValueError, TypeError, OverflowError, KindMismatchError) as exc:
+            raise MalformedDocumentError(f"bad {kind} value {value!r}: {exc}", location)
 
 
 def parse_value_text(text: str, kind_hint: str | None = None) -> TypedValue:
     """Parse a planner-supplied literal like "206 centimetre", "2003", "1980-01-02"."""
     text = str(text).strip()
     if kind_hint == "string":
-        return TypedValue.string(text)
+        return TypedValue("string", text)
     if kind_hint == "year":
-        return TypedValue.year(int(text))
+        return TypedValue("year", int(text))
     if kind_hint == "date" or (
         kind_hint is None and _looks_like_date(text)
     ):
-        return TypedValue.date(datetime.date.fromisoformat(text))
+        return TypedValue("date", datetime.date.fromisoformat(text))
     parts = text.split()
     if parts and _is_number(parts[0]):
         number = float(parts[0])
         unit = " ".join(parts[1:]) or None
         if kind_hint == "number":
-            return TypedValue.number(number, unit)
+            return TypedValue("number", number, unit)
         if kind_hint is None and unit is None and number.is_integer() and 1000 <= number <= 2999:
-            return TypedValue.year(int(number))
+            return TypedValue("year", int(number))
         if kind_hint is None:
-            return TypedValue.number(number, unit)
+            return TypedValue("number", number, unit)
     if kind_hint == "number":
         raise KindMismatchError(f"cannot parse {text!r} as a number")
-    return TypedValue.string(text)
+    return TypedValue("string", text)
 
 
 def _is_number(text: str) -> bool:
@@ -182,14 +159,11 @@ def compare_typed(a: TypedValue, op: str, b: TypedValue) -> bool:
     op = _norm_op(op)
     if a.kind != b.kind:
         raise KindMismatchError(f"cannot compare {a.kind} with {b.kind}")
-    if a.kind == "string":
-        if op in ("<", ">"):
-            raise UnsupportedOperatorError("strings support only = and !=")
-        equal = a.string_value == b.string_value
-        return equal if op == "=" else not equal
+    if a.kind == "string" and op in ("<", ">"):
+        raise UnsupportedOperatorError("strings support only = and !=")
     if a.kind == "number" and a.unit != b.unit:
         raise UnitMismatchError(f"unit mismatch: {a.unit!r} vs {b.unit!r}")
-    x, y = a.payload(), b.payload()
+    x, y = a.value, b.value
     if op == "=":
         return x == y
     if op == "!=":
@@ -262,9 +236,9 @@ class KnowledgeBase:
 def _parse_qualifiers(items, location) -> tuple[tuple[str, TypedValue], ...]:
     out = []
     for i, q in enumerate(items or []):
-        if "key" not in q or "value" not in q:
-            raise MalformedDocumentError("qualifier needs key and value", f"{location}.qualifiers[{i}]")
-        out.append((q["key"], TypedValue.from_json(q["value"], f"{location}.qualifiers[{i}]")))
+        qloc = f"{location}.qualifiers[{i}]"
+        require_keys(q, ("key", "value"), "qualifier", qloc)
+        out.append((q["key"], TypedValue.from_json(q["value"], qloc)))
     return tuple(out)
 
 
@@ -279,8 +253,7 @@ def load_kb(path_or_doc) -> KnowledgeBase:
     concepts: dict[str, Concept] = {}
     for i, c in enumerate(doc.get("concepts", [])):
         loc = f"concepts[{i}]"
-        if "id" not in c or "name" not in c:
-            raise MalformedDocumentError("concept needs id and name", loc)
+        require_keys(c, ("id", "name"), "concept", loc)
         if c["id"] in concepts:
             raise MalformedDocumentError(f"duplicate concept id {c['id']!r}", loc)
         concepts[c["id"]] = Concept(
@@ -297,21 +270,22 @@ def load_kb(path_or_doc) -> KnowledgeBase:
     entities: dict[str, Entity] = {}
     for i, e in enumerate(doc.get("entities", [])):
         loc = f"entities[{i}]"
-        if "id" not in e or "name" not in e:
-            raise MalformedDocumentError("entity needs id and name", loc)
+        require_keys(e, ("id", "name"), "entity", loc)
         if e["id"] in entities:
             raise MalformedDocumentError(f"duplicate entity id {e['id']!r}", loc)
-        attributes = tuple(
-            AttributeFact(
+        attributes = []
+        for j, a in enumerate(e.get("attributes", [])):
+            aloc = f"{loc}.attributes[{j}]"
+            require_keys(a, ("key", "value"), "attribute", aloc)
+            attributes.append(AttributeFact(
                 key=a["key"],
-                value=TypedValue.from_json(a["value"], f"{loc}.attributes[{j}]"),
-                qualifiers=_parse_qualifiers(a.get("qualifiers"), f"{loc}.attributes[{j}]"),
-            )
-            for j, a in enumerate(e.get("attributes", []))
-        )
+                value=TypedValue.from_json(a["value"], aloc),
+                qualifiers=_parse_qualifiers(a.get("qualifiers"), aloc),
+            ))
         relations = []
         for j, r in enumerate(e.get("relations", [])):
             rloc = f"{loc}.relations[{j}]"
+            require_keys(r, ("predicate", "target"), "relation", rloc)
             direction = r.get("direction", "forward")
             if direction not in ("forward", "backward"):
                 raise MalformedDocumentError(f"bad direction {direction!r}", rloc)
@@ -327,7 +301,7 @@ def load_kb(path_or_doc) -> KnowledgeBase:
             id=e["id"],
             name=e["name"],
             instance_of=tuple(e.get("instance_of", [])),
-            attributes=attributes,
+            attributes=tuple(attributes),
             relations=tuple(relations),
         )
 

@@ -286,7 +286,7 @@ def select_between(kb: KnowledgeBase, grounder: Grounder, a: EntitySet,
         )
     op = ">" if mode == "greater" else "<"
     winner = ea if compare_typed(va, op, vb) else eb
-    if va.numeric_value == vb.numeric_value:
+    if va.value == vb.value:
         winner = ea  # tie breaks toward the first operand
     return ToolOutcome.success(kb.entities[winner].name)
 
@@ -309,8 +309,8 @@ def select_among(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
         return ToolOutcome.failure(f"unit mismatch across {key!r}: {sorted(map(str, units))}")
     best = valued[0]
     for eid, v in valued[1:]:
-        if (mode == "largest" and v.numeric_value > best[1].numeric_value) or (
-            mode == "smallest" and v.numeric_value < best[1].numeric_value
+        if (mode == "largest" and v.value > best[1].value) or (
+            mode == "smallest" and v.value < best[1].value
         ):
             best = (eid, v)
     return ToolOutcome.success(kb.entities[best[0]].name)

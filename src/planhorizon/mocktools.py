@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import grounding
 from .grounding import Grounder
-from .kb import MalformedDocumentError
+from .kb import MalformedDocumentError, require_keys
 from .outcome import ToolOutcome, text_arg, tool
 from .plans import tool_catalog
 
@@ -36,8 +36,8 @@ class MockCorpus:
         titles = [d.title for d in self.documents]
         if len(set(titles)) != len(titles):
             raise MalformedDocumentError("document titles must be unique")
-        if self.top_k < 1:
-            raise MalformedDocumentError("top_k must be >= 1")
+        if not isinstance(self.top_k, int) or self.top_k < 1:
+            raise MalformedDocumentError(f"top_k must be an integer >= 1, got {self.top_k!r}")
 
     @cached_property
     def search_table(self) -> tuple[tuple[str, set[str]], ...]:
@@ -59,21 +59,21 @@ def normalize_question(text: str) -> str:
     return _PUNCT.sub("", text.lower()).strip()
 
 
-def load_corpus(path_or_doc, top_k: int = 10) -> MockCorpus:
+def load_corpus(path_or_doc) -> MockCorpus:
     if isinstance(path_or_doc, dict):
         doc = path_or_doc
     else:
         with open(path_or_doc, encoding="utf-8") as fh:
             doc = json.load(fh)
-    documents = tuple(
-        MockDocument(
+    documents = []
+    for i, d in enumerate(doc.get("documents", [])):
+        require_keys(d, ("title",), "document", f"documents[{i}]")
+        documents.append(MockDocument(
             title=d["title"],
             text=d.get("text", ""),
             answers={normalize_question(q): a for q, a in d.get("answers", {}).items()},
-        )
-        for d in doc.get("documents", [])
-    )
-    return MockCorpus(documents=documents, top_k=doc.get("top_k", top_k))
+        ))
+    return MockCorpus(documents=tuple(documents), top_k=doc.get("top_k", MockCorpus.top_k))
 
 
 def rank_documents(corpus: MockCorpus, question: str,

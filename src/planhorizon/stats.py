@@ -136,8 +136,12 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def fit_clustered_logit(X, y, clusters, names=None, tol: float = 1e-8,
-                        max_iter: int = 100) -> GeeFit:
+# IRLS stops once no coefficient moves by FIT_TOLERANCE, or after FIT_MAX_ITER steps
+FIT_TOLERANCE = 1e-8
+FIT_MAX_ITER = 100
+
+
+def fit_clustered_logit(X, y, clusters, names=None) -> GeeFit:
     """Logistic regression by IRLS under the independence working correlation,
     with covariance from the cluster-robust sandwich estimator."""
     X = np.asarray(X, dtype=float)
@@ -155,7 +159,7 @@ def fit_clustered_logit(X, y, clusters, names=None, tol: float = 1e-8,
     beta = np.zeros(p)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, FIT_MAX_ITER + 1):
         eta = X @ beta
         mu = 1.0 / (1.0 + np.exp(-eta))
         w = mu * (1.0 - mu)
@@ -168,7 +172,7 @@ def fit_clustered_logit(X, y, clusters, names=None, tol: float = 1e-8,
         beta = beta + delta
         if np.max(np.abs(beta)) > 1e3:
             raise SeparationError(diverged)
-        if np.max(np.abs(delta)) < tol:
+        if np.max(np.abs(delta)) < FIT_TOLERANCE:
             converged = True
             break
 

@@ -53,12 +53,16 @@ def load_dataset(path) -> Dataset:
     if engine not in ENGINES:
         raise DatasetError(f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
     data_key, loader, engine_type, fields = ENGINES[engine]
+    if not isinstance(doc.get(data_key), str):
+        raise DatasetError(f"a {engine} dataset needs a {data_key!r} file name")
     data = loader(os.path.join(base, doc[data_key]))
     settings = {name: doc[name] for name in fields if name in doc}
     factory = functools.partial(harness.make_env, engine_type, data, **settings)
 
     tasks = []
     for i, t in enumerate(doc.get("tasks", [])):
+        if not isinstance(t, dict) or any(k not in t for k in ("id", "question", "gold_answer")):
+            raise DatasetError(f"tasks[{i}] needs id, question and gold_answer")
         try:
             plan = parse_plan(json.dumps(t["gold_plan"]), engine_type.catalog)
         except Exception as exc:

@@ -10,6 +10,7 @@ done by scanning everything. None of them is used by ``src/``.
 
 from __future__ import annotations
 
+import datetime
 import json
 from dataclasses import dataclass
 
@@ -488,8 +489,8 @@ def time_constraint(store: atomic.GraphStore, grounder: Grounder, nodes: atomic.
     for nid in nodes.ids:
         for s, p, o in store.triples:
             if s == nid and p == relation and isinstance(o, TypedValue):
-                matches = (o.kind == "year" and o.year_value == year) or (
-                    o.kind == "date" and o.date_value.year == year
+                matches = (o.kind == "year" and o.value == year) or (
+                    o.kind == "date" and o.value.year == year
                 )
                 if matches:
                     kept.append(nid)
@@ -538,19 +539,28 @@ def rank_documents(corpus: mocktools.MockCorpus, question: str) -> list:
 # ---------------------------------------------------------------------------
 # A KB's document form and the model-based (non-robust) GEE covariance
 
+def looks_like_literal(text: str) -> bool:
+    """Whether `Extract_entity` reads `text` as a literal rather than a name:
+    its first token is a float, or all of it is an ISO date."""
+    head = text.split()[0] if text.split() else ""
+    try:
+        float(head)
+        return True
+    except ValueError:
+        pass
+    try:
+        datetime.date.fromisoformat(text.strip())
+        return True
+    except ValueError:
+        return False
+
+
 def typed_value_json(value: TypedValue) -> dict:
     """The document form `TypedValue.from_json` reads back into `value`."""
-    doc = {"kind": value.kind}
-    if value.kind == "string":
-        doc["value"] = value.string_value
-    elif value.kind == "number":
-        doc["value"] = value.numeric_value
-        if value.unit is not None:
-            doc["unit"] = value.unit
-    elif value.kind == "year":
-        doc["value"] = value.year_value
-    else:
-        doc["value"] = value.date_value.isoformat()
+    doc = {"kind": value.kind,
+           "value": value.value.isoformat() if value.kind == "date" else value.value}
+    if value.unit is not None:
+        doc["unit"] = value.unit
     return doc
 
 

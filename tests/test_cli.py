@@ -1,8 +1,11 @@
 import json
+import re
+import shutil
 
 import pytest
 
-from planhorizon import cli, harness
+from planhorizon import cli, harness, tasks
+from planhorizon.kb import MalformedDocumentError
 
 
 def run_cli(*argv):
@@ -134,3 +137,81 @@ class TestValidate:
         path = tmp_path / "junk.json"
         path.write_text("{{{")
         assert run_cli("validate", str(path)) == 2
+
+
+# ---------------------------------------------------------------------------
+# A malformed data or task file is a config error, never a crash
+
+def put(*path, value):
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+def drop(*path):
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return mutate
+
+
+# engine -> (its fixture task file, the data file that task file names)
+FIXTURE_FILES = {"kopl": ("kopl_tasks.json", "mini_kb.json"),
+                 "atomic": ("atomic_tasks.json", "toy_graph.json"),
+                 "mock": ("mock_tasks.json", "corpus.json")}
+ATTRIBUTE = ("entities", 0, "attributes", 0)
+MALFORMED = [
+    # (engine, which file is broken, how, the error load_dataset raises, text it names)
+    pytest.param("kopl", "data", put(*ATTRIBUTE, "value", "value", value="tall"),
+                 MalformedDocumentError, "entities[0].attributes[0]", id="number-tall"),
+    pytest.param("kopl", "data",
+                 put(*ATTRIBUTE, "value", value={"kind": "date", "value": 20200101}),
+                 MalformedDocumentError, "entities[0].attributes[0]", id="date-int"),
+    pytest.param("kopl", "data", put(*ATTRIBUTE, "value", "value", value=None),
+                 MalformedDocumentError, "entities[0].attributes[0]", id="number-null"),
+    pytest.param("kopl", "data", put(*ATTRIBUTE, "qualifiers", 0, "value", "value", value=[1]),
+                 MalformedDocumentError, "entities[0].attributes[0].qualifiers[0]", id="year-list"),
+    pytest.param("kopl", "data", drop(*ATTRIBUTE, "key"),
+                 MalformedDocumentError, "entities[0].attributes[0]", id="attribute-key"),
+    pytest.param("kopl", "data", drop("entities", 1, "relations", 0, "predicate"),
+                 MalformedDocumentError, "entities[1].relations[0]", id="relation-predicate"),
+    pytest.param("kopl", "data", drop("entities", 1, "relations", 0, "target"),
+                 MalformedDocumentError, "entities[1].relations[0]", id="relation-target"),
+    pytest.param("atomic", "data", drop("triples", 0, "p"),
+                 MalformedDocumentError, "triples[0]", id="triple-p"),
+    pytest.param("mock", "data", drop("documents", 1, "title"),
+                 MalformedDocumentError, "documents[1]", id="document-title"),
+    pytest.param("mock", "data", put("top_k", value="ten"),
+                 MalformedDocumentError, "top_k", id="top_k-string"),
+    *[pytest.param(engine, "tasks", drop("tasks", 0, key), tasks.DatasetError, "tasks[0]",
+                   id=f"{engine}-task-{key}")
+      for engine in FIXTURE_FILES for key in ("id", "question", "gold_answer")],
+    *[pytest.param(engine, "tasks", drop(data_key), tasks.DatasetError, repr(data_key),
+                   id=f"{engine}-task-file-{data_key}")
+      for engine, data_key in (("kopl", "kb"), ("atomic", "graph"), ("mock", "corpus"))],
+]
+
+
+@pytest.mark.parametrize("engine,broken,mutate,error,where", MALFORMED)
+def test_malformed_file_is_a_config_error(tmp_path, fixtures_dir, capsys, engine, broken,
+                                          mutate, error, where):
+    task_file, data_file = FIXTURE_FILES[engine]
+    for name in FIXTURE_FILES[engine]:
+        shutil.copy(fixtures_dir / name, tmp_path / name)
+    path = tmp_path / (data_file if broken == "data" else task_file)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=re.escape(where)):
+        tasks.load_dataset(tmp_path / task_file)
+    capsys.readouterr()
+
+    assert run_cli("validate", str(path)) == 2
+    assert "invalid: " in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": task_file}))
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == 2
+    assert "config error: " in capsys.readouterr().err

@@ -1,8 +1,8 @@
-import datetime
+from datetime import date
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planhorizon import kb
@@ -41,54 +41,54 @@ def make_doc(**overrides):
 
 class TestTypedValue:
     def test_constructors_and_render(self):
-        assert kb.TypedValue.string("hi").render() == "hi"
-        assert kb.TypedValue.number(206, "centimetre").render() == "206 centimetre"
-        assert kb.TypedValue.number(3.5).render() == "3.5"
-        assert kb.TypedValue.year(2003).render() == "2003"
-        assert kb.TypedValue.date(datetime.date(1980, 1, 2)).render() == "1980-01-02"
+        assert kb.TypedValue("string", "hi").render() == "hi"
+        assert kb.TypedValue("number", 206, "centimetre").render() == "206 centimetre"
+        assert kb.TypedValue("number", 3.5).render() == "3.5"
+        assert kb.TypedValue("year", 2003).render() == "2003"
+        assert kb.TypedValue("date", date(1980, 1, 2)).render() == "1980-01-02"
 
     def test_kind_payload_must_agree(self):
         with pytest.raises(kb.KindMismatchError):
-            kb.TypedValue(kind="number", string_value="oops")
+            kb.TypedValue("number", "oops")
         with pytest.raises(kb.KindMismatchError):
-            kb.TypedValue(kind="teapot", string_value="x")
+            kb.TypedValue("teapot", "x")
 
     def test_json_round_trip(self):
-        for v in (kb.TypedValue.string("a"), kb.TypedValue.number(1.5, "m"),
-                  kb.TypedValue.year(1999), kb.TypedValue.date(datetime.date(2020, 5, 17))):
+        for v in (kb.TypedValue("string", "a"), kb.TypedValue("number", 1.5, "m"),
+                  kb.TypedValue("year", 1999), kb.TypedValue("date", date(2020, 5, 17))):
             assert kb.TypedValue.from_json(oracles.typed_value_json(v)) == v
 
 
 class TestParseValueText:
     def test_heuristics(self):
-        assert kb.parse_value_text("2003") == kb.TypedValue.year(2003)
-        assert kb.parse_value_text("206 centimetre") == kb.TypedValue.number(206, "centimetre")
-        assert kb.parse_value_text("1980-01-02") == kb.TypedValue.date(datetime.date(1980, 1, 2))
-        assert kb.parse_value_text("LeBron James") == kb.TypedValue.string("LeBron James")
+        assert kb.parse_value_text("2003") == kb.TypedValue("year", 2003)
+        assert kb.parse_value_text("206 centimetre") == kb.TypedValue("number", 206, "centimetre")
+        assert kb.parse_value_text("1980-01-02") == kb.TypedValue("date", date(1980, 1, 2))
+        assert kb.parse_value_text("LeBron James") == kb.TypedValue("string", "LeBron James")
         # out of the year range, so a bare number
-        assert kb.parse_value_text("180000") == kb.TypedValue.number(180000)
+        assert kb.parse_value_text("180000") == kb.TypedValue("number", 180000)
 
     def test_kind_hint_overrides(self):
-        assert kb.parse_value_text("2003", "number") == kb.TypedValue.number(2003)
-        assert kb.parse_value_text("2003", "string") == kb.TypedValue.string("2003")
+        assert kb.parse_value_text("2003", "number") == kb.TypedValue("number", 2003)
+        assert kb.parse_value_text("2003", "string") == kb.TypedValue("string", "2003")
 
 
 class TestCompareTyped:
     def test_numbers_with_units(self):
-        a = kb.TypedValue.number(208, "centimetre")
-        b = kb.TypedValue.number(206, "centimetre")
+        a = kb.TypedValue("number", 208, "centimetre")
+        b = kb.TypedValue("number", 206, "centimetre")
         assert kb.compare_typed(a, ">", b)
         assert not kb.compare_typed(a, "<", b)
         assert kb.compare_typed(a, "!=", b)
 
     def test_unit_mismatch(self):
-        a = kb.TypedValue.number(1, "metre")
-        b = kb.TypedValue.number(1, "kilogram")
+        a = kb.TypedValue("number", 1, "metre")
+        b = kb.TypedValue("number", 1, "kilogram")
         with pytest.raises(kb.UnitMismatchError):
             kb.compare_typed(a, ">", b)
 
     def test_strings_only_equality(self):
-        a, b = kb.TypedValue.string("x"), kb.TypedValue.string("y")
+        a, b = kb.TypedValue("string", "x"), kb.TypedValue("string", "y")
         assert not kb.compare_typed(a, "=", b)
         assert kb.compare_typed(a, "!=", b)
         with pytest.raises(kb.UnsupportedOperatorError):
@@ -96,10 +96,10 @@ class TestCompareTyped:
 
     def test_kind_mismatch(self):
         with pytest.raises(kb.KindMismatchError):
-            kb.compare_typed(kb.TypedValue.year(2000), "=", kb.TypedValue.string("2000"))
+            kb.compare_typed(kb.TypedValue("year", 2000), "=", kb.TypedValue("string", "2000"))
 
     def test_operator_aliases(self):
-        a = kb.TypedValue.year(1999)
+        a = kb.TypedValue("year", 1999)
         assert kb.compare_typed(a, "==", a)
         assert not kb.compare_typed(a, "≠", a)
 
@@ -145,10 +145,10 @@ class TestLoadKb:
         base = kb.load_kb(fixtures_dir / "mini_kb.json")
         assert len(base.entities) == 5
         jr = base.entities[base.name_index["LeBron James Jr."][0]]
-        assert jr.attributes[0].value == kb.TypedValue.number(208, "centimetre")
+        assert jr.attributes[0].value == kb.TypedValue("number", 208, "centimetre")
         senior = base.entities[base.name_index["LeBron James"][0]]
         assert senior.attributes[0].qualifiers == (
-            ("point in time", kb.TypedValue.year(2003)),
+            ("point in time", kb.TypedValue("year", 2003)),
         )
 
 
@@ -170,10 +170,86 @@ class TestConceptClosure:
 
 
 @given(st.one_of(
-    st.text(max_size=30).map(kb.TypedValue.string),
-    st.integers(1000, 2999).map(kb.TypedValue.year),
+    st.text(max_size=30).map(lambda x: kb.TypedValue("string", x)),
+    st.integers(1000, 2999).map(lambda x: kb.TypedValue("year", x)),
     st.floats(allow_nan=False, allow_infinity=False, width=32).map(
-        lambda x: kb.TypedValue.number(float(x), "u")),
+        lambda x: kb.TypedValue("number", float(x), "u")),
 ))
 def test_typed_value_json_round_trip_property(value):
     assert kb.TypedValue.from_json(oracles.typed_value_json(value)) == value
+
+
+# The payload type each kind's `value` holds
+PAYLOAD_TYPES = {"string": str, "number": (int, float), "year": int, "date": date}
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=12)
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.dates().map(date.isoformat))
+JSON_VALUES = (SCALARS | st.lists(SCALARS, max_size=2)
+               | st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
+KIND_NAMES = st.sampled_from([*sorted(PAYLOAD_TYPES), "teapot", "Number"])
+# (kind, value) pairs: a value already in its kind's document form, or anything
+DOCUMENTS = st.one_of(
+    st.tuples(st.just("string"), st.text(max_size=12)),
+    st.tuples(st.just("number"), st.floats(allow_nan=False, allow_infinity=False)),
+    st.tuples(st.just("year"), st.integers()),
+    st.tuples(st.just("date"), st.dates().map(date.isoformat)),
+    st.tuples(st.sampled_from([*sorted(PAYLOAD_TYPES), "teapot", None, 5, ["number"], {}]),
+              JSON_VALUES),
+)
+
+
+def in_document_form(kind, value) -> bool:
+    """Whether `value` is already what `oracles.typed_value_json` writes for `kind`."""
+    if kind == "date" and isinstance(value, str):
+        try:
+            return date.fromisoformat(value).isoformat() == value
+        except ValueError:
+            return False
+    return isinstance(kind, str) and type(value) is {"string": str, "number": float,
+                                                     "year": int}.get(kind)
+
+
+@settings(max_examples=500)
+@given(document=DOCUMENTS, unit=st.none() | JSON_VALUES)
+def test_from_json_reads_a_value_or_reports_the_document(document, unit):
+    kind, value = document
+    doc = {"kind": kind, "value": value, "unit": unit}
+    try:
+        read = kb.TypedValue.from_json(doc, "here")
+    except kb.MalformedDocumentError as exc:
+        assert exc.location == "here"
+        unit_ok = kind != "number" or unit is None or isinstance(unit, str)
+        assert not (in_document_form(kind, value) and unit_ok)
+        return
+    assert isinstance(read.value, PAYLOAD_TYPES[read.kind])
+    assert kb.TypedValue.from_json(oracles.typed_value_json(read)) == read
+    if in_document_form(kind, value):
+        assert oracles.typed_value_json(read)["value"] == value
+
+
+@settings(max_examples=500)
+@given(kind=KIND_NAMES, value=JSON_VALUES | st.dates())
+def test_constructor_accepts_only_its_kinds_payload_type(kind, value):
+    fits = kind in PAYLOAD_TYPES and isinstance(value, PAYLOAD_TYPES[kind])
+    try:
+        kb.TypedValue(kind, value)
+    except kb.KindMismatchError:
+        assert not fits
+    else:
+        assert fits
+
+
+LITERAL_SHAPES = st.one_of(
+    st.text(alphabet="0123456789-.e +_:Tainfxyz", max_size=14),
+    st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t"]),
+              st.dates().map(date.isoformat), st.sampled_from(["", " ", " km", "x", "T12"])),
+)
+
+
+@settings(max_examples=500)
+@given(LITERAL_SHAPES)
+def test_parse_value_text_reads_a_literal_exactly_when_extract_entity_did(text):
+    parsed = kb.parse_value_text(text)
+    assert (parsed.kind != "string") == oracles.looks_like_literal(text)
+    assert kb.TypedValue.from_json(oracles.typed_value_json(parsed)) == parsed

@@ -271,7 +271,7 @@ class TestRenderValue:
         assert kopl.render_value(kb, EntitySet(("q_google", "q_meta"))) == "Google; Meta"
 
     def test_typed_value(self, kb):
-        assert kopl.render_value(kb, kbmod.TypedValue.number(3, "m")) == "3 m"
+        assert kopl.render_value(kb, kbmod.TypedValue("number", 3, "m")) == "3 m"
 
     def test_scalar(self, kb):
         assert kopl.render_value(kb, 7) == "7"

@@ -260,3 +260,25 @@ def test_bad_argument_value_is_a_failed_step(kopl_dataset, atomic_dataset, plann
     failed = trace.records[len(steps) - 1:]
     assert failed and not any(rec.ok for rec in failed)
     assert {rec.observation for rec in failed} == {feedback}
+
+
+MIXED_RELEASES = {
+    "nodes": [{"id": "f1", "name": "Alpha", "classes": ["film"]},
+              {"id": "f2", "name": "Beta", "classes": ["film"]}],
+    "triples": [{"s": "f1", "p": "released", "o_literal": {"kind": "year", "value": 1999}},
+                {"s": "f2", "p": "released",
+                 "o_literal": {"kind": "date", "value": "2001-05-02"}}],
+}
+
+
+@pytest.mark.parametrize("planner", ["sh", "fh"])
+def test_order_across_value_kinds_is_a_failed_step(atomic_dataset, planner):
+    env = harness.make_env(AtomicEngine, load_graph(MIXED_RELEASES))
+    steps = [step("Extract_entity", input="film"),
+             step("Order", True, mode="argmax", input="$0", property="released")]
+    trace = harness.run_task(atomic_dataset.tasks[0], scripted_policy(steps), env, planner)
+    assert trace.status in ("retry-budget-failed", "replan-budget-failed")
+    assert trace.records[0].ok
+    failed = trace.records[1:]
+    assert failed and not any(rec.ok for rec in failed)
+    assert {rec.observation for rec in failed} == {"kind mismatch across 'released'"}
