@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 from .grounding import Grounder, format_candidate_feedback
@@ -13,6 +12,7 @@ from .kb import (
     TypedValue,
     compare_typed,
     parse_value_text,
+    read_document,
     require_keys,
 )
 from .outcome import ToolFailure, ToolOutcome, text_arg, tool
@@ -55,11 +55,7 @@ class GraphStore:
 
 
 def load_graph(path_or_doc) -> GraphStore:
-    if isinstance(path_or_doc, dict):
-        doc = path_or_doc
-    else:
-        with open(path_or_doc, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = read_document(path_or_doc)
     nodes = {}
     for i, n in enumerate(doc.get("nodes", [])):
         require_keys(n, ("id", "name"), "node", f"nodes[{i}]")

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import grounding, harness, kb, mocktools, plans, policies, stats, tasks
+from . import harness, kb, mocktools, plans, policies, stats, tasks
 from .atomic import load_graph
 
 
@@ -222,21 +222,17 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        raw = kb.read_document(path)
         if "concepts" in raw or "entities" in raw:
-            base = kb.load_kb(path)
+            base = kb.load_kb(raw)
             print(f"ok: knowledge base with {len(base.entities)} entities, "
                   f"{len(base.concepts)} concepts")
         elif "nodes" in raw:
-            graph = load_graph(path)
+            graph = load_graph(raw)
             print(f"ok: graph with {len(graph.nodes)} nodes, "
                   f"{len(graph.triples)} triples")
         elif "documents" in raw:
-            corpus = mocktools.load_corpus(path)
+            corpus = mocktools.load_corpus(raw)
             print(f"ok: corpus with {len(corpus.documents)} documents")
         elif "tasks" in raw:
             dataset = tasks.load_dataset(path)
@@ -244,8 +240,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         else:
             print("config error: unrecognized fixture shape", file=sys.stderr)
             return EXIT_CONFIG
-    except (kb.KBError, tasks.DatasetError, grounding.GroundingError,
-            ValueError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:  # before ValueError, its base
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (kb.KBError, tasks.DatasetError, ValueError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -50,20 +50,11 @@ def _jaccard(ta: set[str], tb: set[str]) -> float:
     return inter / (len(ta) + len(tb) - inter)
 
 
-def trigram_similarity(a: str, b: str) -> float:
-    """Character-trigram Jaccard on normalized terms; 1.0 iff normalized-equal."""
-    na, nb = _normalize(a), _normalize(b)
-    if na == nb:
-        return 1.0
-    return _jaccard(_trigrams(na), _trigrams(nb))
-
-
 @dataclass(frozen=True)
 class GroundingResult:
     status: str  # exact | soft-matched | failed
     matched_term: str | None
     candidates: tuple[tuple[str, float], ...]  # (term, score), non-increasing
-    mode: str
 
     @property
     def ok(self) -> bool:
@@ -148,8 +139,11 @@ class Grounder:
         return self._cache[key]
 
     def term(self, term: str, namespace: str) -> str:
-        """The schema term `term` grounds to; a term that grounds to nothing
-        raises ToolFailure with the candidate feedback."""
+        """The schema term `term` grounds to; a term that is not a string, or
+        grounds to nothing, raises ToolFailure (the latter with the candidate
+        feedback)."""
+        if not isinstance(term, str):
+            raise ToolFailure(f"a {namespace} term must be a string, got {term!r}")
         result = self.ground(term, namespace)
         if not result.ok:
             raise ToolFailure(format_candidate_feedback(result, term, namespace),
@@ -163,11 +157,11 @@ def ground(index: SchemaIndex, term: str, namespace: str, mode: str) -> Groundin
     Candidates are ranked by trigram similarity; ties keep vocabulary order."""
     vocabulary = index.namespace(namespace)
     if term in vocabulary:
-        return GroundingResult("exact", term, (), mode)
+        return GroundingResult("exact", term, ())
     by_norm, grams = index.match_tables(namespace)
     norm = _normalize(term)
     if norm in by_norm:
-        return GroundingResult("exact", by_norm[norm], (), mode)
+        return GroundingResult("exact", by_norm[norm], ())
 
     # no candidate is normalized-equal here, so similarity is the plain Jaccard
     query = _trigrams(norm)
@@ -177,11 +171,11 @@ def ground(index: SchemaIndex, term: str, namespace: str, mode: str) -> Groundin
         limit, ((cand, _jaccard(query, cand_grams)) for cand, cand_grams in grams),
         key=lambda pair: -pair[1]))
     if mode == "low":
-        return GroundingResult("failed", None, top, mode)
+        return GroundingResult("failed", None, top)
     # top is sorted by descending score, so only the best can pass
     if top and top[0][1] >= DEFAULT_THRESHOLD:
-        return GroundingResult("soft-matched", top[0][0], top, mode)
-    return GroundingResult("failed", None, top, mode)
+        return GroundingResult("soft-matched", top[0][0], top)
+    return GroundingResult("failed", None, top)
 
 
 def format_candidate_feedback(result: GroundingResult, term: str, namespace: str) -> str:

@@ -22,14 +22,6 @@ from .plans import (Invocation, Plan, PlanParseError, StepRecord, ToolCall, Trac
                     parse_plan, rewrite_refs, step_ref)
 
 
-class HarnessError(Exception):
-    pass
-
-
-class UnknownToolError(HarnessError):
-    pass
-
-
 def load_prompt(name: str) -> str:
     ref = importlib.resources.files("planhorizon.data.prompts") / f"{name}.txt"
     return ref.read_text(encoding="utf-8")
@@ -112,12 +104,11 @@ class Environment:
 
     def execute(self, call: ToolCall, bindings: dict[int, object]) -> tuple[ToolOutcome, dict]:
         """Resolve $i references against executed outputs, then dispatch.
+        `call` names a catalog tool: `parse_plan` rejects any other.
 
         Returns the outcome and the resolved argument map (used for
         repetition equality)."""
-        kinds = self._param_kinds.get(call.tool)
-        if kinds is None:
-            raise UnknownToolError(f"unknown tool {call.tool!r}")
+        kinds = self._param_kinds[call.tool]
         resolved = {}
         for name, value in call.args.items():
             kind = kinds.get(name, "string")
@@ -176,7 +167,6 @@ def serialize_history(history: list[dict]) -> str:
 
 @dataclass
 class PolicyRequest:
-    query: str
     mode: str  # sh-next-step | fh-initial | fh-replan
     history: list[dict]
     start_index: int
@@ -192,7 +182,7 @@ class PolicyRequest:
 def build_prompts(env: Environment, query: str, mode: str, history: list[dict],
                   start_index: int) -> tuple[str, str]:
     template = env.prompt("sh_system" if mode == "sh-next-step" else "fh_system")
-    system = template.format(tool_definitions=env.tool_definitions, demonstrations="(none)")
+    system = template.format(tool_definitions=env.tool_definitions)
     user = f"Question: {query}"
     if history:
         user += "\n\nExecuted steps:\n" + serialize_history(history)
@@ -211,9 +201,8 @@ def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
     system, user = build_prompts(env, query, mode, history, base_index)
     errors: list[str] = []
     for attempt in range(budget.max_format_retries):
-        request = PolicyRequest(query=query, mode=mode, history=history,
-                                start_index=base_index, system_prompt=system,
-                                user_prompt=user, errors=list(errors))
+        request = PolicyRequest(mode=mode, history=history, start_index=base_index,
+                                system_prompt=system, user_prompt=user, errors=list(errors))
         text = policy(request)
         invocation = Invocation(
             id=len(trace.invocations), mode=mode,
@@ -253,7 +242,7 @@ def _record(trace: Trace, env: Environment, call: ToolCall,
 
 def run_sh(task, policy, env: Environment, budget: Budget = Budget()) -> Trace:
     """Eager monitoring: every executed step is preceded by a policy invocation."""
-    trace = Trace(query=task.question, question_id=task.id, planner="sh")
+    trace = Trace(question_id=task.id, planner="sh")
     bindings: dict[int, object] = {}
     failures = 0
     while trace.executed_calls < budget.max_tool_calls:
@@ -281,7 +270,7 @@ def run_fh(task, policy, env: Environment, budget: Budget = Budget()) -> Trace:
     The executed prefix is immutable across replans; each continuation is
     appended after the failed step's index and may reference only existing
     outputs."""
-    trace = Trace(query=task.question, question_id=task.id, planner="fh")
+    trace = Trace(question_id=task.id, planner="fh")
     bindings: dict[int, object] = {}
     plan = _invoke(policy, env, trace, task.question, "fh-initial",
                    base_index=0, budget=budget)

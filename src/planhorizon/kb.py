@@ -55,6 +55,19 @@ def _norm_op(op: str) -> str:
     return op
 
 
+def read_document(path_or_doc) -> dict:
+    """The JSON object in the data or task file at a path; an already-parsed
+    document passes through. Any other top level raises MalformedDocumentError."""
+    if isinstance(path_or_doc, dict):
+        return path_or_doc
+    with open(path_or_doc, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise MalformedDocumentError(
+            f"the top level must be a JSON object, not {type(doc).__name__}", str(path_or_doc))
+    return doc
+
+
 def require_keys(doc, keys: tuple[str, ...], what: str, location: str) -> None:
     """Raise MalformedDocumentError unless `doc` is an object holding every key."""
     if isinstance(doc, dict):
@@ -244,11 +257,7 @@ def _parse_qualifiers(items, location) -> tuple[tuple[str, TypedValue], ...]:
 
 def load_kb(path_or_doc) -> KnowledgeBase:
     """Load and validate a KB document (path or parsed dict)."""
-    if isinstance(path_or_doc, dict):
-        doc = path_or_doc
-    else:
-        with open(path_or_doc, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = read_document(path_or_doc)
 
     concepts: dict[str, Concept] = {}
     for i, c in enumerate(doc.get("concepts", [])):

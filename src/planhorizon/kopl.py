@@ -1,8 +1,9 @@
 """Deterministic interpreter for the 27 KoPL tools over a KnowledgeBase.
 
 Every tool returns a ToolOutcome; an empty entity-set result is a failure
-(except Count, whose zero is a valid value), and so is a schema term that
-grounds to nothing or an argument value that does not parse (ToolFailure).
+(except Count, whose zero is a valid value), and so is a schema term that is
+not a string or grounds to nothing, an argument value that does not parse,
+or a qualifier filter over a set without admitting facts (ToolFailure).
 Tie-breaking is KB insertion order throughout.
 """
 
@@ -106,8 +107,6 @@ _CATALOG_SPEC = [
      "Access a qualifier value of a specified relation fact"),
 ]
 
-_PARAMS = {name: params for name, params, _ in _CATALOG_SPEC}
-
 
 def kopl_catalog() -> list[dict]:
     return tool_catalog(_CATALOG_SPEC)
@@ -184,9 +183,7 @@ def filter_attribute(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
 def qualifier_filter(grounder: Grounder, entities: EntitySet, qkey: str,
                      qvalue: TypedValue, op: str = "=") -> ToolOutcome:
     if entities.facts is None:
-        raise ContractViolationError(
-            "qualifier filters need the admitting facts of the previous filter"
-        )
+        raise ToolFailure("qualifier filters need the admitting facts of the previous filter")
     qkey = grounder.term(qkey, "qualifier-key")
     kept_ids, kept_facts = [], []
     for eid, facts in zip(entities.ids, entities.facts):
@@ -432,8 +429,6 @@ def query_relation_qualifier(kb: KnowledgeBase, grounder: Grounder, a: EntitySet
 @tool
 def run_tool(kb: KnowledgeBase, grounder: Grounder, tool: str, args: dict) -> ToolOutcome:
     """Execute one KoPL tool. Set/value-ref args must already be resolved objects."""
-    if tool not in _PARAMS:
-        raise ProgramError(f"unknown KoPL tool {tool!r}")
 
     def val(name, kind):
         try:
@@ -494,7 +489,7 @@ def run_tool(kb: KnowledgeBase, grounder: Grounder, tool: str, args: dict) -> To
     if tool == "QueryRelationQualifier":
         return query_relation_qualifier(kb, grounder, args["left"], args["right"],
                                         args["relation"], args["qkey"])
-    raise ProgramError(f"unhandled tool {tool!r}")  # pragma: no cover
+    raise ProgramError(f"unknown KoPL tool {tool!r}")
 
 
 def render_value(kb: KnowledgeBase, value) -> str:

@@ -8,14 +8,13 @@ failure/replan behavior, not QA quality.
 from __future__ import annotations
 
 import heapq
-import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import grounding
 from .grounding import Grounder
-from .kb import MalformedDocumentError, require_keys
+from .kb import MalformedDocumentError, read_document, require_keys
 from .outcome import ToolOutcome, text_arg, tool
 from .plans import tool_catalog
 
@@ -60,18 +59,18 @@ def normalize_question(text: str) -> str:
 
 
 def load_corpus(path_or_doc) -> MockCorpus:
-    if isinstance(path_or_doc, dict):
-        doc = path_or_doc
-    else:
-        with open(path_or_doc, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = read_document(path_or_doc)
     documents = []
     for i, d in enumerate(doc.get("documents", [])):
-        require_keys(d, ("title",), "document", f"documents[{i}]")
+        loc = f"documents[{i}]"
+        require_keys(d, ("title",), "document", loc)
+        answers = d.get("answers", {})
+        if not isinstance(answers, dict):
+            raise MalformedDocumentError("answers must be an object", loc)
         documents.append(MockDocument(
             title=d["title"],
             text=d.get("text", ""),
-            answers={normalize_question(q): a for q, a in d.get("answers", {}).items()},
+            answers={normalize_question(q): a for q, a in answers.items()},
         ))
     return MockCorpus(documents=tuple(documents), top_k=doc.get("top_k", MockCorpus.top_k))
 
@@ -92,11 +91,8 @@ def rank_documents(corpus: MockCorpus, question: str,
     return [corpus.documents[i] for _, i in ranked]
 
 
-def mock_search(corpus: MockCorpus, question: str, k: int | None = None) -> ToolOutcome:
+def mock_search(corpus: MockCorpus, question: str, k: int) -> ToolOutcome:
     """Inspect the top-k ranked documents for an answerable-question match."""
-    k = corpus.top_k if k is None else k
-    if k < 1:
-        raise ValueError("k must be >= 1")
     needle = normalize_question(question)
     for doc in rank_documents(corpus, question, k):
         if needle in doc.answers:

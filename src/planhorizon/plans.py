@@ -183,7 +183,6 @@ class StepRecord:
 
 @dataclass
 class Trace:
-    query: str
     question_id: str = ""
     run_id: str = ""
     trial: int = 0

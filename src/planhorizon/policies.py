@@ -7,9 +7,8 @@ import json
 import random
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .grounding import trigram_similarity
 from .harness import PolicyRequest
 from .plans import Plan, ToolCall, rewrite_refs, step_ref
 
@@ -170,8 +169,6 @@ class RemotePolicyConfig:
     model: str = "stub"
     temperature: float = 0.0
     timeout: float = 30.0
-    demonstrations: tuple[dict, ...] = ()  # {"question": ..., "plan": [...]}
-    demonstration_count: int = 10
     startup_check: bool = False
 
 
@@ -205,19 +202,6 @@ def build_plan_schema(catalog: list[dict]) -> dict:
     }
 
 
-def retrieve_demonstrations(cfg: RemotePolicyConfig, question: str) -> str:
-    if not cfg.demonstrations:
-        return ""
-    ranked = sorted(
-        cfg.demonstrations,
-        key=lambda demo: -trigram_similarity(question, demo["question"]),
-    )[: cfg.demonstration_count]
-    return "\n".join(
-        f"Question: {demo['question']}\nPlan: {json.dumps(demo['plan'])}"
-        for demo in ranked
-    )
-
-
 def remote_llm_policy(cfg: RemotePolicyConfig, catalog: list[dict]):
     """Chat-completions adapter; the harness owns format retries, which arrive
     as error messages appended to the request."""
@@ -233,12 +217,8 @@ def remote_llm_policy(cfg: RemotePolicyConfig, catalog: list[dict]):
             raise PolicyError(f"endpoint {cfg.endpoint!r} unreachable: {exc}")
 
     def policy(request: PolicyRequest) -> str:
-        demos = retrieve_demonstrations(cfg, request.query)
-        system = request.system_prompt
-        if demos:
-            system = system.replace("(none)", demos, 1)
         messages = [
-            {"role": "system", "content": system},
+            {"role": "system", "content": request.system_prompt},
             {"role": "user", "content": request.user_prompt},
         ]
         for error in request.errors:

@@ -46,8 +46,7 @@ class Dataset:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = kbmod.read_document(path)
     base = os.path.dirname(os.path.abspath(path))
     engine = doc.get("engine")
     if engine not in ENGINES:

@@ -19,8 +19,8 @@ import numpy as np
 from planhorizon import atomic, kopl, mocktools
 from planhorizon.grounding import (DEFAULT_THRESHOLD, MAX_CANDIDATES_HIGH,
                                    MAX_CANDIDATES_LOW, Grounder, GroundingResult,
-                                   SchemaIndex, _normalize, format_candidate_feedback,
-                                   trigram_similarity)
+                                   SchemaIndex, _jaccard, _normalize, _trigrams,
+                                   format_candidate_feedback)
 from planhorizon.kb import (KBError, KnowledgeBase, TypedValue, UnknownConceptError,
                             compare_typed, parse_value_text)
 from planhorizon.outcome import ToolOutcome
@@ -501,28 +501,36 @@ def time_constraint(store: atomic.GraphStore, grounder: Grounder, nodes: atomic.
     return ToolOutcome.success(atomic.NodeSet(ids))
 
 
+def trigram_similarity(a: str, b: str) -> float:
+    """Character-trigram Jaccard on normalized terms; 1.0 iff normalized-equal."""
+    na, nb = _normalize(a), _normalize(b)
+    if na == nb:
+        return 1.0
+    return _jaccard(_trigrams(na), _trigrams(nb))
+
+
 def ground(index: SchemaIndex, term: str, namespace: str, mode: str) -> GroundingResult:
     """grounding.ground re-normalizing and re-scoring every candidate per
     lookup, ties broken by vocabulary position."""
     vocabulary = index.namespace(namespace)
     if term in vocabulary:
-        return GroundingResult("exact", term, (), mode)
+        return GroundingResult("exact", term, ())
     norm = _normalize(term)
     for candidate in vocabulary:
         if _normalize(candidate) == norm:
-            return GroundingResult("exact", candidate, (), mode)
+            return GroundingResult("exact", candidate, ())
 
     scored = sorted(
         ((cand, trigram_similarity(term, cand)) for cand in vocabulary),
         key=lambda pair: (-pair[1], vocabulary.index(pair[0])),
     )
     if mode == "low":
-        return GroundingResult("failed", None, tuple(scored[:MAX_CANDIDATES_LOW]), mode)
+        return GroundingResult("failed", None, tuple(scored[:MAX_CANDIDATES_LOW]))
     top = tuple(scored[:MAX_CANDIDATES_HIGH])
     for candidate, score in top:
         if score >= DEFAULT_THRESHOLD:
-            return GroundingResult("soft-matched", candidate, top, mode)
-    return GroundingResult("failed", None, top, mode)
+            return GroundingResult("soft-matched", candidate, top)
+    return GroundingResult("failed", None, top)
 
 
 def rank_documents(corpus: mocktools.MockCorpus, question: str) -> list:

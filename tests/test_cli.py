@@ -138,24 +138,38 @@ class TestValidate:
         path.write_text("{{{")
         assert run_cli("validate", str(path)) == 2
 
+    def test_missing_data_file(self, tmp_path, fixtures_dir, capsys):
+        shutil.copy(fixtures_dir / "kopl_tasks.json", tmp_path / "kopl_tasks.json")
+        assert run_cli("validate", str(tmp_path / "kopl_tasks.json")) == 2
+        assert "config error: " in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # A malformed data or task file is a config error, never a crash
 
+# each mutation returns the broken document
 def put(*path, value):
     def mutate(doc):
+        node = doc
         for key in path[:-1]:
-            doc = doc[key]
-        doc[path[-1]] = value
+            node = node[key]
+        node[path[-1]] = value
+        return doc
     return mutate
 
 
 def drop(*path):
     def mutate(doc):
+        node = doc
         for key in path[:-1]:
-            doc = doc[key]
-        del doc[path[-1]]
+            node = node[key]
+        del node[path[-1]]
+        return doc
     return mutate
+
+
+def replace(value):
+    return lambda _doc: value
 
 
 # engine -> (its fixture task file, the data file that task file names)
@@ -186,6 +200,15 @@ MALFORMED = [
                  MalformedDocumentError, "documents[1]", id="document-title"),
     pytest.param("mock", "data", put("top_k", value="ten"),
                  MalformedDocumentError, "top_k", id="top_k-string"),
+    pytest.param("mock", "data", put("documents", 0, "answers", value=["Paris"]),
+                 MalformedDocumentError, "documents[0]", id="document-answers-list"),
+    # a top level that is not an object, in each kind of file
+    *[pytest.param(engine, broken, replace(value), MalformedDocumentError,
+                   FIXTURE_FILES[engine][broken == "data"],
+                   id=f"{FIXTURE_FILES[engine][broken == 'data']}-{label}")
+      for engine, broken in (("kopl", "data"), ("atomic", "data"), ("mock", "data"),
+                             ("kopl", "tasks"))
+      for label, value in (("list", []), ("string", "kb"), ("number", 5), ("null", None))],
     *[pytest.param(engine, "tasks", drop("tasks", 0, key), tasks.DatasetError, "tasks[0]",
                    id=f"{engine}-task-{key}")
       for engine in FIXTURE_FILES for key in ("id", "question", "gold_answer")],
@@ -202,9 +225,7 @@ def test_malformed_file_is_a_config_error(tmp_path, fixtures_dir, capsys, engine
     for name in FIXTURE_FILES[engine]:
         shutil.copy(fixtures_dir / name, tmp_path / name)
     path = tmp_path / (data_file if broken == "data" else task_file)
-    doc = json.loads(path.read_text())
-    mutate(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
     with pytest.raises(error, match=re.escape(where)):
         tasks.load_dataset(tmp_path / task_file)
     capsys.readouterr()

@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from planhorizon import grounding, kb
-from planhorizon.grounding import Grounder, SchemaIndex, build_index, ground, trigram_similarity
+from planhorizon.grounding import Grounder, build_index, ground
+
+from oracles import trigram_similarity
 
 
 def _trigrams(text: str) -> set:

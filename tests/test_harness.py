@@ -147,7 +147,7 @@ class TestDrivers:
         # the prompts are the package files, filled in as on every call
         system, user = harness.build_prompts(kopl_env, "q?", "fh-replan", [], 3)
         assert system == load_prompt("fh_system").format(
-            tool_definitions=json.dumps(kopl_env.catalog), demonstrations="(none)")
+            tool_definitions=json.dumps(kopl_env.catalog))
         assert user == "Question: q?\n\n" + load_prompt("replan_message").format(
             start_index=3)
 

@@ -6,6 +6,7 @@ from planhorizon import kb as kbmod
 from planhorizon import kopl
 from planhorizon.grounding import Grounder, build_index
 from planhorizon.kopl import EntitySet
+from planhorizon.outcome import ToolOutcome
 
 import oracles
 from oracles import KoplProgram, KoplStep
@@ -40,6 +41,11 @@ class TestCatalog:
         names = [entry["name"] for entry in kopl.kopl_catalog()]
         assert tuple(names) == EXPECTED_TOOLS
         assert len(names) == 27
+
+    def test_unknown_tool_is_a_program_error(self, kb, grounder):
+        # plans never reach it (parse_plan rejects the tool); direct callers can
+        with pytest.raises(kopl.ProgramError, match="unknown KoPL tool 'Teleport'"):
+            run(kb, grounder, "Teleport")
 
     def test_ref_params(self):
         assert oracles.ref_params(oracles.KOPL_CATALOG, "Find") == []
@@ -109,11 +115,13 @@ class TestBasicOps:
                   qkey="point in time", qvalue="2003", op="=")
         assert out.value.ids == ("q_lebron",)
 
-    def test_qualifier_filter_without_facts_is_contract_violation(self, kb, grounder):
+    def test_qualifier_filter_without_facts_is_a_failed_step(self, kb, grounder):
+        # through run_task: tests/test_tool_failures.py, "QFilterYear-no-facts"
         bare = run(kb, grounder, "Find", name="Google").value
-        with pytest.raises(kopl.ContractViolationError):
-            run(kb, grounder, "QFilterYear", entities=bare, qkey="point in time",
-                qvalue="2003", op="=")
+        out = run(kb, grounder, "QFilterYear", entities=bare, qkey="point in time",
+                  qvalue="2003", op="=")
+        assert out == ToolOutcome.failure(
+            "qualifier filters need the admitting facts of the previous filter")
 
 
 class TestSetOps:

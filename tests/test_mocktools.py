@@ -68,7 +68,7 @@ class TestSearch:
         env = tasks.load_dataset(fixtures_dir / "mock_tasks.json").make_env("high")
         assert trigrammed == []
         corpus = env.engine.corpus
-        assert mock_search(corpus, "Where is the Eiffel Tower?").ok
+        assert mock_search(corpus, "Where is the Eiffel Tower?", corpus.top_k).ok
         assert len(trigrammed) == len(corpus.documents) + 1
         trigrammed.clear()
         q = "When was the Great Wall of China built?"

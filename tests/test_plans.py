@@ -142,7 +142,7 @@ class TestGoldDag:
 
 class TestRepetition:
     def make_trace(self, calls):
-        trace = plans.Trace(query="q")
+        trace = plans.Trace()
         for i, (tool, args) in enumerate(calls):
             trace.records.append(plans.StepRecord(
                 step=i, call=ToolCall(tool, args), ok=True, observation="",

@@ -9,8 +9,7 @@ from planhorizon import harness, plans, policies
 import oracles
 from planhorizon.policies import (NoiseModel, RemotePolicyConfig, build_plan_schema,
                                   build_policy, corrupt_term, noisy_policy,
-                                  oracle_policy, remote_llm_policy,
-                                  retrieve_demonstrations)
+                                  oracle_policy, remote_llm_policy)
 
 
 @pytest.fixture()
@@ -22,7 +21,7 @@ class TestOraclePolicy:
     def test_fh_emits_full_plan(self, kopl_dataset, taller_task):
         env = kopl_dataset.make_env("high")
         request = harness.PolicyRequest(
-            query=taller_task.question, mode="fh-initial", history=[],
+            mode="fh-initial", history=[],
             start_index=0, system_prompt="", user_prompt="")
         steps = json.loads(oracle_policy(taller_task.gold_plan)(request))
         assert len(steps) == 4
@@ -201,7 +200,7 @@ class TestRemotePolicy:
         _StubHandler.status = 500
         policy = remote_llm_policy(RemotePolicyConfig(endpoint=stub_server, timeout=5.0),
                                    [])
-        request = harness.PolicyRequest(query="q", mode="fh-initial", history=[],
+        request = harness.PolicyRequest(mode="fh-initial", history=[],
                                         start_index=0, system_prompt="s", user_prompt="u")
         with pytest.raises(OSError):  # an HTTP error status
             policy(request)
@@ -215,16 +214,6 @@ class TestPlanSchema:
         assert len(variants) == 27
         find = next(v for v in variants if v["properties"]["tool"]["const"] == "Find")
         assert set(find["properties"]["args"]["properties"]) == {"name"}
-
-
-class TestDemonstrations:
-    def test_top_k_by_similarity(self):
-        demos = tuple({"question": f"question about topic {i}", "plan": []}
-                      for i in range(15))
-        cfg = RemotePolicyConfig(endpoint="http://x", demonstrations=demos)
-        text = retrieve_demonstrations(cfg, "question about topic 3")
-        assert text.count("Question:") == 10
-        assert "topic 3" in text.splitlines()[0]
 
 
 class TestBuildPolicy:

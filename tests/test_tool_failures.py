@@ -5,6 +5,8 @@ failed step, whether the tool is called directly or through its engine."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planhorizon import atomic, harness, kopl
 from planhorizon.atomic import AtomicEngine, NodeSet, load_graph
@@ -229,6 +231,11 @@ BAD_ARGUMENTS = [
                                mode="biggest")],
                  "Error in SelectBetween: mode must be greater or less, got 'biggest'",
                  id="SelectBetween"),
+    pytest.param("kopl", [step("Find", name="Google"),
+                          step("QFilterYear", True, entities="$0", qkey="point in time",
+                               qvalue="2003", op="=")],
+                 "qualifier filters need the admitting facts of the previous filter",
+                 id="QFilterYear-no-facts"),
     pytest.param("atomic", [step("Extract_entity", input="film"),
                             step("Time_constraint", True, input="$0",
                                  relation="release_year", literal="soon")],
@@ -260,6 +267,61 @@ def test_bad_argument_value_is_a_failed_step(kopl_dataset, atomic_dataset, plann
     failed = trace.records[len(steps) - 1:]
     assert failed and not any(rec.ok for rec in failed)
     assert {rec.observation for rec in failed} == {feedback}
+
+
+# ---------------------------------------------------------------------------
+# A schema term that is not a string: a failed step under either planner
+
+# the steps whose last output is a set the valid arguments above hold, given
+# the index of their first step
+SET_SOURCES = {
+    EVERYONE: lambda at: [step("FindAll")],
+    JUNIOR: lambda at: [step("Find", name="LeBron James Jr.")],
+    SENIOR: lambda at: [step("Find", name="LeBron James")],
+    WITH_FACTS: lambda at: [step("FindAll"), step("FilterNum", entities=f"${at}",
+                                                  key="height", value="0 centimetre",
+                                                  op=">")],
+    TAYLOR: lambda at: [step("Extract_entity", input="Taylor Lautner")],
+    FILMS: lambda at: [step("Extract_entity", input="film")],
+}
+
+NON_STRINGS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.lists(st.text(max_size=8), max_size=3),
+                        st.dictionaries(st.text(max_size=8), st.integers(), max_size=3))
+
+
+def plan_with(engine, tool, args, param, value):
+    """A plan whose final `tool` call takes those of `args` that its catalog
+    entry names, with `param` set to `value`; the steps before it compute
+    the set arguments."""
+    entry = next(e for e in ENGINES[engine].catalog if e["name"] == tool)
+    steps, call = [], {}
+    for name, arg in args.items():
+        if name not in {p["name"] for p in entry["params"]}:
+            continue
+        if arg in SET_SOURCES:
+            steps += SET_SOURCES[arg](len(steps))
+            arg = f"${len(steps) - 1}"
+        call[name] = arg
+    return steps + [step(tool, True, **{**call, param: value})]
+
+
+@pytest.mark.parametrize("planner", ["sh", "fh"])
+@pytest.mark.parametrize("engine,tool,args,direct,param,namespace", GROUNDED,
+                         ids=[f"{tool}-{param}" for _, tool, _, _, param, _ in GROUNDED])
+@settings(max_examples=25, deadline=None)
+@given(value=NON_STRINGS)
+def test_non_string_term_is_a_failed_step(kopl_dataset, atomic_dataset, planner, engine,
+                                          tool, args, direct, param, namespace, value):
+    dataset = kopl_dataset if engine == "kopl" else atomic_dataset
+    steps = plan_with(engine, tool, args, param, value)
+    trace = harness.run_task(dataset.tasks[0], scripted_policy(steps),
+                             dataset.make_env("high"), planner)
+    assert trace.status in ("retry-budget-failed", "replan-budget-failed")
+    assert all(rec.ok for rec in trace.records[:len(steps) - 1])
+    failed = trace.records[len(steps) - 1:]
+    assert failed and not any(rec.ok for rec in failed)
+    assert all("must be a string" in rec.observation for rec in failed)
 
 
 MIXED_RELEASES = {
