@@ -13,9 +13,10 @@ import numpy as np
 from planhorizon import stats
 
 
-def generate(seed: int, n_questions: int, trials: int) -> list:
+def generate(seed: int, n_questions: int, trials: int) -> list[dict]:
+    """Outcome records with the required fields only (see stats.Outcome)."""
     rng = np.random.default_rng(seed)
-    outcomes = []
+    records = []
     for q in range(n_questions):
         d = int(rng.integers(1, 7))
         b = float(rng.uniform(1.0, 3.0))
@@ -24,10 +25,10 @@ def generate(seed: int, n_questions: int, trials: int) -> list:
                 # planted model: depth hurts, and hurts FH more
                 eta = 1.2 - 0.5 * d - 0.2 * b + (0.35 * d if planner == "sh" else 0.0) - 0.6
                 p = 1 / (1 + np.exp(-eta))
-                outcomes.append(stats.Outcome(
-                    question_id=f"q{q}", trial=trial, planner=planner,
-                    success=int(rng.random() < p), depth=d, breadth=b))
-    return outcomes
+                records.append({
+                    "question_id": f"q{q}", "trial": trial, "planner": planner,
+                    "success": int(rng.random() < p), "depth": d, "breadth": b})
+    return records
 
 
 def main() -> None:
@@ -37,12 +38,12 @@ def main() -> None:
     parser.add_argument("--trials", type=int, default=3)
     args = parser.parse_args()
 
-    outcomes = generate(args.seed, args.questions, args.trials)
-    report = stats.summarize_run(outcomes)
+    columns = stats.outcome_columns(generate(args.seed, args.questions, args.trials))
+    report = stats.summarize_run(columns)
     print(report.to_text())
     print()
 
-    X, y, clusters, names = stats.build_design(outcomes)
+    X, y, clusters, names = stats.build_design(columns)
     fit = stats.fit_clustered_logit(X, y, clusters, names=names)
     print(f"{'term':<14}{'coefficient':>12}{'std_err':>10}{'z':>9}{'p':>10}")
     for row in fit.table():

@@ -6,7 +6,8 @@ from .harness import Budget, Environment, run_fh, run_sh, run_task
 from .kb import KnowledgeBase, TypedValue, load_kb
 from .outcome import ToolOutcome
 from .plans import Plan, ToolCall, Trace, breadth, build_dag, depth, parse_plan
-from .stats import Outcome, fit_clustered_logit, match_answer, summarize_run
+from .stats import (Outcome, fit_clustered_logit, match_answer, outcome_columns,
+                    summarize_run)
 from .tasks import Dataset, Task, load_dataset
 
 __version__ = "0.1.0"
@@ -18,6 +19,7 @@ __all__ = [
     "KnowledgeBase", "TypedValue", "load_kb",
     "ToolOutcome",
     "Plan", "ToolCall", "Trace", "breadth", "build_dag", "depth", "parse_plan",
-    "Outcome", "fit_clustered_logit", "match_answer", "summarize_run",
+    "Outcome", "fit_clustered_logit", "match_answer", "outcome_columns",
+    "summarize_run",
     "Dataset", "Task", "load_dataset",
 ]

@@ -142,15 +142,39 @@ def cmd_run(args: argparse.Namespace) -> int:
             for line in trace.log_lines():
                 handle.write(line + "\n")
 
-    outcomes = [_outcome_from_trace(trace, task, planner)
-                for (task, planner, _t), trace in results]
+    records = [dataclasses.asdict(_outcome_from_trace(trace, task, planner))
+               for (task, planner, _t), trace in results]
     with (out_dir / "outcomes.jsonl").open("w", encoding="utf-8") as handle:
-        for outcome in outcomes:
-            handle.write(json.dumps(dataclasses.asdict(outcome), sort_keys=True) + "\n")
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
-    report = stats.summarize_run(outcomes)
+    report = stats.summarize_run(stats.outcome_columns(records))
     print(report.to_text())
     return EXIT_OK
+
+
+def _decode_records(lines: list[str]) -> list:
+    """The JSON value on each line, decoded as one array when every line is
+    one flat object, else line by line to name the first undecodable one."""
+    try:
+        records = json.loads("[" + ",\n".join(lines) + "]")
+    except json.JSONDecodeError:
+        records = None
+    # This equals decoding each line alone when every line is one object: no
+    # JSON string holds a raw newline, so none spans a join; a line that
+    # starts with "{" and ends with "}" holds whole objects (outcome_columns
+    # rejects nested ones), so one each when the counts agree.
+    if records is not None and len(records) == len(lines) and all(
+            line.strip(" \t")[:1] == "{" and line.strip(" \t")[-1:] == "}"
+            for line in lines):
+        return records
+    records = []
+    for index, line in enumerate(lines):
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise stats.RecordError(index, f"{exc.msg} at column {exc.colno}") from None
+    return records
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -159,40 +183,46 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if not outcome_path.exists():
         print(f"config error: no outcomes.jsonl under {run_dir}", file=sys.stderr)
         return EXIT_CONFIG
-    records = [json.loads(line)
-               for line in outcome_path.read_text(encoding="utf-8").splitlines()
-               if line.strip()]
-    if not records:
+    text = outcome_path.read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
         print("config error: outcomes.jsonl is empty", file=sys.stderr)
         return EXIT_CONFIG
-    outcomes = [stats.Outcome(**record) for record in records]
+    try:
+        columns = stats.outcome_columns(_decode_records(lines))
+    except stats.RecordError as exc:
+        number = [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][exc.index]
+        print(f"config error: outcomes.jsonl line {number}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
-    report = stats.summarize_run(outcomes)
+    report = stats.summarize_run(columns)
+    print(report.to_text())
+    code, rows = EXIT_OK, None
+    if set(columns["planner"]) != {"sh", "fh"}:
+        gee = {"skipped": "need traces from both planners"}
+        print(f"GEE skipped: {gee['skipped']}")
+    else:
+        controls = tuple(args.controls.split(",")) if args.controls else ()
+        try:
+            X, y, clusters, names = stats.build_design(columns, controls=controls)
+            rows = stats.fit_clustered_logit(X, y, clusters, names=names).table()
+            gee = {"fitted": True}
+        except stats.StatsError as exc:
+            print(f"runtime failure: {exc}", file=sys.stderr)
+            gee, code = {"failed": str(exc)}, EXIT_RUNTIME
+
     out_dir = Path(args.out or run_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
-        json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
-    print(report.to_text())
-
-    planners = {o.planner for o in outcomes}
-    if planners != {"sh", "fh"}:
-        print("GEE skipped: need traces from both planners")
-        return EXIT_OK
-    controls = tuple(args.controls.split(",")) if args.controls else ()
-    try:
-        X, y, clusters, names = stats.build_design(outcomes, controls=controls)
-        fit = stats.fit_clustered_logit(X, y, clusters, names=names)
-    except stats.StatsError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    rows = fit.table()
-    (out_dir / "coefficients.json").write_text(
-        json.dumps(rows, indent=2) + "\n", encoding="utf-8")
-    print(f"\n{'term':<18}{'coefficient':>12}{'std_err':>10}{'p':>10}")
-    for row in rows:
-        print(f"{row['name']:<18}{row['coefficient']:>12.4f}"
-              f"{row['std_err']:>10.4f}{row['p']:>10.4f} {row['stars']}")
-    return EXIT_OK
+        json.dumps({**report.to_json(), "gee": gee}, indent=2) + "\n", encoding="utf-8")
+    if rows is not None:
+        (out_dir / "coefficients.json").write_text(
+            json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+        print(f"\n{'term':<18}{'coefficient':>12}{'std_err':>10}{'p':>10}")
+        for row in rows:
+            print(f"{row['name']:<18}{row['coefficient']:>12.4f}"
+                  f"{row['std_err']:>10.4f}{row['p']:>10.4f} {row['stars']}")
+    return code
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:

@@ -3,10 +3,12 @@ regression with a cluster-robust sandwich covariance."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -96,7 +98,7 @@ def match_answer(predicted: str, gold: list[str], mode: str = "exact-set") -> st
 # ---------------------------------------------------------------------------
 # Standardization and GEE fitting
 
-def standardize(values) -> list[float]:
+def standardize(values) -> np.ndarray:
     """Z-scores with the population standard deviation."""
     data = np.asarray(values, dtype=float)
     if data.size < 2:
@@ -104,7 +106,7 @@ def standardize(values) -> list[float]:
     sd = data.std()  # population sd
     if sd == 0:
         raise DegenerateFeatureError("constant column cannot be standardized")
-    return list((data - data.mean()) / sd)
+    return (data - data.mean()) / sd
 
 
 @dataclass
@@ -220,41 +222,85 @@ class Outcome:
     label: str = ""
 
 
-def build_design(outcomes: list[Outcome], controls: tuple[str, ...] = ()):
-    """Design matrix for the success model: intercept, standardized depth and
-    breadth, the SH indicator, depth x SH and breadth x SH interactions, plus
-    the requested control dummies (first level is the reference)."""
-    d_star = standardize([o.depth for o in outcomes])
-    b_star = standardize([o.breadth for o in outcomes])
-    x_sh = [1.0 if o.planner == "sh" else 0.0 for o in outcomes]
-    columns = [
-        ("intercept", [1.0] * len(outcomes)),
-        ("depth", d_star),
-        ("breadth", b_star),
-        ("sh", x_sh),
-        ("depth:sh", [d * s for d, s in zip(d_star, x_sh)]),
-        ("breadth:sh", [b * s for b, s in zip(b_star, x_sh)]),
-    ]
+# JSON values each annotated Outcome field accepts (a bool is no int here)
+_ACCEPTED = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+_ABSENT = object()  # a field the record leaves out
+
+
+class RecordError(ValueError):
+    """An outcome record that cannot be decoded or does not match `Outcome`;
+    `index` is its position among the records."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def outcome_columns(records: list) -> dict[str, list]:
+    """One list per `Outcome` field, in row order, from JSON-decoded records
+    (dicts keyed by field name); a record may leave out defaulted fields.
+
+    Raises RecordError for a record that is not an object, lacks a required
+    field, has an unknown one, or holds a value of the wrong JSON type."""
+    if set(map(type, records)) - {dict}:
+        index = next(i for i, r in enumerate(records) if type(r) is not dict)
+        raise RecordError(index, "not a JSON object")
+    columns, present = {}, 0
+    for f in dataclasses.fields(Outcome):
+        column = list(map(dict.get, records, repeat(f.name), repeat(_ABSENT)))
+        absent = column.count(_ABSENT)
+        if absent and f.default is dataclasses.MISSING:
+            raise RecordError(column.index(_ABSENT), f"missing field {f.name!r}")
+        if absent:
+            column = [f.default if v is _ABSENT else v for v in column]
+        present += len(records) - absent
+        accepted = _ACCEPTED[f.type]
+        if not set(map(type, column)).issubset(accepted):
+            index = next(i for i, v in enumerate(column) if type(v) not in accepted)
+            raise RecordError(index, f"{f.name} must be {f.type}, got {column[index]!r}")
+        columns[f.name] = column
+    if sum(map(len, records)) != present:  # some record has a key no field has
+        index, name = next((i, k) for i, r in enumerate(records) for k in r
+                           if k not in columns)
+        raise RecordError(index, f"unknown field {name!r}")
+    return columns
+
+
+def _codes(values: list) -> tuple[list, np.ndarray]:
+    """The sorted distinct values, and each row's index among them."""
+    levels = sorted(set(values))
+    index = {level: i for i, level in enumerate(levels)}
+    return levels, np.fromiter(map(index.__getitem__, values), dtype=np.intp,
+                               count=len(values))
+
+
+def build_design(columns: dict[str, list], controls: tuple[str, ...] = ()):
+    """Design matrix for the success model, from `outcome_columns` columns:
+    intercept, standardized depth and breadth, the SH indicator, depth x SH
+    and breadth x SH interactions, plus the requested control dummies (first
+    level is the reference)."""
+    n = len(columns["planner"])
+    d_star = standardize(columns["depth"])
+    b_star = standardize(columns["breadth"])
+    planners, planner_codes = _codes(columns["planner"])
+    x_sh = ((planner_codes == planners.index("sh")).astype(float) if "sh" in planners
+            else np.zeros(n))
+    names = ["intercept", "depth", "breadth", "sh", "depth:sh", "breadth:sh"]
+    matrix = [np.ones(n), d_star, b_star, x_sh, d_star * x_sh, b_star * x_sh]
     for control in controls:
         if control in ("dataset", "last_tool"):
-            levels = sorted({getattr(o, control) for o in outcomes})
-            for level in levels[1:]:  # first level is the reference
-                columns.append((
-                    f"{control}[{level}]",
-                    [1.0 if getattr(o, control) == level else 0.0 for o in outcomes],
-                ))
+            levels, codes = _codes(columns[control])
+            for i, level in enumerate(levels[1:], 1):  # first level is the reference
+                names.append(f"{control}[{level}]")
+                matrix.append((codes == i).astype(float))
         elif control in ("has_bridge", "has_comparison"):
-            columns.append((
-                control,
-                [1.0 if getattr(o, control) else 0.0 for o in outcomes],
-            ))
+            names.append(control)
+            matrix.append(np.array(columns[control], dtype=float))
         else:
             raise StatsError(f"unknown control {control!r}")
-    names = [name for name, _ in columns]
-    X = np.column_stack([col for _, col in columns])
-    y = np.array([o.success for o in outcomes], dtype=float)
-    clusters = [o.question_id for o in outcomes]
-    return X, y, clusters, names
+    X = np.column_stack(matrix)
+    y = np.array(columns["success"], dtype=float)
+    return X, y, list(columns["question_id"]), names
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +351,30 @@ class Report:
         return "\n".join(lines)
 
 
-def summarize_run(outcomes: list[Outcome]) -> Report:
-    if not outcomes:
+def summarize_run(columns: dict[str, list]) -> Report:
+    """Per-(dataset, planner) accuracy, mean tokens and repetition rate, and
+    per-dataset SH-FH accuracy delta and SH/FH token ratios, from
+    `outcome_columns` columns. Every number is an exact Fraction of
+    Python-int sums."""
+    if not columns["planner"]:
         raise StatsError("no outcome records to summarize")
+    datasets, dataset_codes = _codes(columns["dataset"])
+    planners, planner_codes = _codes(columns["planner"])
+    groups = dataset_codes * len(planners) + planner_codes
+    order = np.argsort(groups, kind="stable")
+    found, starts, sizes = np.unique(groups[order], return_index=True, return_counts=True)
+    rows = order.tolist()
+    # each summed column in group order, so that a group is one slice
+    summed = {name: list(map(columns[name].__getitem__, rows))
+              for name in ("success", "tokens_in", "tokens_out", "repeated")}
     report = Report()
-    groups: dict = {}
-    for o in outcomes:
-        groups.setdefault((o.dataset, o.planner), []).append(o)
-    for key, group in groups.items():
-        n = len(group)
-        # exact rational accumulation before any division
-        report.accuracy[key] = Fraction(sum(o.success for o in group), n)
-        report.tokens_in[key] = Fraction(sum(o.tokens_in for o in group), n)
-        report.tokens_out[key] = Fraction(sum(o.tokens_out for o in group), n)
-        report.repetition[key] = Fraction(sum(1 for o in group if o.repeated), n)
-    datasets = {d for d, _ in groups}
+    for g in np.argsort(order[starts]).tolist():  # in order of first appearance
+        key = (datasets[found[g] // len(planners)], planners[found[g] % len(planners)])
+        n, group = int(sizes[g]), slice(starts[g], starts[g] + sizes[g])
+        report.accuracy[key] = Fraction(sum(summed["success"][group]), n)
+        report.tokens_in[key] = Fraction(sum(summed["tokens_in"][group]), n)
+        report.tokens_out[key] = Fraction(sum(summed["tokens_out"][group]), n)
+        report.repetition[key] = Fraction(sum(summed["repeated"][group]), n)
     for dataset in datasets:
         sh, fh = (dataset, "sh"), (dataset, "fh")
         if sh in report.accuracy and fh in report.accuracy:

@@ -5,7 +5,8 @@ The pipeline executes plans one tool call at a time through
 way: KoPL programs with positional inputs, atomic call chains compiled to
 S-expressions, the gold DAG with structurally identical KoPL subtrees
 merged, and the lookups the engines and the grounder answer from indexes
-done by scanning everything. None of them is used by ``src/``.
+done by scanning everything, and the run summary and design matrix built
+row by row from ``Outcome`` objects. None of them is used by ``src/``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import datetime
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from planhorizon.kb import (KBError, KnowledgeBase, TypedValue, UnknownConceptEr
                             compare_typed, parse_value_text)
 from planhorizon.outcome import ToolOutcome
 from planhorizon.plans import ExecutionGraph, Plan, ToolCall
+from planhorizon.stats import Outcome, Report, StatsError, standardize
 
 
 def ref_params(catalog: list[dict], tool: str) -> list[str]:
@@ -617,3 +620,67 @@ def model_based_covariance(X, beta) -> np.ndarray:
     mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
     w = mu * (1.0 - mu)
     return np.linalg.inv(X.T @ (X * w[:, None]))
+
+
+# ---------------------------------------------------------------------------
+# Run summary and design matrix, one Outcome at a time
+
+def build_design(outcomes: list[Outcome], controls: tuple[str, ...] = ()):
+    """The success model's design matrix, built row by row."""
+    d_star = standardize([o.depth for o in outcomes])
+    b_star = standardize([o.breadth for o in outcomes])
+    x_sh = [1.0 if o.planner == "sh" else 0.0 for o in outcomes]
+    columns = [
+        ("intercept", [1.0] * len(outcomes)),
+        ("depth", d_star),
+        ("breadth", b_star),
+        ("sh", x_sh),
+        ("depth:sh", [d * s for d, s in zip(d_star, x_sh)]),
+        ("breadth:sh", [b * s for b, s in zip(b_star, x_sh)]),
+    ]
+    for control in controls:
+        if control in ("dataset", "last_tool"):
+            levels = sorted({getattr(o, control) for o in outcomes})
+            for level in levels[1:]:  # first level is the reference
+                columns.append((
+                    f"{control}[{level}]",
+                    [1.0 if getattr(o, control) == level else 0.0 for o in outcomes],
+                ))
+        elif control in ("has_bridge", "has_comparison"):
+            columns.append((
+                control,
+                [1.0 if getattr(o, control) else 0.0 for o in outcomes],
+            ))
+        else:
+            raise StatsError(f"unknown control {control!r}")
+    names = [name for name, _ in columns]
+    X = np.column_stack([col for _, col in columns])
+    y = np.array([o.success for o in outcomes], dtype=float)
+    clusters = [o.question_id for o in outcomes]
+    return X, y, clusters, names
+
+
+def summarize_run(outcomes: list[Outcome]) -> Report:
+    """The run summary, grouped and summed row by row."""
+    if not outcomes:
+        raise StatsError("no outcome records to summarize")
+    report = Report()
+    groups: dict = {}
+    for o in outcomes:
+        groups.setdefault((o.dataset, o.planner), []).append(o)
+    for key, group in groups.items():
+        n = len(group)
+        report.accuracy[key] = Fraction(sum(o.success for o in group), n)
+        report.tokens_in[key] = Fraction(sum(o.tokens_in for o in group), n)
+        report.tokens_out[key] = Fraction(sum(o.tokens_out for o in group), n)
+        report.repetition[key] = Fraction(sum(1 for o in group if o.repeated), n)
+    datasets = {d for d, _ in groups}
+    for dataset in datasets:
+        sh, fh = (dataset, "sh"), (dataset, "fh")
+        if sh in report.accuracy and fh in report.accuracy:
+            report.delta_sh[dataset] = report.accuracy[sh] - report.accuracy[fh]
+            if report.tokens_in[fh]:
+                report.input_ratio[dataset] = report.tokens_in[sh] / report.tokens_in[fh]
+            if report.tokens_out[fh]:
+                report.output_ratio[dataset] = report.tokens_out[sh] / report.tokens_out[fh]
+    return report

@@ -83,6 +83,11 @@ class TestRun:
         capsys.readouterr()
 
 
+GOOD_OUTCOME = {"question_id": "q0", "trial": 0, "planner": "sh", "success": 1,
+                "depth": 2, "breadth": 1.5}
+GOOD_LINE = json.dumps(GOOD_OUTCOME)
+
+
 class TestStats:
     def test_report_files(self, run_dir, capsys):
         code = run_cli("stats", str(run_dir))
@@ -91,7 +96,10 @@ class TestStats:
         # runtime failure is the honest exit here
         assert code == 1
         assert "accuracy" in out
-        assert (run_dir / "report.json").exists()
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["gee"] == {
+            "failed": "divergent coefficients: the outcome is (quasi-)separated"}
+        assert not (run_dir / "coefficients.json").exists()
 
     def test_single_planner_skips_gee(self, tmp_path, fixtures_dir, capsys):
         out = tmp_path / "solo"
@@ -100,9 +108,40 @@ class TestStats:
         code = run_cli("stats", str(out))
         assert code == 0
         assert "GEE skipped" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert report["gee"] == {"skipped": "need traces from both planners"}
 
     def test_missing_dir_is_config_error(self, tmp_path, capsys):
         assert run_cli("stats", str(tmp_path / "ghost")) == 2
+
+    # the file is a good line, a blank line, then the bad line(s)
+    @pytest.mark.parametrize("bad_lines, message", [
+        ([GOOD_LINE[:30]], "Expecting"),
+        (["[1, 2]"], "not a JSON object"),
+        ([json.dumps({"question_id": "q", "trial": 0})], "missing field 'planner'"),
+        ([json.dumps({**GOOD_OUTCOME, "colour": "red"})], "unknown field 'colour'"),
+        ([json.dumps({**GOOD_OUTCOME, "trial": 0.5})], "trial must be int, got 0.5"),
+        ([json.dumps({**GOOD_OUTCOME, "success": 1.0})], "success must be int, got 1.0"),
+        ([json.dumps({**GOOD_OUTCOME, "depth": "2"})], "depth must be int, got '2'"),
+        ([json.dumps({**GOOD_OUTCOME, "tokens_in": 1e3})], "tokens_in must be int"),
+        ([json.dumps({**GOOD_OUTCOME, "tokens_out": True})], "tokens_out must be int"),
+        # lines that decode only when joined: each must still be one object
+        ([GOOD_LINE + ", " + GOOD_LINE], "Extra data"),
+        ([GOOD_LINE[:-1], '"label": ""}'], "Expecting"),
+        ([GOOD_LINE + ", " + GOOD_LINE[:-1], '"label": ""}'], "Extra data"),
+    ], ids=["invalid-json", "not-an-object", "missing-field", "unknown-field",
+            "float-trial", "float-success", "string-depth", "float-tokens-in",
+            "bool-tokens-out", "two-records-on-a-line", "record-over-two-lines",
+            "records-split-across-lines"])
+    def test_malformed_outcomes_is_config_error(self, tmp_path, capsys, bad_lines,
+                                                message):
+        (tmp_path / "outcomes.jsonl").write_text(
+            "\n".join([GOOD_LINE, "", *bad_lines, GOOD_LINE]) + "\n")
+        assert run_cli("stats", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: outcomes.jsonl line 3: "), err
+        assert message in err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestInspect:

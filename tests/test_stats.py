@@ -1,13 +1,18 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planhorizon import stats
 from planhorizon.stats import (Outcome, build_design, fit_clustered_logit,
-                               match_answer, standardize, summarize_run)
+                               match_answer, outcome_columns, standardize,
+                               summarize_run)
 
+import oracles
 from oracles import model_based_covariance
 
 
@@ -167,34 +172,39 @@ def make_outcome(i, planner, success, **kw):
     return Outcome(**defaults)
 
 
+def columns(outcomes):
+    return outcome_columns([dataclasses.asdict(o) for o in outcomes])
+
+
 class TestBuildDesign:
     def outcomes(self):
         return [make_outcome(i, "sh" if i % 2 else "fh", i % 2, last_tool="Find" if i < 4 else "Count")
                 for i in range(8)]
 
     def test_columns(self):
-        X, y, clusters, names = build_design(self.outcomes())
+        X, y, clusters, names = build_design(columns(self.outcomes()))
         assert names == ["intercept", "depth", "breadth", "sh", "depth:sh", "breadth:sh"]
         assert X.shape == (8, 6)
         assert list(y) == [0, 1] * 4
 
     def test_control_dummies_drop_reference_level(self):
-        X, y, clusters, names = build_design(self.outcomes(), controls=("last_tool",))
+        X, y, clusters, names = build_design(columns(self.outcomes()),
+                                             controls=("last_tool",))
         assert names[-1] == "last_tool[Find]"  # "Count" is the reference level
 
     def test_unknown_control_rejected(self):
         with pytest.raises(stats.StatsError):
-            build_design(self.outcomes(), controls=("favorite_color",))
+            build_design(columns(self.outcomes()), controls=("favorite_color",))
 
 
 class TestSummarizeRun:
     def test_single_correct_fh_record(self):
-        report = summarize_run([make_outcome(0, "fh", 1)])
+        report = summarize_run(columns([make_outcome(0, "fh", 1)]))
         assert report.accuracy[("fixture", "fh")] == Fraction(1)
 
     def test_identical_planners_delta_zero(self):
         outcomes = [make_outcome(i, p, 1) for i in range(3) for p in ("sh", "fh")]
-        report = summarize_run(outcomes)
+        report = summarize_run(columns(outcomes))
         assert report.delta_sh["fixture"] == 0
         assert report.input_ratio["fixture"] == 1
 
@@ -207,7 +217,7 @@ class TestSummarizeRun:
             make_outcome(1, "fh", 0, tokens_in=200, tokens_out=50),
             make_outcome(2, "fh", 0, tokens_in=300, tokens_out=40),
         ]
-        report = summarize_run(outcomes)
+        report = summarize_run(columns(outcomes))
         assert report.accuracy[("fixture", "sh")] == Fraction(2, 3)
         assert report.accuracy[("fixture", "fh")] == Fraction(1, 3)
         assert report.delta_sh["fixture"] == Fraction(1, 3)
@@ -219,16 +229,89 @@ class TestSummarizeRun:
 
     def test_exact_rational_accuracy(self):
         outcomes = [make_outcome(i, "sh", 1 if i < 1 else 0) for i in range(3)]
-        report = summarize_run(outcomes)
+        report = summarize_run(columns(outcomes))
         assert report.accuracy[("fixture", "sh")] == Fraction(1, 3)  # not 0.333...
 
     def test_empty_rejected(self):
         with pytest.raises(stats.StatsError):
-            summarize_run([])
+            summarize_run(columns([]))
 
     def test_text_and_json_renderings(self):
         outcomes = [make_outcome(i, p, 1) for i in range(2) for p in ("sh", "fh")]
-        report = summarize_run(outcomes)
+        report = summarize_run(columns(outcomes))
         assert "delta_SH" in report.to_text()
         doc = report.to_json()
         assert doc["accuracy"]["fixture/sh"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The columnar summary and design matrix against the row-wise oracles
+
+CONTROLS = ("dataset", "last_tool", "has_bridge", "has_comparison")
+
+
+@st.composite
+def outcome_tables(draw):
+    """Outcome records over a few questions: one planner or both, one dataset
+    or several, groups of one row, token counts of zero and beyond int64."""
+    planners = draw(st.sampled_from([("sh",), ("fh",), ("sh", "fh")]))
+    datasets = draw(st.sampled_from([("fixture",), ("a", "b"), ("a", "b", "c")]))
+    questions = draw(st.lists(st.fixed_dictionaries({
+        "depth": st.integers(1, 7),
+        "breadth": st.sampled_from([1.0, 1.5, 2, 2.25, 3.0]),
+        "dataset": st.sampled_from(datasets),
+        "last_tool": st.sampled_from(["Count", "Find", "QueryAttr"]),
+        "has_bridge": st.booleans(),
+        "has_comparison": st.booleans(),
+    }), min_size=1, max_size=6))
+    tokens = st.one_of(st.just(0), st.integers(0, 500), st.integers(0, 2**70))
+    records = []
+    for _ in range(draw(st.integers(1, 30))):
+        q = draw(st.integers(0, len(questions) - 1))
+        records.append({
+            "question_id": f"q{q}", "trial": draw(st.integers(0, 3)),
+            "planner": draw(st.sampled_from(planners)), "success": draw(st.integers(0, 1)),
+            **questions[q],
+            "tokens_in": draw(tokens), "tokens_out": draw(tokens),
+            "repeated": draw(st.booleans()), "label": draw(st.sampled_from(["", "correct"])),
+        })
+    if draw(st.booleans()):  # leave defaulted fields out where they hold the default
+        defaults = {f.name: f.default for f in dataclasses.fields(Outcome)}
+        records = [{k: v for k, v in r.items() if defaults.get(k, dataclasses.MISSING) != v}
+                   for r in records]
+    return records
+
+
+def outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except stats.StatsError as exc:
+        return type(exc)
+
+
+class TestColumnsMatchRowOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(records=outcome_tables(),
+           controls=st.lists(st.sampled_from(CONTROLS), unique=True).map(tuple))
+    def test_same_report_and_design(self, records, controls):
+        cols = outcome_columns(records)
+        rows = [Outcome(**r) for r in records]
+
+        report, expected = summarize_run(cols), oracles.summarize_run(rows)
+        for name in ("accuracy", "tokens_in", "tokens_out", "repetition",
+                     "delta_sh", "input_ratio", "output_ratio"):
+            assert getattr(report, name) == getattr(expected, name)
+        assert list(report.accuracy) == list(expected.accuracy)  # first-appearance order
+        assert report.to_json() == expected.to_json()
+        assert report.to_text() == expected.to_text()
+
+        design = outcome_or_error(build_design, cols, controls)
+        expected = outcome_or_error(oracles.build_design, rows, controls)
+        if isinstance(expected, type):
+            assert design is expected
+            return
+        X, y, clusters, names = design
+        assert X.tobytes() == expected[0].tobytes()
+        assert y.tobytes() == expected[1].tobytes()
+        assert clusters == expected[2]
+        assert names == expected[3]
