@@ -15,8 +15,7 @@ from .kb import (
     read_document,
     require_keys,
 )
-from .outcome import ToolFailure, ToolOutcome, text_arg, tool
-from .plans import tool_catalog
+from .outcome import Param, Tool, ToolFailure, ToolOutcome, ToolTable, literal, tool
 
 
 @dataclass(frozen=True)
@@ -86,29 +85,41 @@ class NodeSet:
         return len(self.ids)
 
 
+_ALIASES = {"≤": "<=", "≥": ">="}  # Compare operators accepted on input
+
+
 # ---------------------------------------------------------------------------
-# Tool catalog
+# The tool table: each tool's parameters in the order its function takes them
 
-_CATALOG_SPEC = [
-    ("Extract_entity", [("input", "string")],
-     "Resolve an input (entity mention, entity class, or literal) to node ids or a typed literal"),
-    ("Find_relation", [("relation", "string"), ("direction", "direction"), ("target", "set")],
-     "Find entities that point to the given target entities via the specified relation"),
-    ("Merge", [("input1", "set"), ("input2", "set")],
-     "Compute set intersection of two entity sets"),
-    ("Order", [("mode", "mode"), ("input", "set"), ("property", "string")],
-     "Find entities with maximum or minimum property value"),
-    ("Compare", [("operator", "op"), ("property", "string"), ("literal", "string")],
-     "Find entities whose property compares to a literal"),
-    ("Time_constraint", [("input", "set"), ("relation", "string"), ("literal", "string")],
-     "Filter an input entity set by equality of a temporal property to a year, or 'NOW'"),
-    ("Count", [("input", "set")], "Count the number of input entities"),
-]
+def _set(name: str) -> Param:
+    return Param(name, "set", (NodeSet,), "a node set")
 
 
+_SG = ("store", "grounder")
 
-def atomic_catalog() -> list[dict]:
-    return tool_catalog(_CATALOG_SPEC)
+TOOLS = ToolTable("atomic", globals(), {
+    "Extract_entity": Tool("Resolve an input (entity mention, entity class, or literal) "
+                           "to node ids or a typed literal", "extract_entity",
+                           (*_SG, Param("input"))),
+    "Find_relation": Tool(
+        "Find entities that point to the given target entities via the specified relation",
+        "find_relation", (*_SG, Param("relation"),
+                          Param("direction", "direction", default="forward",
+                                choices=("forward", "backward")), _set("target"))),
+    "Merge": Tool("Compute set intersection of two entity sets", "merge",
+                  (_set("input1"), _set("input2"))),
+    "Order": Tool("Find entities with maximum or minimum property value", "order",
+                  (*_SG, Param("mode", "mode", choices=("argmin", "argmax")), _set("input"),
+                   Param("property"))),
+    "Compare": Tool("Find entities whose property compares to a literal", "compare",
+                    (*_SG, Param("operator", "op", choices=("<", "<=", ">", ">=", *_ALIASES)),
+                     Param("property"), literal("literal", "any"))),
+    "Time_constraint": Tool(
+        "Filter an input entity set by equality of a temporal property to a year, or 'NOW'",
+        "time_constraint", (*_SG, _set("input"), Param("relation"),
+                            literal("literal"), "eval_year")),
+    "Count": Tool("Count the number of input entities", "count_nodes", (_set("input"),)),
+})
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +152,6 @@ def extract_entity(store: GraphStore, grounder: Grounder, text: str) -> ToolOutc
 @tool
 def find_relation(store: GraphStore, grounder: Grounder, relation: str,
                   direction: str, target: NodeSet) -> ToolOutcome:
-    if direction not in ("forward", "backward"):
-        raise ToolFailure(
-            f"Error in Find_relation: direction must be forward or backward, got {direction!r}")
     if not target.ids:
         return ToolOutcome.failure("Find_relation needs a nonempty target set")
     predicate = grounder.term(relation, "relation")
@@ -182,8 +190,6 @@ def _property_values(store: GraphStore, ids, prop: str):
 @tool
 def order(store: GraphStore, grounder: Grounder, mode: str, nodes: NodeSet,
           prop: str) -> ToolOutcome:
-    if mode not in ("argmin", "argmax"):
-        return ToolOutcome.failure(f"Order mode must be argmin or argmax, got {mode!r}")
     valued = _property_values(store, nodes.ids, grounder.term(prop, "relation"))
     if not valued:
         return ToolOutcome.failure(f"no node in the set has property {prop!r}")
@@ -199,9 +205,7 @@ def order(store: GraphStore, grounder: Grounder, mode: str, nodes: NodeSet,
 @tool
 def compare(store: GraphStore, grounder: Grounder, operator: str, prop: str,
             literal: TypedValue) -> ToolOutcome:
-    operator = {"≤": "<=", "≥": ">="}.get(operator, operator)
-    if operator not in ("<", "<=", ">", ">="):
-        return ToolOutcome.failure("Compare operator must be one of <, <=, >, >=")
+    operator = _ALIASES.get(operator, operator)
     prop = grounder.term(prop, "relation")
     found = []
     for s, _p, o in store.by_predicate.get(prop, ()):
@@ -252,24 +256,8 @@ def count_nodes(nodes: NodeSet) -> ToolOutcome:
 def run_tool(store: GraphStore, grounder: Grounder, tool: str, args: dict,
              eval_year: int = 2026) -> ToolOutcome:
     """Execute one atomic tool with already-resolved set arguments."""
-    if tool == "Extract_entity":
-        return extract_entity(store, grounder, text_arg(tool, args, "input"))
-    if tool == "Find_relation":
-        return find_relation(store, grounder, args["relation"],
-                             args.get("direction", "forward"), args["target"])
-    if tool == "Merge":
-        return merge(args["input1"], args["input2"])
-    if tool == "Order":
-        return order(store, grounder, args["mode"], args["input"], args["property"])
-    if tool == "Compare":
-        return compare(store, grounder, args["operator"], args["property"],
-                       parse_value_text(args["literal"]))
-    if tool == "Time_constraint":
-        return time_constraint(store, grounder, args["input"], args["relation"],
-                               args["literal"], eval_year)
-    if tool == "Count":
-        return count_nodes(args["input"])
-    raise ValueError(f"unknown atomic tool {tool!r}")
+    return TOOLS.call(tool, args, {"store": store, "grounder": grounder,
+                                   "eval_year": eval_year})
 
 
 def render_node_set(store: GraphStore, value) -> str:
@@ -287,7 +275,7 @@ class AtomicEngine:
     `eval_year`."""
 
     grounded = True
-    catalog = atomic_catalog()
+    catalog = TOOLS.catalog()
 
     def __init__(self, store: GraphStore, grounder: Grounder, eval_year: int = 2026):
         self.store = store

@@ -137,6 +137,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     # one deterministic trace log, ordered by (task id, planner, trial)
     results.sort(key=lambda item: (item[0][0].id, item[0][1], item[0][2]))
+    for _job, trace in results:
+        if trace.error:
+            print(f"policy error in {trace.run_id}: {trace.error}", file=sys.stderr)
     with (out_dir / "traces.jsonl").open("w", encoding="utf-8") as handle:
         for _job, trace in results:
             for line in trace.log_lines():

@@ -139,11 +139,8 @@ class Grounder:
         return self._cache[key]
 
     def term(self, term: str, namespace: str) -> str:
-        """The schema term `term` grounds to; a term that is not a string, or
-        grounds to nothing, raises ToolFailure (the latter with the candidate
-        feedback)."""
-        if not isinstance(term, str):
-            raise ToolFailure(f"a {namespace} term must be a string, got {term!r}")
+        """The schema term `term` grounds to; a term that grounds to nothing
+        raises ToolFailure with the candidate feedback."""
         result = self.ground(term, namespace)
         if not result.ok:
             raise ToolFailure(format_candidate_feedback(result, term, namespace),

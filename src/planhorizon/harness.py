@@ -193,7 +193,8 @@ def build_prompts(env: Environment, query: str, mode: str, history: list[dict],
 
 def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
             base_index: int, budget: Budget) -> Plan | None:
-    """Invoke the policy with format retries; returns None on retry exhaustion.
+    """Invoke the policy with format retries; returns None on retry exhaustion
+    or when the policy raises, with the trace's status set.
 
     Tokens are counted by the module's `whitespace_tokenizer`, looked up at
     call time."""
@@ -203,7 +204,11 @@ def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
     for attempt in range(budget.max_format_retries):
         request = PolicyRequest(mode=mode, history=history, start_index=base_index,
                                 system_prompt=system, user_prompt=user, errors=list(errors))
-        text = policy(request)
+        try:
+            text = policy(request)
+        except Exception as exc:  # noqa: BLE001 - a failing policy ends its trace only
+            trace.status, trace.error = "policy-error", f"{type(exc).__name__}: {exc}"
+            return None
         invocation = Invocation(
             id=len(trace.invocations), mode=mode,
             prompt_text=request.prompt, completion_text=text,

@@ -45,11 +45,11 @@ class UnsupportedOperatorError(KBError):
 COMPARE_OPS = ("=", "!=", "<", ">")
 
 # accepted aliases on input
-_OP_ALIASES = {"≠": "!=", "==": "="}
+OP_ALIASES = {"≠": "!=", "==": "="}
 
 
 def _norm_op(op: str) -> str:
-    op = _OP_ALIASES.get(op, op)
+    op = OP_ALIASES.get(op, op)
     if op not in COMPARE_OPS:
         raise UnsupportedOperatorError(f"unknown comparison operator {op!r}")
     return op

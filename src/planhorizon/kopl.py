@@ -1,10 +1,10 @@
 """Deterministic interpreter for the 27 KoPL tools over a KnowledgeBase.
 
 Every tool returns a ToolOutcome; an empty entity-set result is a failure
-(except Count, whose zero is a valid value), and so is a schema term that is
-not a string or grounds to nothing, an argument value that does not parse,
-or a qualifier filter over a set without admitting facts (ToolFailure).
-Tie-breaking is KB insertion order throughout.
+(except Count, whose zero is a valid value), and so is a schema term that
+grounds to nothing, an argument the tool table rejects, or a qualifier
+filter over a set without admitting facts (ToolFailure). Tie-breaking is KB
+insertion order throughout.
 """
 
 from __future__ import annotations
@@ -12,24 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grounding import Grounder
-from .kb import (
-    KnowledgeBase,
-    TypedValue,
-    compare_typed,
-    concept_closure,
-    parse_value_text,
-    KBError,
-)
-from .outcome import ToolFailure, ToolOutcome, tool
-from .plans import tool_catalog
+from .kb import (COMPARE_OPS, OP_ALIASES, KnowledgeBase, TypedValue, compare_typed,
+                 concept_closure, KBError)
+from .outcome import Param, ProgramError, Tool, ToolFailure, ToolOutcome, ToolTable, literal, tool
 
 
 class ContractViolationError(Exception):
     """An engine precondition was violated by the caller (not a tool failure)."""
-
-
-class ProgramError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -50,78 +39,89 @@ class EntitySet:
 
 
 # ---------------------------------------------------------------------------
-# Tool catalog: the 27 canonical names with parameter kinds.
-# "set" / "value-ref" parameters carry $i step references in plans.
+# The tool table: the 27 canonical tools, each with its parameters in the
+# order its function takes them after the engine's kb and grounder.
 
-_CATALOG_SPEC = [
-    ("FindAll", [], "Look up and return the set of all entities"),
-    ("Find", [("name", "string")], "Look up and return the entity set with the given name"),
-    ("FilterConcept", [("entities", "set"), ("concept", "string")],
-     "Filter the input entity set to instances of a concept (including subclasses)"),
-    ("FilterStr", [("entities", "set"), ("key", "string"), ("value", "string")],
-     "Filter the input entity set by a string attribute condition"),
-    ("FilterNum", [("entities", "set"), ("key", "string"), ("value", "string"), ("op", "op")],
-     "Filter the input entity set by a numeric attribute condition"),
-    ("FilterYear", [("entities", "set"), ("key", "string"), ("value", "string"), ("op", "op")],
-     "Filter the input entity set by a year attribute condition"),
-    ("FilterDate", [("entities", "set"), ("key", "string"), ("value", "string"), ("op", "op")],
-     "Filter the input entity set by a date attribute condition"),
-    ("QFilterStr", [("entities", "set"), ("qkey", "string"), ("qvalue", "string")],
-     "Filter the input entity set by a string qualifier of the admitting facts"),
-    ("QFilterNum", [("entities", "set"), ("qkey", "string"), ("qvalue", "string"), ("op", "op")],
-     "Filter the input entity set by a numeric qualifier of the admitting facts"),
-    ("QFilterYear", [("entities", "set"), ("qkey", "string"), ("qvalue", "string"), ("op", "op")],
-     "Filter the input entity set by a year qualifier of the admitting facts"),
-    ("QFilterDate", [("entities", "set"), ("qkey", "string"), ("qvalue", "string"), ("op", "op")],
-     "Filter the input entity set by a date qualifier of the admitting facts"),
-    ("Relate", [("entities", "set"), ("relation", "string"), ("direction", "direction")],
-     "Traverse to the entity set connected via a specified relation"),
-    ("And", [("left", "set"), ("right", "set")], "Take the intersection of two entity sets"),
-    ("Or", [("left", "set"), ("right", "set")], "Take the union of two entity sets"),
-    ("Count", [("entities", "set")], "Count an entity set"),
-    ("SelectAmong", [("entities", "set"), ("key", "string"), ("mode", "mode")],
-     "Select the entity with the largest or smallest attribute among a set"),
-    ("SelectBetween", [("left", "set"), ("right", "set"), ("key", "string"), ("mode", "mode")],
-     "Select from two entities the one whose attribute is greater or less"),
-    ("VerifyStr", [("input", "value-ref"), ("value", "string")],
-     "Verify that the queried string attribute equals a value"),
-    ("VerifyNum", [("input", "value-ref"), ("value", "string"), ("op", "op")],
-     "Verify that the queried numeric attribute meets a criterion"),
-    ("VerifyYear", [("input", "value-ref"), ("value", "string"), ("op", "op")],
-     "Verify that the queried year attribute meets a criterion"),
-    ("VerifyDate", [("input", "value-ref"), ("value", "string"), ("op", "op")],
-     "Verify that the queried date attribute meets a criterion"),
-    ("QueryName", [("entities", "set")], "Access the name of the input entity set"),
-    ("QueryRelation", [("left", "set"), ("right", "set")],
-     "Access the relation between two entities"),
-    ("QueryAttr", [("entities", "set"), ("key", "string")],
-     "Access a specified attribute value of the input entity set"),
-    ("QueryAttrUnderCondition", [("entities", "set"), ("key", "string"),
-                                 ("qkey", "string"), ("qvalue", "string")],
-     "Access an attribute value whose fact carries a given qualifier"),
-    ("QueryAttrQualifier", [("entities", "set"), ("key", "string"),
-                            ("value", "string"), ("qkey", "string")],
-     "Access a qualifier value of a specified attribute fact"),
-    ("QueryRelationQualifier", [("left", "set"), ("right", "set"),
-                                ("relation", "string"), ("qkey", "string")],
-     "Access a qualifier value of a specified relation fact"),
-]
+def _set(name: str) -> Param:
+    return Param(name, "set", (EntitySet,), "an entity set")
 
 
-def kopl_catalog() -> list[dict]:
-    return tool_catalog(_CATALOG_SPEC)
+_ENTITIES, _LEFT, _RIGHT = _set("entities"), _set("left"), _set("right")
+_KEY, _QKEY, _RELATION = Param("key"), Param("qkey"), Param("relation")
+_INPUT = Param("input", "value-ref", (TypedValue,), "a queried attribute value")
+_OP = Param("op", "op", default="=", choices=(*COMPARE_OPS, *OP_ALIASES))
+_KG = ("kb", "grounder")
+
+TOOLS = ToolTable("KoPL", globals(), {
+    "FindAll": Tool("Look up and return the set of all entities", "find_all", ("kb",)),
+    "Find": Tool("Look up and return the entity set with the given name", "find",
+                 (*_KG, Param("name"))),
+    "FilterConcept": Tool(
+        "Filter the input entity set to instances of a concept (including subclasses)",
+        "filter_concept", (*_KG, _ENTITIES, Param("concept"))),
+    "FilterStr": Tool("Filter the input entity set by a string attribute condition",
+                      "filter_attribute", (*_KG, _ENTITIES, _KEY, literal("value", "string"))),
+    "FilterNum": Tool("Filter the input entity set by a numeric attribute condition",
+                      "filter_attribute",
+                      (*_KG, _ENTITIES, _KEY, literal("value", "number"), _OP)),
+    "FilterYear": Tool("Filter the input entity set by a year attribute condition",
+                       "filter_attribute", (*_KG, _ENTITIES, _KEY, literal("value", "year"), _OP)),
+    "FilterDate": Tool("Filter the input entity set by a date attribute condition",
+                       "filter_attribute", (*_KG, _ENTITIES, _KEY, literal("value", "date"), _OP)),
+    "QFilterStr": Tool("Filter the input entity set by a string qualifier of the admitting facts",
+                       "qualifier_filter", ("grounder", _ENTITIES, _QKEY,
+                                            literal("qvalue", "string"))),
+    "QFilterNum": Tool("Filter the input entity set by a numeric qualifier of the admitting facts",
+                       "qualifier_filter", ("grounder", _ENTITIES, _QKEY,
+                                            literal("qvalue", "number"), _OP)),
+    "QFilterYear": Tool("Filter the input entity set by a year qualifier of the admitting facts",
+                        "qualifier_filter", ("grounder", _ENTITIES, _QKEY,
+                                             literal("qvalue", "year"), _OP)),
+    "QFilterDate": Tool("Filter the input entity set by a date qualifier of the admitting facts",
+                        "qualifier_filter", ("grounder", _ENTITIES, _QKEY,
+                                             literal("qvalue", "date"), _OP)),
+    "Relate": Tool("Traverse to the entity set connected via a specified relation", "relate",
+                   (*_KG, _ENTITIES, _RELATION,
+                    Param("direction", "direction", default="forward",
+                          choices=("forward", "backward")))),
+    "And": Tool("Take the intersection of two entity sets", "set_op", (_LEFT, _RIGHT),
+                fixed=("and",)),
+    "Or": Tool("Take the union of two entity sets", "set_op", (_LEFT, _RIGHT), fixed=("or",)),
+    "Count": Tool("Count an entity set", "count", (_ENTITIES,)),
+    "SelectAmong": Tool("Select the entity with the largest or smallest attribute among a set",
+                        "select_among", (*_KG, _ENTITIES, _KEY,
+                                         Param("mode", "mode", choices=("largest", "smallest")))),
+    "SelectBetween": Tool("Select from two entities the one whose attribute is greater or less",
+                          "select_between", (*_KG, _LEFT, _RIGHT, _KEY,
+                                             Param("mode", "mode", choices=("greater", "less")))),
+    "VerifyStr": Tool("Verify that the queried string attribute equals a value", "verify",
+                      (_INPUT, literal("value", "string"))),
+    "VerifyNum": Tool("Verify that the queried numeric attribute meets a criterion", "verify",
+                      (_INPUT, literal("value", "number"), _OP)),
+    "VerifyYear": Tool("Verify that the queried year attribute meets a criterion", "verify",
+                       (_INPUT, literal("value", "year"), _OP)),
+    "VerifyDate": Tool("Verify that the queried date attribute meets a criterion", "verify",
+                       (_INPUT, literal("value", "date"), _OP)),
+    "QueryName": Tool("Access the name of the input entity set", "query_name",
+                      ("kb", _ENTITIES)),
+    "QueryRelation": Tool("Access the relation between two entities", "query_relation",
+                          ("kb", _LEFT, _RIGHT)),
+    "QueryAttr": Tool("Access a specified attribute value of the input entity set",
+                      "query_attr", (*_KG, _ENTITIES, _KEY)),
+    "QueryAttrUnderCondition": Tool(
+        "Access an attribute value whose fact carries a given qualifier",
+        "query_attr_under_condition", (*_KG, _ENTITIES, _KEY, _QKEY, literal("qvalue", "any"))),
+    "QueryAttrQualifier": Tool(
+        "Access a qualifier value of a specified attribute fact",
+        "query_attr_qualifier", (*_KG, _ENTITIES, _KEY, literal("value", "any"), _QKEY)),
+    "QueryRelationQualifier": Tool(
+        "Access a qualifier value of a specified relation fact",
+        "query_relation_qualifier", (*_KG, _LEFT, _RIGHT, _RELATION, _QKEY)),
+})
 
 
 # ---------------------------------------------------------------------------
 # Core operations
-
-_FILTER_KIND = {"FilterStr": "string", "FilterNum": "number",
-                "FilterYear": "year", "FilterDate": "date"}
-_QFILTER_KIND = {"QFilterStr": "string", "QFilterNum": "number",
-                 "QFilterYear": "year", "QFilterDate": "date"}
-_VERIFY_KIND = {"VerifyStr": "string", "VerifyNum": "number",
-                "VerifyYear": "year", "VerifyDate": "date"}
-
 
 def find_all(kb: KnowledgeBase) -> ToolOutcome:
     ids = tuple(kb.entities)
@@ -216,9 +216,6 @@ def _neighbors(kb: KnowledgeBase, eid: str, predicate: str, direction: str):
 @tool
 def relate(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
            relation: str, direction: str = "forward") -> ToolOutcome:
-    if direction not in ("forward", "backward"):
-        raise ToolFailure(
-            f"Error in Relate: direction must be forward or backward, got {direction!r}")
     predicate = grounder.term(relation, "relation")
     seen: dict[str, list] = {}
     for eid in entities.ids:
@@ -265,9 +262,6 @@ def select_between(kb: KnowledgeBase, grounder: Grounder, a: EntitySet,
                    b: EntitySet, key: str, mode: str) -> ToolOutcome:
     if not a.ids or not b.ids:
         return ToolOutcome.failure("SelectBetween needs two nonempty entity sets")
-    if mode not in ("greater", "less"):
-        raise ToolFailure(
-            f"Error in SelectBetween: mode must be greater or less, got {mode!r}")
     key = grounder.term(key, "attribute-key")
     # non-singleton inputs take the first element of each (ambiguity noted)
     ea, eb = a.ids[0], b.ids[0]
@@ -293,9 +287,6 @@ def select_among(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
                  key: str, mode: str) -> ToolOutcome:
     if not entities.ids:
         return ToolOutcome.failure("SelectAmong needs a nonempty entity set")
-    if mode not in ("largest", "smallest"):
-        raise ToolFailure(
-            f"Error in SelectAmong: mode must be largest or smallest, got {mode!r}")
     key = grounder.term(key, "attribute-key")
     valued = [(eid, _number_attr(kb, eid, key)) for eid in entities.ids]
     valued = [(eid, v) for eid, v in valued if v is not None]
@@ -428,68 +419,9 @@ def query_relation_qualifier(kb: KnowledgeBase, grounder: Grounder, a: EntitySet
 
 @tool
 def run_tool(kb: KnowledgeBase, grounder: Grounder, tool: str, args: dict) -> ToolOutcome:
-    """Execute one KoPL tool. Set/value-ref args must already be resolved objects."""
-
-    def val(name, kind):
-        try:
-            return parse_value_text(args[name], kind)
-        except (ValueError, KBError):
-            raise ToolFailure(
-                f"Error in {tool}: {name} {args[name]!r} is not a {kind}") from None
-
-    if tool == "FindAll":
-        return find_all(kb)
-    if tool == "Find":
-        return find(kb, grounder, args["name"])
-    if tool == "FilterConcept":
-        return filter_concept(kb, grounder, args["entities"], args["concept"])
-    if tool in _FILTER_KIND:
-        kind = _FILTER_KIND[tool]
-        op = args.get("op", "=") if kind != "string" else "="
-        return filter_attribute(kb, grounder, args["entities"], args["key"],
-                                val("value", kind), op)
-    if tool in _QFILTER_KIND:
-        kind = _QFILTER_KIND[tool]
-        op = args.get("op", "=") if kind != "string" else "="
-        return qualifier_filter(grounder, args["entities"], args["qkey"],
-                                val("qvalue", kind), op)
-    if tool == "Relate":
-        return relate(kb, grounder, args["entities"], args["relation"],
-                      args.get("direction", "forward"))
-    if tool == "And":
-        return set_op(args["left"], args["right"], "and")
-    if tool == "Or":
-        return set_op(args["left"], args["right"], "or")
-    if tool == "Count":
-        return count(args["entities"])
-    if tool == "SelectAmong":
-        return select_among(kb, grounder, args["entities"], args["key"], args["mode"])
-    if tool == "SelectBetween":
-        return select_between(kb, grounder, args["left"], args["right"],
-                              args["key"], args["mode"])
-    if tool in _VERIFY_KIND:
-        kind = _VERIFY_KIND[tool]
-        queried = args["input"]
-        if not isinstance(queried, TypedValue):
-            return ToolOutcome.failure("Verify needs a queried attribute value as input")
-        op = args.get("op", "=") if kind != "string" else "="
-        return verify(queried, val("value", kind), op)
-    if tool == "QueryName":
-        return query_name(kb, args["entities"])
-    if tool == "QueryRelation":
-        return query_relation(kb, args["left"], args["right"])
-    if tool == "QueryAttr":
-        return query_attr(kb, grounder, args["entities"], args["key"])
-    if tool == "QueryAttrUnderCondition":
-        return query_attr_under_condition(kb, grounder, args["entities"], args["key"],
-                                          args["qkey"], parse_value_text(args["qvalue"]))
-    if tool == "QueryAttrQualifier":
-        return query_attr_qualifier(kb, grounder, args["entities"], args["key"],
-                                    parse_value_text(args["value"]), args["qkey"])
-    if tool == "QueryRelationQualifier":
-        return query_relation_qualifier(kb, grounder, args["left"], args["right"],
-                                        args["relation"], args["qkey"])
-    raise ProgramError(f"unknown KoPL tool {tool!r}")
+    """Execute one KoPL tool (an unknown one raises ProgramError). Set/value-ref
+    args must already be resolved objects."""
+    return TOOLS.call(tool, args, {"kb": kb, "grounder": grounder})
 
 
 def render_value(kb: KnowledgeBase, value) -> str:
@@ -505,7 +437,7 @@ class KoplEngine:
     """The KoPL tools over one knowledge base."""
 
     grounded = True
-    catalog = kopl_catalog()
+    catalog = TOOLS.catalog()
 
     def __init__(self, kb: KnowledgeBase, grounder: Grounder):
         self.kb = kb

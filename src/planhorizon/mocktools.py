@@ -15,8 +15,7 @@ from functools import cached_property
 from . import grounding
 from .grounding import Grounder
 from .kb import MalformedDocumentError, read_document, require_keys
-from .outcome import ToolOutcome, text_arg, tool
-from .plans import tool_catalog
+from .outcome import Param, Tool, ToolOutcome, ToolTable, tool
 
 
 @dataclass(frozen=True)
@@ -159,19 +158,13 @@ def mock_reasoning(instruction: str) -> ToolOutcome:
     )
 
 
-_CATALOG_SPEC = [
-    ("search", [("question", "string")],
-     "Answers a single-hop question based on retrieved evidence"),
-    ("reasoning", [("instruction", "string")],
-     "Performs logic/comparison over bound values: compare/equality/pick templates"),
-]
-
-
-def mock_catalog() -> list[dict]:
-    return tool_catalog(_CATALOG_SPEC)
-
-
-_TEXT_PARAM = {tool: params[0][0] for tool, params, _ in _CATALOG_SPEC}
+TOOLS = ToolTable("mock", globals(), {
+    "search": Tool("Answers a single-hop question based on retrieved evidence", "mock_search",
+                   ("corpus", Param("question"), "top_k")),
+    "reasoning": Tool(
+        "Performs logic/comparison over bound values: compare/equality/pick templates",
+        "mock_reasoning", (Param("instruction"),)),
+})
 
 
 class MockEngine:
@@ -180,7 +173,7 @@ class MockEngine:
     to the top hit."""
 
     grounded = False
-    catalog = mock_catalog()
+    catalog = TOOLS.catalog()
 
     def __init__(self, corpus: MockCorpus, grounder: Grounder):
         self.corpus = corpus
@@ -188,12 +181,7 @@ class MockEngine:
 
     @tool
     def run_tool(self, tool: str, args: dict) -> ToolOutcome:
-        if tool not in _TEXT_PARAM:
-            raise ValueError(f"unknown mock tool {tool!r}")
-        text = text_arg(tool, args, _TEXT_PARAM[tool])
-        if tool == "search":
-            return mock_search(self.corpus, text, self.top_k)
-        return mock_reasoning(text)
+        return TOOLS.call(tool, args, {"corpus": self.corpus, "top_k": self.top_k})
 
     def render(self, value) -> str:
         return str(value)

@@ -1,9 +1,12 @@
-"""Tool outcomes (a value or a failure with feedback) and the one way a tool fails."""
+"""Tool outcomes (a value or a failure with feedback), the one way a tool
+fails, and the tool table each engine declares its tools in."""
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from .kb import KBError, parse_value_text
 
 
 @dataclass(frozen=True)
@@ -45,11 +48,97 @@ def tool(fn):
     return run
 
 
-def text_arg(tool_name: str, args: dict, name: str) -> str:
-    """The string argument `name` of a call to `tool_name`; a missing or
-    non-string one raises ToolFailure."""
-    text = args.get(name)
-    if not isinstance(text, str):
-        problem = f"must be a string, got {text!r}" if name in args else "is missing"
-        raise ToolFailure(f"Error in {tool_name}: argument {name!r} {problem}")
-    return text
+class ProgramError(Exception):
+    """A call names a tool its engine does not have. Plans never make one
+    (`parse_plan` rejects the tool); a direct caller can."""
+
+
+REQUIRED = object()  # the default of a parameter a call must give
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter a plan passes to a tool.
+
+    `kind` is what the prompt catalog shows; "set" and "value-ref" ones take
+    whole-value $i references. A value must be of a type in `takes` (named by
+    `noun` when it is not), or one of `choices` when those are given. `parse`
+    names the `kb.parse_value_text` kind the tool gets the value as
+    ("any" leaves the kind to the text)."""
+
+    name: str
+    kind: str = "string"
+    takes: tuple = (str,)
+    noun: str = "a string"
+    default: object = REQUIRED
+    choices: tuple = ()
+    parse: str | None = None
+
+
+def literal(name: str, parse: str | None = None) -> Param:
+    """A parameter taking a literal value: a string or a JSON number."""
+    return Param(name, takes=(str, int, float), noun="a string or number", parse=parse)
+
+
+@dataclass(frozen=True)
+class Tool:
+    """One row of a tool table. `function` names the engine module's global
+    called with `args` in order: a Param is bound from the call, a str is
+    the engine value of that name. `fixed` values are passed after them."""
+
+    description: str
+    function: str
+    args: tuple
+    fixed: tuple = ()
+
+
+@dataclass(frozen=True)
+class ToolTable:
+    """An engine's tools by name, whose functions are looked up in
+    `functions` (the engine module's globals) at call time."""
+
+    engine: str
+    functions: dict = field(repr=False)
+    tools: dict[str, Tool] = field(repr=False)
+
+    def catalog(self) -> list[dict]:
+        """The machine-readable tool catalog embedded in policy prompts."""
+        return [
+            {"name": name,
+             "params": [{"name": p.name, "kind": p.kind}
+                        for p in entry.args if type(p) is Param],
+             "description": entry.description}
+            for name, entry in self.tools.items()
+        ]
+
+    def call(self, tool: str, args: dict, context: dict) -> ToolOutcome:
+        """Run `tool` on a call's `args`, references resolved. An argument that
+        is missing, of another type (quoted to 80 characters, as it may be a
+        whole entity set), outside its choices or unparsable raises ToolFailure."""
+        entry = self.tools.get(tool)
+        if entry is None:
+            raise ProgramError(f"unknown {self.engine} tool {tool!r}")
+        bound = []
+        for p in entry.args:
+            if type(p) is str:
+                bound.append(context[p])
+                continue
+            value = args.get(p.name, p.default)
+            if value is REQUIRED:
+                raise ToolFailure(f"Error in {tool}: argument {p.name!r} is missing")
+            if p.choices:
+                if type(value) is not str or value not in p.choices:
+                    *rest, last = p.choices
+                    raise ToolFailure(f"Error in {tool}: {p.name} must be "
+                                      f"{', '.join(rest)} or {last}, got {value!r}")
+            elif type(value) not in p.takes:
+                raise ToolFailure(
+                    f"Error in {tool}: argument {p.name!r} must be {p.noun}, got {value!r:.80}")
+            elif p.parse is not None:
+                try:
+                    value = parse_value_text(value, None if p.parse == "any" else p.parse)
+                except (ValueError, KBError):
+                    raise ToolFailure(
+                        f"Error in {tool}: {p.name} {value!r} is not a {p.parse}") from None
+            bound.append(value)
+        return self.functions[entry.function](*bound, *entry.fixed)

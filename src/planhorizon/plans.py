@@ -54,18 +54,6 @@ class ToolCall:
         return [j for j in map(step_ref, self.args.values()) if j is not None]
 
 
-def tool_catalog(spec) -> list[dict]:
-    """The machine-readable tool catalog embedded in policy prompts, from
-    (name, [(parameter, kind), ...], description) triples. Parameters of
-    kind "set" or "value-ref" take whole-value $i references."""
-    return [
-        {"name": name,
-         "params": [{"name": p, "kind": k} for p, k in params],
-         "description": desc}
-        for name, params, desc in spec
-    ]
-
-
 @dataclass(frozen=True)
 class Plan:
     steps: tuple[ToolCall, ...]
@@ -191,6 +179,7 @@ class Trace:
     invocations: list[Invocation] = field(default_factory=list)
     answer: str | None = None
     status: str = "running"
+    error: str = ""  # why the policy raised, when status is "policy-error"
     replans: int = 0
     format_retries: int = 0
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -241,7 +242,8 @@ def outcome_columns(records: list) -> dict[str, list]:
     (dicts keyed by field name); a record may leave out defaulted fields.
 
     Raises RecordError for a record that is not an object, lacks a required
-    field, has an unknown one, or holds a value of the wrong JSON type."""
+    field, has an unknown one, or holds a value of the wrong JSON type or a
+    non-finite float."""
     if set(map(type, records)) - {dict}:
         index = next(i for i, r in enumerate(records) if type(r) is not dict)
         raise RecordError(index, "not a JSON object")
@@ -258,6 +260,11 @@ def outcome_columns(records: list) -> dict[str, list]:
         if not set(map(type, column)).issubset(accepted):
             index = next(i for i, v in enumerate(column) if type(v) not in accepted)
             raise RecordError(index, f"{f.name} must be {f.type}, got {column[index]!r}")
+        if f.type == "float":  # json reads NaN, Infinity and ints past every float
+            index = next((i for i, v in enumerate(column)
+                          if not -sys.float_info.max <= v <= sys.float_info.max), None)
+            if index is not None:
+                raise RecordError(index, f"{f.name} must be finite, got {column[index]!r}")
         columns[f.name] = column
     if sum(map(len, records)) != present:  # some record has a key no field has
         index, name = next((i, k) for i, r in enumerate(records) for k in r

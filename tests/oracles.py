@@ -54,7 +54,7 @@ def serialize_plan(plan: Plan) -> str:
 # ---------------------------------------------------------------------------
 # KoPL programs: steps thread earlier outputs by input index
 
-KOPL_CATALOG = kopl.kopl_catalog()
+KOPL_CATALOG = kopl.KoplEngine.catalog
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class SExprError(Exception):
     pass
 
 
-ATOMIC_CATALOG = atomic.atomic_catalog()
+ATOMIC_CATALOG = atomic.AtomicEngine.catalog
 
 HEADS = ("JOIN", "AND", "ARGMIN", "ARGMAX", "LT", "LE", "GT", "GE", "TC", "COUNT")
 _ARITY = {"JOIN": 3, "AND": 2, "ARGMIN": 2, "ARGMAX": 2,

@@ -186,7 +186,7 @@ def test_repetition_detector(kopl_dataset, atomic_dataset, mock_dataset):
 
 def _synthetic_mock_suite(n_tasks=20):
     docs, task_list = [], []
-    catalog = mocktools.mock_catalog()
+    catalog = mocktools.MockEngine.catalog
     for i in range(n_tasks):
         qa = f"what is reading a of probe {i}"
         qb = f"what is reading b of probe {i}"

@@ -31,7 +31,7 @@ LAUTNER_CHAIN = [
 
 class TestCatalog:
     def test_seven_tools(self):
-        names = [entry["name"] for entry in atomic.atomic_catalog()]
+        names = [entry["name"] for entry in atomic.AtomicEngine.catalog]
         assert names == ["Extract_entity", "Find_relation", "Merge", "Order",
                          "Compare", "Time_constraint", "Count"]
 

@@ -82,6 +82,26 @@ class TestRun:
         assert len(built) == 1  # for 5 tasks x 2 planners x 3 trials
         capsys.readouterr()
 
+    # a policy that raises ends its own trajectory, not the run
+    @pytest.mark.parametrize("policy,error", [
+        ({"kind": "noisy", "repeat_rate": 0.5},
+         "PolicyError: gold plan exhausted without a terminal answer"),
+        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/v1/chat/completions",
+          "timeout": 5}, "URLError: "),
+    ], ids=["noisy-repeat", "refused-endpoint"])
+    def test_policy_error_ends_its_trajectory(self, tmp_path, fixtures_dir, capsys, policy,
+                                              error):
+        config = json.loads((fixtures_dir / "run_kopl_oracle.json").read_text())
+        config.update(dataset=str(fixtures_dir / "kopl_tasks.json"), policy=policy)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(tmp_path / "config.json"), "--out", str(out),
+                       "--planner", "sh") == 0
+        err = capsys.readouterr().err
+        assert re.search(r"^policy error in kopl-\S+-sh-t\d: " + re.escape(error), err, re.M)
+        outcomes = (out / "outcomes.jsonl").read_text().splitlines()
+        assert len(outcomes) == 5 * config["trials"]
+
 
 GOOD_OUTCOME = {"question_id": "q0", "trial": 0, "planner": "sh", "success": 1,
                 "depth": 2, "breadth": 1.5}
@@ -125,13 +145,20 @@ class TestStats:
         ([json.dumps({**GOOD_OUTCOME, "depth": "2"})], "depth must be int, got '2'"),
         ([json.dumps({**GOOD_OUTCOME, "tokens_in": 1e3})], "tokens_in must be int"),
         ([json.dumps({**GOOD_OUTCOME, "tokens_out": True})], "tokens_out must be int"),
+        ([json.dumps({**GOOD_OUTCOME, "breadth": float("nan")})],
+         "breadth must be finite, got nan"),
+        ([json.dumps({**GOOD_OUTCOME, "breadth": float("-inf")})],
+         "breadth must be finite, got -inf"),
+        ([json.dumps({**GOOD_OUTCOME, "breadth": 2**1024})],
+         f"breadth must be finite, got {2**1024}"),
         # lines that decode only when joined: each must still be one object
         ([GOOD_LINE + ", " + GOOD_LINE], "Extra data"),
         ([GOOD_LINE[:-1], '"label": ""}'], "Expecting"),
         ([GOOD_LINE + ", " + GOOD_LINE[:-1], '"label": ""}'], "Extra data"),
     ], ids=["invalid-json", "not-an-object", "missing-field", "unknown-field",
             "float-trial", "float-success", "string-depth", "float-tokens-in",
-            "bool-tokens-out", "two-records-on-a-line", "record-over-two-lines",
+            "bool-tokens-out", "nan-breadth", "infinite-breadth", "huge-int-breadth",
+            "two-records-on-a-line", "record-over-two-lines",
             "records-split-across-lines"])
     def test_malformed_outcomes_is_config_error(self, tmp_path, capsys, bad_lines,
                                                 message):

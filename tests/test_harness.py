@@ -1,9 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
-from planhorizon import harness, policies, tasks
+from planhorizon import harness, kopl, policies, tasks
+from planhorizon.atomic import AtomicEngine
 from planhorizon.harness import Budget, INVALID_FORMAT_MESSAGE
+from planhorizon.kopl import KoplEngine
+from planhorizon.mocktools import MockEngine
 
 
 def fixed_policy(text):
@@ -151,6 +155,25 @@ class TestDrivers:
         assert user == "Question: q?\n\n" + load_prompt("replan_message").format(
             start_index=3)
 
+    @pytest.mark.parametrize("planner", ["sh", "fh"])
+    def test_policy_exception_ends_the_trace(self, kopl_env, taller_task, planner):
+        def policy(request):
+            if request.history:
+                raise RuntimeError("model offline")
+            return FAIL_STEP
+
+        trace = harness.run_task(taller_task, policy, kopl_env, planner)
+        assert (trace.status, trace.error) == ("policy-error", "RuntimeError: model offline")
+        assert len(trace.records) == len(trace.invocations) == 1
+
+    def test_engine_exception_propagates(self, kopl_env, taller_task, monkeypatch):
+        def run_tool(tool, args):
+            raise kopl.ContractViolationError("broken engine")
+
+        monkeypatch.setattr(kopl_env.engine, "run_tool", run_tool)
+        with pytest.raises(kopl.ContractViolationError):
+            harness.run_task(taller_task, fixed_policy(STALL_STEP), kopl_env, "sh")
+
     def test_determinism(self, kopl_dataset, taller_task):
         results = []
         for _ in range(2):
@@ -254,3 +277,15 @@ class TestLogLines:
                                  "args", "outcome_kind", "tokens_in", "tokens_out"}
         assert [l["step"] for l in lines] == [0, 1, 2, 3]
         assert all(l["outcome_kind"] == "success" for l in lines)
+
+
+# The prompt catalogs each engine renders from its tool table, pinned by sha256
+# prefix and length: token counts alone would miss reordered keys.
+@pytest.mark.parametrize("engine,digest,length", [
+    (KoplEngine, "982020efc0dff203", 5716),
+    (AtomicEngine, "cd0f88184e27bc75", 1405),
+    (MockEngine, "e5867f5619fde04a", 321),
+], ids=["kopl", "atomic", "mock"])
+def test_rendered_catalog_is_pinned(engine, digest, length):
+    text = json.dumps(engine.catalog)
+    assert (hashlib.sha256(text.encode()).hexdigest()[:16], len(text)) == (digest, length)

@@ -38,7 +38,7 @@ def run(kb, grounder, tool, **args):
 
 class TestCatalog:
     def test_twenty_seven_canonical_tools(self):
-        names = [entry["name"] for entry in kopl.kopl_catalog()]
+        names = [entry["name"] for entry in kopl.KoplEngine.catalog]
         assert tuple(names) == EXPECTED_TOOLS
         assert len(names) == 27
 

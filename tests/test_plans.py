@@ -13,7 +13,7 @@ from planhorizon.plans import (ExecutionGraph, Plan, PlanParseError, ToolCall,
 
 from oracles import KoplProgram, KoplStep, derive_gold_dag_kopl, serialize_plan
 
-CATALOG = kopl.kopl_catalog()
+CATALOG = kopl.KoplEngine.catalog
 
 
 def longest_path_nodes_bruteforce(n, edges):

@@ -252,6 +252,35 @@ BAD_ARGUMENTS = [
     pytest.param("atomic", [step("Extract_entity", True)],
                  "Error in Extract_entity: argument 'input' is missing",
                  id="Extract_entity-missing"),
+    pytest.param("kopl", [step("Find", True)], "Error in Find: argument 'name' is missing",
+                 id="Find-missing"),
+    pytest.param("atomic", [step("Extract_entity", input="film"),
+                            step("Merge", True, input1="$0")],
+                 "Error in Merge: argument 'input2' is missing", id="Merge-missing"),
+    pytest.param("kopl", [step("FindAll"), step("Count", entities="$0"),
+                          step("FilterConcept", True, entities="$1", concept="human")],
+                 "Error in FilterConcept: argument 'entities' must be an entity set, got 5",
+                 id="FilterConcept-count"),
+    pytest.param("kopl", [step("Find", name="LeBron James"), step("QueryName", entities="$0"),
+                          step("QueryAttr", True, entities="$1", key="height")],
+                 "Error in QueryAttr: argument 'entities' must be an entity set, "
+                 "got 'LeBron James'", id="QueryAttr-name"),
+    pytest.param("kopl", [step("Find", name="LeBron James"), step("QueryName", entities="$0"),
+                          step("Count", True, entities="$1")],
+                 "Error in Count: argument 'entities' must be an entity set, "
+                 "got 'LeBron James'", id="Count-name"),
+    pytest.param("atomic", [step("Extract_entity", input="2008"),
+                            step("Order", True, mode="argmax", input="$0", property="runtime")],
+                 "Error in Order: argument 'input' must be a node set, "
+                 "got TypedValue(kind='year', value=2008, unit=None)", id="Order-literal"),
+    pytest.param("kopl", [step("FindAll"), step("FilterNum", True, entities="$0", key="height",
+                                                 value="200 centimetre", op=["<"])],
+                 "Error in FilterNum: op must be =, !=, <, >, ≠ or ==, got ['<']",
+                 id="FilterNum-list-op"),
+    pytest.param("atomic", [step("Compare", True, operator=["<"], property="runtime",
+                                 literal="60 minutes")],
+                 "Error in Compare: operator must be <, <=, >, >=, ≤ or ≥, got ['<']",
+                 id="Compare-list-operator"),
 ]
 
 
