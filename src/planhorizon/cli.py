@@ -75,8 +75,8 @@ def _run_one(env, task, planner, policy_spec, trial, seed, budget):
 
 def _outcome_from_trace(trace, task, planner) -> stats.Outcome:
     graph = plans.build_dag(task.gold_plan)
-    label = stats.match_answer(trace.answer or "", task.gold_answer,
-                               mode=task.controls.get("match_mode", "exact-set"))
+    label = "policy-error" if trace.error else stats.match_answer(
+        trace.answer or "", task.gold_answer, mode=task.controls.get("match_mode", "exact-set"))
     token_stats = harness.account_tokens(trace)
     return stats.Outcome(
         question_id=task.id,
@@ -137,9 +137,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     # one deterministic trace log, ordered by (task id, planner, trial)
     results.sort(key=lambda item: (item[0][0].id, item[0][1], item[0][2]))
-    for _job, trace in results:
-        if trace.error:
-            print(f"policy error in {trace.run_id}: {trace.error}", file=sys.stderr)
+    failed = [trace for _job, trace in results if trace.error]
+    for trace in failed:
+        print(f"policy error in {trace.run_id}: {trace.error}", file=sys.stderr)
     with (out_dir / "traces.jsonl").open("w", encoding="utf-8") as handle:
         for _job, trace in results:
             for line in trace.log_lines():
@@ -153,6 +153,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     report = stats.summarize_run(stats.outcome_columns(records))
     print(report.to_text())
+    if failed:  # every file is written, but the run is not data for `stats`
+        print(f"runtime failure: {len(failed)} of {len(results)} trajectories ended in "
+              "a policy error", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -193,6 +197,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     try:
         columns = stats.outcome_columns(_decode_records(lines))
+        if "policy-error" in columns["label"]:
+            raise stats.RecordError(columns["label"].index("policy-error"),
+                                    "the policy raised on this trajectory; rerun it")
     except stats.RecordError as exc:
         number = [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][exc.index]
         print(f"config error: outcomes.jsonl line {number}: {exc}", file=sys.stderr)

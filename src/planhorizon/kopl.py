@@ -276,9 +276,8 @@ def select_between(kb: KnowledgeBase, grounder: Grounder, a: EntitySet,
             f"unit mismatch comparing {key!r}: {va.unit!r} vs {vb.unit!r}"
         )
     op = ">" if mode == "greater" else "<"
-    winner = ea if compare_typed(va, op, vb) else eb
-    if va.value == vb.value:
-        winner = ea  # tie breaks toward the first operand
+    # a tie breaks toward the first operand
+    winner = ea if va.value == vb.value or compare_typed(va, op, vb) else eb
     return ToolOutcome.success(kb.entities[winner].name)
 
 
@@ -295,12 +294,8 @@ def select_among(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
     units = {v.unit for _, v in valued}
     if len(units) > 1:
         return ToolOutcome.failure(f"unit mismatch across {key!r}: {sorted(map(str, units))}")
-    best = valued[0]
-    for eid, v in valued[1:]:
-        if (mode == "largest" and v.value > best[1].value) or (
-            mode == "smallest" and v.value < best[1].value
-        ):
-            best = (eid, v)
+    # the first of equal values wins
+    best = (max if mode == "largest" else min)(valued, key=lambda item: item[1].value)
     return ToolOutcome.success(kb.entities[best[0]].name)
 
 
@@ -358,13 +353,10 @@ def query_relation(kb: KnowledgeBase, a: EntitySet, b: EntitySet) -> ToolOutcome
     if not a.ids or not b.ids:
         return ToolOutcome.failure("QueryRelation needs two nonempty entity sets")
     ea, eb = a.ids[0], b.ids[0]
-    predicates = []
-    for edge in kb.entities[ea].relations:
-        if edge.direction == "forward" and edge.target == eb:
-            predicates.append(edge.predicate)
-    for edge in kb.entities[eb].relations:
-        if edge.direction == "backward" and edge.target == ea:
-            predicates.append(edge.predicate)
+    predicates = [edge.predicate for edge in kb.entities[ea].relations
+                  if edge.direction == "forward" and edge.target == eb]
+    predicates += [edge.predicate for edge in kb.entities[eb].relations
+                   if edge.direction == "backward" and edge.target == ea]
     if not predicates:
         return ToolOutcome.failure(
             f"no relation from {kb.entities[ea].name!r} to {kb.entities[eb].name!r}"

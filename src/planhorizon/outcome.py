@@ -113,8 +113,8 @@ class ToolTable:
 
     def call(self, tool: str, args: dict, context: dict) -> ToolOutcome:
         """Run `tool` on a call's `args`, references resolved. An argument that
-        is missing, of another type (quoted to 80 characters, as it may be a
-        whole entity set), outside its choices or unparsable raises ToolFailure."""
+        is missing, of another type, outside its choices or unparsable raises
+        ToolFailure, quoting the value to 80 characters (it may be a set)."""
         entry = self.tools.get(tool)
         if entry is None:
             raise ProgramError(f"unknown {self.engine} tool {tool!r}")
@@ -130,7 +130,7 @@ class ToolTable:
                 if type(value) is not str or value not in p.choices:
                     *rest, last = p.choices
                     raise ToolFailure(f"Error in {tool}: {p.name} must be "
-                                      f"{', '.join(rest)} or {last}, got {value!r}")
+                                      f"{', '.join(rest)} or {last}, got {value!r:.80}")
             elif type(value) not in p.takes:
                 raise ToolFailure(
                     f"Error in {tool}: argument {p.name!r} must be {p.noun}, got {value!r:.80}")
@@ -139,6 +139,6 @@ class ToolTable:
                     value = parse_value_text(value, None if p.parse == "any" else p.parse)
                 except (ValueError, KBError):
                     raise ToolFailure(
-                        f"Error in {tool}: {p.name} {value!r} is not a {p.parse}") from None
+                        f"Error in {tool}: {p.name} {value!r:.80} is not a {p.parse}") from None
             bound.append(value)
         return self.functions[entry.function](*bound, *entry.fixed)

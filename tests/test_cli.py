@@ -82,7 +82,9 @@ class TestRun:
         assert len(built) == 1  # for 5 tasks x 2 planners x 3 trials
         capsys.readouterr()
 
-    # a policy that raises ends its own trajectory, not the run
+    # a policy that raises ends its own trajectory, not the others; the run
+    # writes every file, marks the trajectory's outcome and exits 1, and
+    # `stats` refuses the outcomes
     @pytest.mark.parametrize("policy,error", [
         ({"kind": "noisy", "repeat_rate": 0.5},
          "PolicyError: gold plan exhausted without a terminal answer"),
@@ -96,11 +98,20 @@ class TestRun:
         (tmp_path / "config.json").write_text(json.dumps(config))
         out = tmp_path / "o"
         assert run_cli("run", "--config", str(tmp_path / "config.json"), "--out", str(out),
-                       "--planner", "sh") == 0
+                       "--planner", "sh") == 1
         err = capsys.readouterr().err
         assert re.search(r"^policy error in kopl-\S+-sh-t\d: " + re.escape(error), err, re.M)
-        outcomes = (out / "outcomes.jsonl").read_text().splitlines()
+        outcomes = [json.loads(line)
+                    for line in (out / "outcomes.jsonl").read_text().splitlines()]
         assert len(outcomes) == 5 * config["trials"]
+        failed = [n for n, row in enumerate(outcomes, 1) if row["label"] == "policy-error"]
+        assert failed and all(outcomes[n - 1]["success"] == 0 for n in failed)
+        assert re.search(rf"^runtime failure: {len(failed)} of {len(outcomes)} trajectories "
+                         "ended in a policy error$", err, re.M)
+        assert (out / "traces.jsonl").exists()
+        assert run_cli("stats", str(out)) == 2
+        assert capsys.readouterr().err == (f"config error: outcomes.jsonl line {failed[0]}: "
+                                           "the policy raised on this trajectory; rerun it\n")
 
 
 GOOD_OUTCOME = {"question_id": "q0", "trial": 0, "planner": "sh", "success": 1,
@@ -151,13 +162,15 @@ class TestStats:
          "breadth must be finite, got -inf"),
         ([json.dumps({**GOOD_OUTCOME, "breadth": 2**1024})],
          f"breadth must be finite, got {2**1024}"),
+        ([json.dumps({**GOOD_OUTCOME, "success": 0, "label": "policy-error"})],
+         "the policy raised on this trajectory; rerun it"),
         # lines that decode only when joined: each must still be one object
         ([GOOD_LINE + ", " + GOOD_LINE], "Extra data"),
         ([GOOD_LINE[:-1], '"label": ""}'], "Expecting"),
         ([GOOD_LINE + ", " + GOOD_LINE[:-1], '"label": ""}'], "Extra data"),
     ], ids=["invalid-json", "not-an-object", "missing-field", "unknown-field",
             "float-trial", "float-success", "string-depth", "float-tokens-in",
-            "bool-tokens-out", "nan-breadth", "infinite-breadth", "huge-int-breadth",
+            "bool-tokens-out", "nan-breadth", "infinite-breadth", "huge-int-breadth", "policy-error",
             "two-records-on-a-line", "record-over-two-lines",
             "records-split-across-lines"])
     def test_malformed_outcomes_is_config_error(self, tmp_path, capsys, bad_lines,

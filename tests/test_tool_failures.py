@@ -277,6 +277,15 @@ BAD_ARGUMENTS = [
                                                  value="200 centimetre", op=["<"])],
                  "Error in FilterNum: op must be =, !=, <, >, ≠ or ==, got ['<']",
                  id="FilterNum-list-op"),
+    pytest.param("kopl", [step("FindAll"), step("FilterNum", True, entities="$0", key="height",
+                                                 value="200 centimetre", op=">=")],
+                 "Error in FilterNum: op must be =, !=, <, >, ≠ or ==, got '>='",
+                 id="FilterNum-unknown-op"),
+    pytest.param("kopl", [step("Find", name="LeBron James Jr."),
+                          step("Relate", True, entities="$0", relation="father",
+                               direction="x" * 100)],
+                 "Error in Relate: direction must be forward or backward, got '"
+                 + "x" * 79, id="Relate-long-direction"),
     pytest.param("atomic", [step("Compare", True, operator=["<"], property="runtime",
                                  literal="60 minutes")],
                  "Error in Compare: operator must be <, <=, >, >=, ≤ or ≥, got ['<']",
