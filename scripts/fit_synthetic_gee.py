@@ -50,7 +50,8 @@ def main() -> None:
         print(f"{row['name']:<14}{row['coefficient']:>12.4f}{row['std_err']:>10.4f}"
               f"{row['z']:>9.3f}{row['p']:>10.4f} {row['stars']}")
     print(f"\nconverged={fit.converged} after {fit.n_iter} iterations, "
-          f"{fit.n_obs} records in {fit.n_clusters} clusters")
+          f"{fit.n_obs} records in {fit.n_clusters} clusters, fitted as {fit.n_cells} "
+          "(cluster, design row) cells")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import harness, kb, mocktools, plans, policies, stats, tasks
@@ -57,25 +58,44 @@ def _load_config(path: Path, overrides: argparse.Namespace) -> dict:
         raise tasks.DatasetError(f"unknown planner {config['planner']!r}")
     if config["robustness"] not in ("high", "low"):
         raise tasks.DatasetError(f"unknown robustness {config['robustness']!r}")
+    if config["policy"].get("kind", "oracle") not in policies.KINDS:
+        raise tasks.DatasetError(f"unknown policy kind {config['policy'].get('kind')!r}")
     if "dataset" not in config:
         raise tasks.DatasetError("config is missing a dataset path")
     return config
 
 
-def _run_one(env, task, planner, policy_spec, trial, seed, budget):
+# labels of trajectories that ended in an error: how `run` counts them, and the
+# reason `stats` gives for refusing them
+FAILED_LABELS = {
+    "policy-error": ("a policy error", "the policy raised on this trajectory; rerun it"),
+    "error": ("an error", "the run raised on this trajectory; rerun it"),
+}
+
+
+def _run_one(env, task, planner, policy_spec, trial, seed, budget) -> plans.Trace:
+    """One trajectory; a job that raises (an engine bug, say) prints its
+    traceback and ends as an empty trace with status "error", and the run
+    goes on."""
+    run_id = f"{task.id}-{planner}-t{trial}"
     spec = dict(policy_spec)
     if spec.get("kind") == "noisy":
         spec.setdefault("seed", seed + trial)
-    policy = policies.build_policy(spec, task=task, catalog=env.catalog)
-    trace = harness.run_task(task, policy, env, planner, budget=budget)
+    try:
+        policy = policies.build_policy(spec, task=task, catalog=env.catalog)
+        trace = harness.run_task(task, policy, env, planner, budget=budget)
+    except Exception as exc:  # noqa: BLE001 - a failing job ends its trajectory only
+        print(f"traceback of {run_id}:\n{traceback.format_exc()}", end="", file=sys.stderr)
+        trace = plans.Trace(question_id=task.id, planner=planner, status="error",
+                            error=f"{type(exc).__name__}: {exc}")
     trace.trial = trial
-    trace.run_id = f"{task.id}-{planner}-t{trial}"
+    trace.run_id = run_id
     return trace
 
 
 def _outcome_from_trace(trace, task, planner) -> stats.Outcome:
     graph = plans.build_dag(task.gold_plan)
-    label = "policy-error" if trace.error else stats.match_answer(
+    label = trace.status if trace.error else stats.match_answer(
         trace.answer or "", task.gold_answer, mode=task.controls.get("match_mode", "exact-set"))
     token_stats = harness.account_tokens(trace)
     return stats.Outcome(
@@ -125,21 +145,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     budget = harness.Budget()
     try:
         env = dataset.make_env(config["robustness"])
-        results = [((task, planner, trial),
-                    _run_one(env, task, planner, config["policy"], trial,
-                             config["seed"], budget))
-                   for task in dataset.tasks
-                   for planner in planners
-                   for trial in range(config["trials"])]
     except Exception as exc:  # noqa: BLE001 - surfaced as a runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    results = [((task, planner, trial),
+                _run_one(env, task, planner, config["policy"], trial, config["seed"], budget))
+               for task in dataset.tasks
+               for planner in planners
+               for trial in range(config["trials"])]
 
     # one deterministic trace log, ordered by (task id, planner, trial)
     results.sort(key=lambda item: (item[0][0].id, item[0][1], item[0][2]))
     failed = [trace for _job, trace in results if trace.error]
     for trace in failed:
-        print(f"policy error in {trace.run_id}: {trace.error}", file=sys.stderr)
+        print(f"{trace.status.replace('-', ' ')} in {trace.run_id}: {trace.error}",
+              file=sys.stderr)
     with (out_dir / "traces.jsonl").open("w", encoding="utf-8") as handle:
         for _job, trace in results:
             for line in trace.log_lines():
@@ -153,11 +173,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     report = stats.summarize_run(stats.outcome_columns(records))
     print(report.to_text())
-    if failed:  # every file is written, but the run is not data for `stats`
-        print(f"runtime failure: {len(failed)} of {len(results)} trajectories ended in "
-              "a policy error", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    # every file is written, but a failed trajectory is not data for `stats`
+    for status in FAILED_LABELS:
+        count = sum(1 for trace in failed if trace.status == status)
+        if count:
+            print(f"runtime failure: {count} of {len(results)} trajectories ended in "
+                  f"{FAILED_LABELS[status][0]}", file=sys.stderr)
+    return EXIT_RUNTIME if failed else EXIT_OK
 
 
 def _decode_records(lines: list[str]) -> list:
@@ -197,13 +219,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     try:
         columns = stats.outcome_columns(_decode_records(lines))
-        if "policy-error" in columns["label"]:
-            raise stats.RecordError(columns["label"].index("policy-error"),
-                                    "the policy raised on this trajectory; rerun it")
+        refused = set(columns["label"]).intersection(FAILED_LABELS)
+        if refused:
+            index = min(map(columns["label"].index, refused))
+            raise stats.RecordError(index, FAILED_LABELS[columns["label"][index]][1])
     except stats.RecordError as exc:
         number = [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][exc.index]
         print(f"config error: outcomes.jsonl line {number}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    del text, lines  # only an error's line number needs them; free them before the fit
 
     report = stats.summarize_run(columns)
     print(report.to_text())

@@ -179,7 +179,7 @@ class Trace:
     invocations: list[Invocation] = field(default_factory=list)
     answer: str | None = None
     status: str = "running"
-    error: str = ""  # why the policy raised, when status is "policy-error"
+    error: str = ""  # why the trajectory ended, when status is "policy-error" or "error"
     replans: int = 0
     format_retries: int = 0
 

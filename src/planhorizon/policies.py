@@ -239,6 +239,9 @@ def remote_llm_policy(cfg: RemotePolicyConfig, catalog: list[dict]):
     return policy
 
 
+KINDS = ("oracle", "noisy", "remote")  # the policy kinds build_policy constructs
+
+
 def build_policy(spec: dict, task, catalog: list[dict]):
     """Construct a policy from a run-config policy spec for a given task."""
     kind = spec.get("kind", "oracle")

@@ -100,11 +100,21 @@ def match_answer(predicted: str, gold: list[str], mode: str = "exact-set") -> st
 # Standardization and GEE fitting
 
 def standardize(values) -> np.ndarray:
-    """Z-scores with the population standard deviation."""
-    data = np.asarray(values, dtype=float)
+    """Z-scores with the population standard deviation.
+
+    Raises DegenerateFeatureError for fewer than two values, a constant
+    column, or values beyond the float range or whose mean or spread
+    overflows it."""
+    try:
+        data = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise DegenerateFeatureError("a value lies beyond the float range") from None
     if data.size < 2:
         raise DegenerateFeatureError("standardize needs at least two values")
-    sd = data.std()  # population sd
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = data.std()  # population sd
+    if not np.isfinite(sd):
+        raise DegenerateFeatureError("column overflows the float range when standardized")
     if sd == 0:
         raise DegenerateFeatureError("constant column cannot be standardized")
     return (data - data.mean()) / sd
@@ -122,6 +132,7 @@ class GeeFit:
     converged: bool
     n_obs: int
     n_clusters: int
+    n_cells: int  # distinct (cluster, design row) pairs the fit ran on
 
     def table(self) -> list[dict]:
         return [
@@ -142,64 +153,102 @@ def _normal_sf(z: float) -> float:
 # IRLS stops once no coefficient moves by FIT_TOLERANCE, or after FIT_MAX_ITER steps
 FIT_TOLERANCE = 1e-8
 FIT_MAX_ITER = 100
+# The outcome counts as (quasi-)separated once a coefficient passes MAX_COEFFICIENT
+# or a fitted logit passes MAX_LOGIT (a probability within 1e-13 of 0 or 1), where
+# the information matrix is too ill-conditioned for a meaningful step.
+MAX_COEFFICIENT = 1e3
+MAX_LOGIT = 30.0
+DIVERGED = "divergent coefficients: the outcome is (quasi-)separated"
+# A coefficient whose sandwich variance is below MIN_VARIANCE_RATIO times its
+# model-based variance does not vary across clusters beyond rounding (say, all
+# the rows that identify it lie in one cluster): its se and z are 0, its p 1.
+MIN_VARIANCE_RATIO = 1e-12
+
+
+def _fitted_probabilities(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    eta = X @ beta
+    if np.max(np.abs(eta)) > MAX_LOGIT:
+        raise SeparationError(DIVERGED)
+    return 1.0 / (1.0 + np.exp(-eta))
 
 
 def fit_clustered_logit(X, y, clusters, names=None) -> GeeFit:
     """Logistic regression by IRLS under the independence working correlation,
-    with covariance from the cluster-robust sandwich estimator."""
+    with covariance from the cluster-robust sandwich estimator.
+
+    The rows are grouped once into cells, one per (cluster, exact design row)
+    pair, each holding `trials` rows and `successes` summed outcomes; the fit
+    runs on the cells. The information is sum(trials mu (1 - mu) x x'), the
+    score sum(x (successes - trials mu)), and a cluster's score is the sum of
+    its cells' scores. Cells nest within clusters, so this is the row-wise
+    estimator, up to the order of floating-point sums.
+
+    The design is rank deficient when the cells' Gram matrix
+    sum(trials x x') = X'X (p x p) has an eigenvalue at most
+    p * machine epsilon * its largest one (the default tolerance of
+    `np.linalg.matrix_rank` on that matrix). Raises StatsError for fewer than
+    two clusters, DegenerateFeatureError for a non-finite entry of X,
+    RankDeficiencyError, and SeparationError when the coefficients diverge
+    (MAX_COEFFICIENT, MAX_LOGIT). A fit that does not settle within
+    FIT_MAX_ITER steps has `converged` False."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    clusters = list(clusters)
     n, p = X.shape
     if names is None:
         names = [f"x{i}" for i in range(p)]
-    if len(set(clusters)) < 2:
+    # in one pass, each row's cluster code: the row where its label first appears
+    first_rows: dict = {}
+    keyed = np.empty((n, p + 1))
+    keyed[:, 0] = np.fromiter(map(first_rows.setdefault, clusters, range(n)), dtype=float,
+                              count=n)
+    if len(first_rows) < 2:
         raise StatsError("need at least two clusters")
-    if np.linalg.matrix_rank(X) < p:
+    if not np.isfinite(X).all():
+        raise DegenerateFeatureError("design matrix holds a non-finite value")
+    keyed[:, 1:] = X
+    cells, cell_of, trials = np.unique(
+        keyed.view(np.dtype((np.void, keyed.itemsize * (p + 1)))).ravel(),
+        return_inverse=True, return_counts=True)
+    cells = cells.view(float).reshape(-1, p + 1)
+    _, cell_cluster = np.unique(cells[:, 0], return_inverse=True)
+    X = cells[:, 1:]
+    successes = np.bincount(cell_of, weights=y, minlength=len(cells))
+    if np.linalg.matrix_rank(X.T @ (X * trials[:, None]), hermitian=True) < p:
         raise RankDeficiencyError("design matrix is rank deficient")
 
-    diverged = "divergent coefficients: the outcome is (quasi-)separated"
     beta = np.zeros(p)
     converged = False
     it = 0
     for it in range(1, FIT_MAX_ITER + 1):
-        eta = X @ beta
-        mu = 1.0 / (1.0 + np.exp(-eta))
-        w = mu * (1.0 - mu)
-        A = X.T @ (X * w[:, None])
-        score = X.T @ (y - mu)
+        mu = _fitted_probabilities(X, beta)
+        A = X.T @ (X * (trials * mu * (1.0 - mu))[:, None])
+        score = X.T @ (successes - trials * mu)
         try:
             delta = np.linalg.solve(A, score)
         except np.linalg.LinAlgError:
-            raise SeparationError(diverged) from None
+            raise SeparationError(DIVERGED) from None
         beta = beta + delta
-        if np.max(np.abs(beta)) > 1e3:
-            raise SeparationError(diverged)
+        if np.max(np.abs(beta)) > MAX_COEFFICIENT:
+            raise SeparationError(DIVERGED)
         if np.max(np.abs(delta)) < FIT_TOLERANCE:
             converged = True
             break
 
-    eta = X @ beta
-    mu = 1.0 / (1.0 + np.exp(-eta))
-    w = mu * (1.0 - mu)
-    A = X.T @ (X * w[:, None])
-    A_inv = np.linalg.inv(A)
-    # sum of within-cluster score outer products
-    resid = y - mu
-    B = np.zeros((p, p))
-    by_cluster: dict = {}
-    for i, c in enumerate(clusters):
-        by_cluster.setdefault(c, []).append(i)
-    for idx in by_cluster.values():
-        s = X[idx].T @ resid[idx]
-        B += np.outer(s, s)
-    cov = A_inv @ B @ A_inv
+    mu = _fitted_probabilities(X, beta)
+    A_inv = np.linalg.inv(X.T @ (X * (trials * mu * (1.0 - mu))[:, None]))
+    # sum of the outer products of the cluster scores, each the sum of its cells'
+    cluster_scores = np.zeros((len(first_rows), p))
+    np.add.at(cluster_scores, cell_cluster, X * (successes - trials * mu)[:, None])
+    cov = A_inv @ (cluster_scores.T @ cluster_scores) @ A_inv
     cov = (cov + cov.T) / 2.0
+    unidentified = np.diag(cov) < MIN_VARIANCE_RATIO * np.diag(A_inv)
+    cov[unidentified, :] = cov[:, unidentified] = 0.0
     se = np.sqrt(np.diag(cov))
     z = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
     pvals = np.array([2.0 * _normal_sf(abs(zi)) for zi in z])
     return GeeFit(names=list(names), beta=beta, cov=cov, se=se, z=z, p=pvals,
-                  n_iter=it, converged=converged, n_obs=n, n_clusters=len(by_cluster))
+                  n_iter=it, converged=converged, n_obs=n, n_clusters=len(first_rows),
+                  n_cells=len(cells))
 
 
 # ---------------------------------------------------------------------------

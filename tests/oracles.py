@@ -6,7 +6,8 @@ way: KoPL programs with positional inputs, atomic call chains compiled to
 S-expressions, the gold DAG with structurally identical KoPL subtrees
 merged, and the lookups the engines and the grounder answer from indexes
 done by scanning everything, and the run summary and design matrix built
-row by row from ``Outcome`` objects. None of them is used by ``src/``.
+row by row from ``Outcome`` objects, and the clustered logit fitted row by
+row rather than on (cluster, design row) cells. None of them is used by ``src/``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from planhorizon.kb import (KBError, KnowledgeBase, TypedValue, UnknownConceptEr
                             compare_typed, parse_value_text)
 from planhorizon.outcome import ToolOutcome
 from planhorizon.plans import ExecutionGraph, Plan, ToolCall
-from planhorizon.stats import Outcome, Report, StatsError, standardize
+from planhorizon.stats import (DIVERGED, FIT_MAX_ITER, FIT_TOLERANCE, MAX_COEFFICIENT,
+                               MAX_LOGIT, MIN_VARIANCE_RATIO, GeeFit, Outcome, RankDeficiencyError, Report,
+                               SeparationError, StatsError, _normal_sf, standardize)
 
 
 def ref_params(catalog: list[dict], tool: str) -> list[str]:
@@ -612,6 +615,70 @@ def serialize_kb(kb: KnowledgeBase) -> dict:
             for e in kb.entities.values()
         ],
     }
+
+
+def fit_clustered_logit(X, y, clusters, names=None) -> GeeFit:
+    """The clustered logit fitted row by row: IRLS over every row of X, the
+    rank read from an SVD of X, and each cluster's score summed over a list
+    of its row indices. Every row is its own cell."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    clusters = list(clusters)
+    n, p = X.shape
+    if names is None:
+        names = [f"x{i}" for i in range(p)]
+    if len(set(clusters)) < 2:
+        raise StatsError("need at least two clusters")
+    if np.linalg.matrix_rank(X) < p:
+        raise RankDeficiencyError("design matrix is rank deficient")
+
+    def fitted(beta):
+        eta = X @ beta
+        if np.max(np.abs(eta)) > MAX_LOGIT:
+            raise SeparationError(DIVERGED)
+        return 1.0 / (1.0 + np.exp(-eta))
+
+    beta = np.zeros(p)
+    converged = False
+    it = 0
+    for it in range(1, FIT_MAX_ITER + 1):
+        mu = fitted(beta)
+        w = mu * (1.0 - mu)
+        A = X.T @ (X * w[:, None])
+        score = X.T @ (y - mu)
+        try:
+            delta = np.linalg.solve(A, score)
+        except np.linalg.LinAlgError:
+            raise SeparationError(DIVERGED) from None
+        beta = beta + delta
+        if np.max(np.abs(beta)) > MAX_COEFFICIENT:
+            raise SeparationError(DIVERGED)
+        if np.max(np.abs(delta)) < FIT_TOLERANCE:
+            converged = True
+            break
+
+    mu = fitted(beta)
+    w = mu * (1.0 - mu)
+    A_inv = np.linalg.inv(X.T @ (X * w[:, None]))
+    # sum of within-cluster score outer products
+    resid = y - mu
+    B = np.zeros((p, p))
+    by_cluster: dict = {}
+    for i, c in enumerate(clusters):
+        by_cluster.setdefault(c, []).append(i)
+    for idx in by_cluster.values():
+        s = X[idx].T @ resid[idx]
+        B += np.outer(s, s)
+    cov = A_inv @ B @ A_inv
+    cov = (cov + cov.T) / 2.0
+    unidentified = np.diag(cov) < MIN_VARIANCE_RATIO * np.diag(A_inv)
+    cov[unidentified, :] = cov[:, unidentified] = 0.0
+    se = np.sqrt(np.diag(cov))
+    z = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
+    pvals = np.array([2.0 * _normal_sf(abs(zi)) for zi in z])
+    return GeeFit(names=list(names), beta=beta, cov=cov, se=se, z=z, p=pvals,
+                  n_iter=it, converged=converged, n_obs=n, n_clusters=len(by_cluster),
+                  n_cells=n)
 
 
 def model_based_covariance(X, beta) -> np.ndarray:

@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from planhorizon import cli, harness, tasks
+from planhorizon import cli, harness, kopl, tasks
 from planhorizon.kb import MalformedDocumentError
 
 
@@ -52,6 +52,15 @@ class TestRun:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"dataset": "bad.json"}))
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+
+    def test_unknown_policy_kind_is_config_error(self, tmp_path, fixtures_dir, capsys):
+        config = json.loads((fixtures_dir / "run_kopl_oracle.json").read_text())
+        config.update(dataset=str(fixtures_dir / "kopl_tasks.json"), policy={"kind": "gpt"})
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", str(tmp_path / "config.json"),
+                       "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "config error: unknown policy kind 'gpt'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "nope.json"),
@@ -112,6 +121,46 @@ class TestRun:
         assert run_cli("stats", str(out)) == 2
         assert capsys.readouterr().err == (f"config error: outcomes.jsonl line {failed[0]}: "
                                            "the policy raised on this trajectory; rerun it\n")
+
+    # a job that raises (here an engine bug) ends its own trajectory as an
+    # `error` outcome; the others run, every file is written, the run exits 1
+    # and `stats` refuses the outcomes
+    @pytest.mark.parametrize("planner", ["sh", "fh"])
+    def test_job_error_ends_its_trajectory(self, tmp_path, fixtures_dir, capsys,
+                                           monkeypatch, planner):
+        def relate(*_args, **_kwargs):
+            raise kopl.ContractViolationError("broken engine")
+
+        monkeypatch.setattr(kopl, "relate", relate)
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(fixtures_dir / "run_kopl_oracle.json"),
+                       "--out", str(out), "--planner", planner) == 1
+        err = capsys.readouterr().err
+        outcomes = [json.loads(line)
+                    for line in (out / "outcomes.jsonl").read_text().splitlines()]
+        assert len(outcomes) == 5 * 3
+        failed = [n for n, row in enumerate(outcomes, 1) if row["label"] == "error"]
+        # the two tasks whose gold plans call Relate
+        assert {outcomes[n - 1]["question_id"] for n in failed} == {"kopl-taller",
+                                                                   "kopl-employees"}
+        assert len(failed) == 2 * 3
+        assert all(outcomes[n - 1]["success"] == 0 for n in failed)
+        assert all(row["success"] == 1 for row in outcomes if row["label"] != "error")
+        for task_id in ("kopl-taller", "kopl-employees"):
+            for trial in range(3):
+                run_id = f"{task_id}-{planner}-t{trial}"
+                assert f"error in {run_id}: ContractViolationError: broken engine\n" in err
+                assert re.search(rf"^traceback of {run_id}:\nTraceback .*?\n"
+                                 r"planhorizon\.kopl\.ContractViolationError: broken engine$",
+                                 err, re.M | re.S)
+        assert re.search(r"^runtime failure: 6 of 15 trajectories ended in an error$",
+                         err, re.M)
+        assert "policy error" not in err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "outcomes.jsonl", "traces.jsonl"]
+        assert run_cli("stats", str(out)) == 2
+        assert capsys.readouterr().err == (f"config error: outcomes.jsonl line {failed[0]}: "
+                                           "the run raised on this trajectory; rerun it\n")
 
 
 GOOD_OUTCOME = {"question_id": "q0", "trial": 0, "planner": "sh", "success": 1,
@@ -182,6 +231,29 @@ class TestStats:
         assert err.startswith("config error: outcomes.jsonl line 3: "), err
         assert message in err
         assert not (tmp_path / "report.json").exists()
+
+    # design columns that no float holds once standardized: the fit fails
+    # cleanly, and no numpy RuntimeWarning escapes (the suite makes them errors)
+    @pytest.mark.parametrize("column, values", [
+        ("breadth", [1e308, 1.5]),
+        ("breadth", [1e308, -1e308]),
+        ("depth", [10**400, 2]),
+    ], ids=["breadth-mean-overflows", "breadth-spread-overflows", "depth-beyond-float"])
+    def test_non_finite_design_column_fails_the_fit(self, tmp_path, capsys, column, values):
+        rows = [{**GOOD_OUTCOME, "question_id": f"q{q}", "planner": planner,
+                 "success": (q + i) % 2, "depth": 2 + q, column: value}
+                for q, value in enumerate(values)
+                for i, planner in enumerate(("sh", "fh"))]
+        (tmp_path / "outcomes.jsonl").write_text(
+            "".join(json.dumps(row) + "\n" for row in rows))
+        assert run_cli("stats", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        message = ("a value lies beyond the float range" if column == "depth"
+                   else "column overflows the float range when standardized")
+        assert report["gee"] == {"failed": message}
+        assert err == f"runtime failure: {message}\n"
+        assert not (tmp_path / "coefficients.json").exists()
 
 
 class TestInspect:

@@ -76,6 +76,15 @@ class TestStandardize:
         with pytest.raises(stats.DegenerateFeatureError):
             standardize([5.0, 5.0, 5.0])
 
+    # no RuntimeWarning may escape either: the suite turns them into errors
+    @pytest.mark.parametrize("values", [
+        [1e308, 1.5], [1e308, -1e308], [10**400, 2], [float("inf"), 1.0],
+        [float("nan"), 1.0],
+    ], ids=["mean-overflows", "spread-overflows", "int-beyond-float", "inf", "nan"])
+    def test_non_finite_scores_rejected(self, values):
+        with pytest.raises(stats.DegenerateFeatureError):
+            standardize(values)
+
 
 class TestFitClusteredLogit:
     def test_matches_newton_oracle_small(self):
@@ -154,6 +163,35 @@ class TestFitClusteredLogit:
         y = np.array([0, 0, 0, 0, 1, 1, 1, 1], float)
         with pytest.raises(stats.SeparationError):
             fit_clustered_logit(X, y, list(range(8)))
+
+    # IRLS used to run out its 100 steps here and report the diverged
+    # coefficients (intercept -101 for all failures) as a fit
+    @pytest.mark.parametrize("y", [[0, 0, 0, 0, 0], [0, 0, 0, 1, 1]],
+                             ids=["all-failures", "one-row-all-successes"])
+    def test_saturated_fit_is_separation(self, y):
+        X = np.column_stack([np.ones(5), [-2, -2, -2, -2, -1]])
+        with pytest.raises(stats.SeparationError):
+            fit_clustered_logit(X, np.array(y, float), list(range(5)))
+
+    def test_variance_zero_up_to_rounding_is_zero(self):
+        # the rows at x = 0 all lie in cluster 0 and the model is saturated,
+        # so their residuals cancel and no cluster score moves the intercept
+        X = np.column_stack([np.ones(5), [0, 0, 0, -2, -2]])
+        y = np.array([0, 0, 1, 1, 0], float)
+        fit = fit_clustered_logit(X, y, [0, 0, 0, 0, 1])
+        assert (fit.se[0], fit.z[0], fit.p[0]) == (0.0, 0.0, 1.0)
+        assert fit.se[1] > 0 and not fit.cov[0].any() and not fit.cov[:, 0].any()
+
+    def test_non_finite_design_rejected(self):
+        X = np.column_stack([np.ones(8), [0, 1, 2, 3, 4, 5, 6, np.inf]])
+        with pytest.raises(stats.DegenerateFeatureError):
+            fit_clustered_logit(X, np.array([0, 1] * 4, float), list(range(8)))
+
+    def test_cells_count_distinct_cluster_rows(self):
+        X = np.column_stack([np.ones(8), [0, 1, 0, 1, 1, 1, 0, 0]])
+        y = np.array([0, 1, 1, 0, 1, 0, 0, 1], float)
+        fit = fit_clustered_logit(X, y, ["a", "a", "a", "a", "b", "b", "b", "c"])
+        assert (fit.n_obs, fit.n_clusters, fit.n_cells) == (8, 3, 5)
 
     def test_p_values_two_sided_normal(self):
         X = np.column_stack([np.ones(40), [0, 1] * 20])
@@ -315,3 +353,60 @@ class TestColumnsMatchRowOracle:
         assert y.tobytes() == expected[1].tobytes()
         assert clusters == expected[2]
         assert names == expected[3]
+
+
+# ---------------------------------------------------------------------------
+# The fit on (cluster, design row) cells against the row-wise oracle fit
+
+@st.composite
+def clustered_designs(draw):
+    """A design whose rows come from a few distinct rows, so that rows repeat
+    within and across clusters; clusters of one row or many; labels as a
+    list, tuple or numpy array of strings or integers, rows in any order.
+    Some designs are rank deficient, separated or have one cluster."""
+    p = draw(st.integers(1, 4))
+    entries = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 3.0])
+    palette = draw(st.lists(st.tuples(*[entries] * (p - 1)), min_size=1, max_size=6,
+                            unique=True))
+    n = draw(st.integers(2, 40))
+    rows = draw(st.lists(st.integers(0, len(palette) - 1), min_size=n, max_size=n))
+    X = np.array([(1.0, *palette[r]) for r in rows]).reshape(n, p)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), float)
+    labels = draw(st.lists(st.integers(0, draw(st.integers(1, 12))), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        labels = [f"q{label}" for label in labels]
+    container = draw(st.sampled_from([list, tuple, np.array]))
+    return X, y, container(labels)
+
+
+class TestCellFitMatchesRowOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(design=clustered_designs())
+    def test_same_fit(self, design):
+        X, y, clusters = design
+        try:
+            expected = oracles.fit_clustered_logit(X, y, clusters)
+        except stats.StatsError as exc:
+            with pytest.raises(type(exc)) as raised:
+                fit_clustered_logit(X, y, clusters)
+            assert type(raised.value) is type(exc)
+            return
+        fit = fit_clustered_logit(X, y, clusters)
+        # atol absorbs rounding noise around a coefficient, z or p of zero
+        np.testing.assert_allclose(fit.beta, expected.beta, rtol=1e-9, atol=1e-12)
+        # The rounding error of a sandwich variance is a fixed share of its
+        # model-based variance, so a variance that nearly cancels (a ratio of
+        # 1e-6 with two clusters, say) agrees only to that share: the level
+        # below which both fits call it zero.
+        model = np.diag(model_based_covariance(X, expected.beta))
+        assert np.isclose(fit.se ** 2, expected.se ** 2, rtol=1e-9,
+                          atol=stats.MIN_VARIANCE_RATIO * model).all(), (fit.se, expected.se)
+        # z and p follow from beta and se wherever se agrees to rtol 1e-9
+        agreed = np.isclose(fit.se, expected.se, rtol=1e-9, atol=0)
+        for name in ("z", "p"):
+            np.testing.assert_allclose(getattr(fit, name)[agreed],
+                                       getattr(expected, name)[agreed],
+                                       rtol=1e-9, atol=1e-12, err_msg=name)
+        assert (fit.n_obs, fit.n_clusters) == (expected.n_obs, expected.n_clusters)
+        assert (fit.n_iter, fit.converged) == (expected.n_iter, expected.converged)
+        assert fit.n_cells == len({(c, tuple(row)) for c, row in zip(clusters, X.tolist())})
