@@ -15,7 +15,7 @@ from .kb import (
     read_document,
     require_keys,
 )
-from .outcome import Param, Tool, ToolFailure, ToolOutcome, ToolTable, literal, tool
+from .outcome import Param, Tool, ToolFailure, ToolOutcome, ToolTable, literal
 
 
 @dataclass(frozen=True)
@@ -125,35 +125,31 @@ TOOLS = ToolTable("atomic", globals(), {
 # ---------------------------------------------------------------------------
 # Operations
 
-def extract_entity(store: GraphStore, grounder: Grounder, text: str) -> ToolOutcome:
+def extract_entity(store: GraphStore, grounder: Grounder, text: str) -> NodeSet | TypedValue:
     literal = parse_value_text(text)
     if literal.kind != "string":
-        return ToolOutcome.success(literal)
+        return literal
     name_result = grounder.ground(text, "entity-name")
     if name_result.ok:
         ids = store.node_order(
             [n.id for n in store.nodes.values() if n.name == name_result.matched_term]
         )
         if ids:
-            return ToolOutcome.success(NodeSet(ids))
+            return NodeSet(ids)
     class_result = grounder.ground(text, "concept")
     if class_result.ok:
         ids = store.node_order(
             [n.id for n in store.nodes.values() if class_result.matched_term in n.classes]
         )
         if ids:
-            return ToolOutcome.success(NodeSet(ids))
-    return ToolOutcome.failure(
-        format_candidate_feedback(name_result, text, "entity-name"),
-        name_result.candidates,
-    )
+            return NodeSet(ids)
+    raise ToolFailure(format_candidate_feedback(name_result, text, "entity-name"))
 
 
-@tool
 def find_relation(store: GraphStore, grounder: Grounder, relation: str,
-                  direction: str, target: NodeSet) -> ToolOutcome:
+                  direction: str, target: NodeSet) -> NodeSet:
     if not target.ids:
-        return ToolOutcome.failure("Find_relation needs a nonempty target set")
+        raise ToolFailure("Find_relation needs a nonempty target set")
     predicate = grounder.term(relation, "relation")
     wanted = set(target.ids)
     found = []
@@ -164,16 +160,16 @@ def find_relation(store: GraphStore, grounder: Grounder, relation: str,
             found.append(o)
     ids = store.node_order(found)
     if not ids:
-        return ToolOutcome.failure(f"no entities connected via {relation!r}")
-    return ToolOutcome.success(NodeSet(ids))
+        raise ToolFailure(f"no entities connected via {relation!r}")
+    return NodeSet(ids)
 
 
-def merge(a: NodeSet, b: NodeSet) -> ToolOutcome:
+def merge(a: NodeSet, b: NodeSet) -> NodeSet:
     other = set(b.ids)
     ids = tuple(i for i in a.ids if i in other)
     if not ids:
-        return ToolOutcome.failure("the intersection is empty")
-    return ToolOutcome.success(NodeSet(ids))
+        raise ToolFailure("the intersection is empty")
+    return NodeSet(ids)
 
 
 def _property_values(store: GraphStore, ids, prop: str):
@@ -187,24 +183,22 @@ def _property_values(store: GraphStore, ids, prop: str):
     return out
 
 
-@tool
 def order(store: GraphStore, grounder: Grounder, mode: str, nodes: NodeSet,
-          prop: str) -> ToolOutcome:
+          prop: str) -> NodeSet:
     valued = _property_values(store, nodes.ids, grounder.term(prop, "relation"))
     if not valued:
-        return ToolOutcome.failure(f"no node in the set has property {prop!r}")
+        raise ToolFailure(f"no node in the set has property {prop!r}")
     if len({v.kind for _, v in valued}) > 1:
-        return ToolOutcome.failure(f"kind mismatch across {prop!r}")
+        raise ToolFailure(f"kind mismatch across {prop!r}")
     if len({v.unit for _, v in valued}) > 1:
-        return ToolOutcome.failure(f"unit mismatch across {prop!r}")
+        raise ToolFailure(f"unit mismatch across {prop!r}")
     extreme = (min if mode == "argmin" else max)(v.value for _, v in valued)
     ids = store.node_order([nid for nid, v in valued if v.value == extreme])
-    return ToolOutcome.success(NodeSet(ids))  # ties keep all extrema
+    return NodeSet(ids)  # ties keep all extrema
 
 
-@tool
 def compare(store: GraphStore, grounder: Grounder, operator: str, prop: str,
-            literal: TypedValue) -> ToolOutcome:
+            literal: TypedValue) -> NodeSet:
     operator = _ALIASES.get(operator, operator)
     prop = grounder.term(prop, "relation")
     found = []
@@ -220,15 +214,12 @@ def compare(store: GraphStore, grounder: Grounder, operator: str, prop: str,
             found.append(s)
     ids = store.node_order(found)
     if not ids:
-        return ToolOutcome.failure(
-            f"no entities with {prop} {operator} {literal.render()}"
-        )
-    return ToolOutcome.success(NodeSet(ids))
+        raise ToolFailure(f"no entities with {prop} {operator} {literal.render()}")
+    return NodeSet(ids)
 
 
-@tool
 def time_constraint(store: GraphStore, grounder: Grounder, nodes: NodeSet,
-                    relation: str, literal: str, eval_year: int) -> ToolOutcome:
+                    relation: str, literal: str, eval_year: int) -> NodeSet:
     relation = grounder.term(relation, "relation")
     try:
         year = eval_year if str(literal).strip().upper() == "NOW" else int(str(literal).strip())
@@ -244,15 +235,14 @@ def time_constraint(store: GraphStore, grounder: Grounder, nodes: NodeSet,
     ]
     ids = store.node_order(kept)
     if not ids:
-        return ToolOutcome.failure(f"no entities satisfy {relation} = {year}")
-    return ToolOutcome.success(NodeSet(ids))
+        raise ToolFailure(f"no entities satisfy {relation} = {year}")
+    return NodeSet(ids)
 
 
-def count_nodes(nodes: NodeSet) -> ToolOutcome:
-    return ToolOutcome.success(len(nodes.ids))
+def count_nodes(nodes: NodeSet) -> int:
+    return len(nodes.ids)
 
 
-@tool
 def run_tool(store: GraphStore, grounder: Grounder, tool: str, args: dict,
              eval_year: int = 2026) -> ToolOutcome:
     """Execute one atomic tool with already-resolved set arguments."""

@@ -43,25 +43,35 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+# a run config's defaults, and the type of each value it may hold
+_DEFAULTS = {"seed": 0, "planner": "both", "robustness": "high", "trials": 3,
+             "policy": {"kind": "oracle"}}
+_TYPES = {"dataset": str, "out": str, "seed": int, "trials": int, "policy": dict}
+
+
 def _load_config(path: Path, overrides: argparse.Namespace) -> dict:
+    """The run config at `path` with the `overrides` given, then defaults,
+    applied. A config `run` cannot use raises DatasetError or PolicyError."""
     config = json.loads(path.read_text(encoding="utf-8"))
+    if type(config) is not dict:
+        raise tasks.DatasetError("a run config must be a JSON object")
+    config = {**_DEFAULTS, **config}
     for key in ("seed", "planner", "robustness", "trials"):
         value = getattr(overrides, key, None)
         if value is not None:
             config[key] = value
-    config.setdefault("seed", 0)
-    config.setdefault("planner", "both")
-    config.setdefault("robustness", "high")
-    config.setdefault("trials", 3)
-    config.setdefault("policy", {"kind": "oracle"})
     if config["planner"] not in ("sh", "fh", "both"):
         raise tasks.DatasetError(f"unknown planner {config['planner']!r}")
     if config["robustness"] not in ("high", "low"):
         raise tasks.DatasetError(f"unknown robustness {config['robustness']!r}")
-    if config["policy"].get("kind", "oracle") not in policies.KINDS:
-        raise tasks.DatasetError(f"unknown policy kind {config['policy'].get('kind')!r}")
     if "dataset" not in config:
         raise tasks.DatasetError("config is missing a dataset path")
+    for key, kind in _TYPES.items():
+        if key in config and type(config[key]) is not kind:
+            raise tasks.DatasetError(f"{key} must be {kind.__name__}, got {config[key]!r}")
+    if config["trials"] < 1:
+        raise tasks.DatasetError(f"trials must be at least 1, got {config['trials']}")
+    policies.parse_spec(config["policy"])
     return config
 
 
@@ -121,7 +131,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         config = _load_config(config_path, args)
         dataset = tasks.load_dataset(config_path.parent / config["dataset"])
-    except (OSError, json.JSONDecodeError, tasks.DatasetError, kb.KBError) as exc:
+    except (OSError, json.JSONDecodeError, tasks.DatasetError, kb.KBError,
+            policies.PolicyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -207,6 +218,12 @@ def _decode_records(lines: list[str]) -> list:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    controls = tuple(args.controls.split(",")) if args.controls else ()
+    unknown = [control for control in controls if control not in stats.CONTROLS]
+    if unknown:
+        print(f"config error: unknown control {unknown[0]!r}; --controls takes "
+              f"{', '.join(stats.CONTROLS)}", file=sys.stderr)
+        return EXIT_CONFIG
     run_dir = Path(args.run_dir)
     outcome_path = run_dir / "outcomes.jsonl"
     if not outcome_path.exists():
@@ -236,7 +253,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         gee = {"skipped": "need traces from both planners"}
         print(f"GEE skipped: {gee['skipped']}")
     else:
-        controls = tuple(args.controls.split(",")) if args.controls else ()
         try:
             X, y, clusters, names = stats.build_design(columns, controls=controls)
             rows = stats.fit_clustered_logit(X, y, clusters, names=names).table()
@@ -259,18 +275,32 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return code
 
 
+# the keys of a traces.jsonl line that `inspect` prints
+TRACE_KEYS = ("run_id", "step", "tool", "args", "outcome_kind", "tokens_in", "tokens_out")
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
     trace_path = Path(args.trace)
     if not trace_path.exists():
         print(f"config error: {trace_path} not found", file=sys.stderr)
         return EXIT_CONFIG
-    lines = [json.loads(line)
-             for line in trace_path.read_text(encoding="utf-8").splitlines()
-             if line.strip()]
+    text = trace_path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = _decode_records([line for line in text if line.strip()])
+        for index, line in enumerate(lines):
+            if type(line) is not dict:
+                raise stats.RecordError(index, "not a JSON object")
+            missing = [key for key in TRACE_KEYS if key not in line]
+            if missing:
+                raise stats.RecordError(index, f"missing key {missing[0]!r}")
+    except stats.RecordError as exc:
+        number = [n for n, line in enumerate(text, 1) if line.strip()][exc.index]
+        print(f"config error: {trace_path} line {number}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     wanted = args.run_id
     shown = 0
     for line in lines:
-        if wanted and line.get("run_id") != wanted:
+        if wanted and line["run_id"] != wanted:
             continue
         print(f"[{line['run_id']}] step {line['step']}: "
               f"{line['tool']}({json.dumps(line['args'], sort_keys=True)}) "
@@ -332,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("run_dir")
     st.add_argument("--out", default=None)
     st.add_argument("--controls", default="",
-                    help="comma-separated control columns (dataset, last_tool, "
-                         "has_bridge, has_comparison)")
+                    help=f"comma-separated control columns ({', '.join(stats.CONTROLS)})")
     st.set_defaults(func=cmd_stats)
 
     insp = sub.add_parser("inspect", help="pretty-print one trace")

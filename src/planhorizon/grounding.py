@@ -143,8 +143,7 @@ class Grounder:
         raises ToolFailure with the candidate feedback."""
         result = self.ground(term, namespace)
         if not result.ok:
-            raise ToolFailure(format_candidate_feedback(result, term, namespace),
-                              result.candidates)
+            raise ToolFailure(format_candidate_feedback(result, term, namespace))
         return result.matched_term
 
 

@@ -1,10 +1,10 @@
 """Deterministic interpreter for the 27 KoPL tools over a KnowledgeBase.
 
-Every tool returns a ToolOutcome; an empty entity-set result is a failure
-(except Count, whose zero is a valid value), and so is a schema term that
-grounds to nothing, an argument the tool table rejects, or a qualifier
-filter over a set without admitting facts (ToolFailure). Tie-breaking is KB
-insertion order throughout.
+Every tool returns its output or raises ToolFailure, which the tool table
+makes a failed step. An empty entity-set result fails the tool (except in
+Count, whose zero is a valid value), and so does a schema term that grounds
+to nothing, an argument the tool table rejects, or a qualifier filter over a
+set without admitting facts. Tie-breaking is KB insertion order throughout.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .grounding import Grounder
 from .kb import (COMPARE_OPS, OP_ALIASES, KnowledgeBase, TypedValue, compare_typed,
                  concept_closure, KBError)
-from .outcome import Param, ProgramError, Tool, ToolFailure, ToolOutcome, ToolTable, literal, tool
+from .outcome import Param, ProgramError, Tool, ToolFailure, ToolOutcome, ToolTable, literal
 
 
 class ContractViolationError(Exception):
@@ -123,24 +123,22 @@ TOOLS = ToolTable("KoPL", globals(), {
 # ---------------------------------------------------------------------------
 # Core operations
 
-def find_all(kb: KnowledgeBase) -> ToolOutcome:
+def find_all(kb: KnowledgeBase) -> EntitySet:
     ids = tuple(kb.entities)
     if not ids:
-        return ToolOutcome.failure("the knowledge base contains no entities")
-    return ToolOutcome.success(EntitySet(ids))
+        raise ToolFailure("the knowledge base contains no entities")
+    return EntitySet(ids)
 
 
-@tool
-def find(kb: KnowledgeBase, grounder: Grounder, name: str) -> ToolOutcome:
+def find(kb: KnowledgeBase, grounder: Grounder, name: str) -> EntitySet:
     ids = kb.name_index.get(grounder.term(name, "entity-name"), ())
     if not ids:
-        return ToolOutcome.failure(f"no entity named {name!r}")
-    return ToolOutcome.success(EntitySet(tuple(ids)))
+        raise ToolFailure(f"no entity named {name!r}")
+    return EntitySet(tuple(ids))
 
 
-@tool
 def filter_concept(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
-                   concept: str) -> ToolOutcome:
+                   concept: str) -> EntitySet:
     matched = grounder.term(concept, "concept")
     by_name = [c.id for c in kb.concepts.values() if c.name == matched]
     closure: set[str] = set()
@@ -148,8 +146,8 @@ def filter_concept(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
         closure |= concept_closure(kb, cid)
     kept = tuple(i for i in entities.ids if set(kb.entities[i].instance_of) & closure)
     if not kept:
-        return ToolOutcome.failure(f"no entities are instances of {concept!r}")
-    return ToolOutcome.success(EntitySet(kept))
+        raise ToolFailure(f"no entities are instances of {concept!r}")
+    return EntitySet(kept)
 
 
 def _comparable(fact_value: TypedValue, op: str, target: TypedValue) -> bool:
@@ -159,9 +157,8 @@ def _comparable(fact_value: TypedValue, op: str, target: TypedValue) -> bool:
         return False  # facts of another kind/unit simply do not match
 
 
-@tool
 def filter_attribute(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
-                     key: str, target: TypedValue, op: str = "=") -> ToolOutcome:
+                     key: str, target: TypedValue, op: str = "=") -> EntitySet:
     key = grounder.term(key, "attribute-key")
     kept_ids, kept_facts = [], []
     for eid in entities.ids:
@@ -173,15 +170,12 @@ def filter_attribute(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
             kept_ids.append(eid)
             kept_facts.append(admitting)
     if not kept_ids:
-        return ToolOutcome.failure(
-            f"no entities satisfy {key} {op} {target.render()}"
-        )
-    return ToolOutcome.success(EntitySet(tuple(kept_ids), tuple(kept_facts)))
+        raise ToolFailure(f"no entities satisfy {key} {op} {target.render()}")
+    return EntitySet(tuple(kept_ids), tuple(kept_facts))
 
 
-@tool
 def qualifier_filter(grounder: Grounder, entities: EntitySet, qkey: str,
-                     qvalue: TypedValue, op: str = "=") -> ToolOutcome:
+                     qvalue: TypedValue, op: str = "=") -> EntitySet:
     if entities.facts is None:
         raise ToolFailure("qualifier filters need the admitting facts of the previous filter")
     qkey = grounder.term(qkey, "qualifier-key")
@@ -195,10 +189,8 @@ def qualifier_filter(grounder: Grounder, entities: EntitySet, qkey: str,
             kept_ids.append(eid)
             kept_facts.append(admitting)
     if not kept_ids:
-        return ToolOutcome.failure(
-            f"no admitting facts carry qualifier {qkey} {op} {qvalue.render()}"
-        )
-    return ToolOutcome.success(EntitySet(tuple(kept_ids), tuple(kept_facts)))
+        raise ToolFailure(f"no admitting facts carry qualifier {qkey} {op} {qvalue.render()}")
+    return EntitySet(tuple(kept_ids), tuple(kept_facts))
 
 
 def _neighbors(kb: KnowledgeBase, eid: str, predicate: str, direction: str):
@@ -213,9 +205,8 @@ def _neighbors(kb: KnowledgeBase, eid: str, predicate: str, direction: str):
     return out
 
 
-@tool
 def relate(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
-           relation: str, direction: str = "forward") -> ToolOutcome:
+           relation: str, direction: str = "forward") -> EntitySet:
     predicate = grounder.term(relation, "relation")
     seen: dict[str, list] = {}
     for eid in entities.ids:
@@ -224,30 +215,28 @@ def relate(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
     # deterministic order: KB insertion order
     ordered = [i for i in kb.entities if i in seen]
     if not ordered:
-        return ToolOutcome.failure(f"no entities connected via {relation!r}")
-    return ToolOutcome.success(
-        EntitySet(tuple(ordered), tuple(tuple(seen[i]) for i in ordered))
-    )
+        raise ToolFailure(f"no entities connected via {relation!r}")
+    return EntitySet(tuple(ordered), tuple(tuple(seen[i]) for i in ordered))
 
 
-def set_op(a: EntitySet, b: EntitySet, kind: str) -> ToolOutcome:
+def set_op(a: EntitySet, b: EntitySet, kind: str) -> EntitySet:
     if kind == "and":
         right = set(b.ids)
         ids = tuple(i for i in a.ids if i in right)
         if not ids:
-            return ToolOutcome.failure("the intersection is empty")
+            raise ToolFailure("the intersection is empty")
     elif kind == "or":
         left = set(a.ids)
         ids = tuple(a.ids) + tuple(i for i in b.ids if i not in left)
         if not ids:
-            return ToolOutcome.failure("the union of two empty sets is empty")
+            raise ToolFailure("the union of two empty sets is empty")
     else:
         raise ContractViolationError(f"bad set operation {kind!r}")
-    return ToolOutcome.success(EntitySet(ids))
+    return EntitySet(ids)
 
 
-def count(entities: EntitySet) -> ToolOutcome:
-    return ToolOutcome.success(len(entities.ids))  # zero is a valid value
+def count(entities: EntitySet) -> int:
+    return len(entities.ids)  # zero is a valid value
 
 
 def _number_attr(kb: KnowledgeBase, eid: str, key: str) -> TypedValue | None:
@@ -257,66 +246,59 @@ def _number_attr(kb: KnowledgeBase, eid: str, key: str) -> TypedValue | None:
     return None
 
 
-@tool
 def select_between(kb: KnowledgeBase, grounder: Grounder, a: EntitySet,
-                   b: EntitySet, key: str, mode: str) -> ToolOutcome:
+                   b: EntitySet, key: str, mode: str) -> str:
     if not a.ids or not b.ids:
-        return ToolOutcome.failure("SelectBetween needs two nonempty entity sets")
+        raise ToolFailure("SelectBetween needs two nonempty entity sets")
     key = grounder.term(key, "attribute-key")
     # non-singleton inputs take the first element of each (ambiguity noted)
     ea, eb = a.ids[0], b.ids[0]
     va, vb = _number_attr(kb, ea, key), _number_attr(kb, eb, key)
     if va is None or vb is None:
         missing = ea if va is None else eb
-        return ToolOutcome.failure(
-            f"entity {kb.entities[missing].name!r} has no numeric attribute {key!r}"
-        )
+        raise ToolFailure(f"entity {kb.entities[missing].name!r} has no numeric attribute {key!r}")
     if va.unit != vb.unit:
-        return ToolOutcome.failure(
-            f"unit mismatch comparing {key!r}: {va.unit!r} vs {vb.unit!r}"
-        )
+        raise ToolFailure(f"unit mismatch comparing {key!r}: {va.unit!r} vs {vb.unit!r}")
     op = ">" if mode == "greater" else "<"
     # a tie breaks toward the first operand
     winner = ea if va.value == vb.value or compare_typed(va, op, vb) else eb
-    return ToolOutcome.success(kb.entities[winner].name)
+    return kb.entities[winner].name
 
 
-@tool
 def select_among(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
-                 key: str, mode: str) -> ToolOutcome:
+                 key: str, mode: str) -> str:
     if not entities.ids:
-        return ToolOutcome.failure("SelectAmong needs a nonempty entity set")
+        raise ToolFailure("SelectAmong needs a nonempty entity set")
     key = grounder.term(key, "attribute-key")
     valued = [(eid, _number_attr(kb, eid, key)) for eid in entities.ids]
     valued = [(eid, v) for eid, v in valued if v is not None]
     if not valued:
-        return ToolOutcome.failure(f"no entity in the set has numeric attribute {key!r}")
+        raise ToolFailure(f"no entity in the set has numeric attribute {key!r}")
     units = {v.unit for _, v in valued}
     if len(units) > 1:
-        return ToolOutcome.failure(f"unit mismatch across {key!r}: {sorted(map(str, units))}")
+        raise ToolFailure(f"unit mismatch across {key!r}: {sorted(map(str, units))}")
     # the first of equal values wins
     best = (max if mode == "largest" else min)(valued, key=lambda item: item[1].value)
-    return ToolOutcome.success(kb.entities[best[0]].name)
+    return kb.entities[best[0]].name
 
 
-def verify(queried: TypedValue, target: TypedValue, op: str = "=") -> ToolOutcome:
+def verify(queried: TypedValue, target: TypedValue, op: str = "=") -> str:
     try:
-        return ToolOutcome.success("yes" if compare_typed(queried, op, target) else "no")
+        return "yes" if compare_typed(queried, op, target) else "no"
     except KBError as exc:
-        return ToolOutcome.failure(f"cannot verify: {exc}")
+        raise ToolFailure(f"cannot verify: {exc}") from None
 
 
-def query_name(kb: KnowledgeBase, entities: EntitySet) -> ToolOutcome:
+def query_name(kb: KnowledgeBase, entities: EntitySet) -> str:
     if not entities.ids:
-        return ToolOutcome.failure("cannot query the name of an empty entity set")
-    return ToolOutcome.success(kb.entities[entities.ids[0]].name)
+        raise ToolFailure("cannot query the name of an empty entity set")
+    return kb.entities[entities.ids[0]].name
 
 
-@tool
 def query_attr(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
-               key: str) -> ToolOutcome:
+               key: str) -> TypedValue:
     if not entities.ids:
-        return ToolOutcome.failure("cannot query an attribute of an empty entity set")
+        raise ToolFailure("cannot query an attribute of an empty entity set")
     key = grounder.term(key, "attribute-key")
     value = next((
         fact.value
@@ -325,14 +307,13 @@ def query_attr(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
         if fact.key == key
     ), None)
     if value is None:
-        return ToolOutcome.failure(f"no value for attribute {key!r}")
-    return ToolOutcome.success(value)
+        raise ToolFailure(f"no value for attribute {key!r}")
+    return value
 
 
-@tool
 def query_attr_under_condition(kb: KnowledgeBase, grounder: Grounder,
                                entities: EntitySet, key: str, qkey: str,
-                               qvalue: TypedValue) -> ToolOutcome:
+                               qvalue: TypedValue) -> TypedValue:
     key = grounder.term(key, "attribute-key")
     qkey = grounder.term(qkey, "qualifier-key")
     value = next((
@@ -343,30 +324,25 @@ def query_attr_under_condition(kb: KnowledgeBase, grounder: Grounder,
         and any(k == qkey and _comparable(v, "=", qvalue) for k, v in fact.qualifiers)
     ), None)
     if value is None:
-        return ToolOutcome.failure(
-            f"no {key!r} fact carries qualifier {qkey} = {qvalue.render()}"
-        )
-    return ToolOutcome.success(value)
+        raise ToolFailure(f"no {key!r} fact carries qualifier {qkey} = {qvalue.render()}")
+    return value
 
 
-def query_relation(kb: KnowledgeBase, a: EntitySet, b: EntitySet) -> ToolOutcome:
+def query_relation(kb: KnowledgeBase, a: EntitySet, b: EntitySet) -> str:
     if not a.ids or not b.ids:
-        return ToolOutcome.failure("QueryRelation needs two nonempty entity sets")
+        raise ToolFailure("QueryRelation needs two nonempty entity sets")
     ea, eb = a.ids[0], b.ids[0]
     predicates = [edge.predicate for edge in kb.entities[ea].relations
                   if edge.direction == "forward" and edge.target == eb]
     predicates += [edge.predicate for edge in kb.entities[eb].relations
                    if edge.direction == "backward" and edge.target == ea]
     if not predicates:
-        return ToolOutcome.failure(
-            f"no relation from {kb.entities[ea].name!r} to {kb.entities[eb].name!r}"
-        )
-    return ToolOutcome.success(predicates[0])
+        raise ToolFailure(f"no relation from {kb.entities[ea].name!r} to {kb.entities[eb].name!r}")
+    return predicates[0]
 
 
-@tool
 def query_attr_qualifier(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
-                         key: str, value: TypedValue, qkey: str) -> ToolOutcome:
+                         key: str, value: TypedValue, qkey: str) -> TypedValue:
     key = grounder.term(key, "attribute-key")
     qkey = grounder.term(qkey, "qualifier-key")
     found = next((
@@ -378,19 +354,16 @@ def query_attr_qualifier(kb: KnowledgeBase, grounder: Grounder, entities: Entity
         if qk == qkey
     ), None)
     if found is None:
-        return ToolOutcome.failure(
-            f"no qualifier {qkey!r} on fact {key} = {value.render()}"
-        )
-    return ToolOutcome.success(found)
+        raise ToolFailure(f"no qualifier {qkey!r} on fact {key} = {value.render()}")
+    return found
 
 
-@tool
 def query_relation_qualifier(kb: KnowledgeBase, grounder: Grounder, a: EntitySet,
-                             b: EntitySet, relation: str, qkey: str) -> ToolOutcome:
+                             b: EntitySet, relation: str, qkey: str) -> TypedValue:
     relation = grounder.term(relation, "relation")
     qkey = grounder.term(qkey, "qualifier-key")
     if not a.ids or not b.ids:
-        return ToolOutcome.failure("QueryRelationQualifier needs two nonempty sets")
+        raise ToolFailure("QueryRelationQualifier needs two nonempty sets")
     ea, eb = a.ids[0], b.ids[0]
     found = []
     for edge in kb.entities[ea].relations:
@@ -400,16 +373,13 @@ def query_relation_qualifier(kb: KnowledgeBase, grounder: Grounder, a: EntitySet
         if edge.predicate == relation and edge.direction == "backward" and edge.target == ea:
             found.extend(qv for qk, qv in edge.qualifiers if qk == qkey)
     if not found:
-        return ToolOutcome.failure(
-            f"no qualifier {qkey!r} on the {relation!r} relation"
-        )
-    return ToolOutcome.success(found[0])
+        raise ToolFailure(f"no qualifier {qkey!r} on the {relation!r} relation")
+    return found[0]
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 
-@tool
 def run_tool(kb: KnowledgeBase, grounder: Grounder, tool: str, args: dict) -> ToolOutcome:
     """Execute one KoPL tool (an unknown one raises ProgramError). Set/value-ref
     args must already be resolved objects."""

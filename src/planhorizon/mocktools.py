@@ -15,7 +15,7 @@ from functools import cached_property
 from . import grounding
 from .grounding import Grounder
 from .kb import MalformedDocumentError, read_document, require_keys
-from .outcome import Param, Tool, ToolOutcome, ToolTable, tool
+from .outcome import Param, Tool, ToolFailure, ToolOutcome, ToolTable
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,13 @@ def rank_documents(corpus: MockCorpus, question: str,
     return [corpus.documents[i] for _, i in ranked]
 
 
-def mock_search(corpus: MockCorpus, question: str, k: int) -> ToolOutcome:
+def mock_search(corpus: MockCorpus, question: str, k: int) -> str:
     """Inspect the top-k ranked documents for an answerable-question match."""
     needle = normalize_question(question)
     for doc in rank_documents(corpus, question, k):
         if needle in doc.answers:
-            return ToolOutcome.success(doc.answers[needle])
-    return ToolOutcome.failure(
+            return doc.answers[needle]
+    raise ToolFailure(
         f'Error in search: Failed to find the answer to "{question}"\n'
         "No supporting information found in the search result.\n"
         "Retry with a different question or try a different tool."
@@ -111,7 +111,7 @@ _SMALLER = ("earlier", "smaller", "less", "lower", "fewer")
 _LARGER = ("later", "larger", "greater", "more", "higher")
 
 
-def mock_reasoning(instruction: str) -> ToolOutcome:
+def mock_reasoning(instruction: str) -> str:
     """Deterministic evaluation of the supported reasoning templates:
     compare(a, b, mode), equality(a, b), pick(mode, v1, v2, ...)."""
     m = _COMPARE.match(instruction)
@@ -120,20 +120,18 @@ def mock_reasoning(instruction: str) -> ToolOutcome:
         try:
             na, nb = float(a.replace(",", "")), float(b.replace(",", ""))
         except ValueError:
-            return ToolOutcome.failure(
-                f"compare needs two numbers, got {a!r} and {b!r}"
-            )
+            raise ToolFailure(f"compare needs two numbers, got {a!r} and {b!r}") from None
         if mode in _SMALLER:
             winner = a if na <= nb else b
         elif mode in _LARGER:
             winner = a if na >= nb else b
         else:
-            return ToolOutcome.failure(f"unknown compare mode {mode!r}")
-        return ToolOutcome.success(winner.strip())
+            raise ToolFailure(f"unknown compare mode {mode!r}")
+        return winner.strip()
     m = _EQUALITY.match(instruction)
     if m:
         same = normalize_question(m.group(1)) == normalize_question(m.group(2))
-        return ToolOutcome.success("yes" if same else "no")
+        return "yes" if same else "no"
     m = _PICK.match(instruction)
     if m:
         mode = m.group(1).lower()
@@ -142,17 +140,17 @@ def mock_reasoning(instruction: str) -> ToolOutcome:
             for item in items:
                 try:
                     float(item.replace(",", ""))
-                    return ToolOutcome.success(item)
+                    return item
                 except ValueError:
                     continue
         elif mode == "nonempty":
             for item in items:
                 if item:
-                    return ToolOutcome.success(item)
+                    return item
         else:
-            return ToolOutcome.failure(f"unknown pick predicate {mode!r}")
-        return ToolOutcome.failure("no item satisfies the predicate")
-    return ToolOutcome.failure(
+            raise ToolFailure(f"unknown pick predicate {mode!r}")
+        raise ToolFailure("no item satisfies the predicate")
+    raise ToolFailure(
         "unsupported reasoning instruction; use compare(a, b, mode), "
         "equality(a, b), or pick(predicate, v1, v2, ...)"
     )
@@ -179,7 +177,6 @@ class MockEngine:
         self.corpus = corpus
         self.top_k = 1 if grounder.mode == "low" else corpus.top_k
 
-    @tool
     def run_tool(self, tool: str, args: dict) -> ToolOutcome:
         return TOOLS.call(tool, args, {"corpus": self.corpus, "top_k": self.top_k})
 

@@ -3,7 +3,6 @@ fails, and the tool table each engine declares its tools in."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .kb import KBError, parse_value_text
@@ -14,38 +13,23 @@ class ToolOutcome:
     ok: bool
     value: object = None
     feedback: str = ""
-    candidates: tuple = ()
 
     @staticmethod
     def success(value) -> "ToolOutcome":
         return ToolOutcome(ok=True, value=value)
 
     @staticmethod
-    def failure(feedback: str, candidates: tuple = ()) -> "ToolOutcome":
-        return ToolOutcome(ok=False, feedback=feedback, candidates=candidates)
+    def failure(feedback: str) -> "ToolOutcome":
+        return ToolOutcome(ok=False, feedback=feedback)
 
 
 class ToolFailure(Exception):
-    """Ends a tool with a failed step: raised where the tool cannot go on,
-    turned into `ToolOutcome.failure(feedback, candidates)` by `tool`."""
+    """The one way a tool fails: a tool function returns its output or
+    raises this, and `ToolTable.call` makes it a failed step."""
 
-    def __init__(self, feedback: str, candidates: tuple = ()):
+    def __init__(self, feedback: str):
         super().__init__(feedback)
         self.feedback = feedback
-        self.candidates = candidates
-
-
-def tool(fn):
-    """Make a raised `ToolFailure` the failed outcome of the tool `fn`."""
-
-    @functools.wraps(fn)
-    def run(*args, **kwargs) -> ToolOutcome:
-        try:
-            return fn(*args, **kwargs)
-        except ToolFailure as failure:
-            return ToolOutcome.failure(failure.feedback, failure.candidates)
-
-    return run
 
 
 class ProgramError(Exception):
@@ -112,33 +96,39 @@ class ToolTable:
         ]
 
     def call(self, tool: str, args: dict, context: dict) -> ToolOutcome:
-        """Run `tool` on a call's `args`, references resolved. An argument that
-        is missing, of another type, outside its choices or unparsable raises
-        ToolFailure, quoting the value to 80 characters (it may be a set)."""
+        """Run `tool` on a call's `args`, references resolved: the one place a
+        tool run becomes a ToolOutcome. An argument that is missing, of another
+        type, outside its choices or unparsable fails the step like a
+        ToolFailure the tool raises, quoting the value to 80 characters (it
+        may be a set)."""
         entry = self.tools.get(tool)
         if entry is None:
             raise ProgramError(f"unknown {self.engine} tool {tool!r}")
-        bound = []
-        for p in entry.args:
-            if type(p) is str:
-                bound.append(context[p])
-                continue
-            value = args.get(p.name, p.default)
-            if value is REQUIRED:
-                raise ToolFailure(f"Error in {tool}: argument {p.name!r} is missing")
-            if p.choices:
-                if type(value) is not str or value not in p.choices:
-                    *rest, last = p.choices
-                    raise ToolFailure(f"Error in {tool}: {p.name} must be "
-                                      f"{', '.join(rest)} or {last}, got {value!r:.80}")
-            elif type(value) not in p.takes:
-                raise ToolFailure(
-                    f"Error in {tool}: argument {p.name!r} must be {p.noun}, got {value!r:.80}")
-            elif p.parse is not None:
-                try:
-                    value = parse_value_text(value, None if p.parse == "any" else p.parse)
-                except (ValueError, KBError):
-                    raise ToolFailure(
-                        f"Error in {tool}: {p.name} {value!r:.80} is not a {p.parse}") from None
-            bound.append(value)
-        return self.functions[entry.function](*bound, *entry.fixed)
+        try:
+            bound = [context[p] if type(p) is str else _bind(tool, p, args)
+                     for p in entry.args]
+            return ToolOutcome.success(self.functions[entry.function](*bound, *entry.fixed))
+        except ToolFailure as failure:
+            return ToolOutcome.failure(failure.feedback)
+
+
+def _bind(tool: str, p: Param, args: dict):
+    """The value of parameter `p` in a call of `tool` with `args`."""
+    value = args.get(p.name, p.default)
+    if value is REQUIRED:
+        raise ToolFailure(f"Error in {tool}: argument {p.name!r} is missing")
+    if p.choices:
+        if type(value) is not str or value not in p.choices:
+            *rest, last = p.choices
+            raise ToolFailure(f"Error in {tool}: {p.name} must be "
+                              f"{', '.join(rest)} or {last}, got {value!r:.80}")
+    elif type(value) not in p.takes:
+        raise ToolFailure(
+            f"Error in {tool}: argument {p.name!r} must be {p.noun}, got {value!r:.80}")
+    elif p.parse is not None:
+        try:
+            return parse_value_text(value, None if p.parse == "any" else p.parse)
+        except (ValueError, KBError):
+            raise ToolFailure(
+                f"Error in {tool}: {p.name} {value!r:.80} is not a {p.parse}") from None
+    return value

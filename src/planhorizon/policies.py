@@ -3,6 +3,7 @@ remote adapter speaking the OpenAI-compatible chat-completions protocol."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import urllib.error
@@ -88,10 +89,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        for rate in (self.wrong_schema_rate, self.wrong_reference_rate,
-                     self.repeat_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("noise rates must lie in [0, 1]")
+        for name in ("wrong_schema_rate", "wrong_reference_rate", "repeat_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
 
 
 def corrupt_term(term: str) -> str:
@@ -171,6 +171,10 @@ class RemotePolicyConfig:
     timeout: float = 30.0
     startup_check: bool = False
 
+    def __post_init__(self):
+        if not 0.0 < self.timeout < float("inf"):
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout!r}")
+
 
 def build_plan_schema(catalog: list[dict]) -> dict:
     """A response-format constraint restricting tool names and parameter names."""
@@ -239,30 +243,44 @@ def remote_llm_policy(cfg: RemotePolicyConfig, catalog: list[dict]):
     return policy
 
 
-KINDS = ("oracle", "noisy", "remote")  # the policy kinds build_policy constructs
+# the settings of each policy kind build_policy constructs, read from the
+# spec's fields of the same names
+KINDS = {"oracle": None, "noisy": NoiseModel, "remote": RemotePolicyConfig}
+# the JSON values a settings field takes, by its annotation (a string here)
+_TAKES = {"float": (int, float), "int": (int,), "bool": (bool,), "str": (str,)}
+
+
+def parse_spec(spec: dict) -> NoiseModel | RemotePolicyConfig | None:
+    """The settings a run-config policy spec gives its kind (None for the
+    oracle). An unknown kind, or a field that is missing, of another type or
+    out of range, raises PolicyError naming it; nothing is contacted."""
+    kind = spec.get("kind", "oracle")
+    if type(kind) is not str or kind not in KINDS:
+        raise PolicyError(f"unknown policy kind {kind!r}")
+    settings = KINDS[kind]
+    if settings is None:
+        return None
+    values = {}
+    for field in dataclasses.fields(settings):
+        if field.name not in spec:
+            if field.default is dataclasses.MISSING:
+                raise PolicyError(f"a {kind} policy needs {field.name!r}")
+            continue
+        value = spec[field.name]
+        if type(value) not in _TAKES[field.type]:
+            raise PolicyError(f"policy {field.name} must be {field.type}, got {value!r}")
+        values[field.name] = value
+    try:
+        return settings(**values)
+    except ValueError as exc:
+        raise PolicyError(f"policy {exc}") from None
 
 
 def build_policy(spec: dict, task, catalog: list[dict]):
     """Construct a policy from a run-config policy spec for a given task."""
-    kind = spec.get("kind", "oracle")
-    if kind == "oracle":
-        return oracle_policy(task.gold_plan)
-    if kind == "noisy":
-        noise = NoiseModel(
-            wrong_schema_rate=spec.get("wrong_schema_rate", 0.0),
-            wrong_reference_rate=spec.get("wrong_reference_rate", 0.0),
-            repeat_rate=spec.get("repeat_rate", 0.0),
-            corrects_after_feedback=spec.get("corrects_after_feedback", True),
-            seed=spec.get("seed", 0),
-        )
-        return noisy_policy(task.gold_plan, noise, catalog)
-    if kind == "remote":
-        cfg = RemotePolicyConfig(
-            endpoint=spec["endpoint"],
-            model=spec.get("model", "stub"),
-            temperature=spec.get("temperature", 0.0),
-            timeout=spec.get("timeout", 30.0),
-            startup_check=spec.get("startup_check", False),
-        )
-        return remote_llm_policy(cfg, catalog)
-    raise PolicyError(f"unknown policy kind {kind!r}")
+    settings = parse_spec(spec)
+    if isinstance(settings, NoiseModel):
+        return noisy_policy(task.gold_plan, settings, catalog)
+    if isinstance(settings, RemotePolicyConfig):
+        return remote_llm_policy(settings, catalog)
+    return oracle_policy(task.gold_plan)

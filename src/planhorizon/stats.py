@@ -330,6 +330,10 @@ def _codes(values: list) -> tuple[list, np.ndarray]:
                                count=len(values))
 
 
+# the control columns build_design takes
+CONTROLS = ("dataset", "last_tool", "has_bridge", "has_comparison")
+
+
 def build_design(columns: dict[str, list], controls: tuple[str, ...] = ()):
     """Design matrix for the success model, from `outcome_columns` columns:
     intercept, standardized depth and breadth, the SH indicator, depth x SH

@@ -26,11 +26,20 @@ from planhorizon.grounding import (DEFAULT_THRESHOLD, MAX_CANDIDATES_HIGH,
                                    format_candidate_feedback)
 from planhorizon.kb import (KBError, KnowledgeBase, TypedValue, UnknownConceptError,
                             compare_typed, parse_value_text)
-from planhorizon.outcome import ToolOutcome
+from planhorizon.outcome import ToolFailure, ToolOutcome
 from planhorizon.plans import ExecutionGraph, Plan, ToolCall
 from planhorizon.stats import (DIVERGED, FIT_MAX_ITER, FIT_TOLERANCE, MAX_COEFFICIENT,
                                MAX_LOGIT, MIN_VARIANCE_RATIO, GeeFit, Outcome, RankDeficiencyError, Report,
                                SeparationError, StatsError, _normal_sf, standardize)
+
+
+def outcome_of(tool, *args) -> ToolOutcome:
+    """What a tool function returns, or the ToolFailure it raises, as the
+    outcome its tool table would make of it."""
+    try:
+        return ToolOutcome.success(tool(*args))
+    except ToolFailure as failure:
+        return ToolOutcome.failure(failure.feedback)
 
 
 def ref_params(catalog: list[dict], tool: str) -> list[str]:
@@ -100,10 +109,7 @@ def execute_program(kb: KnowledgeBase, grounder: Grounder,
             args[param] = results[j]
         outcome = kopl.run_tool(kb, grounder, step.tool, args)
         if not outcome.ok:
-            return ToolOutcome.failure(
-                f"step {i} ({step.tool}) failed: {outcome.feedback}",
-                outcome.candidates,
-            )
+            return ToolOutcome.failure(f"step {i} ({step.tool}) failed: {outcome.feedback}")
         results.append(outcome.value)
     return ToolOutcome.success(results[-1]) if results else ToolOutcome.failure(
         "empty program"
@@ -301,11 +307,10 @@ def eval_sexpr(store: atomic.GraphStore, grounder: Grounder, expr: SExpr,
     """Bottom-up evaluation; the first failing sub-expression aborts with its path."""
 
     def fail(outcome: ToolOutcome, path: str) -> ToolOutcome:
-        return ToolOutcome.failure(f"at {path or '/'}: {outcome.feedback}",
-                                   outcome.candidates)
+        return ToolOutcome.failure(f"at {path or '/'}: {outcome.feedback}")
 
     if isinstance(expr, Seed):
-        outcome = atomic.extract_entity(store, grounder, expr.text)
+        outcome = outcome_of(atomic.extract_entity, store, grounder, expr.text)
         return outcome if outcome.ok else fail(outcome, _path)
 
     def child(i):
@@ -316,35 +321,36 @@ def eval_sexpr(store: atomic.GraphStore, grounder: Grounder, expr: SExpr,
         target = child(2)
         if not target.ok:
             return target
-        out = atomic.find_relation(store, grounder, expr.args[0].text,
-                            expr.args[1].text, target.value)
+        out = outcome_of(atomic.find_relation, store, grounder, expr.args[0].text,
+                         expr.args[1].text, target.value)
     elif expr.head == "AND":
         a, b = child(0), child(1)
         if not a.ok:
             return a
         if not b.ok:
             return b
-        out = atomic.merge(a.value, b.value)
+        out = outcome_of(atomic.merge, a.value, b.value)
     elif expr.head in ("ARGMIN", "ARGMAX"):
         base = child(0)
         if not base.ok:
             return base
-        out = atomic.order(store, grounder, expr.head.lower(), base.value, expr.args[1].text)
+        out = outcome_of(atomic.order, store, grounder, expr.head.lower(), base.value,
+                         expr.args[1].text)
     elif expr.head in ("LT", "LE", "GT", "GE"):
         op = {"LT": "<", "LE": "<=", "GT": ">", "GE": ">="}[expr.head]
-        out = atomic.compare(store, grounder, op, expr.args[0].text,
-                      parse_value_text(expr.args[1].text))
+        out = outcome_of(atomic.compare, store, grounder, op, expr.args[0].text,
+                         parse_value_text(expr.args[1].text))
     elif expr.head == "TC":
         base = child(0)
         if not base.ok:
             return base
-        out = atomic.time_constraint(store, grounder, base.value, expr.args[1].text,
-                              expr.args[2].text, eval_year)
+        out = outcome_of(atomic.time_constraint, store, grounder, base.value,
+                         expr.args[1].text, expr.args[2].text, eval_year)
     elif expr.head == "COUNT":
         base = child(0)
         if not base.ok:
             return base
-        out = atomic.count_nodes(base.value)
+        out = outcome_of(atomic.count_nodes, base.value)
     else:  # pragma: no cover
         raise SExprError(f"unknown head {expr.head!r}")
     return out if out.ok else fail(out, _path or "/" + expr.head)
@@ -364,8 +370,7 @@ def execute_chain(store: atomic.GraphStore, grounder: Grounder, chain,
             args[param] = results[j]
         outcome = atomic.run_tool(store, grounder, step["tool"], args, eval_year)
         if not outcome.ok:
-            return ToolOutcome.failure(f"step {i} failed: {outcome.feedback}",
-                                       outcome.candidates)
+            return ToolOutcome.failure(f"step {i} failed: {outcome.feedback}")
         results.append(outcome.value)
     if not results:
         return ToolOutcome.failure("empty chain")
@@ -431,9 +436,7 @@ def find_relation(store: atomic.GraphStore, grounder: Grounder, relation: str,
         return ToolOutcome.failure("Find_relation needs a nonempty target set")
     result = grounder.ground(relation, "relation")
     if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, relation, "relation"), result.candidates
-        )
+        return ToolOutcome.failure(format_candidate_feedback(result, relation, "relation"))
     predicate = result.matched_term
     wanted = set(target.ids)
     found = []
@@ -458,9 +461,7 @@ def compare(store: atomic.GraphStore, grounder: Grounder, operator: str, prop: s
         return ToolOutcome.failure("Compare operator must be one of <, <=, >, >=")
     result = grounder.ground(prop, "relation")
     if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, prop, "relation"), result.candidates
-        )
+        return ToolOutcome.failure(format_candidate_feedback(result, prop, "relation"))
     prop = result.matched_term
     found = []
     for s, p, o in store.triples:
@@ -486,9 +487,7 @@ def time_constraint(store: atomic.GraphStore, grounder: Grounder, nodes: atomic.
     """atomic.time_constraint scanning every triple per input node."""
     result = grounder.ground(relation, "relation")
     if not result.ok:
-        return ToolOutcome.failure(
-            format_candidate_feedback(result, relation, "relation"), result.candidates
-        )
+        return ToolOutcome.failure(format_candidate_feedback(result, relation, "relation"))
     relation = result.matched_term
     year = eval_year if str(literal).strip().upper() == "NOW" else int(str(literal).strip())
     kept = []

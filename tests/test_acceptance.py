@@ -15,6 +15,7 @@ import pytest
 from planhorizon import atomic, harness, kopl, mocktools, plans, policies, stats, tasks
 from planhorizon.grounding import Grounder, build_index, ground
 from planhorizon.mocktools import MockCorpus, MockDocument
+from planhorizon.outcome import ToolFailure
 from planhorizon.plans import ExecutionGraph, breadth, build_dag, depth
 
 import oracles
@@ -141,7 +142,7 @@ def test_recall_monotonicity(fixtures_dir):
         question = rng.choice(pool) if pool else "unanswerable"
         previous = False
         for k in range(1, len(docs) + 2):
-            ok = mocktools.mock_search(corpus, question, k).ok
+            ok = oracles.outcome_of(mocktools.mock_search, corpus, question, k).ok
             assert ok or not previous
             previous = ok
 
@@ -149,8 +150,9 @@ def test_recall_monotonicity(fixtures_dir):
     q = "When was the Great Wall of China built?"
     ranked = [d.title for d in mocktools.rank_documents(corpus, q)]
     assert ranked.index("Ming fortification records") == 2
-    assert not mocktools.mock_search(corpus, q, 1).ok
-    assert mocktools.mock_search(corpus, q, 10).ok
+    with pytest.raises(ToolFailure):
+        mocktools.mock_search(corpus, q, 1)
+    assert mocktools.mock_search(corpus, q, 10) == "7th century BC"
 
 
 @report("repetition detector: repeat-rate-1 noisy traces all flagged, oracle "

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from planhorizon import atomic
 from planhorizon.atomic import NodeSet, load_graph
 from planhorizon.grounding import Grounder, build_index
+from planhorizon.outcome import ToolFailure
 
 import oracles
 from oracles import (App, Seed, compile_chain, eval_sexpr, execute_chain,
@@ -67,53 +68,52 @@ class TestSExpr:
 
 class TestTools:
     def test_extract_entity_name(self, store, grounder):
-        out = atomic.extract_entity(store, grounder, "Taylor Lautner")
-        assert out.ok and out.value == NodeSet(("m.0f7hw",))
+        assert atomic.extract_entity(store, grounder, "Taylor Lautner") == NodeSet(("m.0f7hw",))
 
     def test_extract_entity_class(self, store, grounder):
         out = atomic.extract_entity(store, grounder, "film")
-        assert set(out.value.ids) == {"m.02686wj", "m.0dtfn", "m.0shrt1"}
+        assert set(out.ids) == {"m.02686wj", "m.0dtfn", "m.0shrt1"}
 
     def test_extract_entity_literal(self, store, grounder):
         out = atomic.extract_entity(store, grounder, "60 minutes")
-        assert out.ok and out.value.render() == "60 minutes"
+        assert out.render() == "60 minutes"
 
     def test_find_relation_forward(self, store, grounder):
         target = NodeSet(("m.0f7hw",))
         out = atomic.find_relation(store, grounder, "starring", "forward", target)
-        assert out.value.ids == ("m.02686wj", "m.0dtfn")
+        assert out.ids == ("m.02686wj", "m.0dtfn")
 
     def test_find_relation_backward(self, store, grounder):
         films = NodeSet(("m.0dtfn",))
         out = atomic.find_relation(store, grounder, "starring", "backward", films)
-        assert out.value.ids == ("m.0f7hw", "m.0kristen")
+        assert out.ids == ("m.0f7hw", "m.0kristen")
 
     def test_merge_empty_is_failure(self, store, grounder):
-        out = atomic.merge(NodeSet(("m.0dtfn",)), NodeSet(("m.02686wj",)))
-        assert not out.ok
+        with pytest.raises(ToolFailure) as failed:
+            atomic.merge(NodeSet(("m.0dtfn",)), NodeSet(("m.02686wj",)))
+        assert failed.value.feedback == "the intersection is empty"
 
     def test_order_argmax(self, store, grounder):
         films = NodeSet(("m.02686wj", "m.0dtfn", "m.0shrt1"))
         out = atomic.order(store, grounder, "argmax", films, "runtime")
-        assert out.value.ids == ("m.0dtfn",)
+        assert out.ids == ("m.0dtfn",)
 
     def test_compare_strict_and_inclusive(self, store, grounder):
         from planhorizon.kb import parse_value_text
         lt = atomic.compare(store, grounder, "<", "runtime", parse_value_text("45 minutes"))
-        assert lt.value.ids == ("m.02686wj",)
+        assert lt.ids == ("m.02686wj",)
         le = atomic.compare(store, grounder, "≤", "runtime", parse_value_text("45 minutes"))
-        assert le.value.ids == ("m.02686wj", "m.0shrt1")
+        assert le.ids == ("m.02686wj", "m.0shrt1")
 
     def test_time_constraint_year_and_now(self, store, grounder):
         films = NodeSet(("m.02686wj", "m.0dtfn", "m.0shrt1"))
         out = atomic.time_constraint(store, grounder, films, "release_year", "2008", 2026)
-        assert out.value.ids == ("m.0dtfn",)
+        assert out.ids == ("m.0dtfn",)
         out = atomic.time_constraint(store, grounder, films, "release_year", "NOW", 2015)
-        assert out.value.ids == ("m.0shrt1",)
+        assert out.ids == ("m.0shrt1",)
 
     def test_count_zero_ok(self):
-        out = atomic.count_nodes(NodeSet(()))
-        assert out.ok and out.value == 0
+        assert atomic.count_nodes(NodeSet(())) == 0
 
 
 class TestCompileAndEval:

@@ -53,18 +53,67 @@ class TestRun:
         config.write_text(json.dumps({"dataset": "bad.json"}))
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o")) == 2
 
-    def test_unknown_policy_kind_is_config_error(self, tmp_path, fixtures_dir, capsys):
-        config = json.loads((fixtures_dir / "run_kopl_oracle.json").read_text())
-        config.update(dataset=str(fixtures_dir / "kopl_tasks.json"), policy={"kind": "gpt"})
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        assert run_cli("run", "--config", str(tmp_path / "config.json"),
-                       "--out", str(tmp_path / "o")) == 2
-        assert capsys.readouterr().err == "config error: unknown policy kind 'gpt'\n"
-        assert not (tmp_path / "o").exists()
-
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "o")) == 2
+
+    # each ends before the manifest is written, with one line naming the problem
+    @pytest.mark.parametrize("config, argv, message", [
+        ([], (), "a run config must be a JSON object"),
+        ({"policy": "oracle"}, (), "policy must be dict, got 'oracle'"),
+        ({"trials": "2"}, (), "trials must be int, got '2'"),
+        ({"trials": True}, (), "trials must be int, got True"),
+        ({"trials": 0}, (), "trials must be at least 1, got 0"),
+        ({}, ("--trials", "0"), "trials must be at least 1, got 0"),
+        ({"trials": -2}, (), "trials must be at least 1, got -2"),
+        ({"seed": "7", "policy": {"kind": "noisy"}}, (), "seed must be int, got '7'"),
+        ({"dataset": 5}, (), "dataset must be str, got 5"),
+        ({"dataset": ["kopl_tasks.json"]}, (),
+         "dataset must be str, got ['kopl_tasks.json']"),
+    ], ids=["top-level-list", "policy-string", "trials-string", "trials-bool", "trials-zero",
+            "trials-zero-override", "trials-negative", "seed-string-noisy",
+            "dataset-number", "dataset-list"])
+    def test_malformed_run_config_is_config_error(self, tmp_path, fixtures_dir, capsys,
+                                                  config, argv, message):
+        if isinstance(config, dict):
+            config = {"dataset": str(fixtures_dir / "kopl_tasks.json"), **config}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", str(tmp_path / "config.json"),
+                       "--out", str(tmp_path / "o"), *argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    # checked once, before any job runs: no trajectory is attempted
+    @pytest.mark.parametrize("policy, message", [
+        ({"kind": "gpt"}, "unknown policy kind 'gpt'"),
+        ({"kind": "noisy", "wrong_schema_rate": 2},
+         "policy wrong_schema_rate must lie in [0, 1], got 2"),
+        ({"kind": "noisy", "wrong_schema_rate": "0.3"},
+         "policy wrong_schema_rate must be float, got '0.3'"),
+        ({"kind": "noisy", "repeat_rate": float("nan")},
+         "policy repeat_rate must lie in [0, 1], got nan"),
+        ({"kind": "noisy", "corrects_after_feedback": "yes"},
+         "policy corrects_after_feedback must be bool, got 'yes'"),
+        ({"kind": "noisy", "seed": 1.5}, "policy seed must be int, got 1.5"),
+        ({"kind": "remote"}, "a remote policy needs 'endpoint'"),
+        ({"kind": "remote", "endpoint": 8000}, "policy endpoint must be str, got 8000"),
+        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/v1/chat/completions",
+          "timeout": 0}, "policy timeout must be positive and finite, got 0"),
+        ({"kind": ["noisy"]}, "unknown policy kind ['noisy']"),
+    ], ids=["unknown-kind", "rate-above-one", "rate-string", "rate-nan", "correction-string",
+            "seed-float", "remote-no-endpoint", "endpoint-number", "timeout-zero",
+            "kind-list"])
+    def test_bad_policy_spec_is_config_error(self, tmp_path, fixtures_dir, capsys,
+                                             monkeypatch, policy, message):
+        built = []
+        monkeypatch.setattr(harness, "run_task", lambda *args, **kw: built.append(args))
+        config = json.loads((fixtures_dir / "run_kopl_oracle.json").read_text())
+        config.update(dataset=str(fixtures_dir / "kopl_tasks.json"), policy=policy)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", str(tmp_path / "config.json"),
+                       "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert built == [] and not (tmp_path / "o").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path, fixtures_dir, capsys):
         outs = []
@@ -194,6 +243,17 @@ class TestStats:
     def test_missing_dir_is_config_error(self, tmp_path, capsys):
         assert run_cli("stats", str(tmp_path / "ghost")) == 2
 
+    @pytest.mark.parametrize("controls, name", [
+        ("foo", "foo"), ("dataset,,last_tool", ""), ("dataset,Dataset", "Dataset"),
+    ], ids=["unknown", "empty", "wrong-case"])
+    def test_unknown_control_is_config_error(self, run_dir, capsys, controls, name):
+        before = sorted(p.name for p in run_dir.iterdir())
+        assert run_cli("stats", str(run_dir), "--controls", controls) == 2
+        assert capsys.readouterr().err == (
+            f"config error: unknown control {name!r}; --controls takes "
+            "dataset, last_tool, has_bridge, has_comparison\n")
+        assert sorted(p.name for p in run_dir.iterdir()) == before
+
     # the file is a good line, a blank line, then the bad line(s)
     @pytest.mark.parametrize("bad_lines, message", [
         ([GOOD_LINE[:30]], "Expecting"),
@@ -267,6 +327,24 @@ class TestInspect:
     def test_no_match_is_runtime_failure(self, run_dir, capsys):
         assert run_cli("inspect", str(run_dir / "traces.jsonl"),
                        "--run-id", "nope") == 1
+
+    # the file is a good line, a blank line, then the bad line
+    @pytest.mark.parametrize("bad_line, message", [
+        ("not json", "Expecting value at column 1"),
+        ('{"run_id": "a", ', "Expecting property name enclosed in double quotes at column 17"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"a": 1}', "missing key 'run_id'"),
+    ], ids=["invalid-json", "truncated", "not-an-object", "missing-run-id"])
+    def test_malformed_traces_is_config_error(self, run_dir, tmp_path, capsys, bad_line,
+                                              message):
+        good = (run_dir / "traces.jsonl").read_text().splitlines()[0]
+        path = tmp_path / "traces.jsonl"
+        path.write_text("\n".join([good, "", bad_line, good]) + "\n")
+        for run_id in ((), ("--run-id", "nope")):
+            assert run_cli("inspect", str(path), *run_id) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: {path} line 3: {message}\n"
+            assert captured.out == ""
 
 
 class TestValidate:

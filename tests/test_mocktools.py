@@ -10,6 +10,9 @@ from planhorizon import grounding, harness, mocktools, tasks
 from planhorizon.kb import MalformedDocumentError
 from planhorizon.mocktools import (MockCorpus, MockDocument, load_corpus,
                                    mock_reasoning, mock_search, rank_documents)
+from planhorizon.outcome import ToolFailure
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -29,33 +32,33 @@ class TestCorpus:
 
 class TestSearch:
     def test_rank_one_answer_at_k1(self, corpus):
-        out = mock_search(corpus, "Where is the Eiffel Tower?", 1)
-        assert out.ok and out.value == "Paris"
+        assert mock_search(corpus, "Where is the Eiffel Tower?", 1) == "Paris"
 
     def test_rank_three_case(self, corpus):
         q = "When was the Great Wall of China built?"
         ranked = [d.title for d in rank_documents(corpus, q)]
         assert ranked.index("Ming fortification records") == 2
-        assert not mock_search(corpus, q, 1).ok
-        assert not mock_search(corpus, q, 2).ok
-        assert mock_search(corpus, q, 3).value == "7th century BC"
-        assert mock_search(corpus, q, 10).value == "7th century BC"
+        for k in (1, 2):
+            with pytest.raises(ToolFailure):
+                mock_search(corpus, q, k)
+        assert mock_search(corpus, q, 3) == "7th century BC"
+        assert mock_search(corpus, q, 10) == "7th century BC"
 
     def test_failure_message_shape(self, corpus):
-        out = mock_search(corpus, "What is the meaning of life?", 10)
-        assert out.feedback == (
+        with pytest.raises(ToolFailure) as failed:
+            mock_search(corpus, "What is the meaning of life?", 10)
+        assert failed.value.feedback == (
             'Error in search: Failed to find the answer to "What is the meaning of life?"\n'
             "No supporting information found in the search result.\n"
             "Retry with a different question or try a different tool."
         )
 
     def test_empty_corpus_fails(self):
-        out = mock_search(MockCorpus(documents=()), "anything", 5)
-        assert not out.ok
+        with pytest.raises(ToolFailure):
+            mock_search(MockCorpus(documents=()), "anything", 5)
 
     def test_question_normalization(self, corpus):
-        out = mock_search(corpus, "where IS the eiffel tower", 1)
-        assert out.ok and out.value == "Paris"
+        assert mock_search(corpus, "where IS the eiffel tower", 1) == "Paris"
 
     def test_documents_are_trigrammed_on_the_first_search_only(self, fixtures_dir,
                                                                 monkeypatch):
@@ -68,11 +71,11 @@ class TestSearch:
         env = tasks.load_dataset(fixtures_dir / "mock_tasks.json").make_env("high")
         assert trigrammed == []
         corpus = env.engine.corpus
-        assert mock_search(corpus, "Where is the Eiffel Tower?", corpus.top_k).ok
+        assert mock_search(corpus, "Where is the Eiffel Tower?", corpus.top_k) == "Paris"
         assert len(trigrammed) == len(corpus.documents) + 1
         trigrammed.clear()
         q = "When was the Great Wall of China built?"
-        assert mock_search(corpus, q, 3).ok
+        assert mock_search(corpus, q, 3) == "7th century BC"
         assert trigrammed == [grounding._normalize(q)]
 
 
@@ -101,24 +104,27 @@ def test_bad_text_argument_is_a_failed_step(mock_dataset, planner, tool, args, p
 
 class TestReasoning:
     def test_compare_earlier(self):
-        assert mock_reasoning("compare(1959, 1961, earlier)").value == "1959"
+        assert mock_reasoning("compare(1959, 1961, earlier)") == "1959"
 
     def test_compare_larger(self):
-        assert mock_reasoning("compare(180000, 67000, larger)").value == "180000"
+        assert mock_reasoning("compare(180000, 67000, larger)") == "180000"
 
     def test_equality(self):
-        assert mock_reasoning('equality("film director", "film director")').value == "yes"
-        assert mock_reasoning('equality("Paris", "Rome")').value == "no"
+        assert mock_reasoning('equality("film director", "film director")') == "yes"
+        assert mock_reasoning('equality("Paris", "Rome")') == "no"
 
     def test_pick(self):
-        assert mock_reasoning('pick(numeric, abc, 42, xyz)').value == "42"
+        assert mock_reasoning('pick(numeric, abc, 42, xyz)') == "42"
 
     def test_unsupported_template(self):
-        out = mock_reasoning("ponder the nature of consciousness")
-        assert not out.ok and "unsupported" in out.feedback
+        with pytest.raises(ToolFailure) as failed:
+            mock_reasoning("ponder the nature of consciousness")
+        assert "unsupported" in failed.value.feedback
 
     def test_compare_non_numeric_fails(self):
-        assert not mock_reasoning("compare(apple, orange, earlier)").ok
+        with pytest.raises(ToolFailure) as failed:
+            mock_reasoning("compare(apple, orange, earlier)")
+        assert failed.value.feedback == "compare needs two numbers, got 'apple' and 'orange'"
 
 
 def _random_corpus(rng):
@@ -144,7 +150,7 @@ def test_recall_monotonicity_randomized():
         question = rng.choice(
             [q for d in corpus.documents for q in d.answers] or ["nothing here"]
         )
-        results = [mock_search(corpus, question, k).ok
+        results = [oracles.outcome_of(mock_search, corpus, question, k).ok
                    for k in range(1, len(corpus.documents) + 2)]
         for smaller, larger in zip(results, results[1:]):
             assert not smaller or larger
@@ -155,5 +161,5 @@ def test_recall_monotonicity_randomized():
 def test_determinism(question, k):
     import pathlib
     corpus = load_corpus(pathlib.Path(__file__).parent.parent / "fixtures" / "corpus.json")
-    first = mock_search(corpus, question, k)
-    assert mock_search(corpus, question, k) == first
+    first = oracles.outcome_of(mock_search, corpus, question, k)
+    assert oracles.outcome_of(mock_search, corpus, question, k) == first

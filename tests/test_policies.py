@@ -224,3 +224,20 @@ class TestBuildPolicy:
                                      taller_task, catalog))
         with pytest.raises(policies.PolicyError):
             build_policy({"kind": "psychic"}, taller_task, catalog)
+
+    def test_spec_is_read_into_its_settings(self):
+        assert policies.parse_spec({"kind": "oracle", "note": 1}) is None
+        assert policies.parse_spec({"kind": "noisy", "repeat_rate": 1, "seed": 4}) == NoiseModel(
+            repeat_rate=1, seed=4)
+        assert policies.parse_spec({"kind": "remote", "endpoint": "http://x", "timeout": 2}) == (
+            RemotePolicyConfig(endpoint="http://x", timeout=2))
+
+    def test_bad_spec_fails_every_job_the_same_way(self, kopl_dataset, taller_task):
+        catalog = kopl_dataset.make_env("high").catalog
+        spec = {"kind": "noisy", "wrong_reference_rate": -0.5}
+        with pytest.raises(policies.PolicyError) as parsed:
+            policies.parse_spec(spec)
+        with pytest.raises(policies.PolicyError) as built:
+            build_policy(spec, taller_task, catalog)
+        assert str(parsed.value) == str(built.value) == (
+            "policy wrong_reference_rate must lie in [0, 1], got -0.5")

@@ -13,7 +13,7 @@ from planhorizon.atomic import AtomicEngine, NodeSet, load_graph
 from planhorizon.grounding import Grounder, SchemaIndex, build_index, format_candidate_feedback
 from planhorizon.kb import load_kb, parse_value_text
 from planhorizon.kopl import EntitySet, KoplEngine
-from planhorizon.outcome import ToolOutcome
+from planhorizon.outcome import ToolFailure
 
 UNKNOWN = "zzqx wvy"
 OTHER_UNKNOWN = "qqjv xzk"
@@ -133,18 +133,21 @@ def data(fixtures_dir):
             "atomic": load_graph(fixtures_dir / "toy_graph.json")}
 
 
-def unknown_term_failure(source, mode: str, term: str, namespace: str) -> ToolOutcome:
+def unknown_term_feedback(source, mode: str, term: str, namespace: str) -> str:
     r = Grounder(build_index(source), mode=mode).ground(term, namespace)
     assert not r.ok
-    return ToolOutcome.failure(format_candidate_feedback(r, term, namespace), r.candidates)
+    return format_candidate_feedback(r, term, namespace)
 
 
 def both_paths(engine, source, mode, tool, args, direct):
-    """The outcome through the engine and through the tool function, each
-    with a fresh grounder."""
+    """The feedback of the failed step through the engine and of the
+    ToolFailure the tool function raises, each with a fresh grounder."""
     via_engine = ENGINES[engine](source, Grounder(build_index(source), mode=mode))
-    return (via_engine.run_tool(tool, dict(args)),
-            direct(source, Grounder(build_index(source), mode=mode), args))
+    outcome = via_engine.run_tool(tool, dict(args))
+    assert not outcome.ok and outcome.value is None
+    with pytest.raises(ToolFailure) as raised:
+        direct(source, Grounder(build_index(source), mode=mode), args)
+    return outcome.feedback, raised.value.feedback
 
 
 @pytest.mark.parametrize("mode", ["high", "low"])
@@ -154,9 +157,9 @@ def test_unknown_term_is_the_candidate_feedback(data, mode, engine, tool, args, 
                                                 param, namespace):
     source = data[engine]
     args = {**args, param: UNKNOWN}
-    expected = unknown_term_failure(source, mode, UNKNOWN, namespace)
-    for outcome in both_paths(engine, source, mode, tool, args, direct):
-        assert outcome == expected
+    expected = unknown_term_feedback(source, mode, UNKNOWN, namespace)
+    for feedback in both_paths(engine, source, mode, tool, args, direct):
+        assert feedback == expected
 
 
 @pytest.mark.parametrize("mode", ["high", "low"])
@@ -166,9 +169,9 @@ def test_first_unknown_term_is_reported(data, mode, tool, args, direct, params):
     (first, first_ns), (second, _) = params
     source = data["kopl"]
     args = {**args, first: UNKNOWN, second: OTHER_UNKNOWN}
-    expected = unknown_term_failure(source, mode, UNKNOWN, first_ns)
-    for outcome in both_paths("kopl", source, mode, tool, args, direct):
-        assert outcome == expected
+    expected = unknown_term_feedback(source, mode, UNKNOWN, first_ns)
+    for feedback in both_paths("kopl", source, mode, tool, args, direct):
+        assert feedback == expected
 
 
 class TestFeedbackQuotesThePlannersTerm:
@@ -177,19 +180,22 @@ class TestFeedbackQuotesThePlannersTerm:
     def test_find(self, data):
         kb = data["kopl"]
         index = SchemaIndex(terms={"entity-name": ("Ghost Writer",)})
-        out = kopl.find(kb, Grounder(index), "Ghost Writers")
-        assert out == ToolOutcome.failure("no entity named 'Ghost Writers'")
+        with pytest.raises(ToolFailure) as failed:
+            kopl.find(kb, Grounder(index), "Ghost Writers")
+        assert failed.value.feedback == "no entity named 'Ghost Writers'"
 
     def test_filter_concept(self, data):
         kb = data["kopl"]
-        out = kopl.filter_concept(kb, Grounder(build_index(kb)), EntitySet(("q_google",)),
-                                  "humans")
-        assert out == ToolOutcome.failure("no entities are instances of 'humans'")
+        with pytest.raises(ToolFailure) as failed:
+            kopl.filter_concept(kb, Grounder(build_index(kb)), EntitySet(("q_google",)),
+                                "humans")
+        assert failed.value.feedback == "no entities are instances of 'humans'"
 
     def test_order(self, data):
         store = data["atomic"]
-        out = atomic.order(store, Grounder(build_index(store)), "argmax", TAYLOR, "runtimes")
-        assert out == ToolOutcome.failure("no node in the set has property 'runtimes'")
+        with pytest.raises(ToolFailure) as failed:
+            atomic.order(store, Grounder(build_index(store)), "argmax", TAYLOR, "runtimes")
+        assert failed.value.feedback == "no node in the set has property 'runtimes'"
 
 
 # ---------------------------------------------------------------------------
