@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass, field
 
 from .grounding import Grounder, format_candidate_feedback
+from .harness import Environment
 from .kb import (
     KBError,
     MalformedDocumentError,
@@ -33,6 +35,17 @@ class GraphStore:
     def node_order(self, ids) -> tuple[str, ...]:
         wanted = set(ids)
         return tuple(i for i in self.nodes if i in wanted)
+
+    def schema_terms(self) -> dict[str, dict[str, None]]:
+        """Namespace -> its distinct schema terms (dict keys), in store order."""
+        names: dict[str, dict[str, None]] = collections.defaultdict(dict)
+        for node in self.nodes.values():
+            names["entity-name"].setdefault(node.name)
+            for cls in node.classes:
+                names["concept"].setdefault(cls)
+        for s, p, o in self.triples:
+            names["relation"].setdefault(p)
+        return names
 
     # Triple indexes, built on first use and kept with the store.
 
@@ -244,7 +257,7 @@ def count_nodes(nodes: NodeSet) -> int:
 
 
 def run_tool(store: GraphStore, grounder: Grounder, tool: str, args: dict,
-             eval_year: int = 2026) -> ToolOutcome:
+             eval_year: int) -> ToolOutcome:
     """Execute one atomic tool with already-resolved set arguments."""
     return TOOLS.call(tool, args, {"store": store, "grounder": grounder,
                                    "eval_year": eval_year})
@@ -260,11 +273,10 @@ def render_node_set(store: GraphStore, value) -> str:
     return str(value)
 
 
-class AtomicEngine:
+class AtomicEngine(Environment):
     """The atomic tools over one graph store; "NOW" in Time_constraint means
     `eval_year`."""
 
-    grounded = True
     catalog = TOOLS.catalog()
 
     def __init__(self, store: GraphStore, grounder: Grounder, eval_year: int = 2026):

@@ -43,18 +43,24 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-# a run config's defaults, and the type of each value it may hold
+# a run config's defaults, the type of each value it may hold, and the only
+# keys it may hold
 _DEFAULTS = {"seed": 0, "planner": "both", "robustness": "high", "trials": 3,
              "policy": {"kind": "oracle"}}
 _TYPES = {"dataset": str, "out": str, "seed": int, "trials": int, "policy": dict}
+_KEYS = ("dataset", "out", *_DEFAULTS)
 
 
 def _load_config(path: Path, overrides: argparse.Namespace) -> dict:
     """The run config at `path` with the `overrides` given, then defaults,
     applied. A config `run` cannot use raises DatasetError or PolicyError."""
-    config = json.loads(path.read_text(encoding="utf-8"))
+    config = json.loads(kb.read_text(path))
     if type(config) is not dict:
         raise tasks.DatasetError("a run config must be a JSON object")
+    for key in config:
+        if key not in _KEYS:
+            raise tasks.DatasetError(
+                f"unknown run config key {key!r}; a config holds {', '.join(_KEYS)}")
     config = {**_DEFAULTS, **config}
     for key in ("seed", "planner", "robustness", "trials"):
         value = getattr(overrides, key, None)
@@ -117,11 +123,11 @@ def _outcome_from_trace(trace, task, planner) -> stats.Outcome:
         breadth=float(plans.breadth(graph)),
         dataset=task.dataset,
         last_tool=task.gold_plan.steps[-1].tool,
-        has_bridge=bool(task.controls.get("has_bridge", False)),
-        has_comparison=bool(task.controls.get("has_comparison", False)),
+        has_bridge=task.controls.get("has_bridge", False),
+        has_comparison=task.controls.get("has_comparison", False),
         tokens_in=token_stats.prompt_tokens,
         tokens_out=token_stats.completion_tokens,
-        repeated=plans.detect_repetition(trace)["repeated"],
+        repeated=plans.detect_repetition(trace),
         label=label,
     )
 
@@ -229,7 +235,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if not outcome_path.exists():
         print(f"config error: no outcomes.jsonl under {run_dir}", file=sys.stderr)
         return EXIT_CONFIG
-    text = outcome_path.read_text(encoding="utf-8")
+    try:
+        text = kb.read_text(outcome_path)
+    except (OSError, kb.KBError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         print("config error: outcomes.jsonl is empty", file=sys.stderr)
@@ -284,8 +294,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if not trace_path.exists():
         print(f"config error: {trace_path} not found", file=sys.stderr)
         return EXIT_CONFIG
-    text = trace_path.read_text(encoding="utf-8").splitlines()
     try:
+        text = kb.read_text(trace_path).splitlines()
         lines = _decode_records([line for line in text if line.strip()])
         for index, line in enumerate(lines):
             if type(line) is not dict:
@@ -293,6 +303,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             missing = [key for key in TRACE_KEYS if key not in line]
             if missing:
                 raise stats.RecordError(index, f"missing key {missing[0]!r}")
+    except (OSError, kb.KBError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except stats.RecordError as exc:
         number = [n for n, line in enumerate(text, 1) if line.strip()][exc.index]
         print(f"config error: {trace_path} line {number}: {exc}", file=sys.stderr)

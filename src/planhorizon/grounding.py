@@ -63,7 +63,7 @@ class GroundingResult:
 
 @dataclass
 class SchemaIndex:
-    """Per-namespace term sets built from a KnowledgeBase or GraphStore.
+    """Per-namespace term sets built from a store's `schema_terms()`.
 
     The terms of a namespace are distinct. The soft-matching tables of a
     namespace are built on its first non-exact lookup and live as long as the
@@ -93,29 +93,10 @@ class SchemaIndex:
 
 
 def build_index(source) -> SchemaIndex:
-    """Index every schema term occurring in a KB or graph store."""
-    names: dict[str, dict[str, None]] = {ns: {} for ns in NAMESPACES}
-    if hasattr(source, "entities"):  # KnowledgeBase
-        for c in source.concepts.values():
-            names["concept"].setdefault(c.name)
-        for e in source.entities.values():
-            names["entity-name"].setdefault(e.name)
-            for a in e.attributes:
-                names["attribute-key"].setdefault(a.key)
-                for qk, _ in a.qualifiers:
-                    names["qualifier-key"].setdefault(qk)
-            for r in e.relations:
-                names["relation"].setdefault(r.predicate)
-                for qk, _ in r.qualifiers:
-                    names["qualifier-key"].setdefault(qk)
-    else:  # GraphStore
-        for node in source.nodes.values():
-            names["entity-name"].setdefault(node.name)
-            for cls in node.classes:
-                names["concept"].setdefault(cls)
-        for s, p, o in source.triples:
-            names["relation"].setdefault(p)
-    return SchemaIndex(terms={ns: tuple(d) for ns, d in names.items()})
+    """Index the schema terms a store lists: `source.schema_terms()` maps a
+    namespace to its distinct terms in vocabulary order."""
+    listed = source.schema_terms()
+    return SchemaIndex(terms={ns: tuple(listed.get(ns, ())) for ns in NAMESPACES})
 
 
 class Grounder:

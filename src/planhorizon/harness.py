@@ -14,9 +14,8 @@ import importlib.resources
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Protocol
 
-from .grounding import Grounder, SchemaIndex, build_index
+from .grounding import Grounder, build_index
 from .outcome import ToolOutcome
 from .plans import (Invocation, Plan, PlanParseError, StepRecord, ToolCall, Trace,
                     parse_plan, rewrite_refs, step_ref)
@@ -52,44 +51,28 @@ class TokenStats:
     invocations: int = 0
 
 
-class Engine(Protocol):
-    """A tool engine over its loaded data: what the drivers need of it.
+class Environment:
+    """A tool engine over its loaded data, with the executor the drivers call.
 
-    `make_env` builds one as ``engine_type(data, grounder, **settings)``; an
-    engine type sets `grounded` when its tools take schema terms to ground."""
+    Each engine (`KoplEngine`, `AtomicEngine`, `MockEngine`) subclasses it, sets
+    `catalog` and defines ``run_tool(tool, args) -> ToolOutcome`` (one tool, its
+    references resolved to values) and ``render(value) -> str`` (a tool output's
+    observation and answer text). `make_env` builds one per `planhorizon run`;
+    prompt files are read, and the catalog serialized, on first use and kept
+    with it."""
 
     catalog: list[dict]
 
-    def run_tool(self, tool: str, args: dict) -> ToolOutcome:
-        """Execute one tool; reference arguments arrive as resolved values."""
+    @cached_property
+    def _prompts(self) -> dict[str, str]:
+        return {}
 
-    def render(self, value) -> str:
-        """Observation and answer text for a tool output."""
-
-
-@dataclass
-class Environment:
-    """Tool catalog plus a deterministic executor over immutable data.
-
-    Prompt files are read, and the catalog serialized, on first use and kept
-    with the environment, which `planhorizon run` builds once per run."""
-
-    engine: Engine
-    _param_kinds: dict = field(init=False)
-    _prompts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._param_kinds = {
+    @cached_property
+    def _param_kinds(self) -> dict[str, dict[str, str]]:
+        return {
             entry["name"]: {p["name"]: p["kind"] for p in entry["params"]}
             for entry in self.catalog
         }
-
-    @property
-    def catalog(self) -> list[dict]:
-        return self.engine.catalog
-
-    def render(self, value) -> str:
-        return self.engine.render(value)
 
     def prompt(self, name: str) -> str:
         """The text of package prompt file `name`."""
@@ -130,7 +113,7 @@ class Environment:
                     value, lambda j: self.render(bindings[j]) if j in bindings else None)
             else:
                 resolved[name] = value
-        outcome = self.engine.run_tool(call.tool, resolved)
+        outcome = self.run_tool(call.tool, resolved)
         repetition_args = {
             k: (self.render(v) if not isinstance(v, (str, int, float)) else v)
             for k, v in resolved.items()
@@ -139,10 +122,9 @@ class Environment:
 
 
 def make_env(engine_type, data, robustness: str = "high", **settings) -> Environment:
-    """Build an engine of `engine_type` over `data`. Its grounder matches schema
-    terms indexed from `data` (engines with `grounded` set) under `robustness`."""
-    index = build_index(data) if engine_type.grounded else SchemaIndex()
-    return Environment(engine_type(data, Grounder(index, robustness), **settings))
+    """Build an engine of `engine_type` over `data`. Its grounder matches the
+    schema terms `data` lists under `robustness`."""
+    return engine_type(data, Grounder(build_index(data), robustness), **settings)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import datetime
 import functools
 import json
@@ -55,13 +56,25 @@ def _norm_op(op: str) -> str:
     return op
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file at `path`; bytes that are not UTF-8 raise
+    MalformedDocumentError naming the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocumentError(
+            f"not UTF-8 text ({exc.reason} at byte {exc.start})", str(path)) from None
+
+
 def read_document(path_or_doc) -> dict:
     """The JSON object in the data or task file at a path; an already-parsed
-    document passes through. Any other top level raises MalformedDocumentError."""
+    document passes through. A file that is not UTF-8, or any top level but
+    an object, raises MalformedDocumentError."""
     if isinstance(path_or_doc, dict):
         return path_or_doc
-    with open(path_or_doc, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = json.loads(read_text(path_or_doc))
     if not isinstance(doc, dict):
         raise MalformedDocumentError(
             f"the top level must be a JSON object, not {type(doc).__name__}", str(path_or_doc))
@@ -235,6 +248,23 @@ class KnowledgeBase:
             for edge in e.relations:
                 incoming.setdefault(edge.target, []).append((e.id, edge))
         return {target: tuple(pairs) for target, pairs in incoming.items()}
+
+    def schema_terms(self) -> dict[str, dict[str, None]]:
+        """Namespace -> its distinct schema terms (dict keys), in KB order."""
+        names: dict[str, dict[str, None]] = collections.defaultdict(dict)
+        for c in self.concepts.values():
+            names["concept"].setdefault(c.name)
+        for e in self.entities.values():
+            names["entity-name"].setdefault(e.name)
+            for a in e.attributes:
+                names["attribute-key"].setdefault(a.key)
+                for qk, _ in a.qualifiers:
+                    names["qualifier-key"].setdefault(qk)
+            for r in e.relations:
+                names["relation"].setdefault(r.predicate)
+                for qk, _ in r.qualifiers:
+                    names["qualifier-key"].setdefault(qk)
+        return names
 
     @functools.cached_property
     def subclasses(self) -> dict[str, tuple[str, ...]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grounding import Grounder
+from .harness import Environment
 from .kb import (COMPARE_OPS, OP_ALIASES, KnowledgeBase, TypedValue, compare_typed,
                  concept_closure, KBError)
 from .outcome import Param, ProgramError, Tool, ToolFailure, ToolOutcome, ToolTable, literal
@@ -395,10 +396,9 @@ def render_value(kb: KnowledgeBase, value) -> str:
     return str(value)
 
 
-class KoplEngine:
+class KoplEngine(Environment):
     """The KoPL tools over one knowledge base."""
 
-    grounded = True
     catalog = TOOLS.catalog()
 
     def __init__(self, kb: KnowledgeBase, grounder: Grounder):

@@ -14,6 +14,7 @@ from functools import cached_property
 
 from . import grounding
 from .grounding import Grounder
+from .harness import Environment
 from .kb import MalformedDocumentError, read_document, require_keys
 from .outcome import Param, Tool, ToolFailure, ToolOutcome, ToolTable
 
@@ -36,6 +37,10 @@ class MockCorpus:
             raise MalformedDocumentError("document titles must be unique")
         if not isinstance(self.top_k, int) or self.top_k < 1:
             raise MalformedDocumentError(f"top_k must be an integer >= 1, got {self.top_k!r}")
+
+    def schema_terms(self) -> dict[str, tuple[str, ...]]:
+        """No namespace has terms: the mock tools take free text."""
+        return {}
 
     @cached_property
     def search_table(self) -> tuple[tuple[str, set[str]], ...]:
@@ -165,12 +170,11 @@ TOOLS = ToolTable("mock", globals(), {
 })
 
 
-class MockEngine:
+class MockEngine(Environment):
     """search and reasoning over one corpus. The tools take free text, so
     there are no schema terms to ground; low robustness restricts retrieval
     to the top hit."""
 
-    grounded = False
     catalog = TOOLS.catalog()
 
     def __init__(self, corpus: MockCorpus, grounder: Grounder):

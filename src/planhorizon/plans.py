@@ -214,12 +214,8 @@ def canonical_call(record: StepRecord) -> tuple:
     return (record.call.tool, tuple(sorted((k, str(v)) for k, v in args.items())))
 
 
-def detect_repetition(trace: Trace) -> dict:
-    """Two executed calls repeat when tool name and resolved arguments agree."""
-    keys = [canonical_call(rec) for rec in trace.records]
-    pairs = []
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if keys[i] == keys[j]:
-                pairs.append((i, j))
-    return {"repeated": bool(pairs), "pairs": pairs}
+def detect_repetition(trace: Trace) -> bool:
+    """Whether two executed calls repeat: their tool name and resolved
+    arguments agree."""
+    keys = {canonical_call(rec) for rec in trace.records}
+    return len(keys) < len(trace.records)

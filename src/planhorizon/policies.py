@@ -252,16 +252,21 @@ _TAKES = {"float": (int, float), "int": (int,), "bool": (bool,), "str": (str,)}
 
 def parse_spec(spec: dict) -> NoiseModel | RemotePolicyConfig | None:
     """The settings a run-config policy spec gives its kind (None for the
-    oracle). An unknown kind, or a field that is missing, of another type or
-    out of range, raises PolicyError naming it; nothing is contacted."""
+    oracle). An unknown kind or key, or a field that is missing, of another
+    type or out of range, raises PolicyError naming it; nothing is contacted."""
     kind = spec.get("kind", "oracle")
     if type(kind) is not str or kind not in KINDS:
         raise PolicyError(f"unknown policy kind {kind!r}")
     settings = KINDS[kind]
+    fields = dataclasses.fields(settings) if settings else ()
+    keys = ("kind", *(field.name for field in fields))
+    for key in spec:
+        if key not in keys:
+            raise PolicyError(f"unknown {kind} policy key {key!r}; it takes {', '.join(keys)}")
     if settings is None:
         return None
     values = {}
-    for field in dataclasses.fields(settings):
+    for field in fields:
         if field.name not in spec:
             if field.default is dataclasses.MISSING:
                 raise PolicyError(f"a {kind} policy needs {field.name!r}")

@@ -54,7 +54,7 @@ def _gold_variants(gold: str, mode: str) -> list[str]:
     """An "id (name)" gold matches if either the id or the name appears."""
     norm = _normalize(gold)
     m = _ID_NAME.match(gold.strip())
-    if m and mode in ("exact-set", "entity-id-or-name"):
+    if m and mode == "exact-set":
         return [norm, _normalize(m.group("id")), _normalize(m.group("name"))]
     return [norm]
 
@@ -66,11 +66,16 @@ def _numeric_equal(a: str, b: str) -> bool:
         return False
 
 
+# the values of a task's `match_mode` control
+MATCH_MODES = ("exact-set", "numeric")
+
+
 def match_answer(predicted: str, gold: list[str], mode: str = "exact-set") -> str:
     """Label a predicted answer: correct, partially_correct, incorrect, refusal.
 
-    Case-insensitive set matching against the gold values; explanatory filler
-    is ignored; trailing extra values demote correct to partially_correct."""
+    Case-insensitive set matching against the gold values (`numeric` mode
+    also accepts an equal number); explanatory filler is ignored; trailing
+    extra values demote correct to partially_correct."""
     text = _normalize(predicted or "")
     if not text or any(marker in text for marker in _REFUSALS):
         return "refusal"

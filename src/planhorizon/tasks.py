@@ -7,7 +7,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from . import atomic, harness, kb as kbmod, kopl, mocktools
+from . import atomic, harness, kb as kbmod, kopl, mocktools, stats
 from .plans import Plan, parse_plan
 
 # A dataset file's "engine" field -> (key of its data file, loader, engine
@@ -23,6 +23,26 @@ ENGINES = {
 
 class DatasetError(Exception):
     pass
+
+
+def _check_controls(controls, location: str) -> dict:
+    """A task's `controls`: an object whose optional keys are `match_mode`
+    (one of stats.MATCH_MODES) and the booleans `has_bridge` and
+    `has_comparison`. Anything else raises DatasetError naming `location`."""
+    if type(controls) is not dict:
+        raise DatasetError(f"{location} controls must be an object, got {controls!r}")
+    for key, value in controls.items():
+        if key == "match_mode":
+            if value not in stats.MATCH_MODES:
+                raise DatasetError(f"{location} match_mode must be one of "
+                                   f"{', '.join(stats.MATCH_MODES)}, got {value!r}")
+        elif key in ("has_bridge", "has_comparison"):
+            if type(value) is not bool:
+                raise DatasetError(f"{location} {key} must be a boolean, got {value!r}")
+        else:
+            raise DatasetError(f"{location} controls has unknown key {key!r}; it takes "
+                               "match_mode, has_bridge and has_comparison")
+    return controls
 
 
 @dataclass(frozen=True)
@@ -72,6 +92,6 @@ def load_dataset(path) -> Dataset:
             gold_plan=plan,
             gold_answer=tuple(t["gold_answer"]),
             dataset=t.get("dataset", "fixture"),
-            controls=t.get("controls", {}),
+            controls=_check_controls(t.get("controls", {}), f"tasks[{i}]"),
         ))
     return Dataset(engine=engine, tasks=tuple(tasks), env_factory=factory)

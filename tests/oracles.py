@@ -4,8 +4,9 @@ The pipeline executes plans one tool call at a time through
 ``harness.Environment``. The oracles here evaluate the same tools another
 way: KoPL programs with positional inputs, atomic call chains compiled to
 S-expressions, the gold DAG with structurally identical KoPL subtrees
-merged, and the lookups the engines and the grounder answer from indexes
-done by scanning everything, and the run summary and design matrix built
+merged, repetition by comparing every pair of calls, the schema terms of a
+store by one walk, and the lookups the engines and the grounder answer from
+indexes done by scanning everything, and the run summary and design matrix built
 row by row from ``Outcome`` objects, and the clustered logit fitted row by
 row rather than on (cluster, design row) cells. None of them is used by ``src/``.
 """
@@ -21,13 +22,13 @@ import numpy as np
 
 from planhorizon import atomic, kopl, mocktools
 from planhorizon.grounding import (DEFAULT_THRESHOLD, MAX_CANDIDATES_HIGH,
-                                   MAX_CANDIDATES_LOW, Grounder, GroundingResult,
+                                   MAX_CANDIDATES_LOW, NAMESPACES, Grounder, GroundingResult,
                                    SchemaIndex, _jaccard, _normalize, _trigrams,
                                    format_candidate_feedback)
 from planhorizon.kb import (KBError, KnowledgeBase, TypedValue, UnknownConceptError,
                             compare_typed, parse_value_text)
 from planhorizon.outcome import ToolFailure, ToolOutcome
-from planhorizon.plans import ExecutionGraph, Plan, ToolCall
+from planhorizon.plans import ExecutionGraph, Plan, ToolCall, canonical_call
 from planhorizon.stats import (DIVERGED, FIT_MAX_ITER, FIT_TOLERANCE, MAX_COEFFICIENT,
                                MAX_LOGIT, MIN_VARIANCE_RATIO, GeeFit, Outcome, RankDeficiencyError, Report,
                                SeparationError, StatsError, _normal_sf, standardize)
@@ -50,7 +51,7 @@ def ref_params(catalog: list[dict], tool: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Plan wire format
+# Plan wire format and repetition
 
 def to_json(step: ToolCall) -> dict:
     doc = {"tool": step.tool, "args": dict(step.args)}
@@ -61,6 +62,13 @@ def to_json(step: ToolCall) -> dict:
 
 def serialize_plan(plan: Plan) -> str:
     return json.dumps([to_json(step) for step in plan.steps])
+
+
+def repeated(trace) -> bool:
+    """plans.detect_repetition by comparing every pair of executed calls."""
+    keys = [canonical_call(rec) for rec in trace.records]
+    return any(keys[i] == keys[j]
+               for i in range(len(keys)) for j in range(i + 1, len(keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +390,34 @@ def execute_chain(store: atomic.GraphStore, grounder: Grounder, chain,
 # ---------------------------------------------------------------------------
 # Full scans: what the KB, graph-store, schema and corpus indexes must
 # reproduce, order and ties included
+
+def schema_terms(source) -> dict[str, tuple[str, ...]]:
+    """grounding.build_index's terms by one walk over a KB or a graph store,
+    told apart by their fields: every namespace, each term once, in the order
+    the walk first meets it."""
+    names: dict[str, dict[str, None]] = {ns: {} for ns in NAMESPACES}
+    if hasattr(source, "entities"):  # KnowledgeBase
+        for c in source.concepts.values():
+            names["concept"].setdefault(c.name)
+        for e in source.entities.values():
+            names["entity-name"].setdefault(e.name)
+            for a in e.attributes:
+                names["attribute-key"].setdefault(a.key)
+                for qk, _ in a.qualifiers:
+                    names["qualifier-key"].setdefault(qk)
+            for r in e.relations:
+                names["relation"].setdefault(r.predicate)
+                for qk, _ in r.qualifiers:
+                    names["qualifier-key"].setdefault(qk)
+    else:  # GraphStore
+        for node in source.nodes.values():
+            names["entity-name"].setdefault(node.name)
+            for cls in node.classes:
+                names["concept"].setdefault(cls)
+        for s, p, o in source.triples:
+            names["relation"].setdefault(p)
+    return {ns: tuple(d) for ns, d in names.items()}
+
 
 def kopl_neighbors(kb: KnowledgeBase, eid: str, predicate: str, direction: str):
     """kopl._neighbors by scanning every entity for edges towards eid."""

@@ -171,7 +171,7 @@ def test_repetition_detector(kopl_dataset, atomic_dataset, mock_dataset):
                                     seed=13)
         policy = policies.noisy_policy(task.gold_plan, noise, env.catalog)
         trace = harness.run_task(task, policy, env, "sh")
-        flagged.append(plans.detect_repetition(trace)["repeated"])
+        flagged.append(plans.detect_repetition(trace))
     assert all(flagged) and len(flagged) >= 8  # 100% of repeat-rate-1 traces
 
     # gold plans without intrinsically duplicated calls stay clean
@@ -183,7 +183,7 @@ def test_repetition_detector(kopl_dataset, atomic_dataset, mock_dataset):
             trace = harness.run_task(
                 task, policies.oracle_policy(task.gold_plan), env, planner)
             assert trace.status == "answered"
-            assert not plans.detect_repetition(trace)["repeated"]
+            assert not plans.detect_repetition(trace)
 
 
 def _synthetic_mock_suite(n_tasks=20):

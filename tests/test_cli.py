@@ -70,9 +70,13 @@ class TestRun:
         ({"dataset": 5}, (), "dataset must be str, got 5"),
         ({"dataset": ["kopl_tasks.json"]}, (),
          "dataset must be str, got ['kopl_tasks.json']"),
+        ({"trails": 1}, (), "unknown run config key 'trails'; a config holds "
+         "dataset, out, seed, planner, robustness, trials, policy"),
+        ({"Seed": 1}, ("--seed", "1"), "unknown run config key 'Seed'; a config holds "
+         "dataset, out, seed, planner, robustness, trials, policy"),
     ], ids=["top-level-list", "policy-string", "trials-string", "trials-bool", "trials-zero",
             "trials-zero-override", "trials-negative", "seed-string-noisy",
-            "dataset-number", "dataset-list"])
+            "dataset-number", "dataset-list", "misspelled-key", "wrong-case-key"])
     def test_malformed_run_config_is_config_error(self, tmp_path, fixtures_dir, capsys,
                                                   config, argv, message):
         if isinstance(config, dict):
@@ -100,9 +104,21 @@ class TestRun:
         ({"kind": "remote", "endpoint": "http://127.0.0.1:9/v1/chat/completions",
           "timeout": 0}, "policy timeout must be positive and finite, got 0"),
         ({"kind": ["noisy"]}, "unknown policy kind ['noisy']"),
+        ({"kind": "noisy", "wrong_schema_rte": 1.0},
+         "unknown noisy policy key 'wrong_schema_rte'; it takes kind, wrong_schema_rate, "
+         "wrong_reference_rate, repeat_rate, corrects_after_feedback, seed"),
+        ({"kind": "oracle", "seed": 3},
+         "unknown oracle policy key 'seed'; it takes kind"),
+        ({"endpoint": "http://127.0.0.1:9/v1/chat/completions"},
+         "unknown oracle policy key 'endpoint'; it takes kind"),
+        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/v1/chat/completions",
+          "repeat_rate": 0.5},
+         "unknown remote policy key 'repeat_rate'; it takes kind, endpoint, model, "
+         "temperature, timeout, startup_check"),
     ], ids=["unknown-kind", "rate-above-one", "rate-string", "rate-nan", "correction-string",
             "seed-float", "remote-no-endpoint", "endpoint-number", "timeout-zero",
-            "kind-list"])
+            "kind-list", "noisy-misspelled-key", "oracle-seed", "oracle-endpoint",
+            "remote-noisy-key"])
     def test_bad_policy_spec_is_config_error(self, tmp_path, fixtures_dir, capsys,
                                              monkeypatch, policy, message):
         built = []
@@ -444,6 +460,17 @@ MALFORMED = [
     *[pytest.param(engine, "tasks", drop(data_key), tasks.DatasetError, repr(data_key),
                    id=f"{engine}-task-file-{data_key}")
       for engine, data_key in (("kopl", "kb"), ("atomic", "graph"), ("mock", "corpus"))],
+    # a task's controls: an object of match_mode and two booleans
+    *[pytest.param("mock", "tasks", put("tasks", 1, "controls", value=controls),
+                   tasks.DatasetError, "tasks[1]", id=f"controls-{label}")
+      for label, controls in (("list", ["has_bridge"]), ("string", "numeric"),
+                              ("unknown-key", {"has_brige": True}),
+                              ("match-mode-misspelled", {"match_mode": "numric"}),
+                              ("match-mode-entity-id-or-name",
+                               {"match_mode": "entity-id-or-name"}),
+                              ("match-mode-list", {"match_mode": ["numeric"]}),
+                              ("has-bridge-string", {"has_bridge": "yes"}),
+                              ("has-comparison-int", {"has_comparison": 1}))],
 ]
 
 
@@ -465,3 +492,50 @@ def test_malformed_file_is_a_config_error(tmp_path, fixtures_dir, capsys, engine
     config.write_text(json.dumps({"dataset": task_file}))
     assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == 2
     assert "config error: " in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# An input that cannot be read as UTF-8 text is a config error, never a crash
+
+# (subcommand, the file made unreadable, how); "latin-1" writes the file with
+# one byte that is not UTF-8
+UNREADABLE = [
+    pytest.param("run", "config.json", "latin-1", id="run-config"),
+    *[pytest.param("run", name, "latin-1", id=f"run-{name}")
+      for name in ("kopl_tasks.json", "mini_kb.json", "toy_graph.json", "corpus.json")],
+    pytest.param("stats", "outcomes.jsonl", "directory", id="stats-directory"),
+    pytest.param("stats", "outcomes.jsonl", "latin-1", id="stats-outcomes"),
+    pytest.param("inspect", "traces.jsonl", "directory", id="inspect-directory"),
+    pytest.param("inspect", "traces.jsonl", "latin-1", id="inspect-traces"),
+]
+
+
+@pytest.mark.parametrize("command,name,how", UNREADABLE)
+def test_unreadable_input_is_config_error(tmp_path, fixtures_dir, capsys, command, name,
+                                          how):
+    dataset = "kopl_tasks.json"
+    for task_file, data_file in FIXTURE_FILES.values():
+        for copied in (task_file, data_file):
+            shutil.copy(fixtures_dir / copied, tmp_path / copied)
+        if name == data_file:
+            dataset = task_file
+    (tmp_path / "config.json").write_text(json.dumps({"dataset": dataset}))
+    (tmp_path / "outcomes.jsonl").write_text(GOOD_LINE + "\n")
+    (tmp_path / "traces.jsonl").write_text(json.dumps(
+        {"run_id": "r", "step": 0, "tool": "Find", "args": {}, "outcome_kind": "success",
+         "tokens_in": 1, "tokens_out": 1}) + "\n")
+    path = tmp_path / name
+    if how == "directory":
+        path.unlink()
+        path.mkdir()
+    else:  # an "é" saved as Latin-1
+        path.write_bytes(path.read_bytes().replace(b'"', b'"\xe9', 1))
+    out = tmp_path / "out"
+    argv = {"run": ["run", "--config", str(tmp_path / "config.json"), "--out", str(out)],
+            "stats": ["stats", str(tmp_path), "--out", str(out)],
+            "inspect": ["inspect", str(path)]}[command]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err
+    assert captured.out == "" and not out.exists()

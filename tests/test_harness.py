@@ -170,7 +170,7 @@ class TestDrivers:
         def run_tool(tool, args):
             raise kopl.ContractViolationError("broken engine")
 
-        monkeypatch.setattr(kopl_env.engine, "run_tool", run_tool)
+        monkeypatch.setattr(kopl_env, "run_tool", run_tool)
         with pytest.raises(kopl.ContractViolationError):
             harness.run_task(taller_task, fixed_policy(STALL_STEP), kopl_env, "sh")
 

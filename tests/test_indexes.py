@@ -22,10 +22,17 @@ NAMES = ("Ada", "Bo", "Cy")
 PREDICATES = ("p", "q")
 DIRECTIONS = ("forward", "backward")
 FLIP = {"forward": "backward", "backward": "forward"}
+# pools for the schema-term walk: "k" is also every drawn relation's
+# qualifier key, "Ada" also an entity name
+ATTRIBUTE_KEYS = ("a", "b")
+QUALIFIER_KEYS = ("m", "k")
+CLASSES = ("C", "D", "Ada")
 
 
 @st.composite
-def knowledge_bases(draw):
+def knowledge_bases(draw, attributes=False):
+    """A random KB; with `attributes`, entities also hold attribute facts
+    whose keys and qualifier keys come from small pools."""
     concept_ids = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
     concepts = [
         # parents come from earlier concepts only, so the taxonomy is acyclic
@@ -55,6 +62,15 @@ def knowledge_bases(draw):
          "relations": relations[eid]}
         for eid in ids
     ]
+    if attributes:
+        facts = st.fixed_dictionaries({
+            "key": st.sampled_from(ATTRIBUTE_KEYS),
+            "value": st.just({"kind": "number", "value": 0}),
+            "qualifiers": st.lists(st.sampled_from(QUALIFIER_KEYS).map(
+                lambda key: {"key": key, "value": {"kind": "year", "value": 1990}}),
+                max_size=2)})
+        for entity in entities:
+            entity["attributes"] = draw(st.lists(facts, max_size=3))
     return kbmod.load_kb({"concepts": concepts, "entities": entities})
 
 
@@ -100,9 +116,14 @@ LITERALS = st.one_of(
 
 
 @st.composite
-def graph_stores(draw):
+def graph_stores(draw, classes=False):
+    """A random graph store; with `classes`, nodes also have classes."""
     ids = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
     nodes = [{"id": nid, "name": draw(st.sampled_from(NAMES))} for nid in ids]
+    if classes:
+        for node in nodes:
+            node["classes"] = draw(st.lists(st.sampled_from(CLASSES), unique=True,
+                                            max_size=2))
     objects = st.one_of(st.sampled_from(ids).map(lambda o: {"o_node": o}),
                         LITERALS.map(lambda v: {"o_literal": v}))
     # subjects and node objects share one pool: self-loops, repeated
@@ -145,6 +166,21 @@ def test_triple_tools_match_full_scan(store, data):
     assert (oracles.outcome_of(atomic.time_constraint, store, grounder, nodes, relation,
                                year, 1991)
             == oracles.time_constraint(store, grounder, nodes, relation, year, 1991))
+
+
+@given(st.one_of(knowledge_bases(attributes=True), graph_stores(classes=True)))
+def test_schema_terms_match_full_walk(source):
+    walked = oracles.schema_terms(source)
+    listed = source.schema_terms()
+    assert {ns: tuple(listed.get(ns, ())) for ns in grounding.NAMESPACES} == walked
+    # the same namespaces in the same order, each with its terms in order
+    terms = build_index(source).terms
+    assert list(terms.items()) == list(walked.items())
+
+
+def test_corpus_lists_no_schema_terms():
+    corpus = MockCorpus(documents=(MockDocument("Paris", "capital"),))
+    assert build_index(corpus).terms == {ns: () for ns in grounding.NAMESPACES}
 
 
 # few letters and the separators the normalizer folds: many terms are

@@ -70,7 +70,7 @@ class TestSearch:
                             lambda term: trigrammed.append(term) or trigrams(term))
         env = tasks.load_dataset(fixtures_dir / "mock_tasks.json").make_env("high")
         assert trigrammed == []
-        corpus = env.engine.corpus
+        corpus = env.corpus
         assert mock_search(corpus, "Where is the Eiffel Tower?", corpus.top_k) == "Paris"
         assert len(trigrammed) == len(corpus.documents) + 1
         trigrammed.clear()

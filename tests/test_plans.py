@@ -11,6 +11,7 @@ from planhorizon import kopl, plans
 from planhorizon.plans import (ExecutionGraph, Plan, PlanParseError, ToolCall,
                                breadth, build_dag, depth, parse_plan)
 
+import oracles
 from oracles import KoplProgram, KoplStep, derive_gold_dag_kopl, serialize_plan
 
 CATALOG = kopl.KoplEngine.catalog
@@ -155,22 +156,37 @@ class TestRepetition:
             ("FindAll", {}),
             ("Find", {"name": "Google"}),
         ])
-        result = plans.detect_repetition(trace)
-        assert result["repeated"] and result["pairs"] == [(0, 2)]
+        assert plans.detect_repetition(trace) is True
 
     def test_differing_args_not_detected(self):
         trace = self.make_trace([
             ("Find", {"name": "Google"}),
             ("Find", {"name": "Meta"}),
         ])
-        assert not plans.detect_repetition(trace)["repeated"]
+        assert not plans.detect_repetition(trace)
 
     def test_argument_order_is_canonicalized(self):
         trace = self.make_trace([
             ("Relate", {"relation": "father", "direction": "forward"}),
             ("Relate", {"direction": "forward", "relation": "father"}),
         ])
-        assert plans.detect_repetition(trace)["repeated"]
+        assert plans.detect_repetition(trace)
+
+
+# few tools and values, and values whose text agrees (1 and "1"), so calls repeat
+CALLS = st.tuples(st.sampled_from(["Find", "FindAll"]),
+                  st.dictionaries(st.sampled_from("ab"), st.sampled_from(["x", 1, "1"]),
+                                  max_size=2))
+
+
+@given(st.lists(CALLS, max_size=6), st.booleans())
+def test_repetition_matches_pairwise_comparison(calls, resolved):
+    trace = plans.Trace()
+    for i, (tool, args) in enumerate(calls):
+        trace.records.append(plans.StepRecord(
+            step=i, call=ToolCall(tool, args), ok=True, observation="",
+            invocation_id=0, resolved_args=args if resolved else {}))
+    assert plans.detect_repetition(trace) is oracles.repeated(trace)
 
 
 @st.composite

@@ -116,7 +116,7 @@ class TestNoisyPolicy:
         noisy = noisy_policy(taller_task.gold_plan, noise, env.catalog)
         trace = harness.run_task(taller_task, noisy, env, "sh")
         assert trace.status == "budget-failed"
-        assert plans.detect_repetition(trace)["repeated"]
+        assert plans.detect_repetition(trace)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -226,7 +226,9 @@ class TestBuildPolicy:
             build_policy({"kind": "psychic"}, taller_task, catalog)
 
     def test_spec_is_read_into_its_settings(self):
-        assert policies.parse_spec({"kind": "oracle", "note": 1}) is None
+        assert policies.parse_spec({"kind": "oracle"}) is None
+        with pytest.raises(policies.PolicyError, match="unknown oracle policy key 'note'"):
+            policies.parse_spec({"kind": "oracle", "note": 1})
         assert policies.parse_spec({"kind": "noisy", "repeat_rate": 1, "seed": 4}) == NoiseModel(
             repeat_rate=1, seed=4)
         assert policies.parse_spec({"kind": "remote", "endpoint": "http://x", "timeout": 2}) == (

@@ -47,8 +47,8 @@ class TestLoadDataset:
         assert "tasks[0]" in str(err.value)
 
     def test_mock_low_robustness_restricts_to_top_one(self, mock_dataset):
-        assert mock_dataset.make_env("high").engine.top_k == 10
-        assert mock_dataset.make_env("low").engine.top_k == 1
+        assert mock_dataset.make_env("high").top_k == 10
+        assert mock_dataset.make_env("low").top_k == 1
 
     def test_controls_threaded_through(self, mock_dataset):
         task = next(t for t in mock_dataset.tasks if t.id == "mock-same-city")
