@@ -1,7 +1,8 @@
 """Command-line entry point: run experiments, summarize traces, inspect runs,
 and validate fixture files.
 
-Exit codes: 0 success, 1 runtime failure, 2 config error.
+Exit codes: 0 success, 1 runtime failure, 2 config error: input a command
+cannot use, which it raises and `main` prints as one `config error:` line.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .atomic import load_graph
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+
+
+class ConfigError(Exception):
+    """Input that the cli's own checks reject: an argument, a run config or a file."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,13 +58,14 @@ _KEYS = ("dataset", "out", *_DEFAULTS)
 
 def _load_config(path: Path, overrides: argparse.Namespace) -> dict:
     """The run config at `path` with the `overrides` given, then defaults,
-    applied. A config `run` cannot use raises DatasetError or PolicyError."""
+    applied. A config `run` cannot use raises ConfigError or PolicyError; a
+    remote policy that asks for a startup check has its endpoint contacted."""
     config = json.loads(kb.read_text(path))
     if type(config) is not dict:
-        raise tasks.DatasetError("a run config must be a JSON object")
+        raise ConfigError("a run config must be a JSON object")
     for key in config:
         if key not in _KEYS:
-            raise tasks.DatasetError(
+            raise ConfigError(
                 f"unknown run config key {key!r}; a config holds {', '.join(_KEYS)}")
     config = {**_DEFAULTS, **config}
     for key in ("seed", "planner", "robustness", "trials"):
@@ -67,17 +73,17 @@ def _load_config(path: Path, overrides: argparse.Namespace) -> dict:
         if value is not None:
             config[key] = value
     if config["planner"] not in ("sh", "fh", "both"):
-        raise tasks.DatasetError(f"unknown planner {config['planner']!r}")
+        raise ConfigError(f"unknown planner {config['planner']!r}")
     if config["robustness"] not in ("high", "low"):
-        raise tasks.DatasetError(f"unknown robustness {config['robustness']!r}")
+        raise ConfigError(f"unknown robustness {config['robustness']!r}")
     if "dataset" not in config:
-        raise tasks.DatasetError("config is missing a dataset path")
+        raise ConfigError("config is missing a dataset path")
     for key, kind in _TYPES.items():
         if key in config and type(config[key]) is not kind:
-            raise tasks.DatasetError(f"{key} must be {kind.__name__}, got {config[key]!r}")
+            raise ConfigError(f"{key} must be {kind.__name__}, got {config[key]!r}")
     if config["trials"] < 1:
-        raise tasks.DatasetError(f"trials must be at least 1, got {config['trials']}")
-    policies.parse_spec(config["policy"])
+        raise ConfigError(f"trials must be at least 1, got {config['trials']}")
+    policies.startup_check(policies.parse_spec(config["policy"]))
     return config
 
 
@@ -95,8 +101,8 @@ def _run_one(env, task, planner, policy_spec, trial, seed, budget) -> plans.Trac
     goes on."""
     run_id = f"{task.id}-{planner}-t{trial}"
     spec = dict(policy_spec)
-    if spec.get("kind") == "noisy":
-        spec.setdefault("seed", seed + trial)
+    if spec.get("kind") == "noisy":  # a spec's own seed replaces the run's
+        spec["seed"] = spec.get("seed", seed) + trial
     try:
         policy = policies.build_policy(spec, task=task, catalog=env.catalog)
         trace = harness.run_task(task, policy, env, planner, budget=budget)
@@ -134,13 +140,8 @@ def _outcome_from_trace(trace, task, planner) -> stats.Outcome:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    try:
-        config = _load_config(config_path, args)
-        dataset = tasks.load_dataset(config_path.parent / config["dataset"])
-    except (OSError, json.JSONDecodeError, tasks.DatasetError, kb.KBError,
-            policies.PolicyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _load_config(config_path, args)
+    dataset = tasks.load_dataset(config_path.parent / config["dataset"])
 
     out_dir = Path(args.out or config.get("out", "runs/latest"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -199,9 +200,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
-def _decode_records(lines: list[str]) -> list:
-    """The JSON value on each line, decoded as one array when every line is
-    one flat object, else line by line to name the first undecodable one."""
+def _read_records(path: Path, name: str, check):
+    """`check` applied to the JSON values on the non-blank lines of the file at
+    `path`. A line that does not decode, or that `check` refuses with a
+    RecordError, raises ConfigError naming `name` and the line's number."""
+    text = kb.read_text(path)
+    lines = [line for line in text.splitlines() if line.strip()]
     try:
         records = json.loads("[" + ",\n".join(lines) + "]")
     except json.JSONDecodeError:
@@ -210,51 +214,47 @@ def _decode_records(lines: list[str]) -> list:
     # JSON string holds a raw newline, so none spans a join; a line that
     # starts with "{" and ends with "}" holds whole objects (outcome_columns
     # rejects nested ones), so one each when the counts agree.
-    if records is not None and len(records) == len(lines) and all(
-            line.strip(" \t")[:1] == "{" and line.strip(" \t")[-1:] == "}"
-            for line in lines):
-        return records
-    records = []
-    for index, line in enumerate(lines):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise stats.RecordError(index, f"{exc.msg} at column {exc.colno}") from None
-    return records
+    try:
+        if records is None or len(records) != len(lines) or not all(
+                line.strip(" \t")[:1] == "{" and line.strip(" \t")[-1:] == "}"
+                for line in lines):
+            records = []
+            for index, line in enumerate(lines):
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    message = f"{exc.msg} at column {exc.colno}"
+                    raise stats.RecordError(index, message) from None
+        return check(records)
+    except stats.RecordError as exc:
+        number = [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][exc.index]
+        raise ConfigError(f"{name} line {number}: {exc}") from None
+
+
+def _outcome_columns(records: list) -> dict[str, list]:
+    """The columns of a run's outcome records, refusing an empty file and
+    trajectories that ended in an error."""
+    if not records:
+        raise ConfigError("outcomes.jsonl is empty")
+    columns = stats.outcome_columns(records)
+    refused = set(columns["label"]).intersection(FAILED_LABELS)
+    if refused:
+        index = min(map(columns["label"].index, refused))
+        raise stats.RecordError(index, FAILED_LABELS[columns["label"][index]][1])
+    return columns
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     controls = tuple(args.controls.split(",")) if args.controls else ()
     unknown = [control for control in controls if control not in stats.CONTROLS]
     if unknown:
-        print(f"config error: unknown control {unknown[0]!r}; --controls takes "
-              f"{', '.join(stats.CONTROLS)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown control {unknown[0]!r}; --controls takes "
+                          f"{', '.join(stats.CONTROLS)}")
     run_dir = Path(args.run_dir)
-    outcome_path = run_dir / "outcomes.jsonl"
-    if not outcome_path.exists():
-        print(f"config error: no outcomes.jsonl under {run_dir}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        text = kb.read_text(outcome_path)
-    except (OSError, kb.KBError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        print("config error: outcomes.jsonl is empty", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        columns = stats.outcome_columns(_decode_records(lines))
-        refused = set(columns["label"]).intersection(FAILED_LABELS)
-        if refused:
-            index = min(map(columns["label"].index, refused))
-            raise stats.RecordError(index, FAILED_LABELS[columns["label"][index]][1])
-    except stats.RecordError as exc:
-        number = [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][exc.index]
-        print(f"config error: outcomes.jsonl line {number}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    del text, lines  # only an error's line number needs them; free them before the fit
+    # the reader's text and lines are freed when it returns, before the fit
+    columns = _read_records(run_dir / "outcomes.jsonl", "outcomes.jsonl", _outcome_columns)
+    out_dir = Path(args.out or run_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     report = stats.summarize_run(columns)
     print(report.to_text())
@@ -271,8 +271,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             print(f"runtime failure: {exc}", file=sys.stderr)
             gee, code = {"failed": str(exc)}, EXIT_RUNTIME
 
-    out_dir = Path(args.out or run_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
         json.dumps({**report.to_json(), "gee": gee}, indent=2) + "\n", encoding="utf-8")
     if rows is not None:
@@ -289,27 +287,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
 TRACE_KEYS = ("run_id", "step", "tool", "args", "outcome_kind", "tokens_in", "tokens_out")
 
 
+def _trace_lines(records: list) -> list:
+    """The records of a traces.jsonl file, each an object with every TRACE_KEYS key."""
+    for index, record in enumerate(records):
+        if type(record) is not dict:
+            raise stats.RecordError(index, "not a JSON object")
+        missing = [key for key in TRACE_KEYS if key not in record]
+        if missing:
+            raise stats.RecordError(index, f"missing key {missing[0]!r}")
+    return records
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
     trace_path = Path(args.trace)
-    if not trace_path.exists():
-        print(f"config error: {trace_path} not found", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        text = kb.read_text(trace_path).splitlines()
-        lines = _decode_records([line for line in text if line.strip()])
-        for index, line in enumerate(lines):
-            if type(line) is not dict:
-                raise stats.RecordError(index, "not a JSON object")
-            missing = [key for key in TRACE_KEYS if key not in line]
-            if missing:
-                raise stats.RecordError(index, f"missing key {missing[0]!r}")
-    except (OSError, kb.KBError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except stats.RecordError as exc:
-        number = [n for n, line in enumerate(text, 1) if line.strip()][exc.index]
-        print(f"config error: {trace_path} line {number}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    lines = _read_records(trace_path, str(trace_path), _trace_lines)
     wanted = args.run_id
     shown = 0
     for line in lines:
@@ -345,11 +336,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
             dataset = tasks.load_dataset(path)
             print(f"ok: {dataset.engine} dataset with {len(dataset.tasks)} tasks")
         else:
-            print("config error: unrecognized fixture shape", file=sys.stderr)
-            return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:  # before ValueError, its base
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            raise ConfigError("unrecognized fixture shape")
+    except json.JSONDecodeError:  # a config error, before ValueError, its base
+        raise
     except (kb.KBError, tasks.DatasetError, ValueError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -392,7 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, OSError, json.JSONDecodeError, kb.KBError, tasks.DatasetError,
+            policies.PolicyError) as exc:  # an unreadable or rejected input, or --out
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -120,9 +120,6 @@ def noisy_policy(gold_plan: Plan, noise: NoiseModel, catalog: list[dict]):
     string_params = _string_params(catalog)
     base = oracle_policy(gold_plan)
 
-    def rng_for(request: PolicyRequest, salt: str = "") -> random.Random:
-        return random.Random(f"{noise.seed}|{request.mode}|{len(request.history)}|{salt}")
-
     def corrupt_step(doc: dict, rng: random.Random) -> dict:
         if rng.random() < noise.wrong_schema_rate:
             for param in string_params.get(doc["tool"], []):
@@ -139,22 +136,15 @@ def noisy_policy(gold_plan: Plan, noise: NoiseModel, catalog: list[dict]):
 
     def policy(request: PolicyRequest) -> str:
         history = request.history
-        last_failed = bool(history) and history[-1]["outcome_kind"] == "failure"
-        if request.mode == "fh-initial":
-            rng = rng_for(request)
-            steps = json.loads(base(request))
-            return _emit([corrupt_step(doc, rng) for doc in steps])
-        if noise.corrects_after_feedback and last_failed:
+        if (request.mode != "fh-initial" and noise.corrects_after_feedback and history
+                and history[-1]["outcome_kind"] == "failure"):
             return base(request)  # clean re-emission of the failed gold step/suffix
-        if request.mode == "sh-next-step":
-            rng = rng_for(request)
-            if history and rng.random() < noise.repeat_rate:
-                prev = history[-1]
-                return _emit([{"tool": prev["tool"], "args": dict(prev["args"])}])
-            return _emit([corrupt_step(doc, rng)
-                          for doc in json.loads(base(request))])
-        # fh-replan without correction: re-emit the suffix with fresh draws
-        rng = rng_for(request)
+        rng = random.Random(f"{noise.seed}|{request.mode}|{len(history)}|")
+        if request.mode == "sh-next-step" and history and rng.random() < noise.repeat_rate:
+            prev = history[-1]
+            return _emit([{"tool": prev["tool"], "args": dict(prev["args"])}])
+        # the gold emission with fresh draws: the initial FH plan, the next SH
+        # step, or the suffix of an FH replan
         return _emit([corrupt_step(doc, rng) for doc in json.loads(base(request))])
 
     return policy
@@ -211,14 +201,6 @@ def remote_llm_policy(cfg: RemotePolicyConfig, catalog: list[dict]):
     as error messages appended to the request."""
 
     schema = build_plan_schema(catalog)
-    if cfg.startup_check:
-        base = cfg.endpoint.rsplit("/chat/completions", 1)[0]
-        try:
-            urllib.request.urlopen(base, timeout=cfg.timeout).close()
-        except urllib.error.HTTPError as answer:
-            answer.close()  # any HTTP answer means the endpoint is reachable
-        except OSError as exc:  # URLError included
-            raise PolicyError(f"endpoint {cfg.endpoint!r} unreachable: {exc}")
 
     def policy(request: PolicyRequest) -> str:
         messages = [
@@ -279,6 +261,21 @@ def parse_spec(spec: dict) -> NoiseModel | RemotePolicyConfig | None:
         return settings(**values)
     except ValueError as exc:
         raise PolicyError(f"policy {exc}") from None
+
+
+def startup_check(settings) -> None:
+    """Contact the endpoint of remote policy settings that ask for a startup
+    check, once per run: no HTTP answer raises PolicyError. Any other settings
+    contact nothing."""
+    if not (isinstance(settings, RemotePolicyConfig) and settings.startup_check):
+        return
+    base = settings.endpoint.rsplit("/chat/completions", 1)[0]
+    try:
+        urllib.request.urlopen(base, timeout=settings.timeout).close()
+    except urllib.error.HTTPError as answer:
+        answer.close()  # any HTTP answer means the endpoint is reachable
+    except OSError as exc:  # URLError included
+        raise PolicyError(f"endpoint {settings.endpoint!r} unreachable: {exc}")
 
 
 def build_policy(spec: dict, task, catalog: list[dict]):

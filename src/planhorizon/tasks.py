@@ -74,14 +74,26 @@ def load_dataset(path) -> Dataset:
     data_key, loader, engine_type, fields = ENGINES[engine]
     if not isinstance(doc.get(data_key), str):
         raise DatasetError(f"a {engine} dataset needs a {data_key!r} file name")
+    if "eval_year" in doc and type(doc["eval_year"]) is not int:
+        raise DatasetError(f"eval_year must be an integer, got {doc['eval_year']!r}")
     data = loader(os.path.join(base, doc[data_key]))
     settings = {name: doc[name] for name in fields if name in doc}
     factory = functools.partial(harness.make_env, engine_type, data, **settings)
 
-    tasks = []
+    tasks, ids = [], set()
     for i, t in enumerate(doc.get("tasks", [])):
         if not isinstance(t, dict) or any(k not in t for k in ("id", "question", "gold_answer")):
             raise DatasetError(f"tasks[{i}] needs id, question and gold_answer")
+        if type(t["id"]) is not str or t["id"] in ids:
+            raise DatasetError(f"tasks[{i}] id must be a string no other task has, "
+                               f"got {t['id']!r}")
+        ids.add(t["id"])
+        answer = t["gold_answer"]
+        if type(answer) is not list or not answer or any(type(a) is not str for a in answer):
+            raise DatasetError(f"tasks[{i}] gold_answer must be a non-empty list of "
+                               f"strings, got {answer!r}")
+        if type(t.get("dataset", "")) is not str:
+            raise DatasetError(f"tasks[{i}] dataset must be a string, got {t['dataset']!r}")
         try:
             plan = parse_plan(json.dumps(t["gold_plan"]), engine_type.catalog)
         except Exception as exc:

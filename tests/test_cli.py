@@ -1,10 +1,12 @@
+import io
 import json
 import re
 import shutil
+import urllib.request
 
 import pytest
 
-from planhorizon import cli, harness, kopl, tasks
+from planhorizon import cli, harness, kopl, stats, tasks
 from planhorizon.kb import MalformedDocumentError
 
 
@@ -115,10 +117,14 @@ class TestRun:
           "repeat_rate": 0.5},
          "unknown remote policy key 'repeat_rate'; it takes kind, endpoint, model, "
          "temperature, timeout, startup_check"),
+        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/v1/chat/completions",
+          "timeout": 0.5, "startup_check": True},
+         "endpoint 'http://127.0.0.1:9/v1/chat/completions' unreachable: "
+         "<urlopen error [Errno 111] Connection refused>"),
     ], ids=["unknown-kind", "rate-above-one", "rate-string", "rate-nan", "correction-string",
             "seed-float", "remote-no-endpoint", "endpoint-number", "timeout-zero",
             "kind-list", "noisy-misspelled-key", "oracle-seed", "oracle-endpoint",
-            "remote-noisy-key"])
+            "remote-noisy-key", "remote-refused-port"])
     def test_bad_policy_spec_is_config_error(self, tmp_path, fixtures_dir, capsys,
                                              monkeypatch, policy, message):
         built = []
@@ -130,6 +136,50 @@ class TestRun:
                        "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert built == [] and not (tmp_path / "o").exists()
+
+    def test_startup_check_contacts_the_endpoint_once_per_run(self, tmp_path, fixtures_dir,
+                                                              capsys, monkeypatch):
+        opened = []
+
+        def urlopen(target, timeout):
+            if isinstance(target, str):  # the startup check's GET
+                opened.append(target)
+                return io.BytesIO()
+            opened.append("POST")
+            raise OSError("no model behind this endpoint")
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        config = {"dataset": str(fixtures_dir / "kopl_tasks.json"), "trials": 2,
+                  "policy": {"kind": "remote", "startup_check": True,
+                             "endpoint": "http://127.0.0.1:9/v1/chat/completions"}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", str(tmp_path / "config.json"),
+                       "--out", str(tmp_path / "o"), "--planner", "sh") == 1
+        capsys.readouterr()
+        assert opened == ["http://127.0.0.1:9/v1"] + ["POST"] * 5 * 2
+
+    # a noisy spec's own seed is the base each trial adds to, as the run seed
+    # is when the spec has none
+    def test_spec_seed_replaces_the_run_seed(self, tmp_path, fixtures_dir, capsys):
+        noise = {"kind": "noisy", "wrong_schema_rate": 0.5, "corrects_after_feedback": False}
+        runs = {"spec-seed": ({**noise, "seed": 5}, 0), "run-seed": (noise, 5)}
+        written = {}
+        for name, (policy, seed) in runs.items():
+            config = {"dataset": str(fixtures_dir / "mock_tasks.json"), "trials": 4,
+                      "seed": seed, "policy": policy}
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            assert run_cli("run", "--config", str(tmp_path / f"{name}.json"),
+                           "--out", str(tmp_path / name)) == 0
+            written[name] = [(tmp_path / name / file).read_bytes()
+                             for file in ("traces.jsonl", "outcomes.jsonl")]
+        capsys.readouterr()
+        assert written["spec-seed"] == written["run-seed"]
+        outcomes = [json.loads(line) for line in written["spec-seed"][1].splitlines()]
+        trials = {}
+        for row in outcomes:
+            trials.setdefault((row["question_id"], row["planner"]), set()).add(
+                (row["success"], row["tokens_in"]))
+        assert max(map(len, trials.values())) > 1
 
     def test_reruns_are_byte_identical(self, tmp_path, fixtures_dir, capsys):
         outs = []
@@ -471,6 +521,24 @@ MALFORMED = [
                               ("match-mode-list", {"match_mode": ["numeric"]}),
                               ("has-bridge-string", {"has_bridge": "yes"}),
                               ("has-comparison-int", {"has_comparison": 1}))],
+    # a task's id, gold answer and dataset, and a dataset's eval_year
+    pytest.param("mock", "tasks", put("tasks", 0, "gold_answer", value="Paris"),
+                 tasks.DatasetError, "tasks[0]", id="gold-answer-string"),
+    pytest.param("mock", "tasks", put("tasks", 0, "gold_answer", value=[5]),
+                 tasks.DatasetError, "tasks[0]", id="gold-answer-number"),
+    pytest.param("mock", "tasks", put("tasks", 0, "gold_answer", value=[]),
+                 tasks.DatasetError, "tasks[0]", id="gold-answer-empty"),
+    pytest.param("mock", "tasks", put("tasks", 0, "id", value=7),
+                 tasks.DatasetError, "tasks[0]", id="id-number"),
+    pytest.param("mock", "tasks", lambda doc: put("tasks", 1, "id",
+                                                  value=doc["tasks"][0]["id"])(doc),
+                 tasks.DatasetError, "tasks[1]", id="id-repeated"),
+    pytest.param("mock", "tasks", put("tasks", 0, "dataset", value=3),
+                 tasks.DatasetError, "tasks[0]", id="dataset-number"),
+    pytest.param("atomic", "tasks", put("eval_year", value="2026"),
+                 tasks.DatasetError, "eval_year", id="eval-year-string"),
+    pytest.param("atomic", "tasks", put("eval_year", value=True),
+                 tasks.DatasetError, "eval_year", id="eval-year-bool"),
 ]
 
 
@@ -539,3 +607,53 @@ def test_unreadable_input_is_config_error(tmp_path, fixtures_dir, capsys, comman
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
     assert str(path) in captured.err
     assert captured.out == "" and not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Input a command cannot use ends as one config error line, before anything is
+# printed or written
+
+def _tree(root):
+    return {str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
+# (subcommand line, the path its error names), with {tmp} the test's directory
+ONE_EXIT = [
+    pytest.param(["run", "--config", "{fixtures}/run_kopl_oracle.json", "--out", "{tmp}/afile"],
+                 "{tmp}/afile", id="run-out-file"),
+    pytest.param(["stats", "{tmp}/run", "--out", "{tmp}/afile"], "{tmp}/afile",
+                 id="stats-out-file"),
+    pytest.param(["stats", "{tmp}/empty"], "{tmp}/empty/outcomes.jsonl",
+                 id="stats-no-outcomes"),
+    pytest.param(["stats", "{tmp}/blank"], "outcomes.jsonl", id="stats-blank-outcomes"),
+    pytest.param(["inspect", "{tmp}/traces.jsonl"], "{tmp}/traces.jsonl",
+                 id="inspect-missing"),
+]
+
+
+@pytest.mark.parametrize("argv,named", ONE_EXIT)
+def test_unusable_input_is_one_config_error(tmp_path, fixtures_dir, capsys, argv, named):
+    for name in ("run", "empty", "blank"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "run" / "outcomes.jsonl").write_text(GOOD_LINE + "\n")
+    (tmp_path / "blank" / "outcomes.jsonl").write_text("\n  \n\t\n")
+    (tmp_path / "afile").write_text("not a directory\n")
+    before = _tree(tmp_path)
+    fill = {"tmp": tmp_path, "fixtures": fixtures_dir}
+    assert run_cli(*[arg.format(**fill) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert named.format(**fill) in captured.err
+    assert _tree(tmp_path) == before
+
+
+def test_other_errors_are_not_config_errors(run_dir, capsys, monkeypatch):
+    def summarize_run(_columns):
+        raise RuntimeError("a bug in the summary")
+
+    monkeypatch.setattr(stats, "summarize_run", summarize_run)
+    with pytest.raises(RuntimeError, match="a bug in the summary"):
+        run_cli("stats", str(run_dir))
+    assert "config error" not in capsys.readouterr().err

@@ -189,11 +189,11 @@ class TestRemotePolicy:
         cfg = RemotePolicyConfig(endpoint="http://127.0.0.1:9/v1/chat/completions",
                                  timeout=0.2, startup_check=True)
         with pytest.raises(policies.PolicyError):
-            remote_llm_policy(cfg, [])
+            policies.startup_check(cfg)
 
     def test_startup_check_accepts_any_http_answer(self, stub_server):
         cfg = RemotePolicyConfig(endpoint=stub_server, timeout=5.0, startup_check=True)
-        remote_llm_policy(cfg, [])  # the stub answers the GET with 501
+        policies.startup_check(cfg)  # the stub answers the GET with 501
 
     def test_error_status_raises(self, stub_server):
         _StubHandler.replies = ["[]"]
