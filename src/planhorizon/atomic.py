@@ -20,7 +20,7 @@ from .kb import (
 from .outcome import Param, Tool, ToolFailure, ToolOutcome, ToolTable, literal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphNode:
     id: str
     name: str
@@ -33,8 +33,9 @@ class GraphStore:
     triples: tuple[tuple, ...] = ()  # (subject-id, predicate, node-id | TypedValue)
 
     def node_order(self, ids) -> tuple[str, ...]:
-        wanted = set(ids)
-        return tuple(i for i in self.nodes if i in wanted)
+        """The distinct node ids among `ids`, in store order; other ids are dropped."""
+        position = self.position
+        return tuple(sorted({i for i in ids if i in position}, key=position.__getitem__))
 
     def schema_terms(self) -> dict[str, dict[str, None]]:
         """Namespace -> its distinct schema terms (dict keys), in store order."""
@@ -47,7 +48,13 @@ class GraphStore:
             names["relation"].setdefault(p)
         return names
 
-    # Triple indexes, built on first use and kept with the store.
+    # Indexes, built on first use and kept with the store, so loading does no
+    # indexing.
+
+    @functools.cached_property
+    def position(self) -> dict[str, int]:
+        """Node id -> its index in store order."""
+        return {nid: i for i, nid in enumerate(self.nodes)}
 
     @functools.cached_property
     def objects(self) -> dict[tuple[str, str], tuple]:
@@ -67,25 +74,31 @@ class GraphStore:
 
 
 def load_graph(path_or_doc) -> GraphStore:
+    """Load and validate a graph document (path or parsed dict). As in
+    `kb.load_kb`, an item's location is formatted only when it is malformed."""
     doc = read_document(path_or_doc)
     nodes = {}
     for i, n in enumerate(doc.get("nodes", [])):
-        require_keys(n, ("id", "name"), "node", f"nodes[{i}]")
+        if type(n) is not dict or "id" not in n or "name" not in n:
+            require_keys(n, ("id", "name"), "node", f"nodes[{i}]")
         nodes[n["id"]] = GraphNode(n["id"], n["name"], tuple(n.get("classes", [])))
     triples = []
     for i, t in enumerate(doc.get("triples", [])):
-        loc = f"triples[{i}]"
-        require_keys(t, ("s", "p"), "triple", loc)
+        if type(t) is not dict or "s" not in t or "p" not in t:
+            require_keys(t, ("s", "p"), "triple", f"triples[{i}]")
         if t["s"] not in nodes:
-            raise MalformedDocumentError(f"unknown subject {t['s']!r}", loc)
+            raise MalformedDocumentError(f"unknown subject {t['s']!r}", f"triples[{i}]")
         if "o_node" in t:
             if t["o_node"] not in nodes:
-                raise MalformedDocumentError(f"unknown object {t['o_node']!r}", loc)
+                raise MalformedDocumentError(f"unknown object {t['o_node']!r}", f"triples[{i}]")
             obj = t["o_node"]
         elif "o_literal" in t:
-            obj = TypedValue.from_json(t["o_literal"], loc)
+            try:
+                obj = TypedValue.from_json(t["o_literal"])
+            except MalformedDocumentError as exc:
+                raise exc.within(f"triples[{i}]") from None
         else:
-            raise MalformedDocumentError("triple needs o_node or o_literal", loc)
+            raise MalformedDocumentError("triple needs o_node or o_literal", f"triples[{i}]")
         triples.append((t["s"], t["p"], obj))
     return GraphStore(nodes=nodes, triples=tuple(triples))
 
@@ -144,16 +157,13 @@ def extract_entity(store: GraphStore, grounder: Grounder, text: str) -> NodeSet 
         return literal
     name_result = grounder.ground(text, "entity-name")
     if name_result.ok:
-        ids = store.node_order(
-            [n.id for n in store.nodes.values() if n.name == name_result.matched_term]
-        )
+        ids = tuple(n.id for n in store.nodes.values() if n.name == name_result.matched_term)
         if ids:
             return NodeSet(ids)
     class_result = grounder.ground(text, "concept")
     if class_result.ok:
-        ids = store.node_order(
-            [n.id for n in store.nodes.values() if class_result.matched_term in n.classes]
-        )
+        ids = tuple(n.id for n in store.nodes.values()
+                    if class_result.matched_term in n.classes)
         if ids:
             return NodeSet(ids)
     raise ToolFailure(format_candidate_feedback(name_result, text, "entity-name"))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import sys
@@ -142,7 +143,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config = _load_config(config_path, args)
     dataset = tasks.load_dataset(config_path.parent / config["dataset"])
+    # The store lives for the whole run. Frozen before anything else is
+    # allocated, it is walked by no collection, not even the first one after
+    # loading; unfrozen after, so that garbage frozen with it is collected
+    # when several runs share a process.
+    gc.freeze()
+    try:
+        return _run_dataset(args, config, dataset)
+    finally:
+        gc.unfreeze()
 
+
+def _run_dataset(args: argparse.Namespace, config: dict, dataset: tasks.Dataset) -> int:
+    """Run every job of `config` over `dataset` and write the run directory."""
     out_dir = Path(args.out or config.get("out", "runs/latest"))
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(

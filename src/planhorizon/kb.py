@@ -16,7 +16,14 @@ class KBError(Exception):
 class MalformedDocumentError(KBError):
     def __init__(self, message, location=""):
         super().__init__(f"{location}: {message}" if location else message)
+        self.message = message
         self.location = location
+
+    def within(self, prefix: str) -> "MalformedDocumentError":
+        """This error with its location nested under `prefix`, so that a loader
+        formats an item's location only when the item is malformed."""
+        return MalformedDocumentError(
+            self.message, f"{prefix}.{self.location}" if self.location else prefix)
 
 
 class DanglingReferenceError(KBError):
@@ -83,12 +90,8 @@ def read_document(path_or_doc) -> dict:
 
 def require_keys(doc, keys: tuple[str, ...], what: str, location: str) -> None:
     """Raise MalformedDocumentError unless `doc` is an object holding every key."""
-    if isinstance(doc, dict):
-        for key in keys:  # a loop, not any(): this runs for every attribute and relation
-            if key not in doc:
-                break
-        else:
-            return
+    if isinstance(doc, dict) and all(key in doc for key in keys):
+        return
     raise MalformedDocumentError(f"{what} needs {' and '.join(keys)}", location)
 
 
@@ -98,7 +101,7 @@ _PAYLOAD_TYPES = {"string": str, "number": (int, float), "year": int, "date": da
 _FROM_JSON = {"string": str, "number": float, "year": int, "date": datetime.date.fromisoformat}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypedValue:
     """A string, a number (with an optional unit), a year or a date."""
 
@@ -199,14 +202,14 @@ def compare_typed(a: TypedValue, op: str, b: TypedValue) -> bool:
     return x > y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeFact:
     key: str
     value: TypedValue
     qualifiers: tuple[tuple[str, TypedValue], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationEdge:
     predicate: str
     direction: str  # "forward" or "backward"
@@ -214,7 +217,7 @@ class RelationEdge:
     qualifiers: tuple[tuple[str, TypedValue], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     id: str
     name: str
@@ -223,7 +226,7 @@ class Entity:
     relations: tuple[RelationEdge, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concept:
     id: str
     name: str
@@ -238,6 +241,16 @@ class KnowledgeBase:
 
     # Lookup tables derived from the immutable fields, built on first use and
     # kept with the KB, so loading does no indexing.
+
+    @functools.cached_property
+    def position(self) -> dict[str, int]:
+        """Entity id -> its index in KB order."""
+        return {eid: i for i, eid in enumerate(self.entities)}
+
+    def entity_order(self, ids) -> tuple[str, ...]:
+        """The distinct entity ids among `ids`, in KB order; other ids are dropped."""
+        position = self.position
+        return tuple(sorted({i for i in ids if i in position}, key=position.__getitem__))
 
     @functools.cached_property
     def incoming(self) -> dict[str, tuple[tuple[str, RelationEdge], ...]]:
@@ -276,25 +289,34 @@ class KnowledgeBase:
         return {cid: tuple(ids) for cid, ids in children.items()}
 
 
-def _parse_qualifiers(items, location) -> tuple[tuple[str, TypedValue], ...]:
+def _parse_qualifiers(items) -> tuple[tuple[str, TypedValue], ...]:
+    """The (key, value) pairs of a fact's qualifier list; a malformed item
+    raises MalformedDocumentError located as `qualifiers[k]`."""
     out = []
-    for i, q in enumerate(items or []):
-        qloc = f"{location}.qualifiers[{i}]"
-        require_keys(q, ("key", "value"), "qualifier", qloc)
-        out.append((q["key"], TypedValue.from_json(q["value"], qloc)))
+    for k, q in enumerate(items):
+        if type(q) is not dict or "key" not in q or "value" not in q:
+            require_keys(q, ("key", "value"), "qualifier", f"qualifiers[{k}]")
+        try:
+            out.append((q["key"], TypedValue.from_json(q["value"])))
+        except MalformedDocumentError as exc:
+            raise exc.within(f"qualifiers[{k}]") from None
     return tuple(out)
 
 
 def load_kb(path_or_doc) -> KnowledgeBase:
-    """Load and validate a KB document (path or parsed dict)."""
+    """Load and validate a KB document (path or parsed dict).
+
+    A 2,000-entity KB holds ~30,000 items, so an item's location
+    (`entities[i].attributes[j]`) is formatted only when the item is
+    malformed, and `require_keys` is called only to raise its message."""
     doc = read_document(path_or_doc)
 
     concepts: dict[str, Concept] = {}
     for i, c in enumerate(doc.get("concepts", [])):
-        loc = f"concepts[{i}]"
-        require_keys(c, ("id", "name"), "concept", loc)
+        if type(c) is not dict or "id" not in c or "name" not in c:
+            require_keys(c, ("id", "name"), "concept", f"concepts[{i}]")
         if c["id"] in concepts:
-            raise MalformedDocumentError(f"duplicate concept id {c['id']!r}", loc)
+            raise MalformedDocumentError(f"duplicate concept id {c['id']!r}", f"concepts[{i}]")
         concepts[c["id"]] = Concept(
             id=c["id"], name=c["name"], subclass_of=tuple(c.get("subclass_of", []))
         )
@@ -308,34 +330,38 @@ def load_kb(path_or_doc) -> KnowledgeBase:
 
     entities: dict[str, Entity] = {}
     for i, e in enumerate(doc.get("entities", [])):
-        loc = f"entities[{i}]"
-        require_keys(e, ("id", "name"), "entity", loc)
+        if type(e) is not dict or "id" not in e or "name" not in e:
+            require_keys(e, ("id", "name"), "entity", f"entities[{i}]")
         if e["id"] in entities:
-            raise MalformedDocumentError(f"duplicate entity id {e['id']!r}", loc)
+            raise MalformedDocumentError(f"duplicate entity id {e['id']!r}", f"entities[{i}]")
         attributes = []
         for j, a in enumerate(e.get("attributes", [])):
-            aloc = f"{loc}.attributes[{j}]"
-            require_keys(a, ("key", "value"), "attribute", aloc)
-            attributes.append(AttributeFact(
-                key=a["key"],
-                value=TypedValue.from_json(a["value"], aloc),
-                qualifiers=_parse_qualifiers(a.get("qualifiers"), aloc),
-            ))
+            if type(a) is not dict or "key" not in a or "value" not in a:
+                require_keys(a, ("key", "value"), "attribute",
+                             f"entities[{i}].attributes[{j}]")
+            try:
+                value = TypedValue.from_json(a["value"])
+                qualifiers = a.get("qualifiers")
+                attributes.append(AttributeFact(
+                    a["key"], value, _parse_qualifiers(qualifiers) if qualifiers else ()))
+            except MalformedDocumentError as exc:
+                raise exc.within(f"entities[{i}].attributes[{j}]") from None
         relations = []
         for j, r in enumerate(e.get("relations", [])):
-            rloc = f"{loc}.relations[{j}]"
-            require_keys(r, ("predicate", "target"), "relation", rloc)
+            if type(r) is not dict or "predicate" not in r or "target" not in r:
+                require_keys(r, ("predicate", "target"), "relation",
+                             f"entities[{i}].relations[{j}]")
             direction = r.get("direction", "forward")
             if direction not in ("forward", "backward"):
-                raise MalformedDocumentError(f"bad direction {direction!r}", rloc)
-            relations.append(
-                RelationEdge(
-                    predicate=r["predicate"],
-                    direction=direction,
-                    target=r["target"],
-                    qualifiers=_parse_qualifiers(r.get("qualifiers"), rloc),
-                )
-            )
+                raise MalformedDocumentError(f"bad direction {direction!r}",
+                                             f"entities[{i}].relations[{j}]")
+            qualifiers = r.get("qualifiers")
+            try:
+                relations.append(RelationEdge(
+                    r["predicate"], direction, r["target"],
+                    _parse_qualifiers(qualifiers) if qualifiers else ()))
+            except MalformedDocumentError as exc:
+                raise exc.within(f"entities[{i}].relations[{j}]") from None
         entities[e["id"]] = Entity(
             id=e["id"],
             name=e["name"],

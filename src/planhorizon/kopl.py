@@ -214,10 +214,10 @@ def relate(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
         for target, edge in _neighbors(kb, eid, predicate, direction):
             seen.setdefault(target, []).append(edge)
     # deterministic order: KB insertion order
-    ordered = [i for i in kb.entities if i in seen]
+    ordered = kb.entity_order(seen)
     if not ordered:
         raise ToolFailure(f"no entities connected via {relation!r}")
-    return EntitySet(tuple(ordered), tuple(tuple(seen[i]) for i in ordered))
+    return EntitySet(ordered, tuple(tuple(seen[i]) for i in ordered))
 
 
 def set_op(a: EntitySet, b: EntitySet, kind: str) -> EntitySet:

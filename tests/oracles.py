@@ -6,7 +6,9 @@ way: KoPL programs with positional inputs, atomic call chains compiled to
 S-expressions, the gold DAG with structurally identical KoPL subtrees
 merged, repetition by comparing every pair of calls, the schema terms of a
 store by one walk, and the lookups the engines and the grounder answer from
-indexes done by scanning everything, and the run summary and design matrix built
+indexes done by scanning everything, the store orderings by scanning the whole
+store, the KB and graph loaders formatting every item's location up front,
+and the run summary and design matrix built
 row by row from ``Outcome`` objects, and the clustered logit fitted row by
 row rather than on (cluster, design row) cells. None of them is used by ``src/``.
 """
@@ -25,8 +27,10 @@ from planhorizon.grounding import (DEFAULT_THRESHOLD, MAX_CANDIDATES_HIGH,
                                    MAX_CANDIDATES_LOW, NAMESPACES, Grounder, GroundingResult,
                                    SchemaIndex, _jaccard, _normalize, _trigrams,
                                    format_candidate_feedback)
-from planhorizon.kb import (KBError, KnowledgeBase, TypedValue, UnknownConceptError,
-                            compare_typed, parse_value_text)
+from planhorizon.kb import (AttributeFact, Concept, DanglingReferenceError, Entity, KBError,
+                            KnowledgeBase, MalformedDocumentError, RelationEdge, TypedValue,
+                            UnknownConceptError, _check_acyclic_taxonomy, compare_typed,
+                            parse_value_text, read_document, require_keys)
 from planhorizon.outcome import ToolFailure, ToolOutcome
 from planhorizon.plans import ExecutionGraph, Plan, ToolCall, canonical_call
 from planhorizon.stats import (DIVERGED, FIT_MAX_ITER, FIT_TOLERANCE, MAX_COEFFICIENT,
@@ -454,6 +458,18 @@ def concept_closure(kb: KnowledgeBase, concept_id: str) -> set[str]:
     return closure
 
 
+def entity_order(kb: KnowledgeBase, ids) -> tuple[str, ...]:
+    """KnowledgeBase.entity_order by scanning every entity."""
+    wanted = set(ids)
+    return tuple(i for i in kb.entities if i in wanted)
+
+
+def node_order(store: atomic.GraphStore, ids) -> tuple[str, ...]:
+    """GraphStore.node_order by scanning every node."""
+    wanted = set(ids)
+    return tuple(i for i in store.nodes if i in wanted)
+
+
 def property_values(store: atomic.GraphStore, ids, prop: str):
     """atomic._property_values by scanning every triple per node."""
     out = []
@@ -483,7 +499,7 @@ def find_relation(store: atomic.GraphStore, grounder: Grounder, relation: str,
             found.append(s)
         elif direction == "backward" and s in wanted and isinstance(o, str):
             found.append(o)
-    ids = store.node_order(found)
+    ids = node_order(store, found)
     if not ids:
         return ToolOutcome.failure(f"no entities connected via {relation!r}")
     return ToolOutcome.success(atomic.NodeSet(ids))
@@ -510,7 +526,7 @@ def compare(store: atomic.GraphStore, grounder: Grounder, operator: str, prop: s
             continue
         if strict or (operator.endswith("=") and equal):
             found.append(s)
-    ids = store.node_order(found)
+    ids = node_order(store, found)
     if not ids:
         return ToolOutcome.failure(
             f"no entities with {prop} {operator} {literal.render()}"
@@ -536,7 +552,7 @@ def time_constraint(store: atomic.GraphStore, grounder: Grounder, nodes: atomic.
                 if matches:
                     kept.append(nid)
                     break
-    ids = store.node_order(kept)
+    ids = node_order(store, kept)
     if not ids:
         return ToolOutcome.failure(f"no entities satisfy {relation} = {year}")
     return ToolOutcome.success(atomic.NodeSet(ids))
@@ -611,6 +627,121 @@ def typed_value_json(value: TypedValue) -> dict:
     if value.unit is not None:
         doc["unit"] = value.unit
     return doc
+
+
+def _parse_qualifiers(items, location) -> tuple[tuple[str, TypedValue], ...]:
+    out = []
+    for i, q in enumerate(items or []):
+        qloc = f"{location}.qualifiers[{i}]"
+        require_keys(q, ("key", "value"), "qualifier", qloc)
+        out.append((q["key"], TypedValue.from_json(q["value"], qloc)))
+    return tuple(out)
+
+
+def load_kb(path_or_doc) -> KnowledgeBase:
+    """kb.load_kb formatting every item's location before checking it."""
+    doc = read_document(path_or_doc)
+
+    concepts: dict[str, Concept] = {}
+    for i, c in enumerate(doc.get("concepts", [])):
+        loc = f"concepts[{i}]"
+        require_keys(c, ("id", "name"), "concept", loc)
+        if c["id"] in concepts:
+            raise MalformedDocumentError(f"duplicate concept id {c['id']!r}", loc)
+        concepts[c["id"]] = Concept(
+            id=c["id"], name=c["name"], subclass_of=tuple(c.get("subclass_of", []))
+        )
+    for c in concepts.values():
+        for parent in c.subclass_of:
+            if parent not in concepts:
+                raise DanglingReferenceError(
+                    f"concept {c.id!r} subclass_of unknown concept {parent!r}"
+                )
+    _check_acyclic_taxonomy(concepts)
+
+    entities: dict[str, Entity] = {}
+    for i, e in enumerate(doc.get("entities", [])):
+        loc = f"entities[{i}]"
+        require_keys(e, ("id", "name"), "entity", loc)
+        if e["id"] in entities:
+            raise MalformedDocumentError(f"duplicate entity id {e['id']!r}", loc)
+        attributes = []
+        for j, a in enumerate(e.get("attributes", [])):
+            aloc = f"{loc}.attributes[{j}]"
+            require_keys(a, ("key", "value"), "attribute", aloc)
+            attributes.append(AttributeFact(
+                key=a["key"],
+                value=TypedValue.from_json(a["value"], aloc),
+                qualifiers=_parse_qualifiers(a.get("qualifiers"), aloc),
+            ))
+        relations = []
+        for j, r in enumerate(e.get("relations", [])):
+            rloc = f"{loc}.relations[{j}]"
+            require_keys(r, ("predicate", "target"), "relation", rloc)
+            direction = r.get("direction", "forward")
+            if direction not in ("forward", "backward"):
+                raise MalformedDocumentError(f"bad direction {direction!r}", rloc)
+            relations.append(
+                RelationEdge(
+                    predicate=r["predicate"],
+                    direction=direction,
+                    target=r["target"],
+                    qualifiers=_parse_qualifiers(r.get("qualifiers"), rloc),
+                )
+            )
+        entities[e["id"]] = Entity(
+            id=e["id"],
+            name=e["name"],
+            instance_of=tuple(e.get("instance_of", [])),
+            attributes=tuple(attributes),
+            relations=tuple(relations),
+        )
+
+    for e in entities.values():
+        for cid in e.instance_of:
+            if cid not in concepts:
+                raise DanglingReferenceError(
+                    f"entity {e.id!r} instance_of unknown concept {cid!r}"
+                )
+        for r in e.relations:
+            if r.target not in entities:
+                raise DanglingReferenceError(
+                    f"entity {e.id!r} relation {r.predicate!r} targets unknown entity {r.target!r}"
+                )
+
+    name_index: dict[str, list[str]] = {}
+    for e in entities.values():
+        name_index.setdefault(e.name, []).append(e.id)
+    return KnowledgeBase(
+        entities=entities,
+        concepts=concepts,
+        name_index={k: tuple(v) for k, v in name_index.items()},
+    )
+
+
+def load_graph(path_or_doc) -> atomic.GraphStore:
+    """atomic.load_graph formatting every item's location before checking it."""
+    doc = read_document(path_or_doc)
+    nodes = {}
+    for i, n in enumerate(doc.get("nodes", [])):
+        require_keys(n, ("id", "name"), "node", f"nodes[{i}]")
+        nodes[n["id"]] = atomic.GraphNode(n["id"], n["name"], tuple(n.get("classes", [])))
+    triples = []
+    for i, t in enumerate(doc.get("triples", [])):
+        loc = f"triples[{i}]"
+        require_keys(t, ("s", "p"), "triple", loc)
+        if t["s"] not in nodes:
+            raise MalformedDocumentError(f"unknown subject {t['s']!r}", loc)
+        if "o_node" in t:
+            if t["o_node"] not in nodes:
+                raise MalformedDocumentError(f"unknown object {t['o_node']!r}", loc)
+            obj = t["o_node"]
+        elif "o_literal" in t:
+            obj = TypedValue.from_json(t["o_literal"], loc)
+        else:
+            raise MalformedDocumentError("triple needs o_node or o_literal", loc)
+        triples.append((t["s"], t["p"], obj))
+    return atomic.GraphStore(nodes=nodes, triples=tuple(triples))
 
 
 def serialize_kb(kb: KnowledgeBase) -> dict:

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import re
@@ -277,6 +278,27 @@ class TestRun:
         assert capsys.readouterr().err == (f"config error: outcomes.jsonl line {failed[0]}: "
                                            "the run raised on this trajectory; rerun it\n")
 
+    # `run` freezes the loaded store for the run alone: however it exits,
+    # nothing is left in the collector's permanent generation
+    @pytest.mark.parametrize("change,argv,code", [
+        ({}, [], 0),
+        ({"policy": {"kind": "noisy", "repeat_rate": 0.5}}, ["--planner", "sh"], 1),
+        ({"trials": "three"}, [], 2),
+        ({}, ["--out", "{tmp}/afile"], 2),
+    ], ids=["ok", "policy-raises", "bad-config", "out-file"])
+    def test_run_leaves_nothing_frozen(self, tmp_path, fixtures_dir, capsys, change, argv,
+                                       code):
+        config = json.loads((fixtures_dir / "run_kopl_oracle.json").read_text())
+        config.update(dataset=str(fixtures_dir / "kopl_tasks.json"), **change)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        (tmp_path / "afile").write_text("not a directory\n")
+        assert gc.get_freeze_count() == 0
+        assert run_cli("run", "--config", str(tmp_path / "config.json"),
+                       "--out", str(tmp_path / "o"),
+                       *[arg.format(tmp=tmp_path) for arg in argv]) == code
+        capsys.readouterr()
+        assert gc.get_freeze_count() == 0
+
 
 GOOD_OUTCOME = {"question_id": "q0", "trial": 0, "planner": "sh", "success": 1,
                 "depth": 2, "breadth": 1.5}
@@ -539,6 +561,10 @@ MALFORMED = [
                  tasks.DatasetError, "eval_year", id="eval-year-string"),
     pytest.param("atomic", "tasks", put("eval_year", value=True),
                  tasks.DatasetError, "eval_year", id="eval-year-bool"),
+    # a task's question is a string
+    *[pytest.param("kopl", "tasks", put("tasks", 0, "question", value=value),
+                   tasks.DatasetError, "tasks[0]", id=f"question-{label}")
+      for label, value in (("number", 5), ("null", None), ("list", ["Who?"]))],
 ]
 
 

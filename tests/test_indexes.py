@@ -1,7 +1,8 @@
 """The indexed lookups (KB reverse adjacency and subclass map, graph-store
-triple indexes, grounding tables, the corpus search table) return exactly
-what full scans return: the same ids, in the same order, with the same
-admitting facts, the same ranked candidates and the same ranked documents."""
+triple indexes, the stores' position maps, grounding tables, the corpus
+search table) return exactly what full scans return: the same ids, in the
+same order, with the same admitting facts, the same ranked candidates and
+the same ranked documents."""
 
 from unittest import mock
 
@@ -166,6 +167,19 @@ def test_triple_tools_match_full_scan(store, data):
     assert (oracles.outcome_of(atomic.time_constraint, store, grounder, nodes, relation,
                                year, 1991)
             == oracles.time_constraint(store, grounder, nodes, relation, year, 1991))
+
+
+@given(st.one_of(knowledge_bases(), graph_stores()), st.data())
+def test_store_order_matches_full_scan(source, data):
+    """Ordering by the position map equals scanning the store: on the empty
+    set, repeated ids, ids the store does not hold and every id it holds."""
+    if isinstance(source, kbmod.KnowledgeBase):
+        stored, ordered, scanned = list(source.entities), source.entity_order, oracles.entity_order
+    else:
+        stored, ordered, scanned = list(source.nodes), source.node_order, oracles.node_order
+    drawn = data.draw(st.lists(st.sampled_from(stored + ["ghost", "n9", "e9"]), max_size=12))
+    for ids in ([], drawn, drawn[::-1] + drawn, stored, stored[::-1]):
+        assert ordered(ids) == scanned(source, ids)
 
 
 @given(st.one_of(knowledge_bases(attributes=True), graph_stores(classes=True)))

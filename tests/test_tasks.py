@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -30,6 +31,26 @@ class TestLoadDataset:
         path.write_text(json.dumps({"engine": "sparql", "tasks": []}))
         with pytest.raises(tasks.DatasetError):
             tasks.load_dataset(path)
+
+    # the collector is paused while a dataset loads, and left as the caller
+    # had it, whether the load returns or raises
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("entities", [[], [5]], ids=["returns", "raises"])
+    def test_collector_state_is_restored(self, tmp_path, enabled, entities):
+        (tmp_path / "kb.json").write_text(json.dumps({"entities": entities}))
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"engine": "kopl", "kb": "kb.json", "tasks": []}))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if entities:
+                with pytest.raises(kb.MalformedDocumentError):
+                    tasks.load_dataset(path)
+            else:
+                tasks.load_dataset(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_invalid_gold_plan_rejected_at_load(self, tmp_path, fixtures_dir):
         doc = {
