@@ -16,6 +16,7 @@ from .kb import (
     parse_value_text,
     read_document,
     require_keys,
+    require_list,
 )
 from .outcome import Param, Tool, ToolFailure, ToolOutcome, ToolTable, literal
 
@@ -78,12 +79,17 @@ def load_graph(path_or_doc) -> GraphStore:
     `kb.load_kb`, an item's location is formatted only when it is malformed."""
     doc = read_document(path_or_doc)
     nodes = {}
-    for i, n in enumerate(doc.get("nodes", [])):
-        if type(n) is not dict or "id" not in n or "name" not in n:
-            require_keys(n, ("id", "name"), "node", f"nodes[{i}]")
-        nodes[n["id"]] = GraphNode(n["id"], n["name"], tuple(n.get("classes", [])))
+    for i, n in enumerate(require_list(doc, "nodes")):
+        try:
+            if type(n) is not dict or "id" not in n or "name" not in n:
+                require_keys(n, ("id", "name"), "node")
+            if n["id"] in nodes:
+                raise MalformedDocumentError(f"duplicate node id {n['id']!r}")
+            nodes[n["id"]] = GraphNode(n["id"], n["name"], tuple(require_list(n, "classes")))
+        except MalformedDocumentError as exc:
+            raise exc.within(f"nodes[{i}]") from None
     triples = []
-    for i, t in enumerate(doc.get("triples", [])):
+    for i, t in enumerate(require_list(doc, "triples")):
         if type(t) is not dict or "s" not in t or "p" not in t:
             require_keys(t, ("s", "p"), "triple", f"triples[{i}]")
         if t["s"] not in nodes:

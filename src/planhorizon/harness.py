@@ -1,9 +1,12 @@
-"""Planning-horizon drivers.
+"""The planning-horizon driver.
 
-run_sh interleaves one policy invocation per executed step (eager monitoring);
-run_fh generates the whole plan upfront and re-invokes the policy only on
-execution failure, appending an append-only continuation (lazy monitoring).
-Both build the action-observation history with the same serializer, so a
+`run_task` is the one loop for both planners. SH (eager monitoring) invokes
+the policy before every step; FH (lazy monitoring) invokes it once for the
+whole plan, then again only after a failed step, and the continuation is
+appended after the failed step's index. One budget rule holds for both: the
+call budget is checked before every invocation and every step, and a failed
+step is followed by at most `max_replans` re-invocations. Both planners
+build the action-observation history with the same serializer, so a
 replanning FH policy sees element-wise what an SH policy would see at the
 same execution point.
 """
@@ -174,12 +177,14 @@ def build_prompts(env: Environment, query: str, mode: str, history: list[dict],
 
 
 def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
-            base_index: int, budget: Budget) -> Plan | None:
+            budget: Budget) -> Plan | None:
     """Invoke the policy with format retries; returns None on retry exhaustion
-    or when the policy raises, with the trace's status set.
+    or when the policy raises, with the trace's status set. The plan's steps
+    are numbered from the next record's index.
 
     Tokens are counted by the module's `whitespace_tokenizer`, looked up at
     call time."""
+    base_index = len(trace.records)
     history = render_history(trace.records)
     system, user = build_prompts(env, query, mode, history, base_index)
     errors: list[str] = []
@@ -227,82 +232,55 @@ def _record(trace: Trace, env: Environment, call: ToolCall,
     return rec
 
 
-def run_sh(task, policy, env: Environment, budget: Budget = Budget()) -> Trace:
-    """Eager monitoring: every executed step is preceded by a policy invocation."""
-    trace = Trace(question_id=task.id, planner="sh")
+def run_task(task, policy, env: Environment, planner: str,
+             budget: Budget = Budget()) -> Trace:
+    """Drive `policy` on `task` under `planner` ("sh" or "fh") until it answers
+    or a budget ends the trajectory.
+
+    The loop keeps the pending steps and the next request mode, if any. A
+    successful step answers when it is `final` and, under FH, when it ends
+    the pending plan. After a failed step the policy is re-invoked (SH's
+    retry, FH's replan) at most `budget.max_replans` times in all;
+    `trace.replans` counts the re-invocations made."""
+    eager = planner == "sh"
+    trace = Trace(question_id=task.id, planner=planner)
     bindings: dict[int, object] = {}
-    failures = 0
-    while trace.executed_calls < budget.max_tool_calls:
-        plan = _invoke(policy, env, trace, task.question, "sh-next-step",
-                       base_index=len(trace.records), budget=budget)
-        if plan is None:
-            return trace
-        rec = _record(trace, env, plan.steps[0], bindings)
-        if rec.ok and plan.steps[0].final:
-            trace.answer = rec.observation
-            trace.status = "answered"
-            return trace
-        if not rec.ok:
-            failures += 1
-            if failures >= budget.max_replans:
-                trace.status = "retry-budget-failed"
-                return trace
-    trace.status = "budget-failed"
-    return trace
-
-
-def run_fh(task, policy, env: Environment, budget: Budget = Budget()) -> Trace:
-    """Lazy monitoring: one upfront plan; replan only on execution failure.
-
-    The executed prefix is immutable across replans; each continuation is
-    appended after the failed step's index and may reference only existing
-    outputs."""
-    trace = Trace(question_id=task.id, planner="fh")
-    bindings: dict[int, object] = {}
-    plan = _invoke(policy, env, trace, task.question, "fh-initial",
-                   base_index=0, budget=budget)
-    if plan is None:
-        return trace
-    pending = list(plan.steps)
-    ptr = 0
+    pending: list[ToolCall] = []
+    mode = "sh-next-step" if eager else "fh-initial"
     while True:
-        if ptr >= len(pending):
-            # current plan fully executed: its last output is the answer
-            last = trace.records[-1] if trace.records else None
-            if last is not None and last.ok:
-                trace.answer = last.observation
-                trace.status = "answered"
-            else:
-                trace.status = "budget-failed"
-            return trace
         if trace.executed_calls >= budget.max_tool_calls:
             trace.status = "budget-failed"
             return trace
-        rec = _record(trace, env, pending[ptr], bindings)
-        if rec.ok:
-            if pending[ptr].final:
-                trace.answer = rec.observation
-                trace.status = "answered"
+        if mode is not None:
+            if trace.records and not trace.records[-1].ok:
+                trace.replans += 1
+            plan = _invoke(policy, env, trace, task.question, mode, budget)
+            if plan is None:
                 return trace
-            ptr += 1
-            continue
-        if trace.replans >= budget.max_replans:
-            trace.status = "replan-budget-failed"
+            pending = list(plan.steps)
+        step = pending.pop(0)
+        rec = _record(trace, env, step, bindings)
+        if rec.ok and (step.final or not (eager or pending)):
+            trace.answer = rec.observation
+            trace.status = "answered"
             return trace
-        trace.replans += 1
-        start_index = len(trace.records)  # the failed step consumed an index
-        continuation = _invoke(policy, env, trace, task.question, "fh-replan",
-                               base_index=start_index, budget=budget)
-        if continuation is None:
+        if not rec.ok and trace.replans >= budget.max_replans:
+            trace.status = "retry-budget-failed" if eager else "replan-budget-failed"
             return trace
-        pending = list(continuation.steps)
-        ptr = 0
+        mode = "sh-next-step" if eager else (None if rec.ok else "fh-replan")
 
 
-def run_task(task, policy, env: Environment, planner: str,
-             budget: Budget = Budget()) -> Trace:
-    driver = run_sh if planner == "sh" else run_fh
-    return driver(task, policy, env, budget)
+# run_sh, run_fh and run_task keep their `budget` default and account_tokens
+# its `tokenizer` default: perfbench/child.py rewrites the `__defaults__` of
+# all four, which fails on a function without any.
+def run_sh(task, policy, env: Environment, budget: Budget = Budget()) -> Trace:
+    """Eager monitoring: every executed step is preceded by a policy invocation."""
+    return run_task(task, policy, env, "sh", budget)
+
+
+def run_fh(task, policy, env: Environment, budget: Budget = Budget()) -> Trace:
+    """Lazy monitoring: one upfront plan; replan only on execution failure."""
+    return run_task(task, policy, env, "fh", budget)
 
 
 def account_tokens(trace: Trace, tokenizer=whitespace_tokenizer) -> TokenStats:

@@ -88,11 +88,23 @@ def read_document(path_or_doc) -> dict:
     return doc
 
 
-def require_keys(doc, keys: tuple[str, ...], what: str, location: str) -> None:
+def require_keys(doc, keys: tuple[str, ...], what: str, location: str = "") -> None:
     """Raise MalformedDocumentError unless `doc` is an object holding every key."""
     if isinstance(doc, dict) and all(key in doc for key in keys):
         return
     raise MalformedDocumentError(f"{what} needs {' and '.join(keys)}", location)
+
+
+def require_list(doc: dict, key: str, location: str = "") -> list:
+    """The list `doc` holds under `key`, [] when the key is absent or null;
+    any other value raises MalformedDocumentError naming the field."""
+    value = doc.get(key)
+    if type(value) is list:
+        return value
+    if value is None:
+        return []
+    raise MalformedDocumentError(f"{key} must be a list, not {type(value).__name__}",
+                                 location)
 
 
 # kind -> the payload type its `value` holds, and the converter that reads
@@ -289,11 +301,11 @@ class KnowledgeBase:
         return {cid: tuple(ids) for cid, ids in children.items()}
 
 
-def _parse_qualifiers(items) -> tuple[tuple[str, TypedValue], ...]:
+def _parse_qualifiers(fact: dict) -> tuple[tuple[str, TypedValue], ...]:
     """The (key, value) pairs of a fact's qualifier list; a malformed item
     raises MalformedDocumentError located as `qualifiers[k]`."""
     out = []
-    for k, q in enumerate(items):
+    for k, q in enumerate(require_list(fact, "qualifiers")):
         if type(q) is not dict or "key" not in q or "value" not in q:
             require_keys(q, ("key", "value"), "qualifier", f"qualifiers[{k}]")
         try:
@@ -308,18 +320,23 @@ def load_kb(path_or_doc) -> KnowledgeBase:
 
     A 2,000-entity KB holds ~30,000 items, so an item's location
     (`entities[i].attributes[j]`) is formatted only when the item is
-    malformed, and `require_keys` is called only to raise its message."""
+    malformed: each error is raised located within its item and nested
+    under the enclosing items on its way out, and `require_keys` is called
+    only to raise its message."""
     doc = read_document(path_or_doc)
 
     concepts: dict[str, Concept] = {}
-    for i, c in enumerate(doc.get("concepts", [])):
-        if type(c) is not dict or "id" not in c or "name" not in c:
-            require_keys(c, ("id", "name"), "concept", f"concepts[{i}]")
-        if c["id"] in concepts:
-            raise MalformedDocumentError(f"duplicate concept id {c['id']!r}", f"concepts[{i}]")
-        concepts[c["id"]] = Concept(
-            id=c["id"], name=c["name"], subclass_of=tuple(c.get("subclass_of", []))
-        )
+    for i, c in enumerate(require_list(doc, "concepts")):
+        try:
+            if type(c) is not dict or "id" not in c or "name" not in c:
+                require_keys(c, ("id", "name"), "concept")
+            if c["id"] in concepts:
+                raise MalformedDocumentError(f"duplicate concept id {c['id']!r}")
+            concepts[c["id"]] = Concept(
+                id=c["id"], name=c["name"], subclass_of=tuple(require_list(c, "subclass_of"))
+            )
+        except MalformedDocumentError as exc:
+            raise exc.within(f"concepts[{i}]") from None
     for c in concepts.values():
         for parent in c.subclass_of:
             if parent not in concepts:
@@ -329,46 +346,42 @@ def load_kb(path_or_doc) -> KnowledgeBase:
     _check_acyclic_taxonomy(concepts)
 
     entities: dict[str, Entity] = {}
-    for i, e in enumerate(doc.get("entities", [])):
-        if type(e) is not dict or "id" not in e or "name" not in e:
-            require_keys(e, ("id", "name"), "entity", f"entities[{i}]")
-        if e["id"] in entities:
-            raise MalformedDocumentError(f"duplicate entity id {e['id']!r}", f"entities[{i}]")
-        attributes = []
-        for j, a in enumerate(e.get("attributes", [])):
-            if type(a) is not dict or "key" not in a or "value" not in a:
-                require_keys(a, ("key", "value"), "attribute",
-                             f"entities[{i}].attributes[{j}]")
-            try:
-                value = TypedValue.from_json(a["value"])
-                qualifiers = a.get("qualifiers")
-                attributes.append(AttributeFact(
-                    a["key"], value, _parse_qualifiers(qualifiers) if qualifiers else ()))
-            except MalformedDocumentError as exc:
-                raise exc.within(f"entities[{i}].attributes[{j}]") from None
-        relations = []
-        for j, r in enumerate(e.get("relations", [])):
-            if type(r) is not dict or "predicate" not in r or "target" not in r:
-                require_keys(r, ("predicate", "target"), "relation",
-                             f"entities[{i}].relations[{j}]")
-            direction = r.get("direction", "forward")
-            if direction not in ("forward", "backward"):
-                raise MalformedDocumentError(f"bad direction {direction!r}",
-                                             f"entities[{i}].relations[{j}]")
-            qualifiers = r.get("qualifiers")
-            try:
-                relations.append(RelationEdge(
-                    r["predicate"], direction, r["target"],
-                    _parse_qualifiers(qualifiers) if qualifiers else ()))
-            except MalformedDocumentError as exc:
-                raise exc.within(f"entities[{i}].relations[{j}]") from None
-        entities[e["id"]] = Entity(
-            id=e["id"],
-            name=e["name"],
-            instance_of=tuple(e.get("instance_of", [])),
-            attributes=tuple(attributes),
-            relations=tuple(relations),
-        )
+    for i, e in enumerate(require_list(doc, "entities")):
+        try:
+            if type(e) is not dict or "id" not in e or "name" not in e:
+                require_keys(e, ("id", "name"), "entity")
+            if e["id"] in entities:
+                raise MalformedDocumentError(f"duplicate entity id {e['id']!r}")
+            attributes = []
+            for j, a in enumerate(require_list(e, "attributes")):
+                try:
+                    if type(a) is not dict or "key" not in a or "value" not in a:
+                        require_keys(a, ("key", "value"), "attribute")
+                    value = TypedValue.from_json(a["value"])
+                    attributes.append(AttributeFact(a["key"], value, _parse_qualifiers(a)))
+                except MalformedDocumentError as exc:
+                    raise exc.within(f"attributes[{j}]") from None
+            relations = []
+            for j, r in enumerate(require_list(e, "relations")):
+                try:
+                    if type(r) is not dict or "predicate" not in r or "target" not in r:
+                        require_keys(r, ("predicate", "target"), "relation")
+                    direction = r.get("direction", "forward")
+                    if direction not in ("forward", "backward"):
+                        raise MalformedDocumentError(f"bad direction {direction!r}")
+                    relations.append(RelationEdge(
+                        r["predicate"], direction, r["target"], _parse_qualifiers(r)))
+                except MalformedDocumentError as exc:
+                    raise exc.within(f"relations[{j}]") from None
+            entities[e["id"]] = Entity(
+                id=e["id"],
+                name=e["name"],
+                instance_of=tuple(require_list(e, "instance_of")),
+                attributes=tuple(attributes),
+                relations=tuple(relations),
+            )
+        except MalformedDocumentError as exc:
+            raise exc.within(f"entities[{i}]") from None
 
     for e in entities.values():
         for cid in e.instance_of:

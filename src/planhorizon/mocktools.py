@@ -15,7 +15,7 @@ from functools import cached_property
 from . import grounding
 from .grounding import Grounder
 from .harness import Environment
-from .kb import MalformedDocumentError, read_document, require_keys
+from .kb import MalformedDocumentError, read_document, require_keys, require_list
 from .outcome import Param, Tool, ToolFailure, ToolOutcome, ToolTable
 
 
@@ -65,7 +65,7 @@ def normalize_question(text: str) -> str:
 def load_corpus(path_or_doc) -> MockCorpus:
     doc = read_document(path_or_doc)
     documents = []
-    for i, d in enumerate(doc.get("documents", [])):
+    for i, d in enumerate(require_list(doc, "documents")):
         loc = f"documents[{i}]"
         require_keys(d, ("title",), "document", loc)
         answers = d.get("answers", {})

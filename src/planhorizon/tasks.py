@@ -98,7 +98,7 @@ def _read_dataset(path) -> Dataset:
     factory = functools.partial(harness.make_env, engine_type, data, **settings)
 
     tasks, ids = [], set()
-    for i, t in enumerate(doc.get("tasks", [])):
+    for i, t in enumerate(kbmod.require_list(doc, "tasks")):
         if not isinstance(t, dict) or any(k not in t for k in ("id", "question", "gold_answer")):
             raise DatasetError(f"tasks[{i}] needs id, question and gold_answer")
         if type(t["id"]) is not str or t["id"] in ids:

@@ -30,7 +30,8 @@ from planhorizon.grounding import (DEFAULT_THRESHOLD, MAX_CANDIDATES_HIGH,
 from planhorizon.kb import (AttributeFact, Concept, DanglingReferenceError, Entity, KBError,
                             KnowledgeBase, MalformedDocumentError, RelationEdge, TypedValue,
                             UnknownConceptError, _check_acyclic_taxonomy, compare_typed,
-                            parse_value_text, read_document, require_keys)
+                            parse_value_text, read_document, require_keys,
+                            require_list)
 from planhorizon.outcome import ToolFailure, ToolOutcome
 from planhorizon.plans import ExecutionGraph, Plan, ToolCall, canonical_call
 from planhorizon.stats import (DIVERGED, FIT_MAX_ITER, FIT_TOLERANCE, MAX_COEFFICIENT,
@@ -629,9 +630,9 @@ def typed_value_json(value: TypedValue) -> dict:
     return doc
 
 
-def _parse_qualifiers(items, location) -> tuple[tuple[str, TypedValue], ...]:
+def _parse_qualifiers(fact, location) -> tuple[tuple[str, TypedValue], ...]:
     out = []
-    for i, q in enumerate(items or []):
+    for i, q in enumerate(require_list(fact, "qualifiers", location)):
         qloc = f"{location}.qualifiers[{i}]"
         require_keys(q, ("key", "value"), "qualifier", qloc)
         out.append((q["key"], TypedValue.from_json(q["value"], qloc)))
@@ -643,13 +644,13 @@ def load_kb(path_or_doc) -> KnowledgeBase:
     doc = read_document(path_or_doc)
 
     concepts: dict[str, Concept] = {}
-    for i, c in enumerate(doc.get("concepts", [])):
+    for i, c in enumerate(require_list(doc, "concepts")):
         loc = f"concepts[{i}]"
         require_keys(c, ("id", "name"), "concept", loc)
         if c["id"] in concepts:
             raise MalformedDocumentError(f"duplicate concept id {c['id']!r}", loc)
         concepts[c["id"]] = Concept(
-            id=c["id"], name=c["name"], subclass_of=tuple(c.get("subclass_of", []))
+            id=c["id"], name=c["name"], subclass_of=tuple(require_list(c, "subclass_of", loc))
         )
     for c in concepts.values():
         for parent in c.subclass_of:
@@ -660,22 +661,22 @@ def load_kb(path_or_doc) -> KnowledgeBase:
     _check_acyclic_taxonomy(concepts)
 
     entities: dict[str, Entity] = {}
-    for i, e in enumerate(doc.get("entities", [])):
+    for i, e in enumerate(require_list(doc, "entities")):
         loc = f"entities[{i}]"
         require_keys(e, ("id", "name"), "entity", loc)
         if e["id"] in entities:
             raise MalformedDocumentError(f"duplicate entity id {e['id']!r}", loc)
         attributes = []
-        for j, a in enumerate(e.get("attributes", [])):
+        for j, a in enumerate(require_list(e, "attributes", loc)):
             aloc = f"{loc}.attributes[{j}]"
             require_keys(a, ("key", "value"), "attribute", aloc)
             attributes.append(AttributeFact(
                 key=a["key"],
                 value=TypedValue.from_json(a["value"], aloc),
-                qualifiers=_parse_qualifiers(a.get("qualifiers"), aloc),
+                qualifiers=_parse_qualifiers(a, aloc),
             ))
         relations = []
-        for j, r in enumerate(e.get("relations", [])):
+        for j, r in enumerate(require_list(e, "relations", loc)):
             rloc = f"{loc}.relations[{j}]"
             require_keys(r, ("predicate", "target"), "relation", rloc)
             direction = r.get("direction", "forward")
@@ -686,13 +687,13 @@ def load_kb(path_or_doc) -> KnowledgeBase:
                     predicate=r["predicate"],
                     direction=direction,
                     target=r["target"],
-                    qualifiers=_parse_qualifiers(r.get("qualifiers"), rloc),
+                    qualifiers=_parse_qualifiers(r, rloc),
                 )
             )
         entities[e["id"]] = Entity(
             id=e["id"],
             name=e["name"],
-            instance_of=tuple(e.get("instance_of", [])),
+            instance_of=tuple(require_list(e, "instance_of", loc)),
             attributes=tuple(attributes),
             relations=tuple(relations),
         )
@@ -723,11 +724,15 @@ def load_graph(path_or_doc) -> atomic.GraphStore:
     """atomic.load_graph formatting every item's location before checking it."""
     doc = read_document(path_or_doc)
     nodes = {}
-    for i, n in enumerate(doc.get("nodes", [])):
-        require_keys(n, ("id", "name"), "node", f"nodes[{i}]")
-        nodes[n["id"]] = atomic.GraphNode(n["id"], n["name"], tuple(n.get("classes", [])))
+    for i, n in enumerate(require_list(doc, "nodes")):
+        loc = f"nodes[{i}]"
+        require_keys(n, ("id", "name"), "node", loc)
+        if n["id"] in nodes:
+            raise MalformedDocumentError(f"duplicate node id {n['id']!r}", loc)
+        nodes[n["id"]] = atomic.GraphNode(n["id"], n["name"],
+                                          tuple(require_list(n, "classes", loc)))
     triples = []
-    for i, t in enumerate(doc.get("triples", [])):
+    for i, t in enumerate(require_list(doc, "triples")):
         loc = f"triples[{i}]"
         require_keys(t, ("s", "p"), "triple", loc)
         if t["s"] not in nodes:

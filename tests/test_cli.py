@@ -519,6 +519,19 @@ MALFORMED = [
                  MalformedDocumentError, "top_k", id="top_k-string"),
     pytest.param("mock", "data", put("documents", 0, "answers", value=["Paris"]),
                  MalformedDocumentError, "documents[0]", id="document-answers-list"),
+    # a list field that holds something else, in each kind of file
+    pytest.param("kopl", "data", put("entities", 0, "attributes", value=5),
+                 MalformedDocumentError, "entities[0]: attributes must be a list",
+                 id="attributes-number"),
+    pytest.param("atomic", "data", put("nodes", value=5),
+                 MalformedDocumentError, "nodes must be a list", id="nodes-number"),
+    pytest.param("mock", "data", put("documents", value=5),
+                 MalformedDocumentError, "documents must be a list", id="documents-number"),
+    pytest.param("kopl", "tasks", put("tasks", value=5),
+                 MalformedDocumentError, "tasks must be a list", id="tasks-number"),
+    pytest.param("atomic", "data", lambda doc: put("nodes", 1, "id",
+                                                   value=doc["nodes"][0]["id"])(doc),
+                 MalformedDocumentError, "nodes[1]: duplicate node id", id="node-id-repeated"),
     # a top level that is not an object, in each kind of file
     *[pytest.param(engine, broken, replace(value), MalformedDocumentError,
                    FIXTURE_FILES[engine][broken == "data"],

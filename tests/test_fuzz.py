@@ -3,7 +3,8 @@
 Two kinds of input drive each engine under SH and FH: random plans shaped
 like the engine's catalog (any tool, any subset of its parameters, values of
 every JSON type and references to any earlier step), and the noisy policy
-with every rate and its correction switch drawn."""
+with every rate and its correction switch drawn. Each run draws a small
+budget, and every trace must keep to it."""
 
 import json
 
@@ -28,6 +29,9 @@ KNOWN = {
     "mock": ["Where is the Eiffel Tower?", "compare($0, $1, larger)",
              "pick(numeric, $0, 42)", 'equality("$0", "Paris")'],
 }
+
+BUDGETS = st.builds(harness.Budget, st.integers(1, 4), st.integers(1, 4),
+                    st.integers(1, 4))
 
 FUZZ = settings(max_examples=100, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -87,15 +91,30 @@ def scripted_policy(steps):
     return policy
 
 
+def assert_within(trace, budget):
+    """The one budget rule of `run_task`, read off a finished trace."""
+    assert trace.executed_calls <= budget.max_tool_calls
+    assert trace.replans <= budget.max_replans
+    if trace.status == "budget-failed":
+        assert trace.executed_calls == budget.max_tool_calls
+    if trace.status in ("retry-budget-failed", "replan-budget-failed"):
+        assert trace.replans == budget.max_replans
+        assert not trace.records[-1].ok
+    for rec, after in zip(trace.records, trace.records[1:]):
+        if not rec.ok:
+            assert after.invocation_id > rec.invocation_id
+
+
 @pytest.mark.parametrize("planner", ["sh", "fh"])
 @pytest.mark.parametrize("engine", sorted(TABLES))
 @FUZZ
-@given(data=st.data())
-def test_catalog_shaped_plans_never_raise(datasets, envs, engine, planner, data):
+@given(data=st.data(), budget=BUDGETS)
+def test_catalog_shaped_plans_never_raise(datasets, envs, engine, planner, data, budget):
     steps = data.draw(catalog_plans(engine))
     trace = harness.run_task(datasets[engine].tasks[0], scripted_policy(steps),
-                             envs[engine], planner)
+                             envs[engine], planner, budget)
     assert trace.status in STATUSES - {"policy-error"}
+    assert_within(trace, budget)
 
 
 RATES = st.floats(0.0, 1.0)
@@ -105,13 +124,15 @@ RATES = st.floats(0.0, 1.0)
 @pytest.mark.parametrize("engine", sorted(TABLES))
 @FUZZ
 @given(data=st.data(), noise=st.builds(policies.NoiseModel, RATES, RATES, RATES,
-                                       st.booleans(), st.integers(0, 2**16)))
-def test_noisy_policy_never_raises(datasets, envs, engine, planner, data, noise):
+                                       st.booleans(), st.integers(0, 2**16)),
+       budget=BUDGETS)
+def test_noisy_policy_never_raises(datasets, envs, engine, planner, data, noise, budget):
     task = data.draw(st.sampled_from(datasets[engine].tasks))
     env = envs[engine]
     policy = policies.noisy_policy(task.gold_plan, noise, env.catalog)
-    trace = harness.run_task(task, policy, env, planner)
+    trace = harness.run_task(task, policy, env, planner, budget)
     assert trace.status in STATUSES
+    assert_within(trace, budget)
     # a repeated step can exhaust the gold plan under SH (ROADMAP item 2);
     # any other exception out of the policy is a bug in it
     if planner == "sh" and noise.repeat_rate > 0 and trace.error:

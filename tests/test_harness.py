@@ -91,13 +91,24 @@ class TestReplanBudget:
     def test_sh_failure_retries_capped_at_eight(self, kopl_env, taller_task):
         trace = harness.run_sh(taller_task, fixed_policy(FAIL_STEP), kopl_env)
         assert trace.status == "retry-budget-failed"
-        assert trace.executed_calls == 8
+        assert trace.executed_calls == 9  # first attempt + eight retries
+        assert len(trace.invocations) == 9
+        assert trace.replans == 8
 
     def test_fh_replans_capped_at_eight(self, kopl_env, taller_task):
         trace = harness.run_fh(taller_task, fixed_policy(FAIL_STEP), kopl_env)
         assert trace.status == "replan-budget-failed"
         assert trace.replans == 8
         assert len(trace.invocations) == 9  # initial plan + eight replans
+
+    def test_fh_does_not_replan_past_the_call_budget(self, kopl_env, taller_task):
+        plan = json.dumps([{"tool": "FindAll", "args": {}}] * 29
+                          + [{"tool": "Find", "args": {"name": "zzz-unfindable"}}])
+        trace = harness.run_fh(taller_task, fixed_policy(plan), kopl_env)
+        assert trace.status == "budget-failed"
+        assert trace.executed_calls == 30
+        assert len(trace.invocations) == 1
+        assert trace.replans == 0
 
 
 class TestDrivers:

@@ -1,7 +1,8 @@
-"""The KB and graph loaders keep every check: on valid documents and on
-documents broken in one place, `kb.load_kb` and `atomic.load_graph` return
-the store the reference loaders in `oracles` return, or raise the same
-exception type with the same message."""
+"""The KB and graph loaders keep every check: on valid documents, on
+documents broken in one place and on documents with one list field holding
+something else, `kb.load_kb` and `atomic.load_graph` return the store the
+reference loaders in `oracles` return, or raise the same exception type with
+the same message."""
 
 import copy
 
@@ -28,6 +29,8 @@ QUALIFIERS = st.one_of(
                                     "value": VALUES}), min_size=1, max_size=2).map(
         lambda qs: {"qualifiers": qs}))
 NOT_OBJECTS = (5, "x", [], None, True)
+# what a list field may hold instead of a list; null reads as empty
+NOT_LISTS = (5, 0, "x", "", {}, True, False, None)
 # ways to break a value object
 VALUE_BREAKS = (
     ("kind", "colour"), ("kind", 5), ("value", "tall"), ("value", [1]), ("value", None),
@@ -157,6 +160,27 @@ def broken(draw, documents):
     return doc
 
 
+def _list_fields(doc):
+    """(object path, key) of every list field the loaders read."""
+    fields = [((), key) for key in ("concepts", "entities", "nodes", "triples") if key in doc]
+    fields += [(("concepts", i), "subclass_of") for i in range(len(doc.get("concepts", [])))]
+    fields += [(("nodes", i), "classes") for i in range(len(doc.get("nodes", [])))]
+    for i, e in enumerate(doc.get("entities", [])):
+        fields += [(("entities", i), key) for key in ("attributes", "relations", "instance_of")]
+        fields += [(("entities", i, part, j), "qualifiers")
+                   for part in ("attributes", "relations") for j in range(len(e[part]))]
+    return fields
+
+
+@st.composite
+def not_a_list(draw, documents):
+    """A document from `documents` with one list field holding something else."""
+    doc = draw(documents)
+    path, key = draw(st.sampled_from(_list_fields(doc)))
+    _at(doc, path)[key] = draw(st.sampled_from(NOT_LISTS))
+    return doc
+
+
 def _load(loader, doc):
     try:
         return loader(copy.deepcopy(doc))
@@ -172,3 +196,17 @@ def test_load_kb_matches_reference(doc):
 @given(broken(graph_documents()))
 def test_load_graph_matches_reference(doc):
     assert _load(atomic.load_graph, doc) == _load(oracles.load_graph, doc)
+
+
+@given(not_a_list(kb_documents()))
+def test_load_kb_list_fields_match_reference(doc):
+    loaded = _load(kbmod.load_kb, doc)
+    assert loaded == _load(oracles.load_kb, doc)
+    assert isinstance(loaded, kbmod.KnowledgeBase) or issubclass(loaded[0], kbmod.KBError)
+
+
+@given(not_a_list(graph_documents()))
+def test_load_graph_list_fields_match_reference(doc):
+    loaded = _load(atomic.load_graph, doc)
+    assert loaded == _load(oracles.load_graph, doc)
+    assert isinstance(loaded, atomic.GraphStore) or issubclass(loaded[0], kbmod.KBError)
