@@ -17,6 +17,8 @@ from .kb import (
     read_document,
     require_keys,
     require_list,
+    require_strings,
+    string_list,
 )
 from .outcome import Param, Tool, ToolFailure, ToolOutcome, ToolTable, literal
 
@@ -83,18 +85,24 @@ def load_graph(path_or_doc) -> GraphStore:
         try:
             if type(n) is not dict or "id" not in n or "name" not in n:
                 require_keys(n, ("id", "name"), "node")
+            if type(n["id"]) is not str or type(n["name"]) is not str:
+                require_strings(n, ("id", "name"))
             if n["id"] in nodes:
                 raise MalformedDocumentError(f"duplicate node id {n['id']!r}")
-            nodes[n["id"]] = GraphNode(n["id"], n["name"], tuple(require_list(n, "classes")))
+            nodes[n["id"]] = GraphNode(n["id"], n["name"], string_list(n, "classes"))
         except MalformedDocumentError as exc:
             raise exc.within(f"nodes[{i}]") from None
     triples = []
     for i, t in enumerate(require_list(doc, "triples")):
         if type(t) is not dict or "s" not in t or "p" not in t:
             require_keys(t, ("s", "p"), "triple", f"triples[{i}]")
+        if type(t["s"]) is not str or type(t["p"]) is not str:
+            require_strings(t, ("s", "p"), f"triples[{i}]")
         if t["s"] not in nodes:
             raise MalformedDocumentError(f"unknown subject {t['s']!r}", f"triples[{i}]")
         if "o_node" in t:
+            if type(t["o_node"]) is not str:
+                require_strings(t, ("o_node",), f"triples[{i}]")
             if t["o_node"] not in nodes:
                 raise MalformedDocumentError(f"unknown object {t['o_node']!r}", f"triples[{i}]")
             obj = t["o_node"]

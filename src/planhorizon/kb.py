@@ -107,6 +107,26 @@ def require_list(doc: dict, key: str, location: str = "") -> list:
                                  location)
 
 
+def require_strings(doc: dict, keys: tuple[str, ...], location: str = "") -> None:
+    """Raise MalformedDocumentError naming the first of `keys` whose value in
+    `doc` is not a string. Loaders call it once a quick type check failed."""
+    for key in keys:
+        if type(doc[key]) is not str:
+            raise MalformedDocumentError(
+                f"{key} must be a string, not {type(doc[key]).__name__}", location)
+
+
+def string_list(doc: dict, key: str, location: str = "") -> tuple[str, ...]:
+    """The items of list field `key` (see `require_list`), each a string; any
+    other item raises MalformedDocumentError naming it."""
+    items = tuple(require_list(doc, key, location))
+    for j, item in enumerate(items):
+        if type(item) is not str:
+            raise MalformedDocumentError(
+                f"{key}[{j}] must be a string, not {type(item).__name__}", location)
+    return items
+
+
 # kind -> the payload type its `value` holds, and the converter that reads
 # that payload from a JSON document
 _PAYLOAD_TYPES = {"string": str, "number": (int, float), "year": int, "date": datetime.date}
@@ -308,6 +328,8 @@ def _parse_qualifiers(fact: dict) -> tuple[tuple[str, TypedValue], ...]:
     for k, q in enumerate(require_list(fact, "qualifiers")):
         if type(q) is not dict or "key" not in q or "value" not in q:
             require_keys(q, ("key", "value"), "qualifier", f"qualifiers[{k}]")
+        if type(q["key"]) is not str:
+            require_strings(q, ("key",), f"qualifiers[{k}]")
         try:
             out.append((q["key"], TypedValue.from_json(q["value"])))
         except MalformedDocumentError as exc:
@@ -330,10 +352,12 @@ def load_kb(path_or_doc) -> KnowledgeBase:
         try:
             if type(c) is not dict or "id" not in c or "name" not in c:
                 require_keys(c, ("id", "name"), "concept")
+            if type(c["id"]) is not str or type(c["name"]) is not str:
+                require_strings(c, ("id", "name"))
             if c["id"] in concepts:
                 raise MalformedDocumentError(f"duplicate concept id {c['id']!r}")
             concepts[c["id"]] = Concept(
-                id=c["id"], name=c["name"], subclass_of=tuple(require_list(c, "subclass_of"))
+                id=c["id"], name=c["name"], subclass_of=string_list(c, "subclass_of")
             )
         except MalformedDocumentError as exc:
             raise exc.within(f"concepts[{i}]") from None
@@ -350,6 +374,8 @@ def load_kb(path_or_doc) -> KnowledgeBase:
         try:
             if type(e) is not dict or "id" not in e or "name" not in e:
                 require_keys(e, ("id", "name"), "entity")
+            if type(e["id"]) is not str or type(e["name"]) is not str:
+                require_strings(e, ("id", "name"))
             if e["id"] in entities:
                 raise MalformedDocumentError(f"duplicate entity id {e['id']!r}")
             attributes = []
@@ -357,6 +383,8 @@ def load_kb(path_or_doc) -> KnowledgeBase:
                 try:
                     if type(a) is not dict or "key" not in a or "value" not in a:
                         require_keys(a, ("key", "value"), "attribute")
+                    if type(a["key"]) is not str:
+                        require_strings(a, ("key",))
                     value = TypedValue.from_json(a["value"])
                     attributes.append(AttributeFact(a["key"], value, _parse_qualifiers(a)))
                 except MalformedDocumentError as exc:
@@ -366,6 +394,8 @@ def load_kb(path_or_doc) -> KnowledgeBase:
                 try:
                     if type(r) is not dict or "predicate" not in r or "target" not in r:
                         require_keys(r, ("predicate", "target"), "relation")
+                    if type(r["predicate"]) is not str or type(r["target"]) is not str:
+                        require_strings(r, ("predicate", "target"))
                     direction = r.get("direction", "forward")
                     if direction not in ("forward", "backward"):
                         raise MalformedDocumentError(f"bad direction {direction!r}")
@@ -376,7 +406,7 @@ def load_kb(path_or_doc) -> KnowledgeBase:
             entities[e["id"]] = Entity(
                 id=e["id"],
                 name=e["name"],
-                instance_of=tuple(require_list(e, "instance_of")),
+                instance_of=string_list(e, "instance_of"),
                 attributes=tuple(attributes),
                 relations=tuple(relations),
             )

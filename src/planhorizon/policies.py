@@ -11,15 +11,11 @@ import urllib.request
 from dataclasses import dataclass
 
 from .harness import PolicyRequest
-from .plans import Plan, ToolCall, rewrite_refs, step_ref
+from .plans import Plan, rewrite_refs, step_ref
 
 
 class PolicyError(Exception):
     pass
-
-
-def _success_steps(history: list[dict]) -> list[int]:
-    return [item["step"] for item in history if item["outcome_kind"] == "success"]
 
 
 def _remap_refs(args: dict, mapping) -> dict:
@@ -31,53 +27,44 @@ def _remap_refs(args: dict, mapping) -> dict:
     }
 
 
-def _emit(steps: list[dict]) -> str:
-    return json.dumps(steps)
+def _gold_replayer(gold_plan: Plan):
+    """The gold steps a request asks for, as plan dicts: from the first one not
+    yet done, one under `sh-next-step` and the rest of the plan otherwise. A
+    step is done when it succeeded and was emitted here, so a noisy repeat never
+    counts as progress. `$j` becomes the step where gold step j succeeded, or
+    where it is emitted now; the last gold step carries `final`."""
 
+    gold = gold_plan.steps
+    emitted: dict[int, int] = {}  # step index -> gold index
 
-def _gold_step_json(step: ToolCall, mapping, final: bool) -> dict:
-    doc = {"tool": step.tool, "args": _remap_refs(step.args, mapping)}
-    if final:
-        doc["final"] = True
-    return doc
+    def replay(request: PolicyRequest) -> list[dict]:
+        if not request.history:  # a new trajectory
+            emitted.clear()
+        done_at = {emitted[item["step"]]: item["step"] for item in request.history
+                   if item["outcome_kind"] == "success" and item["step"] in emitted}
+        done, start = len(done_at), request.start_index
+
+        def index(j: int) -> int:
+            return done_at[j] if j in done_at else start + j - done
+
+        count = 1 if request.mode == "sh-next-step" else len(gold) - done
+        steps = []
+        for k, step in enumerate(gold[done:done + count]):
+            emitted[start + k] = done + k
+            doc = {"tool": step.tool, "args": _remap_refs(step.args, index)}
+            if done + k == len(gold) - 1:
+                doc["final"] = True
+            steps.append(doc)
+        return steps
+
+    return replay
 
 
 def oracle_policy(gold_plan: Plan):
     """Replays the gold plan: the full plan under FH, one step at a time under
     SH, and the re-indexed remaining suffix on FH replans."""
-
-    gold = gold_plan.steps
-
-    def policy(request: PolicyRequest) -> str:
-        successes = _success_steps(request.history)
-
-        def executed_index(gold_index: int) -> int:
-            return successes[gold_index]
-
-        if request.mode == "fh-initial":
-            return _emit([
-                _gold_step_json(step, lambda j: j, i == len(gold) - 1)
-                for i, step in enumerate(gold)
-            ])
-        done = len(successes)
-        if done >= len(gold):
-            raise PolicyError("gold plan exhausted without a terminal answer")
-        if request.mode == "sh-next-step":
-            return _emit([
-                _gold_step_json(gold[done], executed_index, done == len(gold) - 1)
-            ])
-        # fh-replan: append-only continuation of the unexecuted gold suffix
-        def mapping(j: int) -> int:
-            if j < done:
-                return executed_index(j)
-            return request.start_index + (j - done)
-
-        return _emit([
-            _gold_step_json(step, mapping, done + k == len(gold) - 1)
-            for k, step in enumerate(gold[done:])
-        ])
-
-    return policy
+    replay = _gold_replayer(gold_plan)
+    return lambda request: json.dumps(replay(request))
 
 
 @dataclass(frozen=True)
@@ -113,12 +100,12 @@ def _string_params(catalog: list[dict]) -> dict[str, list[str]]:
 
 def noisy_policy(gold_plan: Plan, noise: NoiseModel, catalog: list[dict]):
     """Gold-plan policy with seeded corruptions: wrong schema terms, wrong
-    references, or repeats of the previous call. With corrects_after_feedback,
-    a failure observation makes the next emission the clean gold step."""
+    references, or SH repeats of the previous call (a call and an invocation
+    spent, no gold step done). With corrects_after_feedback, a failure
+    observation makes the next emission the clean gold step."""
 
-    gold = gold_plan.steps
     string_params = _string_params(catalog)
-    base = oracle_policy(gold_plan)
+    replay = _gold_replayer(gold_plan)
 
     def corrupt_step(doc: dict, rng: random.Random) -> dict:
         if rng.random() < noise.wrong_schema_rate:
@@ -138,14 +125,14 @@ def noisy_policy(gold_plan: Plan, noise: NoiseModel, catalog: list[dict]):
         history = request.history
         if (request.mode != "fh-initial" and noise.corrects_after_feedback and history
                 and history[-1]["outcome_kind"] == "failure"):
-            return base(request)  # clean re-emission of the failed gold step/suffix
+            return json.dumps(replay(request))  # the failed gold step/suffix, clean
         rng = random.Random(f"{noise.seed}|{request.mode}|{len(history)}|")
         if request.mode == "sh-next-step" and history and rng.random() < noise.repeat_rate:
             prev = history[-1]
-            return _emit([{"tool": prev["tool"], "args": dict(prev["args"])}])
+            return json.dumps([{"tool": prev["tool"], "args": dict(prev["args"])}])
         # the gold emission with fresh draws: the initial FH plan, the next SH
         # step, or the suffix of an FH replan
-        return _emit([corrupt_step(doc, rng) for doc in json.loads(base(request))])
+        return json.dumps([corrupt_step(doc, rng) for doc in replay(request)])
 
     return policy
 

@@ -99,8 +99,9 @@ def _read_dataset(path) -> Dataset:
 
     tasks, ids = [], set()
     for i, t in enumerate(kbmod.require_list(doc, "tasks")):
-        if not isinstance(t, dict) or any(k not in t for k in ("id", "question", "gold_answer")):
-            raise DatasetError(f"tasks[{i}] needs id, question and gold_answer")
+        if not isinstance(t, dict) or any(
+                k not in t for k in ("id", "question", "gold_answer", "gold_plan")):
+            raise DatasetError(f"tasks[{i}] needs id, question, gold_answer and gold_plan")
         if type(t["id"]) is not str or t["id"] in ids:
             raise DatasetError(f"tasks[{i}] id must be a string no other task has, "
                                f"got {t['id']!r}")

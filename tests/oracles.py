@@ -31,7 +31,7 @@ from planhorizon.kb import (AttributeFact, Concept, DanglingReferenceError, Enti
                             KnowledgeBase, MalformedDocumentError, RelationEdge, TypedValue,
                             UnknownConceptError, _check_acyclic_taxonomy, compare_typed,
                             parse_value_text, read_document, require_keys,
-                            require_list)
+                            require_list, require_strings, string_list)
 from planhorizon.outcome import ToolFailure, ToolOutcome
 from planhorizon.plans import ExecutionGraph, Plan, ToolCall, canonical_call
 from planhorizon.stats import (DIVERGED, FIT_MAX_ITER, FIT_TOLERANCE, MAX_COEFFICIENT,
@@ -635,6 +635,7 @@ def _parse_qualifiers(fact, location) -> tuple[tuple[str, TypedValue], ...]:
     for i, q in enumerate(require_list(fact, "qualifiers", location)):
         qloc = f"{location}.qualifiers[{i}]"
         require_keys(q, ("key", "value"), "qualifier", qloc)
+        require_strings(q, ("key",), qloc)
         out.append((q["key"], TypedValue.from_json(q["value"], qloc)))
     return tuple(out)
 
@@ -647,10 +648,11 @@ def load_kb(path_or_doc) -> KnowledgeBase:
     for i, c in enumerate(require_list(doc, "concepts")):
         loc = f"concepts[{i}]"
         require_keys(c, ("id", "name"), "concept", loc)
+        require_strings(c, ("id", "name"), loc)
         if c["id"] in concepts:
             raise MalformedDocumentError(f"duplicate concept id {c['id']!r}", loc)
         concepts[c["id"]] = Concept(
-            id=c["id"], name=c["name"], subclass_of=tuple(require_list(c, "subclass_of", loc))
+            id=c["id"], name=c["name"], subclass_of=string_list(c, "subclass_of", loc)
         )
     for c in concepts.values():
         for parent in c.subclass_of:
@@ -664,12 +666,14 @@ def load_kb(path_or_doc) -> KnowledgeBase:
     for i, e in enumerate(require_list(doc, "entities")):
         loc = f"entities[{i}]"
         require_keys(e, ("id", "name"), "entity", loc)
+        require_strings(e, ("id", "name"), loc)
         if e["id"] in entities:
             raise MalformedDocumentError(f"duplicate entity id {e['id']!r}", loc)
         attributes = []
         for j, a in enumerate(require_list(e, "attributes", loc)):
             aloc = f"{loc}.attributes[{j}]"
             require_keys(a, ("key", "value"), "attribute", aloc)
+            require_strings(a, ("key",), aloc)
             attributes.append(AttributeFact(
                 key=a["key"],
                 value=TypedValue.from_json(a["value"], aloc),
@@ -679,6 +683,7 @@ def load_kb(path_or_doc) -> KnowledgeBase:
         for j, r in enumerate(require_list(e, "relations", loc)):
             rloc = f"{loc}.relations[{j}]"
             require_keys(r, ("predicate", "target"), "relation", rloc)
+            require_strings(r, ("predicate", "target"), rloc)
             direction = r.get("direction", "forward")
             if direction not in ("forward", "backward"):
                 raise MalformedDocumentError(f"bad direction {direction!r}", rloc)
@@ -693,7 +698,7 @@ def load_kb(path_or_doc) -> KnowledgeBase:
         entities[e["id"]] = Entity(
             id=e["id"],
             name=e["name"],
-            instance_of=tuple(require_list(e, "instance_of", loc)),
+            instance_of=string_list(e, "instance_of", loc),
             attributes=tuple(attributes),
             relations=tuple(relations),
         )
@@ -727,17 +732,19 @@ def load_graph(path_or_doc) -> atomic.GraphStore:
     for i, n in enumerate(require_list(doc, "nodes")):
         loc = f"nodes[{i}]"
         require_keys(n, ("id", "name"), "node", loc)
+        require_strings(n, ("id", "name"), loc)
         if n["id"] in nodes:
             raise MalformedDocumentError(f"duplicate node id {n['id']!r}", loc)
-        nodes[n["id"]] = atomic.GraphNode(n["id"], n["name"],
-                                          tuple(require_list(n, "classes", loc)))
+        nodes[n["id"]] = atomic.GraphNode(n["id"], n["name"], string_list(n, "classes", loc))
     triples = []
     for i, t in enumerate(require_list(doc, "triples")):
         loc = f"triples[{i}]"
         require_keys(t, ("s", "p"), "triple", loc)
+        require_strings(t, ("s", "p"), loc)
         if t["s"] not in nodes:
             raise MalformedDocumentError(f"unknown subject {t['s']!r}", loc)
         if "o_node" in t:
+            require_strings(t, ("o_node",), loc)
             if t["o_node"] not in nodes:
                 raise MalformedDocumentError(f"unknown object {t['o_node']!r}", loc)
             obj = t["o_node"]

@@ -25,6 +25,11 @@ def run_dir(tmp_path, fixtures_dir, capsys):
     return out
 
 
+# a remote policy spec whose every call is refused: each trajectory raises
+REFUSED_ENDPOINT = {"kind": "remote", "endpoint": "http://127.0.0.1:9/v1/chat/completions",
+                    "timeout": 5}
+
+
 class TestRun:
     def test_oracle_run_all_correct(self, run_dir, capsys):
         outcomes = [json.loads(line)
@@ -207,15 +212,29 @@ class TestRun:
         assert len(built) == 1  # for 5 tasks x 2 planners x 3 trials
         capsys.readouterr()
 
+    # a repeated SH call costs a call and an invocation but never advances the
+    # gold plan, so every task still ends with the gold answer
+    def test_sh_repeat_noise_answers_every_task(self, tmp_path, fixtures_dir, capsys):
+        config = json.loads((fixtures_dir / "run_kopl_oracle.json").read_text())
+        config.update(dataset=str(fixtures_dir / "kopl_tasks.json"),
+                      policy={"kind": "noisy", "repeat_rate": 0.5})
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(tmp_path / "config.json"), "--out", str(out),
+                       "--planner", "sh") == 0
+        capsys.readouterr()
+        outcomes = [json.loads(line)
+                    for line in (out / "outcomes.jsonl").read_text().splitlines()]
+        assert len(outcomes) == 5 * config["trials"]
+        assert {row["label"] for row in outcomes} == {"correct"}
+        assert sum(row["repeated"] for row in outcomes) / len(outcomes) > 0
+
     # a policy that raises ends its own trajectory, not the others; the run
     # writes every file, marks the trajectory's outcome and exits 1, and
     # `stats` refuses the outcomes
     @pytest.mark.parametrize("policy,error", [
-        ({"kind": "noisy", "repeat_rate": 0.5},
-         "PolicyError: gold plan exhausted without a terminal answer"),
-        ({"kind": "remote", "endpoint": "http://127.0.0.1:9/v1/chat/completions",
-          "timeout": 5}, "URLError: "),
-    ], ids=["noisy-repeat", "refused-endpoint"])
+        (REFUSED_ENDPOINT, "URLError: "),
+    ], ids=["refused-endpoint"])
     def test_policy_error_ends_its_trajectory(self, tmp_path, fixtures_dir, capsys, policy,
                                               error):
         config = json.loads((fixtures_dir / "run_kopl_oracle.json").read_text())
@@ -282,7 +301,7 @@ class TestRun:
     # nothing is left in the collector's permanent generation
     @pytest.mark.parametrize("change,argv,code", [
         ({}, [], 0),
-        ({"policy": {"kind": "noisy", "repeat_rate": 0.5}}, ["--planner", "sh"], 1),
+        ({"policy": REFUSED_ENDPOINT}, ["--planner", "sh"], 1),
         ({"trials": "three"}, [], 2),
         ({}, ["--out", "{tmp}/afile"], 2),
     ], ids=["ok", "policy-raises", "bad-config", "out-file"])
@@ -532,6 +551,24 @@ MALFORMED = [
     pytest.param("atomic", "data", lambda doc: put("nodes", 1, "id",
                                                    value=doc["nodes"][0]["id"])(doc),
                  MalformedDocumentError, "nodes[1]: duplicate node id", id="node-id-repeated"),
+    # an id, name, key, predicate or reference that is not a string
+    *[pytest.param(engine, "data", put(*path, value=value), MalformedDocumentError, where,
+                   id=label)
+      for engine, path, value, where, label in (
+          ("kopl", ("entities", 0, "id"), ["x"], "entities[0]: id must be a string, not list",
+           "entity-id-list"),
+          ("kopl", ("entities", 0, "instance_of", 0), {"a": 1},
+           "entities[0]: instance_of[0] must be a string, not dict", "instance-of-object"),
+          ("kopl", ("concepts", 1, "subclass_of"), [["c"]],
+           "concepts[1]: subclass_of[0] must be a string, not list", "subclass-of-list"),
+          ("kopl", ("entities", 1, "relations", 0, "target"), {"t": 1},
+           "entities[1].relations[0]: target must be a string, not dict", "target-object"),
+          ("kopl", (*ATTRIBUTE, "key"), 5,
+           "entities[0].attributes[0]: key must be a string, not int", "attribute-key-number"),
+          ("atomic", ("triples", 0, "o_node"), ["a"],
+           "triples[0]: o_node must be a string, not list", "o-node-list"),
+          ("atomic", ("nodes", 0, "name"), ["X"], "nodes[0]: name must be a string, not list",
+           "node-name-list"))],
     # a top level that is not an object, in each kind of file
     *[pytest.param(engine, broken, replace(value), MalformedDocumentError,
                    FIXTURE_FILES[engine][broken == "data"],
@@ -539,9 +576,10 @@ MALFORMED = [
       for engine, broken in (("kopl", "data"), ("atomic", "data"), ("mock", "data"),
                              ("kopl", "tasks"))
       for label, value in (("list", []), ("string", "kb"), ("number", 5), ("null", None))],
-    *[pytest.param(engine, "tasks", drop("tasks", 0, key), tasks.DatasetError, "tasks[0]",
+    *[pytest.param(engine, "tasks", drop("tasks", 0, key), tasks.DatasetError,
+                   "tasks[0] needs id, question, gold_answer and gold_plan",
                    id=f"{engine}-task-{key}")
-      for engine in FIXTURE_FILES for key in ("id", "question", "gold_answer")],
+      for engine in FIXTURE_FILES for key in ("id", "question", "gold_answer", "gold_plan")],
     *[pytest.param(engine, "tasks", drop(data_key), tasks.DatasetError, repr(data_key),
                    id=f"{engine}-task-file-{data_key}")
       for engine, data_key in (("kopl", "kb"), ("atomic", "graph"), ("mock", "corpus"))],

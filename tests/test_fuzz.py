@@ -4,7 +4,8 @@ Two kinds of input drive each engine under SH and FH: random plans shaped
 like the engine's catalog (any tool, any subset of its parameters, values of
 every JSON type and references to any earlier step), and the noisy policy
 with every rate and its correction switch drawn. Each run draws a small
-budget, and every trace must keep to it."""
+budget, and every trace must keep to it. Under repeat-only noise, every
+trajectory must still end with the gold answer or at the call budget."""
 
 import json
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from planhorizon import atomic, harness, kopl, mocktools, policies
+from planhorizon import atomic, harness, kopl, mocktools, policies, stats
 from planhorizon.outcome import Param
 
 STATUSES = {"answered", "format-failed", "budget-failed", "retry-budget-failed",
@@ -85,6 +86,9 @@ def scripted_policy(steps):
     """The whole plan under FH and its last step on replans; under SH one
     step per invocation, repeating the last."""
     def policy(request):
+        # every request continues right after the executed steps; the gold
+        # replayer relies on it
+        assert request.start_index == len(request.history)
         if request.mode == "sh-next-step":
             return json.dumps([steps[min(len(request.history), len(steps) - 1)]])
         return json.dumps(steps if request.mode == "fh-initial" else steps[-1:])
@@ -133,9 +137,23 @@ def test_noisy_policy_never_raises(datasets, envs, engine, planner, data, noise,
     trace = harness.run_task(task, policy, env, planner, budget)
     assert trace.status in STATUSES
     assert_within(trace, budget)
-    # a repeated step can exhaust the gold plan under SH (ROADMAP item 2);
-    # any other exception out of the policy is a bug in it
-    if planner == "sh" and noise.repeat_rate > 0 and trace.error:
-        assert trace.error.startswith("PolicyError: gold plan exhausted")
-    else:
-        assert trace.error == ""
+    assert trace.error == ""
+
+
+@pytest.mark.parametrize("planner", ["sh", "fh"])
+@pytest.mark.parametrize("engine", sorted(TABLES))
+@FUZZ
+@given(data=st.data(), noise=st.builds(policies.NoiseModel, repeat_rate=RATES,
+                                       corrects_after_feedback=st.booleans(),
+                                       seed=st.integers(0, 2**16)))
+def test_repeats_never_cost_the_gold_answer(datasets, envs, engine, planner, data, noise):
+    """A repeated call spends a call but is no gold step: under repeat-only
+    noise every trajectory ends with the gold answer or at the call budget."""
+    task = data.draw(st.sampled_from(datasets[engine].tasks))
+    env = envs[engine]
+    trace = harness.run_task(task, policies.noisy_policy(task.gold_plan, noise, env.catalog),
+                             env, planner)
+    assert trace.status in ("answered", "budget-failed"), trace.error
+    if trace.status == "answered":
+        assert stats.match_answer(trace.answer, task.gold_answer,
+                                  task.controls.get("match_mode", "exact-set")) == "correct"

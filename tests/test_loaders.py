@@ -1,6 +1,6 @@
 """The KB and graph loaders keep every check: on valid documents, on
-documents broken in one place and on documents with one list field holding
-something else, `kb.load_kb` and `atomic.load_graph` return the store the
+documents broken in one place and on documents with one list field, or one
+id, name, key or reference, holding something else, `kb.load_kb` and `atomic.load_graph` return the store the
 reference loaders in `oracles` return, or raise the same exception type with
 the same message."""
 
@@ -31,6 +31,8 @@ QUALIFIERS = st.one_of(
 NOT_OBJECTS = (5, "x", [], None, True)
 # what a list field may hold instead of a list; null reads as empty
 NOT_LISTS = (5, 0, "x", "", {}, True, False, None)
+# what an id, name, key or reference may hold instead of a string
+NOT_STRINGS = (5, 1.5, True, None, ["x"], {"a": 1})
 # ways to break a value object
 VALUE_BREAKS = (
     ("kind", "colour"), ("kind", 5), ("value", "tall"), ("value", [1]), ("value", None),
@@ -181,6 +183,27 @@ def not_a_list(draw, documents):
     return doc
 
 
+def _string_fields(node, path=()):
+    """(object or list path, key) of every string outside a value object: the
+    ids, names, keys, predicates and references the loaders read."""
+    fields = []
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, str):
+            fields.append((path, key))
+        elif isinstance(value, (dict, list)) and key not in ("value", "o_literal"):
+            fields += _string_fields(value, (*path, key))
+    return fields
+
+
+@st.composite
+def not_a_string(draw, documents):
+    """A document from `documents` with one such string replaced by another value."""
+    doc = draw(documents)
+    path, key = draw(st.sampled_from(_string_fields(doc)))
+    _at(doc, path)[key] = draw(st.sampled_from(NOT_STRINGS))
+    return doc
+
+
 def _load(loader, doc):
     try:
         return loader(copy.deepcopy(doc))
@@ -210,3 +233,17 @@ def test_load_graph_list_fields_match_reference(doc):
     loaded = _load(atomic.load_graph, doc)
     assert loaded == _load(oracles.load_graph, doc)
     assert isinstance(loaded, atomic.GraphStore) or issubclass(loaded[0], kbmod.KBError)
+
+
+@given(not_a_string(kb_documents()))
+def test_load_kb_string_fields_match_reference(doc):
+    loaded = _load(kbmod.load_kb, doc)
+    assert loaded == _load(oracles.load_kb, doc)
+    assert isinstance(loaded, tuple) and issubclass(loaded[0], kbmod.KBError)
+
+
+@given(not_a_string(graph_documents()))
+def test_load_graph_string_fields_match_reference(doc):
+    loaded = _load(atomic.load_graph, doc)
+    assert loaded == _load(oracles.load_graph, doc)
+    assert isinstance(loaded, tuple) and issubclass(loaded[0], kbmod.KBError)

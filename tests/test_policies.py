@@ -118,6 +118,19 @@ class TestNoisyPolicy:
         assert trace.status == "budget-failed"
         assert plans.detect_repetition(trace)
 
+    def test_reused_policy_starts_each_trajectory_afresh(self, kopl_dataset, taller_task):
+        # an FH run leaves gold indices at steps 0-3; the SH run on the same
+        # policy object repeats at some of those steps and must not take them
+        # for gold steps done
+        noise = NoiseModel(repeat_rate=0.5, seed=1)
+        env = kopl_dataset.make_env("high")
+        reused = noisy_policy(taller_task.gold_plan, noise, env.catalog)
+        assert harness.run_task(taller_task, reused, env, "fh").status == "answered"
+        fresh = noisy_policy(taller_task.gold_plan, noise, env.catalog)
+        traces = [harness.run_task(taller_task, policy, env, "sh") for policy in (reused, fresh)]
+        assert traces[0].log_lines() == traces[1].log_lines()
+        assert traces[0].status == "answered" and plans.detect_repetition(traces[0])
+
 
 class _StubHandler(BaseHTTPRequestHandler):
     """Answers each POST with the next scripted plan and `status`; it has no
