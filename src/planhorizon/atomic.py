@@ -303,9 +303,9 @@ class AtomicEngine(Environment):
 
     catalog = TOOLS.catalog()
 
-    def __init__(self, store: GraphStore, grounder: Grounder, eval_year: int = 2026):
+    def __init__(self, store: GraphStore, robustness: str, eval_year: int = 2026):
+        super().__init__(store, robustness)
         self.store = store
-        self.grounder = grounder
         self.eval_year = eval_year
 
     def run_tool(self, tool: str, args: dict) -> ToolOutcome:

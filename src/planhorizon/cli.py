@@ -29,21 +29,6 @@ class ConfigError(Exception):
     """Input that the cli's own checks reject: an argument, a run config or a file."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    config_hash: str
-    seed: int
-    dataset: str
-    planner: str
-    policy: str
-    robustness: str
-    trials: int
-    out_dir: str
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 def _config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -101,11 +86,8 @@ def _run_one(env, task, planner, policy_spec, trial, seed, budget) -> plans.Trac
     traceback and ends as an empty trace with status "error", and the run
     goes on."""
     run_id = f"{task.id}-{planner}-t{trial}"
-    spec = dict(policy_spec)
-    if spec.get("kind") == "noisy":  # a spec's own seed replaces the run's
-        spec["seed"] = spec.get("seed", seed) + trial
     try:
-        policy = policies.build_policy(spec, task=task, catalog=env.catalog)
+        policy = policies.build_policy(policy_spec, task, env.catalog, seed + trial)
         trace = harness.run_task(task, policy, env, planner, budget=budget)
     except Exception as exc:  # noqa: BLE001 - a failing job ends its trajectory only
         print(f"traceback of {run_id}:\n{traceback.format_exc()}", end="", file=sys.stderr)
@@ -120,7 +102,7 @@ def _outcome_from_trace(trace, task, planner) -> stats.Outcome:
     graph = plans.build_dag(task.gold_plan)
     label = trace.status if trace.error else stats.match_answer(
         trace.answer or "", task.gold_answer, mode=task.controls.get("match_mode", "exact-set"))
-    token_stats = harness.account_tokens(trace)
+    tokens_in, tokens_out = harness.account_tokens(trace)
     return stats.Outcome(
         question_id=task.id,
         trial=trace.trial,
@@ -132,8 +114,8 @@ def _outcome_from_trace(trace, task, planner) -> stats.Outcome:
         last_tool=task.gold_plan.steps[-1].tool,
         has_bridge=task.controls.get("has_bridge", False),
         has_comparison=task.controls.get("has_comparison", False),
-        tokens_in=token_stats.prompt_tokens,
-        tokens_out=token_stats.completion_tokens,
+        tokens_in=tokens_in,
+        tokens_out=tokens_out,
         repeated=plans.detect_repetition(trace),
         label=label,
     )
@@ -158,19 +140,19 @@ def _run_dataset(args: argparse.Namespace, config: dict, dataset: tasks.Dataset)
     """Run every job of `config` over `dataset` and write the run directory."""
     out_dir = Path(args.out or config.get("out", "runs/latest"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        config_hash=_config_hash(config),
-        seed=config["seed"],
-        dataset=str(config["dataset"]),
-        planner=config["planner"],
-        policy=config["policy"].get("kind", "oracle"),
-        robustness=config["robustness"],
-        trials=config["trials"],
-        out_dir=str(out_dir),
-    )
+    manifest = {
+        "config_hash": _config_hash(config),
+        "seed": config["seed"],
+        "dataset": config["dataset"],
+        "planner": config["planner"],
+        "policy": config["policy"].get("kind", "oracle"),
+        "robustness": config["robustness"],
+        "trials": config["trials"],
+        "out_dir": str(out_dir),
+    }
     # manifest goes to disk before any task executes
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest.to_json(), indent=2) + "\n", encoding="utf-8")
+        json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
     planners = ["sh", "fh"] if config["planner"] == "both" else [config["planner"]]
     budget = harness.Budget()

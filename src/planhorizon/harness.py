@@ -47,24 +47,20 @@ class Budget:
             raise ValueError("all budget fields must be positive")
 
 
-@dataclass
-class TokenStats:
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    invocations: int = 0
-
-
 class Environment:
     """A tool engine over its loaded data, with the executor the drivers call.
 
     Each engine (`KoplEngine`, `AtomicEngine`, `MockEngine`) subclasses it, sets
     `catalog` and defines ``run_tool(tool, args) -> ToolOutcome`` (one tool, its
     references resolved to values) and ``render(value) -> str`` (a tool output's
-    observation and answer text). `make_env` builds one per `planhorizon run`;
-    prompt files are read, and the catalog serialized, on first use and kept
-    with it."""
+    observation and answer text). `planhorizon run` builds one per run; prompt
+    files are read, and the catalog serialized, on first use and kept with it."""
 
     catalog: list[dict]
+
+    def __init__(self, data, robustness: str):
+        """The grounder matches the schema terms `data` lists under `robustness`."""
+        self.grounder = Grounder(build_index(data), robustness)
 
     @cached_property
     def _prompts(self) -> dict[str, str]:
@@ -124,12 +120,6 @@ class Environment:
         return outcome, repetition_args
 
 
-def make_env(engine_type, data, robustness: str = "high", **settings) -> Environment:
-    """Build an engine of `engine_type` over `data`. Its grounder matches the
-    schema terms `data` lists under `robustness`."""
-    return engine_type(data, Grounder(build_index(data), robustness), **settings)
-
-
 # ---------------------------------------------------------------------------
 # History serialization (shared by SH prompts and FH replanning prompts)
 
@@ -179,8 +169,8 @@ def build_prompts(env: Environment, query: str, mode: str, history: list[dict],
 def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
             budget: Budget) -> Plan | None:
     """Invoke the policy with format retries; returns None on retry exhaustion
-    or when the policy raises, with the trace's status set. The plan's steps
-    are numbered from the next record's index.
+    or when the policy raises or returns no string, with the trace's status
+    set. The plan's steps are numbered from the next record's index.
 
     Tokens are counted by the module's `whitespace_tokenizer`, looked up at
     call time."""
@@ -195,6 +185,10 @@ def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
             text = policy(request)
         except Exception as exc:  # noqa: BLE001 - a failing policy ends its trace only
             trace.status, trace.error = "policy-error", f"{type(exc).__name__}: {exc}"
+            return None
+        if not isinstance(text, str):
+            trace.status = "policy-error"
+            trace.error = f"the policy returned {type(text).__name__}, not str"
             return None
         invocation = Invocation(
             id=len(trace.invocations), mode=mode,
@@ -283,11 +277,8 @@ def run_fh(task, policy, env: Environment, budget: Budget = Budget()) -> Trace:
     return run_task(task, policy, env, "fh", budget)
 
 
-def account_tokens(trace: Trace, tokenizer=whitespace_tokenizer) -> TokenStats:
-    """Sum per-invocation prompt/completion token counts with the given tokenizer."""
-    stats = TokenStats()
-    for inv in trace.invocations:
-        stats.prompt_tokens += tokenizer(inv.prompt_text)
-        stats.completion_tokens += tokenizer(inv.completion_text)
-        stats.invocations += 1
-    return stats
+def account_tokens(trace: Trace, tokenizer=whitespace_tokenizer) -> tuple[int, int]:
+    """(prompt tokens, completion tokens) summed over the trace's invocations
+    with the given tokenizer."""
+    return (sum(tokenizer(inv.prompt_text) for inv in trace.invocations),
+            sum(tokenizer(inv.completion_text) for inv in trace.invocations))

@@ -401,9 +401,9 @@ class KoplEngine(Environment):
 
     catalog = TOOLS.catalog()
 
-    def __init__(self, kb: KnowledgeBase, grounder: Grounder):
+    def __init__(self, kb: KnowledgeBase, robustness: str):
+        super().__init__(kb, robustness)
         self.kb = kb
-        self.grounder = grounder
 
     def run_tool(self, tool: str, args: dict) -> ToolOutcome:
         return run_tool(self.kb, self.grounder, tool, args)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import grounding
-from .grounding import Grounder
 from .harness import Environment
-from .kb import MalformedDocumentError, read_document, require_keys, require_list
+from .kb import (MalformedDocumentError, read_document, require_keys, require_list,
+                 require_strings)
 from .outcome import Param, Tool, ToolFailure, ToolOutcome, ToolTable
 
 
@@ -35,7 +35,7 @@ class MockCorpus:
         titles = [d.title for d in self.documents]
         if len(set(titles)) != len(titles):
             raise MalformedDocumentError("document titles must be unique")
-        if not isinstance(self.top_k, int) or self.top_k < 1:
+        if type(self.top_k) is not int or self.top_k < 1:
             raise MalformedDocumentError(f"top_k must be an integer >= 1, got {self.top_k!r}")
 
     def schema_terms(self) -> dict[str, tuple[str, ...]]:
@@ -68,31 +68,30 @@ def load_corpus(path_or_doc) -> MockCorpus:
     for i, d in enumerate(require_list(doc, "documents")):
         loc = f"documents[{i}]"
         require_keys(d, ("title",), "document", loc)
-        answers = d.get("answers", {})
+        title, text, answers = d["title"], d.get("text", ""), d.get("answers", {})
+        if type(title) is not str or type(text) is not str:
+            require_strings({"title": title, "text": text}, ("title", "text"), loc)
         if not isinstance(answers, dict):
             raise MalformedDocumentError("answers must be an object", loc)
-        documents.append(MockDocument(
-            title=d["title"],
-            text=d.get("text", ""),
-            answers={normalize_question(q): a for q, a in answers.items()},
-        ))
+        normalized = {}
+        for q, a in answers.items():
+            if type(a) is not str:
+                raise MalformedDocumentError(
+                    f"the answer to {q!r} must be a string, not {type(a).__name__}", loc)
+            normalized[normalize_question(q)] = a
+        documents.append(MockDocument(title=title, text=text, answers=normalized))
     return MockCorpus(documents=tuple(documents), top_k=doc.get("top_k", MockCorpus.top_k))
 
 
-def rank_documents(corpus: MockCorpus, question: str,
-                   k: int | None = None) -> list[MockDocument]:
-    """Documents by descending trigram similarity of "title text" to
-    `question`, ties in corpus order; only the first `k` when given."""
+def rank_documents(corpus: MockCorpus, question: str, k: int) -> list[MockDocument]:
+    """The first `k` documents by descending trigram similarity of "title
+    text" to `question`, ties in corpus order."""
     norm = grounding._normalize(question)
     grams = grounding._trigrams(norm)
-    # (-score, position): positions are distinct, so tuple order is the tie-break
-    scored = ((-1.0 if doc_norm == norm else -grounding._jaccard(grams, doc_grams), i)
-              for i, (doc_norm, doc_grams) in enumerate(corpus.search_table))
-    if k is None or k >= len(corpus.documents):
-        ranked = sorted(scored)
-    else:
-        ranked = heapq.nsmallest(k, scored)
-    return [corpus.documents[i] for _, i in ranked]
+    # distinct (-score, position) keys; a list, so nsmallest sorts it when k covers it
+    scored = [(-1.0 if doc_norm == norm else -grounding._jaccard(grams, doc_grams), i)
+              for i, (doc_norm, doc_grams) in enumerate(corpus.search_table)]
+    return [corpus.documents[i] for _, i in heapq.nsmallest(k, scored)]
 
 
 def mock_search(corpus: MockCorpus, question: str, k: int) -> str:
@@ -177,9 +176,10 @@ class MockEngine(Environment):
 
     catalog = TOOLS.catalog()
 
-    def __init__(self, corpus: MockCorpus, grounder: Grounder):
+    def __init__(self, corpus: MockCorpus, robustness: str):
+        super().__init__(corpus, robustness)
         self.corpus = corpus
-        self.top_k = 1 if grounder.mode == "low" else corpus.top_k
+        self.top_k = 1 if robustness == "low" else corpus.top_k
 
     def run_tool(self, tool: str, args: dict) -> ToolOutcome:
         return TOOLS.call(tool, args, {"corpus": self.corpus, "top_k": self.top_k})

@@ -101,7 +101,10 @@ def parse_plan(text: str, catalog: list[dict], base_index: int = 0) -> Plan:
                     f"step {absolute}: reference {value} does not point to an "
                     "earlier step", "bad-reference"
                 )
-        steps.append(ToolCall(tool=tool, args=dict(args), final=bool(item.get("final"))))
+        final = item.get("final", False)
+        if type(final) is not bool:
+            raise PlanParseError(f"step {absolute}: final must be true or false", "syntax")
+        steps.append(ToolCall(tool=tool, args=dict(args), final=final))
     return Plan(steps=tuple(steps))
 
 
@@ -165,8 +168,8 @@ class StepRecord:
     call: ToolCall
     ok: bool
     observation: str
-    invocation_id: int = -1
-    resolved_args: dict = field(default_factory=dict)
+    invocation_id: int
+    resolved_args: dict
 
 
 @dataclass
@@ -210,8 +213,8 @@ class Trace:
 
 def canonical_call(record: StepRecord) -> tuple:
     """Canonical (tool, resolved argument map) used for repetition equality."""
-    args = record.resolved_args or record.call.args
-    return (record.call.tool, tuple(sorted((k, str(v)) for k, v in args.items())))
+    return (record.call.tool,
+            tuple(sorted((k, str(v)) for k, v in record.resolved_args.items())))
 
 
 def detect_repetition(trace: Trace) -> bool:

@@ -73,7 +73,6 @@ class NoiseModel:
     wrong_reference_rate: float = 0.0
     repeat_rate: float = 0.0
     corrects_after_feedback: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("wrong_schema_rate", "wrong_reference_rate", "repeat_rate"):
@@ -98,11 +97,11 @@ def _string_params(catalog: list[dict]) -> dict[str, list[str]]:
     }
 
 
-def noisy_policy(gold_plan: Plan, noise: NoiseModel, catalog: list[dict]):
-    """Gold-plan policy with seeded corruptions: wrong schema terms, wrong
-    references, or SH repeats of the previous call (a call and an invocation
-    spent, no gold step done). With corrects_after_feedback, a failure
-    observation makes the next emission the clean gold step."""
+def noisy_policy(gold_plan: Plan, noise: NoiseModel, catalog: list[dict], seed: int):
+    """Gold-plan policy with corruptions drawn from `seed`: wrong schema terms,
+    wrong references, or SH repeats of the previous call (a call and an
+    invocation spent, no gold step done). With corrects_after_feedback, a
+    failure observation makes the next emission the clean gold step."""
 
     string_params = _string_params(catalog)
     replay = _gold_replayer(gold_plan)
@@ -126,7 +125,7 @@ def noisy_policy(gold_plan: Plan, noise: NoiseModel, catalog: list[dict]):
         if (request.mode != "fh-initial" and noise.corrects_after_feedback and history
                 and history[-1]["outcome_kind"] == "failure"):
             return json.dumps(replay(request))  # the failed gold step/suffix, clean
-        rng = random.Random(f"{noise.seed}|{request.mode}|{len(history)}|")
+        rng = random.Random(f"{seed}|{request.mode}|{len(history)}|")
         if request.mode == "sh-next-step" and history and rng.random() < noise.repeat_rate:
             prev = history[-1]
             return json.dumps([{"tool": prev["tool"], "args": dict(prev["args"])}])
@@ -265,11 +264,12 @@ def startup_check(settings) -> None:
         raise PolicyError(f"endpoint {settings.endpoint!r} unreachable: {exc}")
 
 
-def build_policy(spec: dict, task, catalog: list[dict]):
-    """Construct a policy from a run-config policy spec for a given task."""
+def build_policy(spec: dict, task, catalog: list[dict], seed: int):
+    """Construct a policy from a run-config policy spec for a given task; a
+    noisy policy draws from `seed`."""
     settings = parse_spec(spec)
     if isinstance(settings, NoiseModel):
-        return noisy_policy(task.gold_plan, settings, catalog)
+        return noisy_policy(task.gold_plan, settings, catalog, seed)
     if isinstance(settings, RemotePolicyConfig):
         return remote_llm_policy(settings, catalog)
     return oracle_policy(task.gold_plan)

@@ -8,7 +8,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from . import atomic, harness, kb as kbmod, kopl, mocktools, stats
+from . import atomic, kb as kbmod, kopl, mocktools, stats
 from .plans import Plan, parse_plan
 
 # A dataset file's "engine" field -> (key of its data file, loader, engine
@@ -86,7 +86,7 @@ def _read_dataset(path) -> Dataset:
     doc = kbmod.read_document(path)
     base = os.path.dirname(os.path.abspath(path))
     engine = doc.get("engine")
-    if engine not in ENGINES:
+    if type(engine) is not str or engine not in ENGINES:
         raise DatasetError(f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
     data_key, loader, engine_type, fields = ENGINES[engine]
     if not isinstance(doc.get(data_key), str):
@@ -95,7 +95,7 @@ def _read_dataset(path) -> Dataset:
         raise DatasetError(f"eval_year must be an integer, got {doc['eval_year']!r}")
     data = loader(os.path.join(base, doc[data_key]))
     settings = {name: doc[name] for name in fields if name in doc}
-    factory = functools.partial(harness.make_env, engine_type, data, **settings)
+    factory = functools.partial(engine_type, data, **settings)
 
     tasks, ids = [], set()
     for i, t in enumerate(kbmod.require_list(doc, "tasks")):

@@ -38,11 +38,15 @@ class TestRun:
         assert sorted(p.name for p in run_dir.iterdir()) == [
             "manifest.json", "outcomes.jsonl", "traces.jsonl"]
 
+    # every key, in order, with its value and its JSON type: the config hash
+    # pins the config as read
     def test_manifest_written(self, run_dir):
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["planner"] == "both"
-        assert manifest["trials"] == 3
-        assert len(manifest["config_hash"]) == 16
+        expected = [("config_hash", "88cedbc565f46eb2"), ("seed", 0),
+                    ("dataset", "kopl_tasks.json"), ("planner", "both"), ("policy", "oracle"),
+                    ("robustness", "high"), ("trials", 3), ("out_dir", str(run_dir))]
+        text = (run_dir / "manifest.json").read_text(encoding="utf-8")
+        assert json.loads(text, object_pairs_hook=list) == expected
+        assert text == json.dumps(dict(expected), indent=2) + "\n"
 
     def test_three_trials_per_task(self, run_dir):
         lines = [json.loads(line)
@@ -106,7 +110,9 @@ class TestRun:
          "policy repeat_rate must lie in [0, 1], got nan"),
         ({"kind": "noisy", "corrects_after_feedback": "yes"},
          "policy corrects_after_feedback must be bool, got 'yes'"),
-        ({"kind": "noisy", "seed": 1.5}, "policy seed must be int, got 1.5"),
+        ({"kind": "noisy", "seed": 1.5},
+         "unknown noisy policy key 'seed'; it takes kind, wrong_schema_rate, "
+         "wrong_reference_rate, repeat_rate, corrects_after_feedback"),
         ({"kind": "remote"}, "a remote policy needs 'endpoint'"),
         ({"kind": "remote", "endpoint": 8000}, "policy endpoint must be str, got 8000"),
         ({"kind": "remote", "endpoint": "http://127.0.0.1:9/v1/chat/completions",
@@ -114,7 +120,7 @@ class TestRun:
         ({"kind": ["noisy"]}, "unknown policy kind ['noisy']"),
         ({"kind": "noisy", "wrong_schema_rte": 1.0},
          "unknown noisy policy key 'wrong_schema_rte'; it takes kind, wrong_schema_rate, "
-         "wrong_reference_rate, repeat_rate, corrects_after_feedback, seed"),
+         "wrong_reference_rate, repeat_rate, corrects_after_feedback"),
         ({"kind": "oracle", "seed": 3},
          "unknown oracle policy key 'seed'; it takes kind"),
         ({"endpoint": "http://127.0.0.1:9/v1/chat/completions"},
@@ -164,25 +170,26 @@ class TestRun:
         capsys.readouterr()
         assert opened == ["http://127.0.0.1:9/v1"] + ["POST"] * 5 * 2
 
-    # a noisy spec's own seed is the base each trial adds to, as the run seed
-    # is when the spec has none
-    def test_spec_seed_replaces_the_run_seed(self, tmp_path, fixtures_dir, capsys):
+    # noisy trial t draws with the run seed + t: trial 3 of a run at seed 2
+    # is trial 0 of a run at seed 5, and the trials of one run differ
+    def test_noisy_trial_draws_with_the_run_seed_plus_the_trial(self, tmp_path, fixtures_dir,
+                                                                 capsys):
         noise = {"kind": "noisy", "wrong_schema_rate": 0.5, "corrects_after_feedback": False}
-        runs = {"spec-seed": ({**noise, "seed": 5}, 0), "run-seed": (noise, 5)}
-        written = {}
-        for name, (policy, seed) in runs.items():
-            config = {"dataset": str(fixtures_dir / "mock_tasks.json"), "trials": 4,
-                      "seed": seed, "policy": policy}
-            (tmp_path / f"{name}.json").write_text(json.dumps(config))
-            assert run_cli("run", "--config", str(tmp_path / f"{name}.json"),
-                           "--out", str(tmp_path / name)) == 0
-            written[name] = [(tmp_path / name / file).read_bytes()
-                             for file in ("traces.jsonl", "outcomes.jsonl")]
+        rows = {}
+        for seed, trials in ((2, 4), (5, 1)):
+            config = {"dataset": str(fixtures_dir / "mock_tasks.json"), "trials": trials,
+                      "seed": seed, "policy": noise}
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            out = tmp_path / f"seed-{seed}"
+            assert run_cli("run", "--config", str(tmp_path / "config.json"),
+                           "--out", str(out)) == 0
+            rows[seed] = [json.loads(line)
+                          for line in (out / "outcomes.jsonl").read_text().splitlines()]
         capsys.readouterr()
-        assert written["spec-seed"] == written["run-seed"]
-        outcomes = [json.loads(line) for line in written["spec-seed"][1].splitlines()]
+        last = [{**row, "trial": 0} for row in rows[2] if row["trial"] == 3]
+        assert last == rows[5]
         trials = {}
-        for row in outcomes:
+        for row in rows[2]:
             trials.setdefault((row["question_id"], row["planner"]), set()).add(
                 (row["success"], row["tokens_in"]))
         assert max(map(len, trials.values())) > 1
@@ -200,13 +207,13 @@ class TestRun:
 
     def test_one_environment_per_run(self, tmp_path, fixtures_dir, monkeypatch, capsys):
         built = []
-        make_env = harness.make_env
+        init = harness.Environment.__init__
 
-        def counting_make_env(*args, **kwargs):
+        def counting_init(self, *args):
             built.append(args)
-            return make_env(*args, **kwargs)
+            init(self, *args)
 
-        monkeypatch.setattr(harness, "make_env", counting_make_env)
+        monkeypatch.setattr(harness.Environment, "__init__", counting_init)
         assert run_cli("run", "--config", str(fixtures_dir / "run_kopl_oracle.json"),
                        "--out", str(tmp_path / "o")) == 0
         assert len(built) == 1  # for 5 tasks x 2 planners x 3 trials
@@ -536,6 +543,19 @@ MALFORMED = [
                  MalformedDocumentError, "documents[1]", id="document-title"),
     pytest.param("mock", "data", put("top_k", value="ten"),
                  MalformedDocumentError, "top_k", id="top_k-string"),
+    pytest.param("mock", "data", put("top_k", value=True),
+                 MalformedDocumentError, "top_k must be an integer >= 1, got True",
+                 id="top_k-bool"),
+    pytest.param("mock", "data", put("documents", 0, "title", value=["x"]),
+                 MalformedDocumentError, "documents[0]: title must be a string, not list",
+                 id="document-title-list"),
+    pytest.param("mock", "data", put("documents", 0, "text", value=["a"]),
+                 MalformedDocumentError, "documents[0]: text must be a string, not list",
+                 id="document-text-list"),
+    pytest.param("mock", "data",
+                 put("documents", 0, "answers", "When was Albert Einstein born?", value=5),
+                 MalformedDocumentError, "documents[0]: the answer to 'When was Albert "
+                 "Einstein born?' must be a string, not int", id="document-answer-number"),
     pytest.param("mock", "data", put("documents", 0, "answers", value=["Paris"]),
                  MalformedDocumentError, "documents[0]", id="document-answers-list"),
     # a list field that holds something else, in each kind of file
@@ -612,6 +632,14 @@ MALFORMED = [
                  tasks.DatasetError, "eval_year", id="eval-year-string"),
     pytest.param("atomic", "tasks", put("eval_year", value=True),
                  tasks.DatasetError, "eval_year", id="eval-year-bool"),
+    # a dataset's engine is one of the engine names, and a gold plan's final a boolean
+    *[pytest.param("kopl", "tasks", put("engine", value=value), tasks.DatasetError,
+                   f"engine must be one of kopl, atomic, mock, got {value!r}",
+                   id=f"engine-{label}")
+      for label, value in (("list", ["kopl"]), ("object", {"a": 1}))],
+    pytest.param("mock", "tasks", put("tasks", 0, "gold_plan", 2, "final", value="no"),
+                 tasks.DatasetError, "tasks[0] gold plan invalid: step 2: final must be "
+                 "true or false", id="gold-plan-final-string"),
     # a task's question is a string
     *[pytest.param("kopl", "tasks", put("tasks", 0, "question", value=value),
                    tasks.DatasetError, "tasks[0]", id=f"question-{label}")

@@ -1,11 +1,12 @@
 """Whatever a policy emits, `run_task` returns a trace in a documented status.
 
-Two kinds of input drive each engine under SH and FH: random plans shaped
+Three kinds of input drive each engine under SH and FH: random plans shaped
 like the engine's catalog (any tool, any subset of its parameters, values of
-every JSON type and references to any earlier step), and the noisy policy
-with every rate and its correction switch drawn. Each run draws a small
-budget, and every trace must keep to it. Under repeat-only noise, every
-trajectory must still end with the gold answer or at the call budget."""
+every JSON type and references to any earlier step), any JSON value returned
+as is or as its text, and the noisy policy with every rate, its correction
+switch and its seed drawn. Each run draws a small budget, and every trace must
+keep to it. Under repeat-only noise, every trajectory must still end with the
+gold answer or at the call budget."""
 
 import json
 
@@ -121,6 +122,32 @@ def test_catalog_shaped_plans_never_raise(datasets, envs, engine, planner, data,
     assert_within(trace, budget)
 
 
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+@pytest.mark.parametrize("planner", ["sh", "fh"])
+@pytest.mark.parametrize("engine", sorted(TABLES))
+@FUZZ
+@given(replies=st.lists(JSON | JSON.map(json.dumps), min_size=1, max_size=4),
+       budget=BUDGETS)
+def test_any_returned_value_gives_a_trace(datasets, envs, engine, planner, replies, budget):
+    """A policy returns the drawn values in turn, then the last one again. A
+    value that is no string ends the trace as a policy error naming its type."""
+    returned = iter(replies)
+    trace = harness.run_task(datasets[engine].tasks[0],
+                             lambda request: next(returned, replies[-1]),
+                             envs[engine], planner, budget)
+    assert trace.status in STATUSES
+    assert_within(trace, budget)
+    if trace.status == "policy-error":
+        assert trace.error in {f"the policy returned {type(reply).__name__}, not str"
+                               for reply in replies if not isinstance(reply, str)}
+
+
 RATES = st.floats(0.0, 1.0)
 
 
@@ -128,12 +155,13 @@ RATES = st.floats(0.0, 1.0)
 @pytest.mark.parametrize("engine", sorted(TABLES))
 @FUZZ
 @given(data=st.data(), noise=st.builds(policies.NoiseModel, RATES, RATES, RATES,
-                                       st.booleans(), st.integers(0, 2**16)),
-       budget=BUDGETS)
-def test_noisy_policy_never_raises(datasets, envs, engine, planner, data, noise, budget):
+                                       st.booleans()),
+       seed=st.integers(0, 2**16), budget=BUDGETS)
+def test_noisy_policy_never_raises(datasets, envs, engine, planner, data, noise, seed,
+                                   budget):
     task = data.draw(st.sampled_from(datasets[engine].tasks))
     env = envs[engine]
-    policy = policies.noisy_policy(task.gold_plan, noise, env.catalog)
+    policy = policies.noisy_policy(task.gold_plan, noise, env.catalog, seed)
     trace = harness.run_task(task, policy, env, planner, budget)
     assert trace.status in STATUSES
     assert_within(trace, budget)
@@ -144,15 +172,16 @@ def test_noisy_policy_never_raises(datasets, envs, engine, planner, data, noise,
 @pytest.mark.parametrize("engine", sorted(TABLES))
 @FUZZ
 @given(data=st.data(), noise=st.builds(policies.NoiseModel, repeat_rate=RATES,
-                                       corrects_after_feedback=st.booleans(),
-                                       seed=st.integers(0, 2**16)))
-def test_repeats_never_cost_the_gold_answer(datasets, envs, engine, planner, data, noise):
+                                       corrects_after_feedback=st.booleans()),
+       seed=st.integers(0, 2**16))
+def test_repeats_never_cost_the_gold_answer(datasets, envs, engine, planner, data, noise,
+                                            seed):
     """A repeated call spends a call but is no gold step: under repeat-only
     noise every trajectory ends with the gold answer or at the call budget."""
     task = data.draw(st.sampled_from(datasets[engine].tasks))
     env = envs[engine]
-    trace = harness.run_task(task, policies.noisy_policy(task.gold_plan, noise, env.catalog),
-                             env, planner)
+    trace = harness.run_task(task, policies.noisy_policy(task.gold_plan, noise, env.catalog,
+                                                         seed), env, planner)
     assert trace.status in ("answered", "budget-failed"), trace.error
     if trace.status == "answered":
         assert stats.match_answer(trace.answer, task.gold_answer,

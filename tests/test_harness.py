@@ -245,16 +245,17 @@ class TestTokens:
                 env = kopl_dataset.make_env("high")
                 policy = policies.oracle_policy(task.gold_plan)
                 trace = harness.run_task(task, policy, env, planner)
-                per_planner[planner] = harness.account_tokens(trace)
-            assert per_planner["sh"].prompt_tokens > per_planner["fh"].prompt_tokens
+                per_planner[planner], _ = harness.account_tokens(trace)
+            assert per_planner["sh"] > per_planner["fh"]
 
     def test_account_tokens_sums_invocations(self, kopl_dataset, taller_task):
         env = kopl_dataset.make_env("high")
         policy = policies.oracle_policy(taller_task.gold_plan)
         trace = harness.run_task(taller_task, policy, env, "sh")
-        stats = harness.account_tokens(trace)
-        assert stats.invocations == 4
-        assert stats.prompt_tokens == sum(i.prompt_tokens for i in trace.invocations)
+        assert len(trace.invocations) == 4
+        assert harness.account_tokens(trace) == (
+            sum(i.prompt_tokens for i in trace.invocations),
+            sum(i.completion_tokens for i in trace.invocations))
 
     @pytest.mark.parametrize("planner", ["sh", "fh"])
     def test_drivers_look_the_tokenizer_up_at_call_time(self, kopl_dataset, taller_task,

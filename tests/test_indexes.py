@@ -237,8 +237,6 @@ def test_search_matches_full_scan(titles, texts, data):
     # later searches reuse the table the first one built
     for question in questions:
         scanned = oracles.rank_documents(corpus, question)
-        assert ([d.title for d in mocktools.rank_documents(corpus, question)]
-                == [d.title for d in scanned])
         for k in range(1, len(titles) + 2):
             assert ([d.title for d in mocktools.rank_documents(corpus, question, k)]
                     == [d.title for d in scanned[:k]])

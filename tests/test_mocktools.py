@@ -36,7 +36,7 @@ class TestSearch:
 
     def test_rank_three_case(self, corpus):
         q = "When was the Great Wall of China built?"
-        ranked = [d.title for d in rank_documents(corpus, q)]
+        ranked = [d.title for d in rank_documents(corpus, q, len(corpus.documents))]
         assert ranked.index("Ming fortification records") == 2
         for k in (1, 2):
             with pytest.raises(ToolFailure):

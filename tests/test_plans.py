@@ -68,6 +68,23 @@ class TestParsePlan:
             parse_plan(text, CATALOG)
         assert err.value.reason == reason
 
+    # "final": "no" must not end a trajectory: only a JSON boolean or no key
+    @pytest.mark.parametrize("final", ["no", "false", None, 0, 1, [True]],
+                             ids=["no", "false-string", "null", "zero", "one", "list"])
+    def test_final_must_be_a_boolean(self, final):
+        text = json.dumps([{"tool": "FindAll", "args": {}},
+                           {"tool": "Count", "args": {"entities": "$3"}, "final": final}])
+        with pytest.raises(PlanParseError) as err:
+            parse_plan(text, CATALOG, base_index=3)
+        assert (str(err.value), err.value.reason) == (
+            "step 4: final must be true or false", "syntax")
+
+    def test_final_is_true_false_or_absent(self):
+        steps = [{"tool": "FindAll", "args": {}}, {"tool": "FindAll", "args": {}, "final": False},
+                 {"tool": "Count", "args": {"entities": "$0"}, "final": True}]
+        plan = parse_plan(json.dumps(steps), CATALOG)
+        assert [step.final for step in plan.steps] == [False, False, True]
+
     def test_base_index_admits_executed_prefix_references(self):
         text = '[{"tool": "Count", "args": {"entities": "$1"}}]'
         with pytest.raises(PlanParseError):
@@ -179,13 +196,13 @@ CALLS = st.tuples(st.sampled_from(["Find", "FindAll"]),
                                   max_size=2))
 
 
-@given(st.lists(CALLS, max_size=6), st.booleans())
-def test_repetition_matches_pairwise_comparison(calls, resolved):
+@given(st.lists(CALLS, max_size=6))
+def test_repetition_matches_pairwise_comparison(calls):
     trace = plans.Trace()
     for i, (tool, args) in enumerate(calls):
         trace.records.append(plans.StepRecord(
             step=i, call=ToolCall(tool, args), ok=True, observation="",
-            invocation_id=0, resolved_args=args if resolved else {}))
+            invocation_id=0, resolved_args=args))
     assert plans.detect_repetition(trace) is oracles.repeated(trace)
 
 

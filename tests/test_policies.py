@@ -1,10 +1,11 @@
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from planhorizon import harness, plans, policies
+from planhorizon import cli, harness, plans, policies
 
 import oracles
 from planhorizon.policies import (NoiseModel, RemotePolicyConfig, build_plan_schema,
@@ -82,28 +83,27 @@ class TestNoiseModel:
 
 class TestNoisyPolicy:
     def test_zero_noise_equals_oracle(self, kopl_dataset, taller_task):
-        noise = NoiseModel(seed=1)
+        noise = NoiseModel()
         env = kopl_dataset.make_env("high")
-        noisy = noisy_policy(taller_task.gold_plan, noise, env.catalog)
+        noisy = noisy_policy(taller_task.gold_plan, noise, env.catalog, 1)
         trace = harness.run_task(taller_task, noisy, env, "fh")
         assert trace.status == "answered" and trace.replans == 0
 
     def test_seeded_determinism(self, kopl_dataset, taller_task):
-        noise = NoiseModel(wrong_schema_rate=0.5, seed=11)
+        noise = NoiseModel(wrong_schema_rate=0.5)
         logs = []
         for _ in range(2):
             env = kopl_dataset.make_env("high")
-            noisy = noisy_policy(taller_task.gold_plan, noise, env.catalog)
+            noisy = noisy_policy(taller_task.gold_plan, noise, env.catalog, 11)
             logs.append(harness.run_task(taller_task, noisy, env, "fh").log_lines())
         assert logs[0] == logs[1]
 
     def test_corrects_after_feedback_single_replan(self, kopl_dataset):
         task = next(t for t in kopl_dataset.tasks if t.id == "kopl-employees")
         for seed in range(30):
-            noise = NoiseModel(wrong_schema_rate=1.0, seed=seed,
-                               corrects_after_feedback=True)
+            noise = NoiseModel(wrong_schema_rate=1.0, corrects_after_feedback=True)
             env = kopl_dataset.make_env("high")
-            noisy = noisy_policy(task.gold_plan, noise, env.catalog)
+            noisy = noisy_policy(task.gold_plan, noise, env.catalog, seed)
             trace = harness.run_task(task, noisy, env, "fh")
             # a schema corruption may still soft-match; when it fails instead,
             # one clean replan finishes the task
@@ -111,9 +111,9 @@ class TestNoisyPolicy:
             assert trace.replans <= 1
 
     def test_repeat_rate_one_repeats_forever(self, kopl_dataset, taller_task):
-        noise = NoiseModel(repeat_rate=1.0, seed=3, corrects_after_feedback=False)
+        noise = NoiseModel(repeat_rate=1.0, corrects_after_feedback=False)
         env = kopl_dataset.make_env("high")
-        noisy = noisy_policy(taller_task.gold_plan, noise, env.catalog)
+        noisy = noisy_policy(taller_task.gold_plan, noise, env.catalog, 3)
         trace = harness.run_task(taller_task, noisy, env, "sh")
         assert trace.status == "budget-failed"
         assert plans.detect_repetition(trace)
@@ -122,11 +122,11 @@ class TestNoisyPolicy:
         # an FH run leaves gold indices at steps 0-3; the SH run on the same
         # policy object repeats at some of those steps and must not take them
         # for gold steps done
-        noise = NoiseModel(repeat_rate=0.5, seed=1)
+        noise = NoiseModel(repeat_rate=0.5)
         env = kopl_dataset.make_env("high")
-        reused = noisy_policy(taller_task.gold_plan, noise, env.catalog)
+        reused = noisy_policy(taller_task.gold_plan, noise, env.catalog, 1)
         assert harness.run_task(taller_task, reused, env, "fh").status == "answered"
-        fresh = noisy_policy(taller_task.gold_plan, noise, env.catalog)
+        fresh = noisy_policy(taller_task.gold_plan, noise, env.catalog, 1)
         traces = [harness.run_task(taller_task, policy, env, "sh") for policy in (reused, fresh)]
         assert traces[0].log_lines() == traces[1].log_lines()
         assert traces[0].status == "answered" and plans.detect_repetition(traces[0])
@@ -198,6 +198,25 @@ class TestRemotePolicy:
         second = _StubHandler.requests_seen[1]
         assert second["messages"][-1]["content"] == harness.INVALID_FORMAT_MESSAGE
 
+    # a chat endpoint answers "content": null when its message carries tool
+    # calls or a refusal: every trajectory ends as a policy error, and the
+    # run exits 1 without a traceback
+    def test_null_content_is_a_policy_error(self, stub_server, fixtures_dir, tmp_path,
+                                            capsys):
+        _StubHandler.replies = [None]
+        config = {"dataset": str(fixtures_dir / "kopl_tasks.json"), "trials": 1,
+                  "policy": {"kind": "remote", "endpoint": stub_server, "timeout": 5}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(tmp_path / "config.json"),
+                         "--out", str(out), "--planner", "sh"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(re.findall(r"^policy error in kopl-\S+-sh-t0: the policy returned "
+                              r"NoneType, not str$", err, re.M)) == 5
+        lines = (out / "outcomes.jsonl").read_text().splitlines()
+        assert [json.loads(line)["label"] for line in lines] == ["policy-error"] * 5
+
     def test_startup_check_raises_when_unreachable(self):
         cfg = RemotePolicyConfig(endpoint="http://127.0.0.1:9/v1/chat/completions",
                                  timeout=0.2, startup_check=True)
@@ -232,18 +251,20 @@ class TestPlanSchema:
 class TestBuildPolicy:
     def test_kinds(self, kopl_dataset, taller_task):
         catalog = kopl_dataset.make_env("high").catalog
-        assert callable(build_policy({"kind": "oracle"}, taller_task, catalog))
+        assert callable(build_policy({"kind": "oracle"}, taller_task, catalog, 0))
         assert callable(build_policy({"kind": "noisy", "repeat_rate": 0.5},
-                                     taller_task, catalog))
+                                     taller_task, catalog, 0))
         with pytest.raises(policies.PolicyError):
-            build_policy({"kind": "psychic"}, taller_task, catalog)
+            build_policy({"kind": "psychic"}, taller_task, catalog, 0)
 
     def test_spec_is_read_into_its_settings(self):
         assert policies.parse_spec({"kind": "oracle"}) is None
         with pytest.raises(policies.PolicyError, match="unknown oracle policy key 'note'"):
             policies.parse_spec({"kind": "oracle", "note": 1})
-        assert policies.parse_spec({"kind": "noisy", "repeat_rate": 1, "seed": 4}) == NoiseModel(
-            repeat_rate=1, seed=4)
+        assert policies.parse_spec({"kind": "noisy", "repeat_rate": 1}) == NoiseModel(
+            repeat_rate=1)
+        with pytest.raises(policies.PolicyError, match="unknown noisy policy key 'seed'"):
+            policies.parse_spec({"kind": "noisy", "seed": 4})
         assert policies.parse_spec({"kind": "remote", "endpoint": "http://x", "timeout": 2}) == (
             RemotePolicyConfig(endpoint="http://x", timeout=2))
 
@@ -253,6 +274,6 @@ class TestBuildPolicy:
         with pytest.raises(policies.PolicyError) as parsed:
             policies.parse_spec(spec)
         with pytest.raises(policies.PolicyError) as built:
-            build_policy(spec, taller_task, catalog)
+            build_policy(spec, taller_task, catalog, 0)
         assert str(parsed.value) == str(built.value) == (
             "policy wrong_reference_rate must lie in [0, 1], got -0.5")

@@ -142,7 +142,7 @@ def unknown_term_feedback(source, mode: str, term: str, namespace: str) -> str:
 def both_paths(engine, source, mode, tool, args, direct):
     """The feedback of the failed step through the engine and of the
     ToolFailure the tool function raises, each with a fresh grounder."""
-    via_engine = ENGINES[engine](source, Grounder(build_index(source), mode=mode))
+    via_engine = ENGINES[engine](source, mode)
     outcome = via_engine.run_tool(tool, dict(args))
     assert not outcome.ok and outcome.value is None
     with pytest.raises(ToolFailure) as raised:
@@ -379,7 +379,7 @@ MIXED_RELEASES = {
 
 @pytest.mark.parametrize("planner", ["sh", "fh"])
 def test_order_across_value_kinds_is_a_failed_step(atomic_dataset, planner):
-    env = harness.make_env(AtomicEngine, load_graph(MIXED_RELEASES))
+    env = AtomicEngine(load_graph(MIXED_RELEASES), "high")
     steps = [step("Extract_entity", input="film"),
              step("Order", True, mode="argmax", input="$0", property="released")]
     trace = harness.run_task(atomic_dataset.tasks[0], scripted_policy(steps), env, planner)
