@@ -302,6 +302,7 @@ class AtomicEngine(Environment):
     `eval_year`."""
 
     catalog = TOOLS.catalog()
+    params = TOOLS.params()
 
     def __init__(self, store: GraphStore, robustness: str, eval_year: int = 2026):
         super().__init__(store, robustness)

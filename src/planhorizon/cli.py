@@ -85,16 +85,14 @@ def _run_one(env, task, planner, policy_spec, trial, seed, budget) -> plans.Trac
     """One trajectory; a job that raises (an engine bug, say) prints its
     traceback and ends as an empty trace with status "error", and the run
     goes on."""
-    run_id = f"{task.id}-{planner}-t{trial}"
     try:
-        policy = policies.build_policy(policy_spec, task, env.catalog, seed + trial)
+        policy = policies.build_policy(policy_spec, task, env.params, seed + trial)
         trace = harness.run_task(task, policy, env, planner, budget=budget)
     except Exception as exc:  # noqa: BLE001 - a failing job ends its trajectory only
-        print(f"traceback of {run_id}:\n{traceback.format_exc()}", end="", file=sys.stderr)
-        trace = plans.Trace(question_id=task.id, planner=planner, status="error",
-                            error=f"{type(exc).__name__}: {exc}")
+        trace = plans.Trace(question_id=task.id, trial=trial, planner=planner,
+                            status="error", error=f"{type(exc).__name__}: {exc}")
+        print(f"traceback of {trace.run_id}:\n{traceback.format_exc()}", end="", file=sys.stderr)
     trace.trial = trial
-    trace.run_id = run_id
     return trace
 
 
@@ -195,12 +193,17 @@ def _run_dataset(args: argparse.Namespace, config: dict, dataset: tasks.Dataset)
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
+_JSON_SPACE = " \t\r"  # the whitespace JSON allows within a line
+
+
 def _read_records(path: Path, name: str, check):
     """`check` applied to the JSON values on the non-blank lines of the file at
-    `path`. A line that does not decode, or that `check` refuses with a
+    `path`. Lines end at "\n" only, the JSON Lines separator (a "\r" before it
+    is JSON whitespace); other line breaks, such as U+2028, may sit in
+    strings. A line that does not decode, or that `check` refuses with a
     RecordError, raises ConfigError naming `name` and the line's number."""
     text = kb.read_text(path)
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in text.split("\n") if line.strip(_JSON_SPACE)]
     try:
         records = json.loads("[" + ",\n".join(lines) + "]")
     except json.JSONDecodeError:
@@ -211,7 +214,7 @@ def _read_records(path: Path, name: str, check):
     # rejects nested ones), so one each when the counts agree.
     try:
         if records is None or len(records) != len(lines) or not all(
-                line.strip(" \t")[:1] == "{" and line.strip(" \t")[-1:] == "}"
+                line.strip(_JSON_SPACE)[:1] == "{" and line.strip(_JSON_SPACE)[-1:] == "}"
                 for line in lines):
             records = []
             for index, line in enumerate(lines):
@@ -222,7 +225,8 @@ def _read_records(path: Path, name: str, check):
                     raise stats.RecordError(index, message) from None
         return check(records)
     except stats.RecordError as exc:
-        number = [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][exc.index]
+        number = [n for n, line in enumerate(text.split("\n"), 1)
+                  if line.strip(_JSON_SPACE)][exc.index]
         raise ConfigError(f"{name} line {number}: {exc}") from None
 
 
@@ -245,6 +249,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if unknown:
         raise ConfigError(f"unknown control {unknown[0]!r}; --controls takes "
                           f"{', '.join(stats.CONTROLS)}")
+    repeated = [control for i, control in enumerate(controls) if control in controls[:i]]
+    if repeated:
+        raise ConfigError(f"control {repeated[0]!r} is given twice in --controls")
     run_dir = Path(args.run_dir)
     # the reader's text and lines are freed when it returns, before the fit
     columns = _read_records(run_dir / "outcomes.jsonl", "outcomes.jsonl", _outcome_columns)

@@ -13,18 +13,20 @@ same execution point.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .grounding import Grounder, build_index
 from .outcome import ToolOutcome
 from .plans import (Invocation, Plan, PlanParseError, StepRecord, ToolCall, Trace,
-                    parse_plan, rewrite_refs, step_ref)
+                    parse_plan, repetition_key, rewrite_refs, step_ref)
 
 
+@functools.cache
 def load_prompt(name: str) -> str:
+    """The text of package prompt file `name`, read once per process."""
     ref = importlib.resources.files("planhorizon.data.prompts") / f"{name}.txt"
     return ref.read_text(encoding="utf-8")
 
@@ -51,46 +53,30 @@ class Environment:
     """A tool engine over its loaded data, with the executor the drivers call.
 
     Each engine (`KoplEngine`, `AtomicEngine`, `MockEngine`) subclasses it, sets
-    `catalog` and defines ``run_tool(tool, args) -> ToolOutcome`` (one tool, its
+    `catalog` (the prompt's tool list) and `params` (its `ToolTable.params`),
+    and defines ``run_tool(tool, args) -> ToolOutcome`` (one tool, its
     references resolved to values) and ``render(value) -> str`` (a tool output's
-    observation and answer text). `planhorizon run` builds one per run; prompt
-    files are read, and the catalog serialized, on first use and kept with it."""
+    observation and answer text). `planhorizon run` builds one per run; the
+    catalog is serialized on first use and kept with it."""
 
     catalog: list[dict]
+    params: dict[str, dict[str, str]]
 
     def __init__(self, data, robustness: str):
         """The grounder matches the schema terms `data` lists under `robustness`."""
         self.grounder = Grounder(build_index(data), robustness)
 
-    @cached_property
-    def _prompts(self) -> dict[str, str]:
-        return {}
-
-    @cached_property
-    def _param_kinds(self) -> dict[str, dict[str, str]]:
-        return {
-            entry["name"]: {p["name"]: p["kind"] for p in entry["params"]}
-            for entry in self.catalog
-        }
-
-    def prompt(self, name: str) -> str:
-        """The text of package prompt file `name`."""
-        text = self._prompts.get(name)
-        if text is None:
-            text = self._prompts[name] = load_prompt(name)
-        return text
-
-    @cached_property
+    @functools.cached_property
     def tool_definitions(self) -> str:
         return json.dumps(self.catalog)
 
-    def execute(self, call: ToolCall, bindings: dict[int, object]) -> tuple[ToolOutcome, dict]:
+    def execute(self, call: ToolCall, bindings: dict[int, object]) -> tuple[ToolOutcome, tuple]:
         """Resolve $i references against executed outputs, then dispatch.
-        `call` names a catalog tool: `parse_plan` rejects any other.
+        `call` names one of `params`' tools: `parse_plan` rejects any other.
 
-        Returns the outcome and the resolved argument map (used for
-        repetition equality)."""
-        kinds = self._param_kinds[call.tool]
+        Returns the outcome and the call's `repetition_key`, its arguments
+        resolved (as written when a reference fails)."""
+        kinds = self.params[call.tool]
         resolved = {}
         for name, value in call.args.items():
             kind = kinds.get(name, "string")
@@ -99,12 +85,12 @@ class Environment:
                 if j is None:
                     return ToolOutcome.failure(
                         f"parameter {name!r} of {call.tool} must reference a step ($i)"
-                    ), dict(call.args)
+                    ), repetition_key(call.tool, call.args, str)
                 if j not in bindings:
                     return ToolOutcome.failure(
                         f"reference {value} does not point to a successfully "
                         "executed step"
-                    ), dict(call.args)
+                    ), repetition_key(call.tool, call.args, str)
                 resolved[name] = bindings[j]
             elif isinstance(value, str):
                 # free text: inline $i become the rendered outputs (mock tools)
@@ -112,12 +98,8 @@ class Environment:
                     value, lambda j: self.render(bindings[j]) if j in bindings else None)
             else:
                 resolved[name] = value
-        outcome = self.run_tool(call.tool, resolved)
-        repetition_args = {
-            k: (self.render(v) if not isinstance(v, (str, int, float)) else v)
-            for k, v in resolved.items()
-        }
-        return outcome, repetition_args
+        return (self.run_tool(call.tool, resolved),
+                repetition_key(call.tool, resolved, self.render))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +126,6 @@ def serialize_history(history: list[dict]) -> str:
 class PolicyRequest:
     mode: str  # sh-next-step | fh-initial | fh-replan
     history: list[dict]
-    start_index: int
     system_prompt: str
     user_prompt: str
     errors: list[str] = field(default_factory=list)
@@ -154,15 +135,15 @@ class PolicyRequest:
         return "\n".join([self.system_prompt, self.user_prompt, *self.errors])
 
 
-def build_prompts(env: Environment, query: str, mode: str, history: list[dict],
-                  start_index: int) -> tuple[str, str]:
-    template = env.prompt("sh_system" if mode == "sh-next-step" else "fh_system")
+def build_prompts(env: Environment, query: str, mode: str,
+                  history: list[dict]) -> tuple[str, str]:
+    template = load_prompt("sh_system" if mode == "sh-next-step" else "fh_system")
     system = template.format(tool_definitions=env.tool_definitions)
     user = f"Question: {query}"
     if history:
         user += "\n\nExecuted steps:\n" + serialize_history(history)
     if mode == "fh-replan":
-        user += "\n\n" + env.prompt("replan_message").format(start_index=start_index)
+        user += "\n\n" + load_prompt("replan_message").format(start_index=len(history))
     return system, user
 
 
@@ -176,11 +157,11 @@ def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
     call time."""
     base_index = len(trace.records)
     history = render_history(trace.records)
-    system, user = build_prompts(env, query, mode, history, base_index)
+    system, user = build_prompts(env, query, mode, history)
     errors: list[str] = []
     for attempt in range(budget.max_format_retries):
-        request = PolicyRequest(mode=mode, history=history, start_index=base_index,
-                                system_prompt=system, user_prompt=user, errors=list(errors))
+        request = PolicyRequest(mode=mode, history=history, system_prompt=system,
+                                user_prompt=user, errors=list(errors))
         try:
             text = policy(request)
         except Exception as exc:  # noqa: BLE001 - a failing policy ends its trace only
@@ -191,14 +172,14 @@ def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
             trace.error = f"the policy returned {type(text).__name__}, not str"
             return None
         invocation = Invocation(
-            id=len(trace.invocations), mode=mode,
+            mode=mode,
             prompt_text=request.prompt, completion_text=text,
             prompt_tokens=whitespace_tokenizer(request.prompt),
             completion_tokens=whitespace_tokenizer(text),
         )
         trace.invocations.append(invocation)
         try:
-            plan = parse_plan(text, env.catalog, base_index=base_index)
+            plan = parse_plan(text, env.params, base_index=base_index)
             if mode == "sh-next-step" and len(plan.steps) != 1:
                 raise PlanParseError("SH mode must yield exactly one step", "sh-arity")
             return plan
@@ -211,14 +192,14 @@ def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
 
 def _record(trace: Trace, env: Environment, call: ToolCall,
             bindings: dict[int, object]) -> StepRecord:
-    outcome, resolved = env.execute(call, bindings)
+    outcome, key = env.execute(call, bindings)
     rec = StepRecord(
         step=len(trace.records),
         call=call,
         ok=outcome.ok,
         observation=env.render(outcome.value) if outcome.ok else outcome.feedback,
         invocation_id=len(trace.invocations) - 1,
-        resolved_args=resolved,
+        key=key,
     )
     trace.records.append(rec)
     if rec.ok:
@@ -242,7 +223,7 @@ def run_task(task, policy, env: Environment, planner: str,
     pending: list[ToolCall] = []
     mode = "sh-next-step" if eager else "fh-initial"
     while True:
-        if trace.executed_calls >= budget.max_tool_calls:
+        if len(trace.records) >= budget.max_tool_calls:
             trace.status = "budget-failed"
             return trace
         if mode is not None:

@@ -6,6 +6,7 @@ import collections
 import datetime
 import functools
 import json
+import re
 from dataclasses import dataclass, field
 
 
@@ -127,10 +128,21 @@ def string_list(doc: dict, key: str, location: str = "") -> tuple[str, ...]:
     return items
 
 
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text) -> datetime.date:
+    """The date a YYYY-MM-DD string names: the one form read on every Python
+    (from 3.11 `date.fromisoformat` also reads "20230115" and week dates)."""
+    if isinstance(text, str) and _DATE.fullmatch(text) is None:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return datetime.date.fromisoformat(text)
+
+
 # kind -> the payload type its `value` holds, and the converter that reads
 # that payload from a JSON document
 _PAYLOAD_TYPES = {"string": str, "number": (int, float), "year": int, "date": datetime.date}
-_FROM_JSON = {"string": str, "number": float, "year": int, "date": datetime.date.fromisoformat}
+_FROM_JSON = {"string": str, "number": float, "year": int, "date": parse_date}
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +195,7 @@ def parse_value_text(text: str, kind_hint: str | None = None) -> TypedValue:
     if kind_hint == "date" or (
         kind_hint is None and _looks_like_date(text)
     ):
-        return TypedValue("date", datetime.date.fromisoformat(text))
+        return TypedValue("date", parse_date(text))
     parts = text.split()
     if parts and _is_number(parts[0]):
         number = float(parts[0])
@@ -209,7 +221,7 @@ def _is_number(text: str) -> bool:
 
 def _looks_like_date(text: str) -> bool:
     try:
-        datetime.date.fromisoformat(text)
+        parse_date(text)
         return True
     except ValueError:
         return False

@@ -400,6 +400,7 @@ class KoplEngine(Environment):
     """The KoPL tools over one knowledge base."""
 
     catalog = TOOLS.catalog()
+    params = TOOLS.params()
 
     def __init__(self, kb: KnowledgeBase, robustness: str):
         super().__init__(kb, robustness)

@@ -175,6 +175,7 @@ class MockEngine(Environment):
     to the top hit."""
 
     catalog = TOOLS.catalog()
+    params = TOOLS.params()
 
     def __init__(self, corpus: MockCorpus, robustness: str):
         super().__init__(corpus, robustness)

@@ -95,6 +95,12 @@ class ToolTable:
             for name, entry in self.tools.items()
         ]
 
+    def params(self) -> dict[str, dict[str, str]]:
+        """{tool: {parameter: catalog kind}}, in call order: the map plans are
+        checked against and references resolved by."""
+        return {name: {p.name: p.kind for p in entry.args if type(p) is Param}
+                for name, entry in self.tools.items()}
+
     def call(self, tool: str, args: dict, context: dict) -> ToolOutcome:
         """Run `tool` on a call's `args`, references resolved: the one place a
         tool run becomes a ToolOutcome. An argument that is missing, of another

@@ -59,13 +59,12 @@ class Plan:
     steps: tuple[ToolCall, ...]
 
 
-def parse_plan(text: str, catalog: list[dict], base_index: int = 0) -> Plan:
-    """Parse the plan wire format against a tool catalog.
+def parse_plan(text: str, params: dict[str, dict], base_index: int = 0) -> Plan:
+    """Parse the plan wire format against an engine's `ToolTable.params`.
 
     `base_index` is the absolute index of the first step, nonzero for
     replanned continuations whose references may point at executed steps.
     """
-    tools = {entry["name"]: {p["name"] for p in entry["params"]} for entry in catalog}
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -80,13 +79,13 @@ def parse_plan(text: str, catalog: list[dict], base_index: int = 0) -> Plan:
         if not isinstance(item, dict) or "tool" not in item:
             raise PlanParseError(f"step {absolute} is not a tool call object", "syntax")
         tool = item["tool"]
-        if tool not in tools:
+        if tool not in params:
             raise PlanParseError(f"step {absolute}: unknown tool {tool!r}", "unknown-tool")
         args = item.get("args", {})
         if not isinstance(args, dict):
             raise PlanParseError(f"step {absolute}: args must be an object", "syntax")
         for key, value in args.items():
-            if key not in tools[tool]:
+            if key not in params[tool]:
                 raise PlanParseError(
                     f"step {absolute}: {tool} has no parameter {key!r}", "bad-argument"
                 )
@@ -154,7 +153,6 @@ def breadth(graph: ExecutionGraph) -> Fraction:
 
 @dataclass
 class Invocation:
-    id: int
     mode: str  # sh-next-step | fh-initial | fh-replan
     prompt_text: str
     completion_text: str
@@ -168,14 +166,13 @@ class StepRecord:
     call: ToolCall
     ok: bool
     observation: str
-    invocation_id: int
-    resolved_args: dict
+    invocation_id: int  # the index of its invocation in the trace
+    key: tuple  # the `repetition_key` of the call, its arguments resolved
 
 
 @dataclass
 class Trace:
     question_id: str = ""
-    run_id: str = ""
     trial: int = 0
     planner: str = ""
     records: list[StepRecord] = field(default_factory=list)
@@ -187,16 +184,14 @@ class Trace:
     format_retries: int = 0
 
     @property
-    def executed_calls(self) -> int:
-        return len(self.records)
+    def run_id(self) -> str:
+        return f"{self.question_id}-{self.planner}-t{self.trial}"
 
     def log_lines(self) -> list[str]:
         """Trace log wire format: one structured record per line."""
         lines = []
-        tokens = {inv.id: (inv.prompt_tokens, inv.completion_tokens)
-                  for inv in self.invocations}
         for rec in self.records:
-            tin, tout = tokens.get(rec.invocation_id, (0, 0))
+            inv = self.invocations[rec.invocation_id]
             lines.append(json.dumps({
                 "run_id": self.run_id,
                 "question_id": self.question_id,
@@ -205,20 +200,22 @@ class Trace:
                 "tool": rec.call.tool,
                 "args": rec.call.args,
                 "outcome_kind": "success" if rec.ok else "failure",
-                "tokens_in": tin,
-                "tokens_out": tout,
+                "tokens_in": inv.prompt_tokens,
+                "tokens_out": inv.completion_tokens,
             }, sort_keys=True))
         return lines
 
 
-def canonical_call(record: StepRecord) -> tuple:
-    """Canonical (tool, resolved argument map) used for repetition equality."""
-    return (record.call.tool,
-            tuple(sorted((k, str(v)) for k, v in record.resolved_args.items())))
+def repetition_key(tool: str, args: dict, render) -> tuple:
+    """What two calls repeat by: the tool and its sorted (name, text)
+    arguments, the text of a string or number its `str` and of any other
+    value `render(value)`."""
+    return (tool, tuple(sorted(
+        (name, str(value) if isinstance(value, (str, int, float)) else render(value))
+        for name, value in args.items())))
 
 
 def detect_repetition(trace: Trace) -> bool:
-    """Whether two executed calls repeat: their tool name and resolved
-    arguments agree."""
-    keys = {canonical_call(rec) for rec in trace.records}
+    """Whether two executed calls repeat: their `repetition_key`s agree."""
+    keys = {rec.key for rec in trace.records}
     return len(keys) < len(trace.records)

@@ -42,7 +42,7 @@ def _gold_replayer(gold_plan: Plan):
             emitted.clear()
         done_at = {emitted[item["step"]]: item["step"] for item in request.history
                    if item["outcome_kind"] == "success" and item["step"] in emitted}
-        done, start = len(done_at), request.start_index
+        done, start = len(done_at), len(request.history)
 
         def index(j: int) -> int:
             return done_at[j] if j in done_at else start + j - done
@@ -90,27 +90,19 @@ def corrupt_term(term: str) -> str:
     return term + "x"
 
 
-def _string_params(catalog: list[dict]) -> dict[str, list[str]]:
-    return {
-        entry["name"]: [p["name"] for p in entry["params"] if p["kind"] == "string"]
-        for entry in catalog
-    }
-
-
-def noisy_policy(gold_plan: Plan, noise: NoiseModel, catalog: list[dict], seed: int):
+def noisy_policy(gold_plan: Plan, noise: NoiseModel, params: dict[str, dict], seed: int):
     """Gold-plan policy with corruptions drawn from `seed`: wrong schema terms,
     wrong references, or SH repeats of the previous call (a call and an
     invocation spent, no gold step done). With corrects_after_feedback, a
     failure observation makes the next emission the clean gold step."""
 
-    string_params = _string_params(catalog)
     replay = _gold_replayer(gold_plan)
 
     def corrupt_step(doc: dict, rng: random.Random) -> dict:
         if rng.random() < noise.wrong_schema_rate:
-            for param in string_params.get(doc["tool"], []):
+            for param, kind in params[doc["tool"]].items():
                 value = doc["args"].get(param)
-                if isinstance(value, str) and step_ref(value) is None:
+                if kind == "string" and isinstance(value, str) and step_ref(value) is None:
                     doc = {**doc, "args": {**doc["args"], param: corrupt_term(value)}}
                     break
         if rng.random() < noise.wrong_reference_rate:
@@ -152,20 +144,17 @@ class RemotePolicyConfig:
             raise ValueError(f"timeout must be positive and finite, got {self.timeout!r}")
 
 
-def build_plan_schema(catalog: list[dict]) -> dict:
+def build_plan_schema(params: dict[str, dict]) -> dict:
     """A response-format constraint restricting tool names and parameter names."""
     variants = []
-    for entry in catalog:
+    for tool, kinds in params.items():
         variants.append({
             "type": "object",
             "properties": {
-                "tool": {"const": entry["name"]},
+                "tool": {"const": tool},
                 "args": {
                     "type": "object",
-                    "properties": {
-                        p["name"]: {"type": ["string", "number"]}
-                        for p in entry["params"]
-                    },
+                    "properties": {name: {"type": ["string", "number"]} for name in kinds},
                     "additionalProperties": False,
                 },
                 "final": {"type": "boolean"},
@@ -182,11 +171,11 @@ def build_plan_schema(catalog: list[dict]) -> dict:
     }
 
 
-def remote_llm_policy(cfg: RemotePolicyConfig, catalog: list[dict]):
+def remote_llm_policy(cfg: RemotePolicyConfig, params: dict[str, dict]):
     """Chat-completions adapter; the harness owns format retries, which arrive
     as error messages appended to the request."""
 
-    schema = build_plan_schema(catalog)
+    schema = build_plan_schema(params)
 
     def policy(request: PolicyRequest) -> str:
         messages = [
@@ -264,12 +253,12 @@ def startup_check(settings) -> None:
         raise PolicyError(f"endpoint {settings.endpoint!r} unreachable: {exc}")
 
 
-def build_policy(spec: dict, task, catalog: list[dict], seed: int):
-    """Construct a policy from a run-config policy spec for a given task; a
-    noisy policy draws from `seed`."""
+def build_policy(spec: dict, task, params: dict[str, dict], seed: int):
+    """Construct a policy from a run-config policy spec for a given task over
+    an engine's `params`; a noisy policy draws from `seed`."""
     settings = parse_spec(spec)
     if isinstance(settings, NoiseModel):
-        return noisy_policy(task.gold_plan, settings, catalog, seed)
+        return noisy_policy(task.gold_plan, settings, params, seed)
     if isinstance(settings, RemotePolicyConfig):
-        return remote_llm_policy(settings, catalog)
+        return remote_llm_policy(settings, params)
     return oracle_policy(task.gold_plan)

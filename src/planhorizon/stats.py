@@ -277,8 +277,10 @@ class Outcome:
     label: str = ""
 
 
-# JSON values each annotated Outcome field accepts (a bool is no int here)
+# JSON values each annotated Outcome field accepts (a bool is no int here),
+# and the only values of the fields that take a few
 _ACCEPTED = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+_VALUES = {"planner": ("sh", "fh"), "success": (0, 1)}
 _ABSENT = object()  # a field the record leaves out
 
 
@@ -296,8 +298,9 @@ def outcome_columns(records: list) -> dict[str, list]:
     (dicts keyed by field name); a record may leave out defaulted fields.
 
     Raises RecordError for a record that is not an object, lacks a required
-    field, has an unknown one, or holds a value of the wrong JSON type or a
-    non-finite float."""
+    field, has an unknown one, or holds a value of the wrong JSON type, a
+    non-finite float, a planner other than "sh" or "fh" or a success other
+    than 0 or 1."""
     if set(map(type, records)) - {dict}:
         index = next(i for i, r in enumerate(records) if type(r) is not dict)
         raise RecordError(index, "not a JSON object")
@@ -319,6 +322,11 @@ def outcome_columns(records: list) -> dict[str, list]:
                           if not -sys.float_info.max <= v <= sys.float_info.max), None)
             if index is not None:
                 raise RecordError(index, f"{f.name} must be finite, got {column[index]!r}")
+        allowed = _VALUES.get(f.name)
+        if allowed and not set(column).issubset(allowed):
+            index = next(i for i, v in enumerate(column) if v not in allowed)
+            raise RecordError(index, f"{f.name} must be {allowed[0]!r} or {allowed[1]!r}, "
+                                     f"got {column[index]!r}")
         columns[f.name] = column
     if sum(map(len, records)) != present:  # some record has a key no field has
         index, name = next((i, k) for i, r in enumerate(records) for k in r

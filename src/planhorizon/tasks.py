@@ -115,7 +115,7 @@ def _read_dataset(path) -> Dataset:
         if type(t.get("dataset", "")) is not str:
             raise DatasetError(f"tasks[{i}] dataset must be a string, got {t['dataset']!r}")
         try:
-            plan = parse_plan(json.dumps(t["gold_plan"]), engine_type.catalog)
+            plan = parse_plan(json.dumps(t["gold_plan"]), engine_type.params)
         except Exception as exc:
             raise DatasetError(f"tasks[{i}] gold plan invalid: {exc}")
         tasks.append(Task(

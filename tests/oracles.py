@@ -33,7 +33,7 @@ from planhorizon.kb import (AttributeFact, Concept, DanglingReferenceError, Enti
                             parse_value_text, read_document, require_keys,
                             require_list, require_strings, string_list)
 from planhorizon.outcome import ToolFailure, ToolOutcome
-from planhorizon.plans import ExecutionGraph, Plan, ToolCall, canonical_call
+from planhorizon.plans import ExecutionGraph, Plan, ToolCall
 from planhorizon.stats import (DIVERGED, FIT_MAX_ITER, FIT_TOLERANCE, MAX_COEFFICIENT,
                                MAX_LOGIT, MIN_VARIANCE_RATIO, GeeFit, Outcome, RankDeficiencyError, Report,
                                SeparationError, StatsError, _normal_sf, standardize)
@@ -69,9 +69,18 @@ def serialize_plan(plan: Plan) -> str:
     return json.dumps([to_json(step) for step in plan.steps])
 
 
+def canonical_call(tool: str, resolved_args: dict, render) -> tuple:
+    """plans.repetition_key in two steps: the resolved arguments with every
+    value but a string or number rendered, then the tool with the sorted
+    (name, str(value)) pairs of that map."""
+    shown = {k: (render(v) if not isinstance(v, (str, int, float)) else v)
+             for k, v in resolved_args.items()}
+    return (tool, tuple(sorted((k, str(v)) for k, v in shown.items())))
+
+
 def repeated(trace) -> bool:
     """plans.detect_repetition by comparing every pair of executed calls."""
-    keys = [canonical_call(rec) for rec in trace.records]
+    keys = [rec.key for rec in trace.records]
     return any(keys[i] == keys[j]
                for i in range(len(keys)) for j in range(i + 1, len(keys)))
 
@@ -607,15 +616,19 @@ def rank_documents(corpus: mocktools.MockCorpus, question: str) -> list:
 
 def looks_like_literal(text: str) -> bool:
     """Whether `Extract_entity` reads `text` as a literal rather than a name:
-    its first token is a float, or all of it is an ISO date."""
+    its first token is a float, or all of it is a YYYY-MM-DD date."""
     head = text.split()[0] if text.split() else ""
     try:
         float(head)
         return True
     except ValueError:
         pass
+    text = text.strip()
+    if not (len(text) == 10 and text[4] == text[7] == "-"
+            and all(c in "0123456789" for c in text[:4] + text[5:7] + text[8:])):
+        return False
     try:
-        datetime.date.fromisoformat(text.strip())
+        datetime.date.fromisoformat(text)
         return True
     except ValueError:
         return False

@@ -89,7 +89,7 @@ def test_budgets(kopl_dataset):
 
     env = kopl_dataset.make_env("high")
     trace = harness.run_sh(task, lambda r: stall, env)
-    assert trace.status == "budget-failed" and trace.executed_calls == 30
+    assert trace.status == "budget-failed" and len(trace.records) == 30
 
     env = kopl_dataset.make_env("high")
     trace = harness.run_fh(task, lambda r: fail, env)
@@ -168,7 +168,7 @@ def test_repetition_detector(kopl_dataset, atomic_dataset, mock_dataset):
     for dataset, task in multi_step:
         env = dataset.make_env("high")
         noise = policies.NoiseModel(repeat_rate=1.0, corrects_after_feedback=False)
-        policy = policies.noisy_policy(task.gold_plan, noise, env.catalog, 13)
+        policy = policies.noisy_policy(task.gold_plan, noise, env.params, 13)
         trace = harness.run_task(task, policy, env, "sh")
         flagged.append(plans.detect_repetition(trace))
     assert all(flagged) and len(flagged) >= 8  # 100% of repeat-rate-1 traces
@@ -187,7 +187,7 @@ def test_repetition_detector(kopl_dataset, atomic_dataset, mock_dataset):
 
 def _synthetic_mock_suite(n_tasks=20):
     docs, task_list = [], []
-    catalog = mocktools.MockEngine.catalog
+    params = mocktools.MockEngine.params
     for i in range(n_tasks):
         qa = f"what is reading a of probe {i}"
         qb = f"what is reading b of probe {i}"
@@ -198,7 +198,7 @@ def _synthetic_mock_suite(n_tasks=20):
             {"tool": "search", "args": {"question": qb}},
             {"tool": "reasoning", "args": {"instruction": "compare($0, $1, larger)"},
              "final": True},
-        ]), catalog)
+        ]), params)
         task_list.append(tasks.Task(
             id=f"syn-{i}", question=f"Which reading of probe {i} is larger?",
             gold_plan=plan, gold_answer=(str(200 + i),)))
@@ -288,20 +288,20 @@ def test_information_parity(kopl_dataset):
         for task in kopl_dataset.tasks:
             noise = policies.NoiseModel(wrong_schema_rate=0.8, corrects_after_feedback=True)
             env = kopl_dataset.make_env("low")
-            inner = policies.noisy_policy(task.gold_plan, noise, env.catalog, seed)
+            inner = policies.noisy_policy(task.gold_plan, noise, env.params, seed)
             captured = []
 
             def policy(request, inner=inner, captured=captured):
                 if request.mode == "fh-replan":
-                    captured.append((request.start_index, request.history))
+                    captured.append(request.history)
                 return inner(request)
 
             trace = harness.run_fh(task, policy, env)
-            for start_index, history in captured:
+            for history in captured:
                 replan_events += 1
                 # rebuild what an SH policy invocation would receive after the
                 # same executed prefix, and compare element-wise
-                expected = harness.render_history(trace.records[:start_index])
+                expected = harness.render_history(trace.records[:len(history)])
                 assert len(history) == len(expected)
                 for got, want in zip(history, expected):
                     assert got == want

@@ -368,6 +368,44 @@ class TestStats:
             "dataset, last_tool, has_bridge, has_comparison\n")
         assert sorted(p.name for p in run_dir.iterdir()) == before
 
+    @pytest.mark.parametrize("controls", ["dataset,dataset", "last_tool,dataset,last_tool"])
+    def test_repeated_control_is_config_error(self, tmp_path, capsys, controls):
+        # refused before the run directory is read: it holds no outcomes
+        assert run_cli("stats", str(tmp_path), "--controls", controls) == 2
+        name = controls.split(",")[0]
+        assert capsys.readouterr().err == (
+            f"config error: control {name!r} is given twice in --controls\n")
+        assert list(tmp_path.iterdir()) == []
+
+    # JSON Lines end at "\n" only: other line breaks may sit in strings, and
+    # a "\r" before the "\n" is JSON whitespace
+    @pytest.mark.parametrize("mark, newline", [
+        ("\u2028", "\n"), ("\u0085", "\n"), ("", "\r\n"),
+    ], ids=["line-separator", "next-line", "crlf"])
+    def test_lines_end_at_newline_only(self, tmp_path, capsys, mark, newline):
+        reports = []
+        for name, sep, text in (("plain", "", "\n"), ("marked", mark, newline)):
+            rows = [{**GOOD_OUTCOME, "question_id": f"q{sep}{q}", "planner": planner,
+                     "success": (q + i) % 2 if q < 3 else 1, "depth": 2 + q % 2}
+                    for q in range(6) for i, planner in enumerate(("sh", "fh"))]
+            run = tmp_path / name
+            run.mkdir()
+            (run / "outcomes.jsonl").write_bytes(text.join(
+                json.dumps(row, ensure_ascii=False) for row in rows).encode() + b"\n")
+            code = run_cli("stats", str(run))
+            reports.append((code, capsys.readouterr(), (run / "report.json").read_text()))
+        assert reports[0][0] != 2
+        assert reports[1] == reports[0]
+        # an error names its line by the same split
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "outcomes.jsonl").write_bytes(newline.join(
+            [json.dumps({**GOOD_OUTCOME, "question_id": f"q{mark}"}, ensure_ascii=False),
+             "", json.dumps({**GOOD_OUTCOME, "success": 2})]).encode())
+        assert run_cli("stats", str(bad)) == 2
+        assert capsys.readouterr().err == (
+            "config error: outcomes.jsonl line 3: success must be 0 or 1, got 2\n")
+
     # the file is a good line, a blank line, then the bad line(s)
     @pytest.mark.parametrize("bad_lines, message", [
         ([GOOD_LINE[:30]], "Expecting"),
@@ -376,6 +414,12 @@ class TestStats:
         ([json.dumps({**GOOD_OUTCOME, "colour": "red"})], "unknown field 'colour'"),
         ([json.dumps({**GOOD_OUTCOME, "trial": 0.5})], "trial must be int, got 0.5"),
         ([json.dumps({**GOOD_OUTCOME, "success": 1.0})], "success must be int, got 1.0"),
+        ([json.dumps({**GOOD_OUTCOME, "success": 5})], "success must be 0 or 1, got 5"),
+        ([json.dumps({**GOOD_OUTCOME, "success": -1})], "success must be 0 or 1, got -1"),
+        ([json.dumps({**GOOD_OUTCOME, "planner": "SH"})],
+         "planner must be 'sh' or 'fh', got 'SH'"),
+        ([json.dumps({**GOOD_OUTCOME, "planner": "both"})],
+         "planner must be 'sh' or 'fh', got 'both'"),
         ([json.dumps({**GOOD_OUTCOME, "depth": "2"})], "depth must be int, got '2'"),
         ([json.dumps({**GOOD_OUTCOME, "tokens_in": 1e3})], "tokens_in must be int"),
         ([json.dumps({**GOOD_OUTCOME, "tokens_out": True})], "tokens_out must be int"),
@@ -392,7 +436,8 @@ class TestStats:
         ([GOOD_LINE[:-1], '"label": ""}'], "Expecting"),
         ([GOOD_LINE + ", " + GOOD_LINE[:-1], '"label": ""}'], "Extra data"),
     ], ids=["invalid-json", "not-an-object", "missing-field", "unknown-field",
-            "float-trial", "float-success", "string-depth", "float-tokens-in",
+            "float-trial", "float-success", "success-five", "negative-success",
+            "upper-case-planner", "third-planner", "string-depth", "float-tokens-in",
             "bool-tokens-out", "nan-breadth", "infinite-breadth", "huge-int-breadth", "policy-error",
             "two-records-on-a-line", "record-over-two-lines",
             "records-split-across-lines"])
@@ -459,6 +504,22 @@ class TestInspect:
             captured = capsys.readouterr()
             assert captured.err == f"config error: {path} line 3: {message}\n"
             assert captured.out == ""
+
+    @pytest.mark.parametrize("mark, newline", [
+        ("\u2028", "\n"), ("\u0085", "\n"), ("", "\r\n"),
+    ], ids=["line-separator", "next-line", "crlf"])
+    def test_lines_end_at_newline_only(self, run_dir, tmp_path, capsys, mark, newline):
+        lines = [json.loads(line) for line in
+                 (run_dir / "traces.jsonl").read_text().splitlines()[:3]]
+        run_id = f"kopl{mark}-taller-fh-t0"
+        lines[1]["run_id"] = run_id
+        path = tmp_path / "traces.jsonl"
+        path.write_bytes(newline.join(
+            json.dumps(line, ensure_ascii=False) for line in lines).encode() + b"\n")
+        assert run_cli("inspect", str(path), "--run-id", run_id) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"[{run_id}] step {lines[1]['step']}: ")
+        assert out.count("\n") == 1
 
 
 class TestValidate:

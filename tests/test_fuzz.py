@@ -87,9 +87,6 @@ def scripted_policy(steps):
     """The whole plan under FH and its last step on replans; under SH one
     step per invocation, repeating the last."""
     def policy(request):
-        # every request continues right after the executed steps; the gold
-        # replayer relies on it
-        assert request.start_index == len(request.history)
         if request.mode == "sh-next-step":
             return json.dumps([steps[min(len(request.history), len(steps) - 1)]])
         return json.dumps(steps if request.mode == "fh-initial" else steps[-1:])
@@ -98,16 +95,22 @@ def scripted_policy(steps):
 
 def assert_within(trace, budget):
     """The one budget rule of `run_task`, read off a finished trace."""
-    assert trace.executed_calls <= budget.max_tool_calls
+    assert len(trace.records) <= budget.max_tool_calls
     assert trace.replans <= budget.max_replans
     if trace.status == "budget-failed":
-        assert trace.executed_calls == budget.max_tool_calls
+        assert len(trace.records) == budget.max_tool_calls
     if trace.status in ("retry-budget-failed", "replan-budget-failed"):
         assert trace.replans == budget.max_replans
         assert not trace.records[-1].ok
     for rec, after in zip(trace.records, trace.records[1:]):
         if not rec.ok:
             assert after.invocation_id > rec.invocation_id
+    # every replan asks to continue right after the steps executed before it
+    for i, inv in enumerate(trace.invocations):
+        if inv.mode == "fh-replan":
+            executed = sum(1 for rec in trace.records if rec.invocation_id < i)
+            assert harness.load_prompt("replan_message").format(
+                start_index=executed) in inv.prompt_text
 
 
 @pytest.mark.parametrize("planner", ["sh", "fh"])
@@ -161,7 +164,7 @@ def test_noisy_policy_never_raises(datasets, envs, engine, planner, data, noise,
                                    budget):
     task = data.draw(st.sampled_from(datasets[engine].tasks))
     env = envs[engine]
-    policy = policies.noisy_policy(task.gold_plan, noise, env.catalog, seed)
+    policy = policies.noisy_policy(task.gold_plan, noise, env.params, seed)
     trace = harness.run_task(task, policy, env, planner, budget)
     assert trace.status in STATUSES
     assert_within(trace, budget)
@@ -180,7 +183,7 @@ def test_repeats_never_cost_the_gold_answer(datasets, envs, engine, planner, dat
     noise every trajectory ends with the gold answer or at the call budget."""
     task = data.draw(st.sampled_from(datasets[engine].tasks))
     env = envs[engine]
-    trace = harness.run_task(task, policies.noisy_policy(task.gold_plan, noise, env.catalog,
+    trace = harness.run_task(task, policies.noisy_policy(task.gold_plan, noise, env.params,
                                                          seed), env, planner)
     assert trace.status in ("answered", "budget-failed"), trace.error
     if trace.status == "answered":

@@ -1,13 +1,21 @@
+import datetime
 import hashlib
+import importlib.resources
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planhorizon import harness, kopl, policies, tasks
-from planhorizon.atomic import AtomicEngine
+from planhorizon.atomic import AtomicEngine, NodeSet
 from planhorizon.harness import Budget, INVALID_FORMAT_MESSAGE
-from planhorizon.kopl import KoplEngine
+from planhorizon.kb import TypedValue
+from planhorizon.kopl import EntitySet, KoplEngine
 from planhorizon.mocktools import MockEngine
+from planhorizon.plans import ToolCall, step_ref
+
+import oracles
 
 
 def fixed_policy(text):
@@ -45,7 +53,7 @@ class TestFormatRetries:
         assert trace.status == "format-failed"
         assert len(trace.invocations) == 8
         assert trace.format_retries == 8
-        assert trace.executed_calls == 0
+        assert len(trace.records) == 0
 
     def test_fh_format_failure(self, kopl_env, taller_task):
         trace = harness.run_fh(taller_task, fixed_policy("[]"), kopl_env)
@@ -76,14 +84,14 @@ class TestToolCallBudget:
     def test_sh_hits_thirty_calls_exactly(self, kopl_env, taller_task):
         trace = harness.run_sh(taller_task, fixed_policy(STALL_STEP), kopl_env)
         assert trace.status == "budget-failed"
-        assert trace.executed_calls == 30
+        assert len(trace.records) == 30
         assert len(trace.invocations) == 30  # one invocation per executed call
 
     def test_fh_long_plan_truncated_at_thirty(self, kopl_env, taller_task):
         forty = json.dumps([{"tool": "FindAll", "args": {}}] * 40)
         trace = harness.run_fh(taller_task, fixed_policy(forty), kopl_env)
         assert trace.status == "budget-failed"
-        assert trace.executed_calls == 30
+        assert len(trace.records) == 30
         assert len(trace.invocations) == 1
 
 
@@ -91,7 +99,7 @@ class TestReplanBudget:
     def test_sh_failure_retries_capped_at_eight(self, kopl_env, taller_task):
         trace = harness.run_sh(taller_task, fixed_policy(FAIL_STEP), kopl_env)
         assert trace.status == "retry-budget-failed"
-        assert trace.executed_calls == 9  # first attempt + eight retries
+        assert len(trace.records) == 9  # first attempt + eight retries
         assert len(trace.invocations) == 9
         assert trace.replans == 8
 
@@ -106,7 +114,7 @@ class TestReplanBudget:
                           + [{"tool": "Find", "args": {"name": "zzz-unfindable"}}])
         trace = harness.run_fh(taller_task, fixed_policy(plan), kopl_env)
         assert trace.status == "budget-failed"
-        assert trace.executed_calls == 30
+        assert len(trace.records) == 30
         assert len(trace.invocations) == 1
         assert trace.replans == 0
 
@@ -149,22 +157,23 @@ class TestDrivers:
         assert trace.answer == "5"
         assert trace.replans == 1
 
-    def test_prompt_files_are_read_once_per_environment(self, kopl_env, taller_task,
-                                                        monkeypatch):
-        read = []
-        load_prompt = harness.load_prompt
-        monkeypatch.setattr(harness, "load_prompt",
-                            lambda name: read.append(name) or load_prompt(name))
+    def test_prompt_files_are_read_once_per_process(self, kopl_dataset, taller_task):
+        harness.load_prompt.cache_clear()
         # FH replans after every failed step, so it reads the replan message
-        for planner in ("sh", "fh", "sh", "fh"):
-            harness.run_task(taller_task, fixed_policy(FAIL_STEP), kopl_env, planner)
-        assert sorted(read) == ["fh_system", "replan_message", "sh_system"]
+        for env in (kopl_dataset.make_env("high"), kopl_dataset.make_env("low")):
+            for planner in ("sh", "fh"):
+                harness.run_task(taller_task, fixed_policy(FAIL_STEP), env, planner)
+        reads = harness.load_prompt.cache_info()
+        assert reads.misses == 3 and reads.currsize == 3  # sh_system, fh_system, replan
+        assert reads.hits > 0
         # the prompts are the package files, filled in as on every call
-        system, user = harness.build_prompts(kopl_env, "q?", "fh-replan", [], 3)
-        assert system == load_prompt("fh_system").format(
-            tool_definitions=json.dumps(kopl_env.catalog))
-        assert user == "Question: q?\n\n" + load_prompt("replan_message").format(
-            start_index=3)
+        history = [{"step": i} for i in range(3)]
+        system, user = harness.build_prompts(env, "q?", "fh-replan", history)
+        package = importlib.resources.files("planhorizon.data.prompts")
+        assert system == (package / "fh_system.txt").read_text(encoding="utf-8").format(
+            tool_definitions=json.dumps(env.catalog))
+        assert user.endswith("\n\n" + (package / "replan_message.txt").read_text(
+            encoding="utf-8").format(start_index=3))
 
     @pytest.mark.parametrize("planner", ["sh", "fh"])
     def test_policy_exception_ends_the_trace(self, kopl_env, taller_task, planner):
@@ -282,9 +291,10 @@ class TestLogLines:
         env = kopl_dataset.make_env("high")
         policy = policies.oracle_policy(taller_task.gold_plan)
         trace = harness.run_task(taller_task, policy, env, "fh")
-        trace.run_id, trace.trial = "r1", 2
+        trace.trial = 2
         lines = [json.loads(line) for line in trace.log_lines()]
         assert len(lines) == 4
+        assert {l["run_id"] for l in lines} == {"kopl-taller-fh-t2"}
         assert set(lines[0]) == {"run_id", "question_id", "trial", "step", "tool",
                                  "args", "outcome_kind", "tokens_in", "tokens_out"}
         assert [l["step"] for l in lines] == [0, 1, 2, 3]
@@ -301,3 +311,56 @@ class TestLogLines:
 def test_rendered_catalog_is_pinned(engine, digest, length):
     text = json.dumps(engine.catalog)
     assert (hashlib.sha256(text.encode()).hexdigest()[:16], len(text)) == (digest, length)
+
+
+# ---------------------------------------------------------------------------
+# The repetition key `execute` returns, against the two-step reference
+
+def step_outputs(name: str, env) -> list:
+    """Values an executed step can leave under engine `name`: every kind its
+    tools return, plus strings and numbers."""
+    plain = ["Paris", 5, 2.5, TypedValue("number", 206.0, "centimetre"),
+             TypedValue("date", datetime.date(2003, 12, 30)), TypedValue("year", 2003)]
+    if name == "kopl":
+        return plain + [EntitySet(tuple(env.kb.entities)[:2]), EntitySet(())]
+    if name == "atomic":
+        return plain + [NodeSet(tuple(env.store.nodes)[:2]), NodeSet(("no-such-node",))]
+    return plain
+
+
+# literals without "$", so free text has no inline reference to rewrite
+LITERALS = st.one_of(st.text(st.characters(blacklist_characters="$"), max_size=6),
+                     st.integers(), st.floats(), st.booleans(), st.none(),
+                     st.lists(st.integers(), max_size=2))
+
+
+@pytest.mark.parametrize("name", ["kopl", "atomic", "mock"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_execute_key_matches_the_reference(kopl_dataset, atomic_dataset, mock_dataset,
+                                           name, data):
+    env = {"kopl": kopl_dataset, "atomic": atomic_dataset,
+           "mock": mock_dataset}[name].make_env("high")
+    outputs = step_outputs(name, env)
+    # some steps failed and bound nothing
+    bindings = data.draw(st.dictionaries(st.integers(0, 4), st.sampled_from(outputs)))
+    tool = data.draw(st.sampled_from(sorted(env.params)))
+    kinds = env.params[tool]
+    refs = st.integers(0, 6).map(lambda j: f"${j}")
+    args = {p: data.draw(st.one_of(refs, LITERALS) if kind in ("set", "value-ref")
+                         else LITERALS)
+            for p, kind in kinds.items() if data.draw(st.booleans())}
+    resolved = {}
+    for p, value in args.items():
+        if kinds[p] not in ("set", "value-ref"):
+            resolved[p] = value
+        elif step_ref(value) in bindings:
+            resolved[p] = bindings[step_ref(value)]
+        else:  # a failed reference: the call's arguments as written
+            resolved = None
+            break
+    _outcome, key = env.execute(ToolCall(tool, args), bindings)
+    if resolved is None:
+        assert key == oracles.canonical_call(tool, args, str)
+    else:
+        assert key == oracles.canonical_call(tool, resolved, env.render)

@@ -73,6 +73,30 @@ class TestParseValueText:
         assert kb.parse_value_text("2003", "string") == kb.TypedValue("string", "2003")
 
 
+# Every ISO 8601 date form Python 3.11's `date.fromisoformat` reads: only
+# YYYY-MM-DD is a date, as on Python 3.10; the others read as they would there.
+@pytest.mark.parametrize("text, read", [
+    ("2023-01-15", kb.TypedValue("date", date(2023, 1, 15))),
+    ("20230115", kb.TypedValue("number", 20230115)),
+    ("2023W021", kb.TypedValue("string", "2023W021")),
+    ("2023-W02-1", kb.TypedValue("string", "2023-W02-1")),
+    ("2023-W02", kb.TypedValue("string", "2023-W02")),
+    ("2023-1-15", kb.TypedValue("string", "2023-1-15")),
+    ("\u0662\u0660\u0662\u0663-01-15", kb.TypedValue("string", "\u0662\u0660\u0662\u0663-01-15")),
+], ids=["extended", "basic", "week-basic", "week-extended", "week-no-day",
+        "short-month", "non-ascii-digits"])
+def test_only_yyyy_mm_dd_is_a_date(text, read):
+    assert kb.parse_value_text(text) == read
+    if read.kind == "date":
+        assert kb.parse_value_text(text, "date") == read
+        assert kb.TypedValue.from_json({"kind": "date", "value": text}) == read
+        return
+    with pytest.raises(ValueError, match="Invalid isoformat string"):
+        kb.parse_value_text(text, "date")
+    with pytest.raises(kb.MalformedDocumentError, match=f"bad date value {text!r}"):
+        kb.TypedValue.from_json({"kind": "date", "value": text})
+
+
 class TestCompareTyped:
     def test_numbers_with_units(self):
         a = kb.TypedValue("number", 208, "centimetre")

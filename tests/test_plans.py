@@ -14,7 +14,7 @@ from planhorizon.plans import (ExecutionGraph, Plan, PlanParseError, ToolCall,
 import oracles
 from oracles import KoplProgram, KoplStep, derive_gold_dag_kopl, serialize_plan
 
-CATALOG = kopl.KoplEngine.catalog
+PARAMS = kopl.KoplEngine.params
 
 
 def longest_path_nodes_bruteforce(n, edges):
@@ -45,14 +45,14 @@ FIG2_PLAN = json.dumps([
 
 class TestParsePlan:
     def test_wire_format(self):
-        plan = parse_plan(FIG2_PLAN, CATALOG)
+        plan = parse_plan(FIG2_PLAN, PARAMS)
         assert len(plan.steps) == 4
         assert plan.steps[0] == ToolCall("Find", {"name": "Google"})
         assert plan.steps[3].final
 
     def test_serialize_round_trip(self):
-        plan = parse_plan(FIG2_PLAN, CATALOG)
-        assert parse_plan(serialize_plan(plan), CATALOG) == plan
+        plan = parse_plan(FIG2_PLAN, PARAMS)
+        assert parse_plan(serialize_plan(plan), PARAMS) == plan
 
     @pytest.mark.parametrize("text,reason", [
         ("not json", "syntax"),
@@ -65,7 +65,7 @@ class TestParsePlan:
     ])
     def test_rejections_carry_reasons(self, text, reason):
         with pytest.raises(PlanParseError) as err:
-            parse_plan(text, CATALOG)
+            parse_plan(text, PARAMS)
         assert err.value.reason == reason
 
     # "final": "no" must not end a trajectory: only a JSON boolean or no key
@@ -75,27 +75,27 @@ class TestParsePlan:
         text = json.dumps([{"tool": "FindAll", "args": {}},
                            {"tool": "Count", "args": {"entities": "$3"}, "final": final}])
         with pytest.raises(PlanParseError) as err:
-            parse_plan(text, CATALOG, base_index=3)
+            parse_plan(text, PARAMS, base_index=3)
         assert (str(err.value), err.value.reason) == (
             "step 4: final must be true or false", "syntax")
 
     def test_final_is_true_false_or_absent(self):
         steps = [{"tool": "FindAll", "args": {}}, {"tool": "FindAll", "args": {}, "final": False},
                  {"tool": "Count", "args": {"entities": "$0"}, "final": True}]
-        plan = parse_plan(json.dumps(steps), CATALOG)
+        plan = parse_plan(json.dumps(steps), PARAMS)
         assert [step.final for step in plan.steps] == [False, False, True]
 
     def test_base_index_admits_executed_prefix_references(self):
         text = '[{"tool": "Count", "args": {"entities": "$1"}}]'
         with pytest.raises(PlanParseError):
-            parse_plan(text, CATALOG, base_index=0)
-        plan = parse_plan(text, CATALOG, base_index=2)
+            parse_plan(text, PARAMS, base_index=0)
+        plan = parse_plan(text, PARAMS, base_index=2)
         assert plan.steps[0].references() == [1]
 
 
 class TestMetrics:
     def test_fig2_depth_and_breadth(self):
-        graph = build_dag(parse_plan(FIG2_PLAN, CATALOG))
+        graph = build_dag(parse_plan(FIG2_PLAN, PARAMS))
         assert graph.edges == frozenset({(0, 3), (1, 2), (2, 3)})
         assert depth(graph) == 3
         assert breadth(graph) == Fraction(4, 3)
@@ -164,7 +164,7 @@ class TestRepetition:
         for i, (tool, args) in enumerate(calls):
             trace.records.append(plans.StepRecord(
                 step=i, call=ToolCall(tool, args), ok=True, observation="",
-                invocation_id=0, resolved_args=args))
+                invocation_id=0, key=plans.repetition_key(tool, args, str)))
         return trace
 
     def test_identical_resolved_args_detected(self):
@@ -202,7 +202,7 @@ def test_repetition_matches_pairwise_comparison(calls):
     for i, (tool, args) in enumerate(calls):
         trace.records.append(plans.StepRecord(
             step=i, call=ToolCall(tool, args), ok=True, observation="",
-            invocation_id=0, resolved_args=args))
+            invocation_id=0, key=plans.repetition_key(tool, args, str)))
     assert plans.detect_repetition(trace) is oracles.repeated(trace)
 
 

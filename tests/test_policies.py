@@ -23,7 +23,7 @@ class TestOraclePolicy:
         env = kopl_dataset.make_env("high")
         request = harness.PolicyRequest(
             mode="fh-initial", history=[],
-            start_index=0, system_prompt="", user_prompt="")
+            system_prompt="", user_prompt="")
         steps = json.loads(oracle_policy(taller_task.gold_plan)(request))
         assert len(steps) == 4
         assert steps[-1]["final"] is True
@@ -85,7 +85,7 @@ class TestNoisyPolicy:
     def test_zero_noise_equals_oracle(self, kopl_dataset, taller_task):
         noise = NoiseModel()
         env = kopl_dataset.make_env("high")
-        noisy = noisy_policy(taller_task.gold_plan, noise, env.catalog, 1)
+        noisy = noisy_policy(taller_task.gold_plan, noise, env.params, 1)
         trace = harness.run_task(taller_task, noisy, env, "fh")
         assert trace.status == "answered" and trace.replans == 0
 
@@ -94,7 +94,7 @@ class TestNoisyPolicy:
         logs = []
         for _ in range(2):
             env = kopl_dataset.make_env("high")
-            noisy = noisy_policy(taller_task.gold_plan, noise, env.catalog, 11)
+            noisy = noisy_policy(taller_task.gold_plan, noise, env.params, 11)
             logs.append(harness.run_task(taller_task, noisy, env, "fh").log_lines())
         assert logs[0] == logs[1]
 
@@ -103,7 +103,7 @@ class TestNoisyPolicy:
         for seed in range(30):
             noise = NoiseModel(wrong_schema_rate=1.0, corrects_after_feedback=True)
             env = kopl_dataset.make_env("high")
-            noisy = noisy_policy(task.gold_plan, noise, env.catalog, seed)
+            noisy = noisy_policy(task.gold_plan, noise, env.params, seed)
             trace = harness.run_task(task, noisy, env, "fh")
             # a schema corruption may still soft-match; when it fails instead,
             # one clean replan finishes the task
@@ -113,7 +113,7 @@ class TestNoisyPolicy:
     def test_repeat_rate_one_repeats_forever(self, kopl_dataset, taller_task):
         noise = NoiseModel(repeat_rate=1.0, corrects_after_feedback=False)
         env = kopl_dataset.make_env("high")
-        noisy = noisy_policy(taller_task.gold_plan, noise, env.catalog, 3)
+        noisy = noisy_policy(taller_task.gold_plan, noise, env.params, 3)
         trace = harness.run_task(taller_task, noisy, env, "sh")
         assert trace.status == "budget-failed"
         assert plans.detect_repetition(trace)
@@ -124,9 +124,9 @@ class TestNoisyPolicy:
         # for gold steps done
         noise = NoiseModel(repeat_rate=0.5)
         env = kopl_dataset.make_env("high")
-        reused = noisy_policy(taller_task.gold_plan, noise, env.catalog, 1)
+        reused = noisy_policy(taller_task.gold_plan, noise, env.params, 1)
         assert harness.run_task(taller_task, reused, env, "fh").status == "answered"
-        fresh = noisy_policy(taller_task.gold_plan, noise, env.catalog, 1)
+        fresh = noisy_policy(taller_task.gold_plan, noise, env.params, 1)
         traces = [harness.run_task(taller_task, policy, env, "sh") for policy in (reused, fresh)]
         assert traces[0].log_lines() == traces[1].log_lines()
         assert traces[0].status == "answered" and plans.detect_repetition(traces[0])
@@ -177,7 +177,7 @@ class TestRemotePolicy:
         _StubHandler.replies = [gold]
         env = kopl_dataset.make_env("high")
         policy = remote_llm_policy(RemotePolicyConfig(endpoint=stub_server),
-                                   env.catalog)
+                                   env.params)
         trace = harness.run_fh(taller_task, policy, env)
         assert trace.status == "answered"
         assert trace.answer == "LeBron James Jr."
@@ -191,7 +191,7 @@ class TestRemotePolicy:
         _StubHandler.replies = ["still not json", gold]
         env = kopl_dataset.make_env("high")
         policy = remote_llm_policy(RemotePolicyConfig(endpoint=stub_server),
-                                   env.catalog)
+                                   env.params)
         trace = harness.run_fh(taller_task, policy, env)
         assert trace.status == "answered"
         assert trace.format_retries == 1
@@ -231,9 +231,9 @@ class TestRemotePolicy:
         _StubHandler.replies = ["[]"]
         _StubHandler.status = 500
         policy = remote_llm_policy(RemotePolicyConfig(endpoint=stub_server, timeout=5.0),
-                                   [])
+                                   {})
         request = harness.PolicyRequest(mode="fh-initial", history=[],
-                                        start_index=0, system_prompt="s", user_prompt="u")
+                                        system_prompt="s", user_prompt="u")
         with pytest.raises(OSError):  # an HTTP error status
             policy(request)
         assert len(_StubHandler.requests_seen) == 1
@@ -241,7 +241,7 @@ class TestRemotePolicy:
 
 class TestPlanSchema:
     def test_restricts_tools_and_params(self, kopl_dataset):
-        schema = build_plan_schema(kopl_dataset.make_env("high").catalog)
+        schema = build_plan_schema(kopl_dataset.make_env("high").params)
         variants = schema["json_schema"]["schema"]["items"]["anyOf"]
         assert len(variants) == 27
         find = next(v for v in variants if v["properties"]["tool"]["const"] == "Find")
@@ -250,12 +250,12 @@ class TestPlanSchema:
 
 class TestBuildPolicy:
     def test_kinds(self, kopl_dataset, taller_task):
-        catalog = kopl_dataset.make_env("high").catalog
-        assert callable(build_policy({"kind": "oracle"}, taller_task, catalog, 0))
+        params = kopl_dataset.make_env("high").params
+        assert callable(build_policy({"kind": "oracle"}, taller_task, params, 0))
         assert callable(build_policy({"kind": "noisy", "repeat_rate": 0.5},
-                                     taller_task, catalog, 0))
+                                     taller_task, params, 0))
         with pytest.raises(policies.PolicyError):
-            build_policy({"kind": "psychic"}, taller_task, catalog, 0)
+            build_policy({"kind": "psychic"}, taller_task, params, 0)
 
     def test_spec_is_read_into_its_settings(self):
         assert policies.parse_spec({"kind": "oracle"}) is None
@@ -269,11 +269,11 @@ class TestBuildPolicy:
             RemotePolicyConfig(endpoint="http://x", timeout=2))
 
     def test_bad_spec_fails_every_job_the_same_way(self, kopl_dataset, taller_task):
-        catalog = kopl_dataset.make_env("high").catalog
+        params = kopl_dataset.make_env("high").params
         spec = {"kind": "noisy", "wrong_reference_rate": -0.5}
         with pytest.raises(policies.PolicyError) as parsed:
             policies.parse_spec(spec)
         with pytest.raises(policies.PolicyError) as built:
-            build_policy(spec, taller_task, catalog, 0)
+            build_policy(spec, taller_task, params, 0)
         assert str(parsed.value) == str(built.value) == (
             "policy wrong_reference_rate must lie in [0, 1], got -0.5")
