@@ -96,8 +96,13 @@ def _run_one(env, task, planner, policy_spec, trial, seed, budget) -> plans.Trac
     return trace
 
 
-def _outcome_from_trace(trace, task, planner) -> stats.Outcome:
+def _gold_shape(task) -> tuple[int, float]:
+    """(depth, breadth) of the task's gold DAG."""
     graph = plans.build_dag(task.gold_plan)
+    return plans.depth(graph), float(plans.breadth(graph))
+
+
+def _outcome_from_trace(trace, task, planner, shape: tuple[int, float]) -> stats.Outcome:
     label = trace.status if trace.error else stats.match_answer(
         trace.answer or "", task.gold_answer, mode=task.controls.get("match_mode", "exact-set"))
     tokens_in, tokens_out = harness.account_tokens(trace)
@@ -106,8 +111,8 @@ def _outcome_from_trace(trace, task, planner) -> stats.Outcome:
         trial=trace.trial,
         planner=planner,
         success=1 if label == "correct" else 0,
-        depth=plans.depth(graph),
-        breadth=float(plans.breadth(graph)),
+        depth=shape[0],
+        breadth=shape[1],
         dataset=task.dataset,
         last_tool=task.gold_plan.steps[-1].tool,
         has_bridge=task.controls.get("has_bridge", False),
@@ -176,7 +181,9 @@ def _run_dataset(args: argparse.Namespace, config: dict, dataset: tasks.Dataset)
             for line in trace.log_lines():
                 handle.write(line + "\n")
 
-    records = [dataclasses.asdict(_outcome_from_trace(trace, task, planner))
+    # task ids are unique, and the gold DAG is a fact of the task
+    shapes = {task.id: _gold_shape(task) for task in dataset.tasks}
+    records = [dataclasses.asdict(_outcome_from_trace(trace, task, planner, shapes[task.id]))
                for (task, planner, _t), trace in results]
     with (out_dir / "outcomes.jsonl").open("w", encoding="utf-8") as handle:
         for record in records:

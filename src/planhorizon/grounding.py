@@ -7,9 +7,10 @@ non-exact term and feeds back only the single nearest candidate.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .outcome import ToolFailure
 
@@ -41,13 +42,47 @@ def _trigrams(term: str) -> set[str]:
     return {term[i : i + 3] for i in range(len(term) - 2)}
 
 
-def _jaccard(ta: set[str], tb: set[str]) -> float:
-    if not ta or not tb:
-        return 0.0
-    inter = len(ta & tb)
-    if inter == 0:
-        return 0.0
-    return inter / (len(ta) + len(tb) - inter)
+class TrigramIndex:
+    """Trigram postings over a sequence of normalized strings: a query is
+    scored against every string by touching only the postings of its own
+    trigrams."""
+
+    def __init__(self, norms):
+        postings: dict[str, list[int]] = {}
+        sizes = []
+        for position, norm in enumerate(norms):
+            grams = _trigrams(norm)
+            sizes.append(len(grams))
+            for gram in grams:
+                postings.setdefault(gram, []).append(position)
+        self.postings = {gram: np.array(rows, dtype=np.intp)
+                         for gram, rows in postings.items()}
+        self.sizes = np.array(sizes, dtype=np.intp)  # each string's trigram-set size
+
+    def scores(self, norm: str) -> np.ndarray:
+        """The trigram Jaccard of `norm` against each string, by position;
+        0.0 for a string that shares no trigram with it. Each score divides
+        the same ints as |q & s| / (|q| + |s| - |q & s|) does, once."""
+        query = _trigrams(norm)
+        scores = np.zeros(len(self.sizes))
+        hits = [self.postings[gram] for gram in query if gram in self.postings]
+        if hits:
+            shared = np.bincount(np.concatenate(hits), minlength=len(self.sizes))
+            rows = shared.nonzero()[0]
+            inter = shared[rows]
+            scores[rows] = inter / (len(query) + self.sizes[rows] - inter)
+        return scores
+
+    def ranked(self, norm: str, limit: int) -> list[tuple[int, float]]:
+        """The first `limit` (position, score) pairs by descending score, ties
+        by position; strings that share no trigram follow in position order."""
+        scores = self.scores(norm)
+        rows = scores.nonzero()[0]
+        # a stable sort of the scored positions alone, which are ascending
+        order = rows[np.argsort(-scores[rows], kind="stable")][:limit].tolist()
+        if len(order) < limit:
+            order += (scores == 0).nonzero()[0][:limit - len(order)].tolist()
+        return [(i, float(scores[i])) for i in order]
 
 
 @dataclass(frozen=True)
@@ -65,11 +100,13 @@ class GroundingResult:
 class SchemaIndex:
     """Per-namespace term sets built from a store's `schema_terms()`.
 
-    The terms of a namespace are distinct. The soft-matching tables of a
-    namespace are built on its first non-exact lookup and live as long as the
-    index, which `planhorizon run` builds once per run."""
+    The terms of a namespace are distinct. The set of a namespace is built on
+    its first lookup, its soft-matching tables on its first non-exact one;
+    both live as long as the index, which `planhorizon run` builds once per
+    run."""
 
     terms: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    _sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def namespace(self, namespace: str) -> tuple[str, ...]:
@@ -77,18 +114,25 @@ class SchemaIndex:
             raise UnknownNamespaceError(f"unknown namespace {namespace!r}")
         return self.terms.get(namespace, ())
 
-    def match_tables(self, namespace: str):
-        """(normalized form -> first term with that form, ((term, trigrams of
-        its normalized form), ...) in vocabulary order) for one namespace."""
+    def term_set(self, namespace: str) -> frozenset[str]:
+        """The terms of one namespace, for exact lookups."""
+        found = self._sets.get(namespace)
+        if found is None:
+            found = self._sets[namespace] = frozenset(self.namespace(namespace))
+        return found
+
+    def match_tables(self, namespace: str) -> tuple[dict[str, str], TrigramIndex]:
+        """(normalized form -> first term with that form, a trigram index over
+        the normalized forms in vocabulary order) for one namespace."""
         tables = self._tables.get(namespace)
         if tables is None:
             by_norm: dict[str, str] = {}
-            grams = []
+            norms = []
             for term in self.namespace(namespace):
                 norm = _normalize(term)
                 by_norm.setdefault(norm, term)
-                grams.append((term, _trigrams(norm)))
-            tables = self._tables[namespace] = (by_norm, tuple(grams))
+                norms.append(norm)
+            tables = self._tables[namespace] = (by_norm, TrigramIndex(norms))
         return tables
 
 
@@ -132,21 +176,17 @@ def ground(index: SchemaIndex, term: str, namespace: str, mode: str) -> Groundin
     """Ground a planner-supplied term against the schema. Exact match always wins.
 
     Candidates are ranked by trigram similarity; ties keep vocabulary order."""
-    vocabulary = index.namespace(namespace)
-    if term in vocabulary:
+    if term in index.term_set(namespace):
         return GroundingResult("exact", term, ())
-    by_norm, grams = index.match_tables(namespace)
+    by_norm, trigram_index = index.match_tables(namespace)
     norm = _normalize(term)
     if norm in by_norm:
         return GroundingResult("exact", by_norm[norm], ())
 
     # no candidate is normalized-equal here, so similarity is the plain Jaccard
-    query = _trigrams(norm)
     limit = MAX_CANDIDATES_LOW if mode == "low" else MAX_CANDIDATES_HIGH
-    # nsmallest is a stable sort truncated to `limit`
-    top = tuple(heapq.nsmallest(
-        limit, ((cand, _jaccard(query, cand_grams)) for cand, cand_grams in grams),
-        key=lambda pair: -pair[1]))
+    vocabulary = index.namespace(namespace)
+    top = tuple((vocabulary[i], score) for i, score in trigram_index.ranked(norm, limit))
     if mode == "low":
         return GroundingResult("failed", None, top)
     # top is sorted by descending score, so only the best can pass

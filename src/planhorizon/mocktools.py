@@ -7,10 +7,11 @@ failure/replan behavior, not QA quality.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from . import grounding
 from .harness import Environment
@@ -42,17 +43,38 @@ class MockCorpus:
         """No namespace has terms: the mock tools take free text."""
         return {}
 
+    # Both tables are built on first use and kept with the corpus, which
+    # `planhorizon run` loads once per run.
     @cached_property
-    def search_table(self) -> tuple[tuple[str, set[str]], ...]:
-        """((normalized "title text", its trigrams), ...) in document order.
+    def answering(self) -> dict[str, tuple[int, ...]]:
+        """Normalized question -> positions of the documents that answer it,
+        in document order. Built on the first search."""
+        positions: dict[str, list[int]] = {}
+        for i, d in enumerate(self.documents):
+            for needle in d.answers:
+                positions.setdefault(needle, []).append(i)
+        return {needle: tuple(rows) for needle, rows in positions.items()}
 
-        Built whole on the first search and kept with the corpus, which
-        `planhorizon run` loads once per run."""
-        rows = []
-        for d in self.documents:
-            norm = grounding._normalize(f"{d.title} {d.text}")
-            rows.append((norm, grounding._trigrams(norm)))
-        return tuple(rows)
+    @cached_property
+    def search_index(self) -> grounding.TrigramIndex:
+        """A trigram index over each document's normalized "title text".
+        Built on the first search whose top k leaves documents out."""
+        return _text_index(self.documents)
+
+
+def _text_index(documents) -> grounding.TrigramIndex:
+    return grounding.TrigramIndex(grounding._normalize(f"{d.title} {d.text}")
+                                  for d in documents)
+
+
+def _similarities(index: grounding.TrigramIndex, question: str) -> np.ndarray:
+    """The similarity of each indexed text to `question`: trigram Jaccard,
+    and 1.0 where the two are normalized-equal. Jaccard already gives that,
+    except for empty text, which has no trigrams."""
+    norm = grounding._normalize(question)
+    if not norm:
+        return (index.sizes == 0).astype(float)
+    return index.scores(norm)
 
 
 _PUNCT = re.compile(r"[^a-z0-9 ]+")
@@ -83,23 +105,30 @@ def load_corpus(path_or_doc) -> MockCorpus:
     return MockCorpus(documents=tuple(documents), top_k=doc.get("top_k", MockCorpus.top_k))
 
 
-def rank_documents(corpus: MockCorpus, question: str, k: int) -> list[MockDocument]:
-    """The first `k` documents by descending trigram similarity of "title
-    text" to `question`, ties in corpus order."""
-    norm = grounding._normalize(question)
-    grams = grounding._trigrams(norm)
-    # distinct (-score, position) keys; a list, so nsmallest sorts it when k covers it
-    scored = [(-1.0 if doc_norm == norm else -grounding._jaccard(grams, doc_grams), i)
-              for i, (doc_norm, doc_grams) in enumerate(corpus.search_table)]
-    return [corpus.documents[i] for _, i in heapq.nsmallest(k, scored)]
-
-
 def mock_search(corpus: MockCorpus, question: str, k: int) -> str:
-    """Inspect the top-k ranked documents for an answerable-question match."""
+    """The answer of the first document among the top k that answers
+    `question`, documents ranked by descending trigram similarity of "title
+    text" to it, ties in corpus order.
+
+    That document is the answering one with the smallest key (-score,
+    position). It is in the top k iff fewer than k documents have a smaller
+    key, which always holds when k covers the corpus."""
     needle = normalize_question(question)
-    for doc in rank_documents(corpus, question, k):
-        if needle in doc.answers:
-            return doc.answers[needle]
+    positions = corpus.answering.get(needle, ())
+    if positions and k >= len(corpus.documents):
+        best = positions[0]
+        if len(positions) > 1:  # rank the answering documents alone
+            answering = _text_index(corpus.documents[i] for i in positions)
+            best = positions[int(np.argmax(_similarities(answering, question)))]
+        return corpus.documents[best].answers[needle]
+    if positions:
+        scores = _similarities(corpus.search_index, question)
+        rows = np.array(positions)
+        best = int(rows[np.argmax(scores[rows])])  # argmax keeps the first of ties
+        ahead = (np.count_nonzero(scores > scores[best])
+                 + np.count_nonzero(scores[:best] == scores[best]))
+        if ahead < k:
+            return corpus.documents[best].answers[needle]
     raise ToolFailure(
         f'Error in search: Failed to find the answer to "{question}"\n'
         "No supporting information found in the search result.\n"

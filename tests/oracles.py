@@ -25,7 +25,7 @@ import numpy as np
 from planhorizon import atomic, kopl, mocktools
 from planhorizon.grounding import (DEFAULT_THRESHOLD, MAX_CANDIDATES_HIGH,
                                    MAX_CANDIDATES_LOW, NAMESPACES, Grounder, GroundingResult,
-                                   SchemaIndex, _jaccard, _normalize, _trigrams,
+                                   SchemaIndex, _normalize, _trigrams,
                                    format_candidate_feedback)
 from planhorizon.kb import (AttributeFact, Concept, DanglingReferenceError, Entity, KBError,
                             KnowledgeBase, MalformedDocumentError, RelationEdge, TypedValue,
@@ -568,6 +568,17 @@ def time_constraint(store: atomic.GraphStore, grounder: Grounder, nodes: atomic.
     return ToolOutcome.success(atomic.NodeSet(ids))
 
 
+def _jaccard(ta: set[str], tb: set[str]) -> float:
+    """|ta & tb| / |ta | tb| as the grounder once computed it pairwise; 0.0
+    when either set is empty."""
+    if not ta or not tb:
+        return 0.0
+    inter = len(ta & tb)
+    if inter == 0:
+        return 0.0
+    return inter / (len(ta) + len(tb) - inter)
+
+
 def trigram_similarity(a: str, b: str) -> float:
     """Character-trigram Jaccard on normalized terms; 1.0 iff normalized-equal."""
     na, nb = _normalize(a), _normalize(b)
@@ -601,14 +612,28 @@ def ground(index: SchemaIndex, term: str, namespace: str, mode: str) -> Groundin
 
 
 def rank_documents(corpus: mocktools.MockCorpus, question: str) -> list:
-    """mocktools.rank_documents re-normalizing and re-trigramming every
-    document per search, ties broken by corpus position."""
+    """Every document ranked by descending trigram similarity of "title
+    text" to `question`, ties broken by corpus position, scoring each
+    document per search."""
     scored = [
         (trigram_similarity(question, f"{d.title} {d.text}"), i, d)
         for i, d in enumerate(corpus.documents)
     ]
     scored.sort(key=lambda t: (-t[0], t[1]))
     return [d for _, _, d in scored]
+
+
+def mock_search(corpus: mocktools.MockCorpus, question: str, k: int) -> ToolOutcome:
+    """mocktools.mock_search ranking the whole corpus, then scanning the top
+    k for the first document that answers `question`."""
+    needle = mocktools.normalize_question(question)
+    for doc in rank_documents(corpus, question)[:k]:
+        if needle in doc.answers:
+            return ToolOutcome.success(doc.answers[needle])
+    return ToolOutcome.failure(
+        f'Error in search: Failed to find the answer to "{question}"\n'
+        "No supporting information found in the search result.\n"
+        "Retry with a different question or try a different tool.")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from planhorizon import cli, harness, kopl, stats, tasks
+from planhorizon import cli, harness, kopl, plans, stats, tasks
 from planhorizon.kb import MalformedDocumentError
 
 
@@ -57,6 +57,19 @@ class TestRun:
         for qid, planner, trial in trials:
             per_task.setdefault((qid, planner), set()).add(trial)
         assert all(ts == {0, 1, 2} for ts in per_task.values())
+
+    def test_gold_dag_is_built_once_per_task(self, tmp_path, fixtures_dir, capsys,
+                                             monkeypatch):
+        # depth and breadth are facts of the task, not of its 2 x 3 trajectories
+        built = []
+        build_dag = plans.build_dag
+        monkeypatch.setattr(plans, "build_dag",
+                            lambda plan: built.append(plan) or build_dag(plan))
+        assert run_cli("run", "--config", str(fixtures_dir / "run_kopl_oracle.json"),
+                       "--out", str(tmp_path / "run")) == 0
+        gold = [task.gold_plan
+                for task in tasks.load_dataset(fixtures_dir / "kopl_tasks.json").tasks]
+        assert built == gold
 
     def test_invalid_engine_is_config_error(self, tmp_path, fixtures_dir, capsys):
         bad_dataset = tmp_path / "bad.json"

@@ -103,6 +103,14 @@ class TestGround:
         assert ground(index, "Instagrm", "entity-name", "low").status == "failed"
         assert trigrammed == ["instagrm"]
 
+    def test_exact_lookups_need_only_the_namespace_set(self, fixtures_dir):
+        # built on a namespace's first lookup, not with the index
+        index = build_index(kb.load_kb(fixtures_dir / "mini_kb.json"))
+        assert index._sets == {}
+        assert ground(index, "height", "attribute-key", "low").status == "exact"
+        assert index._sets == {"attribute-key": frozenset(("height", "employee_counts"))}
+        assert index._tables == {}
+
 
 class TestGrounder:
     def test_caching_is_deterministic(self, index):

@@ -1,8 +1,8 @@
 """The indexed lookups (KB reverse adjacency and subclass map, graph-store
 triple indexes, the stores' position maps, grounding tables, the corpus
-search table) return exactly what full scans return: the same ids, in the
-same order, with the same admitting facts, the same ranked candidates and
-the same ranked documents."""
+answer map and trigram index) return exactly what full scans return: the
+same ids, in the same order, with the same admitting facts, the same ranked
+candidates and the same search answers."""
 
 from unittest import mock
 
@@ -234,13 +234,28 @@ def test_search_matches_full_scan(titles, texts, data):
         MockDocument(title, text, {needle: f"{i}:{needle}" for needle in
                                    data.draw(st.lists(st.sampled_from(needles)))})
         for i, (title, text) in enumerate(zip(titles, texts))))
-    # later searches reuse the table the first one built
+    # later searches reuse the tables the first one built; k runs past the
+    # corpus size, where nothing needs ranking
     for question in questions:
-        scanned = oracles.rank_documents(corpus, question)
         for k in range(1, len(titles) + 2):
-            assert ([d.title for d in mocktools.rank_documents(corpus, question, k)]
-                    == [d.title for d in scanned[:k]])
-            with mock.patch.object(mocktools, "rank_documents",
-                                   lambda c, q, k: scanned[:k]):
-                expected = oracles.outcome_of(mocktools.mock_search, corpus, question, k)
-            assert oracles.outcome_of(mocktools.mock_search, corpus, question, k) == expected
+            assert (oracles.outcome_of(mocktools.mock_search, corpus, question, k)
+                    == oracles.mock_search(corpus, question, k))
+
+
+# short strings over few letters: many are empty or shorter than a trigram,
+# many repeat, and many share some trigrams but not all
+NORMS = st.text(alphabet="ab ", max_size=6)
+
+
+@settings(max_examples=300)
+@given(st.lists(NORMS, max_size=10), st.lists(NORMS, min_size=1, max_size=4),
+       st.integers(1, 12))
+def test_trigram_index_matches_pairwise_jaccard(norms, queries, limit):
+    index = grounding.TrigramIndex(norms)
+    for query in queries:
+        expected = [oracles._jaccard(grounding._trigrams(query), grounding._trigrams(norm))
+                    for norm in norms]
+        # bit-equal, not approximately equal: the same ints, divided once
+        assert index.scores(query).tolist() == expected
+        ranked = sorted(range(len(norms)), key=lambda i: (-expected[i], i))[:limit]
+        assert index.ranked(query, limit) == [(i, expected[i]) for i in ranked]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from planhorizon import grounding, harness, mocktools, tasks
 from planhorizon.kb import MalformedDocumentError
 from planhorizon.mocktools import (MockCorpus, MockDocument, load_corpus,
-                                   mock_reasoning, mock_search, rank_documents)
+                                   mock_reasoning, mock_search)
 from planhorizon.outcome import ToolFailure
 
 import oracles
@@ -36,7 +36,7 @@ class TestSearch:
 
     def test_rank_three_case(self, corpus):
         q = "When was the Great Wall of China built?"
-        ranked = [d.title for d in rank_documents(corpus, q, len(corpus.documents))]
+        ranked = [d.title for d in oracles.rank_documents(corpus, q)]
         assert ranked.index("Ming fortification records") == 2
         for k in (1, 2):
             with pytest.raises(ToolFailure):
@@ -71,11 +71,16 @@ class TestSearch:
         env = tasks.load_dataset(fixtures_dir / "mock_tasks.json").make_env("high")
         assert trigrammed == []
         corpus = env.corpus
+        # the top k covers the corpus, and one document answers: no ranking
+        assert corpus.top_k >= len(corpus.documents)
         assert mock_search(corpus, "Where is the Eiffel Tower?", corpus.top_k) == "Paris"
-        assert len(trigrammed) == len(corpus.documents) + 1
-        trigrammed.clear()
+        assert trigrammed == []
         q = "When was the Great Wall of China built?"
         assert mock_search(corpus, q, 3) == "7th century BC"
+        assert len(trigrammed) == len(corpus.documents) + 1
+        trigrammed.clear()
+        with pytest.raises(ToolFailure):
+            mock_search(corpus, q, 2)
         assert trigrammed == [grounding._normalize(q)]
 
 
