@@ -58,23 +58,9 @@ class MockCorpus:
     @cached_property
     def search_index(self) -> grounding.TrigramIndex:
         """A trigram index over each document's normalized "title text".
-        Built on the first search whose top k leaves documents out."""
-        return _text_index(self.documents)
-
-
-def _text_index(documents) -> grounding.TrigramIndex:
-    return grounding.TrigramIndex(grounding._normalize(f"{d.title} {d.text}")
-                                  for d in documents)
-
-
-def _similarities(index: grounding.TrigramIndex, question: str) -> np.ndarray:
-    """The similarity of each indexed text to `question`: trigram Jaccard,
-    and 1.0 where the two are normalized-equal. Jaccard already gives that,
-    except for empty text, which has no trigrams."""
-    norm = grounding._normalize(question)
-    if not norm:
-        return (index.sizes == 0).astype(float)
-    return index.scores(norm)
+        Built on the first search that has to rank."""
+        return grounding.TrigramIndex(grounding._normalize(f"{d.title} {d.text}")
+                                      for d in self.documents)
 
 
 _PUNCT = re.compile(r"[^a-z0-9 ]+")
@@ -112,17 +98,18 @@ def mock_search(corpus: MockCorpus, question: str, k: int) -> str:
 
     That document is the answering one with the smallest key (-score,
     position). It is in the top k iff fewer than k documents have a smaller
-    key, which always holds when k covers the corpus."""
+    key, which always holds when k covers the corpus: a lone answering
+    document there needs no ranking."""
     needle = normalize_question(question)
     positions = corpus.answering.get(needle, ())
-    if positions and k >= len(corpus.documents):
-        best = positions[0]
-        if len(positions) > 1:  # rank the answering documents alone
-            answering = _text_index(corpus.documents[i] for i in positions)
-            best = positions[int(np.argmax(_similarities(answering, question)))]
-        return corpus.documents[best].answers[needle]
+    if len(positions) == 1 and k >= len(corpus.documents):
+        return corpus.documents[positions[0]].answers[needle]
     if positions:
-        scores = _similarities(corpus.search_index, question)
+        # trigram Jaccard, and 1.0 where the texts are normalized-equal:
+        # the two differ only for empty text, which has no trigrams
+        norm = grounding._normalize(question)
+        index = corpus.search_index
+        scores = index.scores(norm) if norm else (index.sizes == 0).astype(float)
         rows = np.array(positions)
         best = int(rows[np.argmax(scores[rows])])  # argmax keeps the first of ties
         ahead = (np.count_nonzero(scores > scores[best])

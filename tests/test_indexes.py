@@ -235,7 +235,7 @@ def test_search_matches_full_scan(titles, texts, data):
                                    data.draw(st.lists(st.sampled_from(needles)))})
         for i, (title, text) in enumerate(zip(titles, texts))))
     # later searches reuse the tables the first one built; k runs past the
-    # corpus size, where nothing needs ranking
+    # corpus size, where a lone answering document needs no ranking
     for question in questions:
         for k in range(1, len(titles) + 2):
             assert (oracles.outcome_of(mocktools.mock_search, corpus, question, k)
