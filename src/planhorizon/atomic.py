@@ -9,16 +9,15 @@ from dataclasses import dataclass, field
 from .grounding import Grounder, format_candidate_feedback
 from .harness import Environment
 from .kb import (
-    KBError,
     MalformedDocumentError,
     TypedValue,
-    compare_typed,
     parse_value_text,
     read_document,
     require_keys,
     require_list,
     require_strings,
     string_list,
+    value_test,
 )
 from .outcome import Param, Tool, ToolFailure, ToolOutcome, ToolTable, literal
 
@@ -74,6 +73,36 @@ class GraphStore:
         for triple in self.triples:
             triples.setdefault(triple[1], []).append(triple)
         return {p: tuple(ts) for p, ts in triples.items()}
+
+    @functools.cached_property
+    def by_name(self) -> dict[str, tuple[str, ...]]:
+        """Node name -> the ids of the nodes with that name, in store order."""
+        ids: dict[str, list[str]] = {}
+        for node in self.nodes.values():
+            ids.setdefault(node.name, []).append(node.id)
+        return {name: tuple(nids) for name, nids in ids.items()}
+
+    @functools.cached_property
+    def by_class(self) -> dict[str, tuple[str, ...]]:
+        """Class -> the ids of the nodes listing it, each once, in store order."""
+        ids: dict[str, dict[str, None]] = {}
+        for node in self.nodes.values():
+            for cls in node.classes:
+                ids.setdefault(cls, {})[node.id] = None
+        return {cls: tuple(nids) for cls, nids in ids.items()}
+
+    @functools.cached_property
+    def links(self) -> dict[tuple[str, str], dict[str, tuple[str, ...]]]:
+        """(predicate, direction) -> node id -> the nodes a link leads to from
+        it: forward, the subjects of the triples it is the object of;
+        backward, the node objects of the triples it is the subject of."""
+        links: dict[tuple[str, str], dict[str, list[str]]] = {}
+        for s, p, o in self.triples:
+            if isinstance(o, str):
+                links.setdefault((p, "forward"), {}).setdefault(o, []).append(s)
+                links.setdefault((p, "backward"), {}).setdefault(s, []).append(o)
+        return {key: {nid: tuple(to) for nid, to in by_node.items()}
+                for key, by_node in links.items()}
 
 
 def load_graph(path_or_doc) -> GraphStore:
@@ -170,16 +199,11 @@ def extract_entity(store: GraphStore, grounder: Grounder, text: str) -> NodeSet 
     if literal.kind != "string":
         return literal
     name_result = grounder.ground(text, "entity-name")
-    if name_result.ok:
-        ids = tuple(n.id for n in store.nodes.values() if n.name == name_result.matched_term)
-        if ids:
-            return NodeSet(ids)
+    if name_result.ok and name_result.matched_term in store.by_name:
+        return NodeSet(store.by_name[name_result.matched_term])
     class_result = grounder.ground(text, "concept")
-    if class_result.ok:
-        ids = tuple(n.id for n in store.nodes.values()
-                    if class_result.matched_term in n.classes)
-        if ids:
-            return NodeSet(ids)
+    if class_result.ok and class_result.matched_term in store.by_class:
+        return NodeSet(store.by_class[class_result.matched_term])
     raise ToolFailure(format_candidate_feedback(name_result, text, "entity-name"))
 
 
@@ -187,15 +211,8 @@ def find_relation(store: GraphStore, grounder: Grounder, relation: str,
                   direction: str, target: NodeSet) -> NodeSet:
     if not target.ids:
         raise ToolFailure("Find_relation needs a nonempty target set")
-    predicate = grounder.term(relation, "relation")
-    wanted = set(target.ids)
-    found = []
-    for s, _p, o in store.by_predicate.get(predicate, ()):
-        if direction == "forward" and isinstance(o, str) and o in wanted:
-            found.append(s)
-        elif direction == "backward" and s in wanted and isinstance(o, str):
-            found.append(o)
-    ids = store.node_order(found)
+    links = store.links.get((grounder.term(relation, "relation"), direction), {})
+    ids = store.node_order(linked for nid in target.ids for linked in links.get(nid, ()))
     if not ids:
         raise ToolFailure(f"no entities connected via {relation!r}")
     return NodeSet(ids)
@@ -238,18 +255,9 @@ def compare(store: GraphStore, grounder: Grounder, operator: str, prop: str,
             literal: TypedValue) -> NodeSet:
     operator = _ALIASES.get(operator, operator)
     prop = grounder.term(prop, "relation")
-    found = []
-    for s, _p, o in store.by_predicate.get(prop, ()):
-        if not isinstance(o, TypedValue):
-            continue
-        try:
-            strict = compare_typed(o, operator.rstrip("="), literal)
-            equal = compare_typed(o, "=", literal)
-        except KBError:
-            continue  # incomparable values are skipped
-        if strict or (operator.endswith("=") and equal):
-            found.append(s)
-    ids = store.node_order(found)
+    test = value_test(operator, literal)  # incomparable values test False
+    ids = store.node_order(s for s, _p, o in store.by_predicate.get(prop, ())
+                           if isinstance(o, TypedValue) and test(o))
     if not ids:
         raise ToolFailure(f"no entities with {prop} {operator} {literal.render()}")
     return NodeSet(ids)

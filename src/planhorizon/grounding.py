@@ -7,6 +7,7 @@ non-exact term and feeds back only the single nearest candidate.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -36,53 +37,99 @@ def _normalize(term: str) -> str:
     return _SEP.sub(" ", term.lower()).strip()
 
 
-def _trigrams(term: str) -> set[str]:
-    if len(term) < 3:
-        return {term} if term else set()
-    return {term[i : i + 3] for i in range(len(term) - 2)}
+# A trigram is one int64, c0 << 42 | c1 << 21 | c2, of its three code points
+# (each below 2**21). A 1-2-character string has one pseudo-gram padded with
+# _PAD, which is no code point, so it equals no real trigram.
+_PAD = 0x110000
+
+
+def _gram_codes(norms: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(code, row) of every trigram of every string, row its position in
+    `norms`, from one pass over the strings joined; a trigram repeated in a
+    string appears as often as it occurs. UTF-32 gives one int per code point
+    (`surrogatepass`: a JSON document can carry a lone surrogate)."""
+    lengths = np.array([len(norm) for norm in norms], dtype=np.int64)
+    chars = np.frombuffer("".join(norms).encode("utf-32-le", "surrogatepass"),
+                          dtype="<u4").astype(np.int64)
+    row = np.repeat(np.arange(len(norms)), lengths)
+    at = (row[:-2] == row[2:]).nonzero()[0]  # windows inside one string
+    codes = chars[at] << 42 | chars[at + 1] << 21 | chars[at + 2]
+    short = ((lengths == 1) | (lengths == 2)).nonzero()[0]
+    head = (np.cumsum(lengths) - lengths)[short]
+    second = np.where(lengths[short] == 2, np.append(chars, _PAD)[head + 1], _PAD)
+    return (np.concatenate([codes, chars[head] << 42 | second << 21 | _PAD]),
+            np.concatenate([row[at], short]))
+
+
+def _query_codes(norm: str) -> np.ndarray:
+    """The distinct trigram codes of one string, ascending, as `_gram_codes`
+    codes them: plain Python, quicker than numpy on a query's few characters."""
+    points = list(map(ord, norm))
+    if 0 < len(points) < 3:
+        points += [_PAD] * (3 - len(points))
+    return np.array(sorted({a << 42 | b << 21 | c
+                            for a, b, c in zip(points, points[1:], points[2:])}),
+                    dtype=np.int64)
 
 
 class TrigramIndex:
-    """Trigram postings over a sequence of normalized strings: a query is
-    scored against every string by touching only the postings of its own
-    trigrams."""
+    """Trigram postings over a sequence of normalized strings, as sorted
+    arrays built in one pass. `codes` holds each distinct trigram once,
+    ascending; the positions of the strings holding `codes[g]` are
+    `rows[bounds[g]:bounds[g + 1]]`, ascending; `sizes[i]` is the size of
+    string i's trigram set. A query touches only its own trigrams' postings."""
 
     def __init__(self, norms):
-        postings: dict[str, list[int]] = {}
-        sizes = []
-        for position, norm in enumerate(norms):
-            grams = _trigrams(norm)
-            sizes.append(len(grams))
-            for gram in grams:
-                postings.setdefault(gram, []).append(position)
-        self.postings = {gram: np.array(rows, dtype=np.intp)
-                         for gram, rows in postings.items()}
-        self.sizes = np.array(sizes, dtype=np.intp)  # each string's trigram-set size
+        norms = list(norms)
+        codes, rows = _gram_codes(norms)
+        order = np.lexsort((rows, codes))
+        codes, rows = codes[order], rows[order]
+        pair = np.ones(len(codes), dtype=bool)
+        pair[1:] = (codes[1:] != codes[:-1]) | (rows[1:] != rows[:-1])
+        codes, rows = codes[pair], rows[pair]  # each (trigram, string) once
+        gram = np.ones(len(codes), dtype=bool)
+        gram[1:] = codes[1:] != codes[:-1]
+        starts = gram.nonzero()[0]
+        self.codes = codes[starts]
+        self.bounds = np.append(starts, len(rows))
+        self.rows = rows
+        self.sizes = np.bincount(rows, minlength=len(norms))
+
+    def touched(self, norm: str) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, scores) of the strings sharing a trigram with `norm`,
+        positions ascending; each score is their trigram Jaccard, dividing
+        the same ints as |q & s| / (|q| + |s| - |q & s|) does, once."""
+        query = _query_codes(norm)
+        at = np.searchsorted(self.codes, query)
+        hit = at < len(self.codes)
+        at = at[hit][self.codes[at[hit]] == query[hit]]
+        if not len(at):
+            return np.zeros(0, dtype=np.intp), np.zeros(0)
+        postings = np.concatenate([self.rows[self.bounds[g]:self.bounds[g + 1]]
+                                   for g in at.tolist()])
+        rows, inter = np.unique(postings, return_counts=True)
+        return rows, inter / (len(query) + self.sizes[rows] - inter)
 
     def scores(self, norm: str) -> np.ndarray:
         """The trigram Jaccard of `norm` against each string, by position;
-        0.0 for a string that shares no trigram with it. Each score divides
-        the same ints as |q & s| / (|q| + |s| - |q & s|) does, once."""
-        query = _trigrams(norm)
-        scores = np.zeros(len(self.sizes))
-        hits = [self.postings[gram] for gram in query if gram in self.postings]
-        if hits:
-            shared = np.bincount(np.concatenate(hits), minlength=len(self.sizes))
-            rows = shared.nonzero()[0]
-            inter = shared[rows]
-            scores[rows] = inter / (len(query) + self.sizes[rows] - inter)
-        return scores
+        0.0 for a string that shares no trigram with it."""
+        rows, scores = self.touched(norm)
+        dense = np.zeros(len(self.sizes))
+        dense[rows] = scores
+        return dense
 
     def ranked(self, norm: str, limit: int) -> list[tuple[int, float]]:
         """The first `limit` (position, score) pairs by descending score, ties
         by position; strings that share no trigram follow in position order."""
-        scores = self.scores(norm)
-        rows = scores.nonzero()[0]
-        # a stable sort of the scored positions alone, which are ascending
-        order = rows[np.argsort(-scores[rows], kind="stable")][:limit].tolist()
-        if len(order) < limit:
-            order += (scores == 0).nonzero()[0][:limit - len(order)].tolist()
-        return [(i, float(scores[i])) for i in order]
+        rows, scores = self.touched(norm)
+        # a stable sort of the touched positions alone, which are ascending
+        best = np.argsort(-scores, kind="stable")[:limit]
+        ranked = list(zip(rows[best].tolist(), scores[best].tolist()))
+        if len(ranked) < limit:
+            touched = set(rows.tolist())
+            ranked += itertools.islice(((i, 0.0) for i in range(len(self.sizes))
+                                        if i not in touched), limit - len(ranked))
+        return ranked
 
 
 @dataclass(frozen=True)

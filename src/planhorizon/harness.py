@@ -70,14 +70,19 @@ class Environment:
     def tool_definitions(self) -> str:
         return json.dumps(self.catalog)
 
-    def execute(self, call: ToolCall, bindings: dict[int, object]) -> tuple[ToolOutcome, tuple]:
+    def execute(self, call: ToolCall,
+                bindings: dict[int, tuple[object, str]]) -> tuple[ToolOutcome, tuple]:
         """Resolve $i references against executed outputs, then dispatch.
         `call` names one of `params`' tools: `parse_plan` rejects any other.
+        `bindings` maps each successful step to (its output, its observation
+        text, which is `render` of that output).
 
         Returns the outcome and the call's `repetition_key`, its arguments
-        resolved (as written when a reference fails)."""
+        resolved (as written when a reference fails). A resolved reference
+        reuses its step's observation text, in free text and in the key, so
+        no output is rendered twice."""
         kinds = self.params[call.tool]
-        resolved = {}
+        resolved, texts = {}, {}
         for name, value in call.args.items():
             kind = kinds.get(name, "string")
             if kind in ("set", "value-ref"):
@@ -91,15 +96,14 @@ class Environment:
                         f"reference {value} does not point to a successfully "
                         "executed step"
                     ), repetition_key(call.tool, call.args, str)
-                resolved[name] = bindings[j]
+                resolved[name], texts[name] = bindings[j]
             elif isinstance(value, str):
                 # free text: inline $i become the rendered outputs (mock tools)
-                resolved[name] = rewrite_refs(
-                    value, lambda j: self.render(bindings[j]) if j in bindings else None)
+                resolved[name] = texts[name] = rewrite_refs(
+                    value, lambda j: bindings[j][1] if j in bindings else None)
             else:
-                resolved[name] = value
-        return (self.run_tool(call.tool, resolved),
-                repetition_key(call.tool, resolved, self.render))
+                resolved[name] = texts[name] = value
+        return self.run_tool(call.tool, resolved), repetition_key(call.tool, texts, self.render)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +195,7 @@ def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
 
 
 def _record(trace: Trace, env: Environment, call: ToolCall,
-            bindings: dict[int, object]) -> StepRecord:
+            bindings: dict[int, tuple[object, str]]) -> StepRecord:
     outcome, key = env.execute(call, bindings)
     rec = StepRecord(
         step=len(trace.records),
@@ -203,7 +207,7 @@ def _record(trace: Trace, env: Environment, call: ToolCall,
     )
     trace.records.append(rec)
     if rec.ok:
-        bindings[rec.step] = outcome.value
+        bindings[rec.step] = (outcome.value, rec.observation)
     return rec
 
 
@@ -219,7 +223,7 @@ def run_task(task, policy, env: Environment, planner: str,
     `trace.replans` counts the re-invocations made."""
     eager = planner == "sh"
     trace = Trace(question_id=task.id, planner=planner)
-    bindings: dict[int, object] = {}
+    bindings: dict[int, tuple[object, str]] = {}
     pending: list[ToolCall] = []
     mode = "sh-next-step" if eager else "fh-initial"
     while True:

@@ -6,6 +6,7 @@ import collections
 import datetime
 import functools
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -227,6 +228,10 @@ def _looks_like_date(text: str) -> bool:
         return False
 
 
+_TESTS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, ">": operator.gt,
+          "<=": operator.le, ">=": operator.ge}
+
+
 def compare_typed(a: TypedValue, op: str, b: TypedValue) -> bool:
     """Compare two typed values. Strings support only = and !=; numbers need equal units."""
     op = _norm_op(op)
@@ -236,14 +241,22 @@ def compare_typed(a: TypedValue, op: str, b: TypedValue) -> bool:
         raise UnsupportedOperatorError("strings support only = and !=")
     if a.kind == "number" and a.unit != b.unit:
         raise UnitMismatchError(f"unit mismatch: {a.unit!r} vs {b.unit!r}")
-    x, y = a.value, b.value
-    if op == "=":
-        return x == y
-    if op == "!=":
-        return x != y
-    if op == "<":
-        return x < y
-    return x > y
+    return _TESTS[op](a.value, b.value)
+
+
+def value_test(op: str, target: TypedValue):
+    """`value -> compare_typed(value, op, target)`, for a filter that tests
+    many values against one target: the operator is normalized and the kind,
+    unit and string-ordering rules are settled once. A value compare_typed
+    refuses (another kind or unit, a string under an ordering) tests False,
+    as does every value under an unknown operator. "<=" and ">=" are atomic
+    Compare's "< or =" and "> or =". """
+    test = _TESTS.get(OP_ALIASES.get(op, op))
+    if test is None or (target.kind == "string" and test not in (operator.eq, operator.ne)):
+        return lambda value: False
+    kind, unit, y = target.kind, target.unit, target.value
+    # a unit is None but for numbers, so equal units are the number rule
+    return lambda value: value.kind == kind and value.unit == unit and test(value.value, y)
 
 
 @dataclass(frozen=True, slots=True)

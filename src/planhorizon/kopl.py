@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .grounding import Grounder
 from .harness import Environment
 from .kb import (COMPARE_OPS, OP_ALIASES, KnowledgeBase, TypedValue, compare_typed,
-                 concept_closure, KBError)
+                 concept_closure, KBError, value_test)
 from .outcome import Param, ProgramError, Tool, ToolFailure, ToolOutcome, ToolTable, literal
 
 
@@ -145,28 +145,20 @@ def filter_concept(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
     closure: set[str] = set()
     for cid in by_name:
         closure |= concept_closure(kb, cid)
-    kept = tuple(i for i in entities.ids if set(kb.entities[i].instance_of) & closure)
+    kept = tuple(i for i in entities.ids if not closure.isdisjoint(kb.entities[i].instance_of))
     if not kept:
         raise ToolFailure(f"no entities are instances of {concept!r}")
     return EntitySet(kept)
 
 
-def _comparable(fact_value: TypedValue, op: str, target: TypedValue) -> bool:
-    try:
-        return compare_typed(fact_value, op, target)
-    except KBError:
-        return False  # facts of another kind/unit simply do not match
-
-
 def filter_attribute(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
                      key: str, target: TypedValue, op: str = "=") -> EntitySet:
     key = grounder.term(key, "attribute-key")
+    test = value_test(op, target)  # facts of another kind or unit do not match
     kept_ids, kept_facts = [], []
     for eid in entities.ids:
-        admitting = tuple(
-            fact for fact in kb.entities[eid].attributes
-            if fact.key == key and _comparable(fact.value, op, target)
-        )
+        admitting = tuple(fact for fact in kb.entities[eid].attributes
+                          if fact.key == key and test(fact.value))
         if admitting:
             kept_ids.append(eid)
             kept_facts.append(admitting)
@@ -180,12 +172,11 @@ def qualifier_filter(grounder: Grounder, entities: EntitySet, qkey: str,
     if entities.facts is None:
         raise ToolFailure("qualifier filters need the admitting facts of the previous filter")
     qkey = grounder.term(qkey, "qualifier-key")
+    test = value_test(op, qvalue)
     kept_ids, kept_facts = [], []
     for eid, facts in zip(entities.ids, entities.facts):
-        admitting = tuple(
-            fact for fact in facts
-            if any(k == qkey and _comparable(v, op, qvalue) for k, v in fact.qualifiers)
-        )
+        admitting = tuple(fact for fact in facts
+                          if any(k == qkey and test(v) for k, v in fact.qualifiers))
         if admitting:
             kept_ids.append(eid)
             kept_facts.append(admitting)
@@ -317,12 +308,12 @@ def query_attr_under_condition(kb: KnowledgeBase, grounder: Grounder,
                                qvalue: TypedValue) -> TypedValue:
     key = grounder.term(key, "attribute-key")
     qkey = grounder.term(qkey, "qualifier-key")
+    test = value_test("=", qvalue)
     value = next((
         fact.value
         for eid in entities.ids
         for fact in kb.entities[eid].attributes
-        if fact.key == key
-        and any(k == qkey and _comparable(v, "=", qvalue) for k, v in fact.qualifiers)
+        if fact.key == key and any(k == qkey and test(v) for k, v in fact.qualifiers)
     ), None)
     if value is None:
         raise ToolFailure(f"no {key!r} fact carries qualifier {qkey} = {qvalue.render()}")
@@ -346,11 +337,12 @@ def query_attr_qualifier(kb: KnowledgeBase, grounder: Grounder, entities: Entity
                          key: str, value: TypedValue, qkey: str) -> TypedValue:
     key = grounder.term(key, "attribute-key")
     qkey = grounder.term(qkey, "qualifier-key")
+    test = value_test("=", value)
     found = next((
         qv
         for eid in entities.ids
         for fact in kb.entities[eid].attributes
-        if fact.key == key and _comparable(fact.value, "=", value)
+        if fact.key == key and test(fact.value)
         for qk, qv in fact.qualifiers
         if qk == qkey
     ), None)

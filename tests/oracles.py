@@ -6,8 +6,8 @@ way: KoPL programs with positional inputs, atomic call chains compiled to
 S-expressions, the gold DAG with structurally identical KoPL subtrees
 merged, repetition by comparing every pair of calls, the schema terms of a
 store by one walk, and the lookups the engines and the grounder answer from
-indexes done by scanning everything, the store orderings by scanning the whole
-store, the KB and graph loaders formatting every item's location up front,
+indexes done by scanning everything, the KoPL filters calling compare_typed per
+fact, the store orderings by scanning the whole store, the KB and graph loaders formatting every item's location up front,
 and the run summary and design matrix built
 row by row from ``Outcome`` objects, and the clustered logit fitted row by
 row rather than on (cluster, design row) cells. None of them is used by ``src/``.
@@ -25,7 +25,7 @@ import numpy as np
 from planhorizon import atomic, kopl, mocktools
 from planhorizon.grounding import (DEFAULT_THRESHOLD, MAX_CANDIDATES_HIGH,
                                    MAX_CANDIDATES_LOW, NAMESPACES, Grounder, GroundingResult,
-                                   SchemaIndex, _normalize, _trigrams,
+                                   SchemaIndex, _normalize,
                                    format_candidate_feedback)
 from planhorizon.kb import (AttributeFact, Concept, DanglingReferenceError, Entity, KBError,
                             KnowledgeBase, MalformedDocumentError, RelationEdge, TypedValue,
@@ -491,6 +491,25 @@ def property_values(store: atomic.GraphStore, ids, prop: str):
     return out
 
 
+def extract_entity(store: atomic.GraphStore, grounder: Grounder, text: str) -> ToolOutcome:
+    """atomic.extract_entity scanning every node for the name, then the class."""
+    literal = parse_value_text(text)
+    if literal.kind != "string":
+        return ToolOutcome.success(literal)
+    name_result = grounder.ground(text, "entity-name")
+    if name_result.ok:
+        ids = tuple(n.id for n in store.nodes.values() if n.name == name_result.matched_term)
+        if ids:
+            return ToolOutcome.success(atomic.NodeSet(ids))
+    class_result = grounder.ground(text, "concept")
+    if class_result.ok:
+        ids = tuple(n.id for n in store.nodes.values()
+                    if class_result.matched_term in n.classes)
+        if ids:
+            return ToolOutcome.success(atomic.NodeSet(ids))
+    return ToolOutcome.failure(format_candidate_feedback(name_result, text, "entity-name"))
+
+
 def find_relation(store: atomic.GraphStore, grounder: Grounder, relation: str,
                   direction: str, target: atomic.NodeSet) -> ToolOutcome:
     """atomic.find_relation over every triple."""
@@ -568,6 +587,66 @@ def time_constraint(store: atomic.GraphStore, grounder: Grounder, nodes: atomic.
     return ToolOutcome.success(atomic.NodeSet(ids))
 
 
+def comparable(value: TypedValue, op: str, target: TypedValue) -> bool:
+    """compare_typed, with a value of another kind or unit (or a string
+    under an ordering, or an unknown operator) not matching."""
+    try:
+        return compare_typed(value, op, target)
+    except KBError:
+        return False
+
+
+def filter_attribute(kb: KnowledgeBase, grounder: Grounder, entities,
+                     key: str, target: TypedValue, op: str = "=") -> ToolOutcome:
+    """kopl.filter_attribute calling compare_typed once per fact."""
+    result = grounder.ground(key, "attribute-key")
+    if not result.ok:
+        return ToolOutcome.failure(format_candidate_feedback(result, key, "attribute-key"))
+    key = result.matched_term
+    kept_ids, kept_facts = [], []
+    for eid in entities.ids:
+        admitting = tuple(fact for fact in kb.entities[eid].attributes
+                          if fact.key == key and comparable(fact.value, op, target))
+        if admitting:
+            kept_ids.append(eid)
+            kept_facts.append(admitting)
+    if not kept_ids:
+        return ToolOutcome.failure(f"no entities satisfy {key} {op} {target.render()}")
+    return ToolOutcome.success(kopl.EntitySet(tuple(kept_ids), tuple(kept_facts)))
+
+
+def qualifier_filter(grounder: Grounder, entities, qkey: str, qvalue: TypedValue,
+                     op: str = "=") -> ToolOutcome:
+    """kopl.qualifier_filter calling compare_typed once per qualifier."""
+    if entities.facts is None:
+        return ToolOutcome.failure(
+            "qualifier filters need the admitting facts of the previous filter")
+    result = grounder.ground(qkey, "qualifier-key")
+    if not result.ok:
+        return ToolOutcome.failure(format_candidate_feedback(result, qkey, "qualifier-key"))
+    qkey = result.matched_term
+    kept_ids, kept_facts = [], []
+    for eid, facts in zip(entities.ids, entities.facts):
+        admitting = tuple(fact for fact in facts
+                          if any(k == qkey and comparable(v, op, qvalue)
+                                 for k, v in fact.qualifiers))
+        if admitting:
+            kept_ids.append(eid)
+            kept_facts.append(admitting)
+    if not kept_ids:
+        return ToolOutcome.failure(
+            f"no admitting facts carry qualifier {qkey} {op} {qvalue.render()}")
+    return ToolOutcome.success(kopl.EntitySet(tuple(kept_ids), tuple(kept_facts)))
+
+
+def trigrams(term: str) -> set[str]:
+    """A normalized string's trigram set; a 1-2-character string is its own
+    one gram and the empty string has none."""
+    if len(term) < 3:
+        return {term} if term else set()
+    return {term[i : i + 3] for i in range(len(term) - 2)}
+
+
 def _jaccard(ta: set[str], tb: set[str]) -> float:
     """|ta & tb| / |ta | tb| as the grounder once computed it pairwise; 0.0
     when either set is empty."""
@@ -584,7 +663,7 @@ def trigram_similarity(a: str, b: str) -> float:
     na, nb = _normalize(a), _normalize(b)
     if na == nb:
         return 1.0
-    return _jaccard(_trigrams(na), _trigrams(nb))
+    return _jaccard(trigrams(na), trigrams(nb))
 
 
 def ground(index: SchemaIndex, term: str, namespace: str, mode: str) -> GroundingResult:

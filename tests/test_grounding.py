@@ -91,14 +91,16 @@ class TestGround:
 
     def test_later_misses_trigram_only_their_query(self, index, monkeypatch):
         # counts, not wall time: rescoring the vocabulary per miss is quadratic
-        # over a run
+        # over a run. The first miss trigrams the namespace in one pass, then
+        # its query; a later miss only its query.
         trigrammed = []
-        trigrams = grounding._trigrams
-        monkeypatch.setattr(grounding, "_trigrams",
-                            lambda term: trigrammed.append(term) or trigrams(term))
+        for coder in ("_gram_codes", "_query_codes"):
+            code = getattr(grounding, coder)
+            monkeypatch.setattr(grounding, coder, lambda arg, code=code:
+                                trigrammed.append(arg) or code(arg))
         names = index.namespace("entity-name")
         assert ground(index, "Gogle", "entity-name", "high").status != "exact"
-        assert len(trigrammed) == len(names) + 1
+        assert trigrammed == [[grounding._normalize(name) for name in names], "gogle"]
         trigrammed.clear()
         assert ground(index, "Instagrm", "entity-name", "low").status == "failed"
         assert trigrammed == ["instagrm"]

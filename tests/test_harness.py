@@ -359,8 +359,28 @@ def test_execute_key_matches_the_reference(kopl_dataset, atomic_dataset, mock_da
         else:  # a failed reference: the call's arguments as written
             resolved = None
             break
-    _outcome, key = env.execute(ToolCall(tool, args), bindings)
+    _outcome, key = env.execute(ToolCall(tool, args),
+                                {j: (v, env.render(v)) for j, v in bindings.items()})
     if resolved is None:
         assert key == oracles.canonical_call(tool, args, str)
     else:
         assert key == oracles.canonical_call(tool, resolved, env.render)
+
+
+@pytest.mark.parametrize("planner", ["sh", "fh"])
+@pytest.mark.parametrize("name", ["kopl", "atomic", "mock"])
+def test_each_step_output_is_rendered_once(kopl_dataset, atomic_dataset, mock_dataset,
+                                           name, planner, monkeypatch):
+    # a resolved $j, whole-value or inline, and its part of the repetition
+    # key reuse step j's observation text instead of rendering it again
+    dataset = {"kopl": kopl_dataset, "atomic": atomic_dataset, "mock": mock_dataset}[name]
+    env = dataset.make_env("high")
+    rendered = []
+    render = type(env).render
+    monkeypatch.setattr(type(env), "render",
+                        lambda self, value: rendered.append(value) or render(self, value))
+    successes = 0
+    for task in dataset.tasks:
+        trace = harness.run_task(task, policies.oracle_policy(task.gold_plan), env, planner)
+        successes += sum(rec.ok for rec in trace.records)
+    assert len(rendered) == successes > len(dataset.tasks)

@@ -1,15 +1,20 @@
 """The indexed lookups (KB reverse adjacency and subclass map, graph-store
-triple indexes, the stores' position maps, grounding tables, the corpus
-answer map and trigram index) return exactly what full scans return: the
-same ids, in the same order, with the same admitting facts, the same ranked
-candidates and the same search answers."""
+triple, name, class and link indexes, the stores' position maps, grounding
+tables, the corpus answer map and trigram index) return exactly what full
+scans return, and the comparisons built once per call what compare_typed
+returns per fact: the same ids, in the same order, with the same admitting
+facts, the same ranked candidates and the same search answers. None of the
+tables is built before its first use."""
 
+import functools
+import itertools
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planhorizon import atomic, grounding, kb as kbmod, kopl, mocktools
+from planhorizon import atomic, grounding, kb as kbmod, kopl, mocktools, tasks
 from planhorizon.atomic import NodeSet
 from planhorizon.grounding import Grounder, SchemaIndex, build_index
 from planhorizon.kb import TypedValue
@@ -31,9 +36,10 @@ CLASSES = ("C", "D", "Ada")
 
 
 @st.composite
-def knowledge_bases(draw, attributes=False):
+def knowledge_bases(draw, attributes=False, values=None):
     """A random KB; with `attributes`, entities also hold attribute facts
-    whose keys and qualifier keys come from small pools."""
+    whose keys and qualifier keys come from small pools, and whose values and
+    qualifier values come from `values` when given."""
     concept_ids = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
     concepts = [
         # parents come from earlier concepts only, so the taxonomy is acyclic
@@ -64,12 +70,14 @@ def knowledge_bases(draw, attributes=False):
         for eid in ids
     ]
     if attributes:
+        fact_values = st.just({"kind": "number", "value": 0}) if values is None else values
+        qualifier_values = st.just({"kind": "year", "value": 1990}) if values is None else values
         facts = st.fixed_dictionaries({
             "key": st.sampled_from(ATTRIBUTE_KEYS),
-            "value": st.just({"kind": "number", "value": 0}),
-            "qualifiers": st.lists(st.sampled_from(QUALIFIER_KEYS).map(
-                lambda key: {"key": key, "value": {"kind": "year", "value": 1990}}),
-                max_size=2)})
+            "value": fact_values,
+            "qualifiers": st.lists(st.tuples(st.sampled_from(QUALIFIER_KEYS),
+                                             qualifier_values).map(
+                lambda kv: {"key": kv[0], "value": kv[1]}), max_size=2)})
         for entity in entities:
             entity["attributes"] = draw(st.lists(facts, max_size=3))
     return kbmod.load_kb({"concepts": concepts, "entities": entities})
@@ -117,16 +125,16 @@ LITERALS = st.one_of(
 
 
 @st.composite
-def graph_stores(draw, classes=False):
-    """A random graph store; with `classes`, nodes also have classes."""
+def graph_stores(draw, classes=False, literals=LITERALS):
+    """A random graph store; with `classes`, nodes also have classes, some
+    listing one class twice; literal objects come from `literals`."""
     ids = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
     nodes = [{"id": nid, "name": draw(st.sampled_from(NAMES))} for nid in ids]
     if classes:
         for node in nodes:
-            node["classes"] = draw(st.lists(st.sampled_from(CLASSES), unique=True,
-                                            max_size=2))
+            node["classes"] = draw(st.lists(st.sampled_from(CLASSES), max_size=3))
     objects = st.one_of(st.sampled_from(ids).map(lambda o: {"o_node": o}),
-                        LITERALS.map(lambda v: {"o_literal": v}))
+                        literals.map(lambda v: {"o_literal": v}))
     # subjects and node objects share one pool: self-loops, repeated
     # (subject, predicate) pairs and several literals per pair all occur
     triples = [{"s": s, "p": p, **o} for s, p, o in draw(st.lists(
@@ -192,9 +200,80 @@ def test_schema_terms_match_full_walk(source):
     assert list(terms.items()) == list(walked.items())
 
 
+@pytest.mark.parametrize("robustness", ["high", "low"])
+@pytest.mark.parametrize("name", ["kopl_tasks", "atomic_tasks", "mock_tasks"])
+def test_set_up_builds_no_table(fixtures_dir, name, robustness):
+    """Every lookup table is built on first use and kept with its store:
+    loading a dataset and making its environment builds none."""
+    env = tasks.load_dataset(fixtures_dir / f"{name}.json").make_env(robustness)
+    store = {"kopl_tasks": "kb", "atomic_tasks": "store", "mock_tasks": "corpus"}[name]
+    store = getattr(env, store)
+    tables = {attr for attr, value in vars(type(store)).items()
+              if isinstance(value, functools.cached_property)}
+    if isinstance(store, atomic.GraphStore):
+        assert {"by_name", "by_class", "links"} <= tables
+    assert tables and not tables & vars(store).keys()
+    assert env.grounder.index._tables == {}
+
+
 def test_corpus_lists_no_schema_terms():
     corpus = MockCorpus(documents=(MockDocument("Paris", "capital"),))
     assert build_index(corpus).terms == {ns: () for ns in grounding.NAMESPACES}
+
+
+# every kind, two units and two strings: values of another kind or unit meet
+# each comparison, and so do strings under an ordering
+VALUES = st.one_of(LITERALS, st.sampled_from(["x", "y"]).map(
+    lambda text: {"kind": "string", "value": text}))
+# one target of each kind and unit, each tested against every drawn value
+TARGETS = tuple(TypedValue.from_json(doc) for doc in (
+    {"kind": "year", "value": 1991}, {"kind": "date", "value": "1991-06-01"},
+    {"kind": "number", "value": 1}, {"kind": "number", "value": 1, "unit": "minute"},
+    {"kind": "string", "value": "x"}))
+KOPL_OPERATORS = ("=", "!=", "<", ">", "≠", "==")
+ATOMIC_OPERATORS = ("<", "<=", ">", ">=", "≤", "≥")
+
+
+@settings(max_examples=200)
+@given(graph_stores(classes=True), st.sampled_from(["high", "low"]),
+       st.lists(st.sampled_from([*NAMES, *CLASSES, "Adx", "c", "1991", "1990-03-01",
+                                 "2 minute", "3"]), min_size=1, max_size=4))
+def test_extract_entity_matches_node_scan(store, mode, texts):
+    """Names shared by several nodes, a class listed twice on one node, names
+    that are also classes, near misses and literal inputs."""
+    grounder = Grounder(build_index(store), mode)
+    for text in texts:
+        assert (oracles.outcome_of(atomic.extract_entity, store, grounder, text)
+                == oracles.extract_entity(store, grounder, text))
+
+
+@given(graph_stores(literals=VALUES))
+def test_compare_matches_compare_typed_per_triple(store):
+    grounder = Grounder(build_index(store))
+    for relation, literal, operator in itertools.product(PREDICATES, TARGETS,
+                                                         ATOMIC_OPERATORS):
+        assert (oracles.outcome_of(atomic.compare, store, grounder, operator, relation,
+                                   literal)
+                == oracles.compare(store, grounder, operator, relation, literal))
+
+
+@given(knowledge_bases(attributes=True, values=VALUES), st.data())
+def test_attribute_filters_match_compare_typed_per_fact(kb, data):
+    grounder = Grounder(build_index(kb))
+    ids = tuple(data.draw(st.lists(st.sampled_from(list(kb.entities)), unique=True)))
+    # each entity paired with all its facts, as a relate or filter leaves them
+    with_facts = EntitySet(ids, tuple(kb.entities[i].attributes for i in ids))
+    for target, op in itertools.product(TARGETS, KOPL_OPERATORS):
+        for key in ATTRIBUTE_KEYS:
+            # outcomes compare their entity sets' admitting facts too
+            assert (oracles.outcome_of(kopl.filter_attribute, kb, grounder, EntitySet(ids),
+                                       key, target, op)
+                    == oracles.filter_attribute(kb, grounder, EntitySet(ids), key, target, op))
+        for qkey in QUALIFIER_KEYS:
+            for entities in (with_facts, EntitySet(ids)):
+                assert (oracles.outcome_of(kopl.qualifier_filter, grounder, entities, qkey,
+                                           target, op)
+                        == oracles.qualifier_filter(grounder, entities, qkey, target, op))
 
 
 # few letters and the separators the normalizer folds: many terms are
@@ -242,18 +321,22 @@ def test_search_matches_full_scan(titles, texts, data):
                     == oracles.mock_search(corpus, question, k))
 
 
-# short strings over few letters: many are empty or shorter than a trigram,
-# many repeat, and many share some trigrams but not all
-NORMS = st.text(alphabet="ab ", max_size=6)
+# short strings over few letters, a non-ASCII letter, an astral character
+# and a lone surrogate (a JSON document can carry one): many are empty or
+# shorter than a trigram, many repeat, and many share some trigrams but not all
+LETTERS = st.sampled_from(["a", "b", " ", "é", "\U0001F600", "\ud800"])
+NORMS = st.text(alphabet=LETTERS, max_size=6)
+SHORT_NORMS = st.text(alphabet=LETTERS, max_size=2)
 
 
 @settings(max_examples=300)
-@given(st.lists(NORMS, max_size=10), st.lists(NORMS, min_size=1, max_size=4),
-       st.integers(1, 12))
+@given(st.one_of(st.lists(NORMS, max_size=10), st.lists(SHORT_NORMS, max_size=10)),
+       st.lists(NORMS, min_size=1, max_size=4), st.integers(1, 12))
 def test_trigram_index_matches_pairwise_jaccard(norms, queries, limit):
+    """Over empty and all-short vocabularies too."""
     index = grounding.TrigramIndex(norms)
     for query in queries:
-        expected = [oracles._jaccard(grounding._trigrams(query), grounding._trigrams(norm))
+        expected = [oracles._jaccard(oracles.trigrams(query), oracles.trigrams(norm))
                     for norm in norms]
         # bit-equal, not approximately equal: the same ints, divided once
         assert index.scores(query).tolist() == expected

@@ -65,9 +65,10 @@ class TestSearch:
         # counts, not wall time: set-up must stay free of the table, and
         # rescoring the corpus per search is quadratic over a run
         trigrammed = []
-        trigrams = grounding._trigrams
-        monkeypatch.setattr(grounding, "_trigrams",
-                            lambda term: trigrammed.append(term) or trigrams(term))
+        for coder in ("_gram_codes", "_query_codes"):
+            code = getattr(grounding, coder)
+            monkeypatch.setattr(grounding, coder, lambda arg, code=code:
+                                trigrammed.append(arg) or code(arg))
         env = tasks.load_dataset(fixtures_dir / "mock_tasks.json").make_env("high")
         assert trigrammed == []
         corpus = env.corpus
@@ -75,9 +76,12 @@ class TestSearch:
         assert corpus.top_k >= len(corpus.documents)
         assert mock_search(corpus, "Where is the Eiffel Tower?", corpus.top_k) == "Paris"
         assert trigrammed == []
+        # the first search that ranks trigrams every document in one pass,
+        # then its question; a later one only its question
         q = "When was the Great Wall of China built?"
         assert mock_search(corpus, q, 3) == "7th century BC"
-        assert len(trigrammed) == len(corpus.documents) + 1
+        assert trigrammed == [[grounding._normalize(f"{d.title} {d.text}")
+                               for d in corpus.documents], grounding._normalize(q)]
         trigrammed.clear()
         with pytest.raises(ToolFailure):
             mock_search(corpus, q, 2)
