@@ -7,7 +7,7 @@ S-expressions, the gold DAG with structurally identical KoPL subtrees
 merged, repetition by comparing every pair of calls, the schema terms of a
 store by one walk, and the lookups the engines and the grounder answer from
 indexes done by scanning everything, the KoPL filters calling compare_typed per
-fact, the store orderings by scanning the whole store, the KB and graph loaders formatting every item's location up front,
+fact, the KoPL queries each walking its own facts, the store orderings by scanning the whole store, the KB and graph loaders formatting every item's location up front,
 and the run summary and design matrix built
 row by row from ``Outcome`` objects, and the clustered logit fitted row by
 row rather than on (cluster, design row) cells. None of them is used by ``src/``.
@@ -637,6 +637,115 @@ def qualifier_filter(grounder: Grounder, entities, qkey: str, qvalue: TypedValue
         return ToolOutcome.failure(
             f"no admitting facts carry qualifier {qkey} {op} {qvalue.render()}")
     return ToolOutcome.success(kopl.EntitySet(tuple(kept_ids), tuple(kept_facts)))
+
+
+# The KoPL query tools, each walking the facts and edges itself and calling
+# compare_typed per fact; like the tools, they raise ToolFailure.
+
+def _number_attr(kb: KnowledgeBase, eid: str, key: str) -> TypedValue | None:
+    for fact in kb.entities[eid].attributes:
+        if fact.key == key and fact.value.kind == "number":
+            return fact.value
+    return None
+
+
+def select_between(kb: KnowledgeBase, grounder: Grounder, a, b, key: str, mode: str) -> str:
+    if not a.ids or not b.ids:
+        raise ToolFailure("SelectBetween needs two nonempty entity sets")
+    key = grounder.term(key, "attribute-key")
+    ea, eb = a.ids[0], b.ids[0]
+    va, vb = _number_attr(kb, ea, key), _number_attr(kb, eb, key)
+    if va is None or vb is None:
+        missing = ea if va is None else eb
+        raise ToolFailure(f"entity {kb.entities[missing].name!r} has no numeric attribute {key!r}")
+    if va.unit != vb.unit:
+        raise ToolFailure(f"unit mismatch comparing {key!r}: {va.unit!r} vs {vb.unit!r}")
+    op = ">" if mode == "greater" else "<"
+    winner = ea if va.value == vb.value or compare_typed(va, op, vb) else eb
+    return kb.entities[winner].name
+
+
+def select_among(kb: KnowledgeBase, grounder: Grounder, entities, key: str, mode: str) -> str:
+    if not entities.ids:
+        raise ToolFailure("SelectAmong needs a nonempty entity set")
+    key = grounder.term(key, "attribute-key")
+    valued = [(eid, _number_attr(kb, eid, key)) for eid in entities.ids]
+    valued = [(eid, v) for eid, v in valued if v is not None]
+    if not valued:
+        raise ToolFailure(f"no entity in the set has numeric attribute {key!r}")
+    units = {v.unit for _, v in valued}
+    if len(units) > 1:
+        raise ToolFailure(f"unit mismatch across {key!r}: {sorted(map(str, units))}")
+    best = (max if mode == "largest" else min)(valued, key=lambda item: item[1].value)
+    return kb.entities[best[0]].name
+
+
+def query_attr(kb: KnowledgeBase, grounder: Grounder, entities, key: str) -> TypedValue:
+    if not entities.ids:
+        raise ToolFailure("cannot query an attribute of an empty entity set")
+    key = grounder.term(key, "attribute-key")
+    for eid in entities.ids:
+        for fact in kb.entities[eid].attributes:
+            if fact.key == key:
+                return fact.value
+    raise ToolFailure(f"no value for attribute {key!r}")
+
+
+def query_attr_under_condition(kb: KnowledgeBase, grounder: Grounder, entities, key: str,
+                               qkey: str, qvalue: TypedValue) -> TypedValue:
+    key = grounder.term(key, "attribute-key")
+    qkey = grounder.term(qkey, "qualifier-key")
+    for eid in entities.ids:
+        for fact in kb.entities[eid].attributes:
+            if fact.key == key and any(k == qkey and comparable(v, "=", qvalue)
+                                       for k, v in fact.qualifiers):
+                return fact.value
+    raise ToolFailure(f"no {key!r} fact carries qualifier {qkey} = {qvalue.render()}")
+
+
+def query_relation(kb: KnowledgeBase, a, b) -> str:
+    if not a.ids or not b.ids:
+        raise ToolFailure("QueryRelation needs two nonempty entity sets")
+    ea, eb = a.ids[0], b.ids[0]
+    predicates = [edge.predicate for edge in kb.entities[ea].relations
+                  if edge.direction == "forward" and edge.target == eb]
+    predicates += [edge.predicate for edge in kb.entities[eb].relations
+                   if edge.direction == "backward" and edge.target == ea]
+    if not predicates:
+        raise ToolFailure(f"no relation from {kb.entities[ea].name!r} to {kb.entities[eb].name!r}")
+    return predicates[0]
+
+
+def query_attr_qualifier(kb: KnowledgeBase, grounder: Grounder, entities, key: str,
+                         value: TypedValue, qkey: str) -> TypedValue:
+    key = grounder.term(key, "attribute-key")
+    qkey = grounder.term(qkey, "qualifier-key")
+    for eid in entities.ids:
+        for fact in kb.entities[eid].attributes:
+            if fact.key == key and comparable(fact.value, "=", value):
+                for qk, qv in fact.qualifiers:
+                    if qk == qkey:
+                        return qv
+    raise ToolFailure(f"no qualifier {qkey!r} on fact {key} = {value.render()}")
+
+
+def query_relation_qualifier(kb: KnowledgeBase, grounder: Grounder, a, b, relation: str,
+                             qkey: str) -> TypedValue:
+    relation = grounder.term(relation, "relation")
+    qkey = grounder.term(qkey, "qualifier-key")
+    if not a.ids or not b.ids:
+        raise ToolFailure("QueryRelationQualifier needs two nonempty sets")
+    ea, eb = a.ids[0], b.ids[0]
+    found = []
+    for edge in kb.entities[ea].relations:
+        if edge.predicate == relation and edge.direction == "forward" and edge.target == eb:
+            found.extend(qv for qk, qv in edge.qualifiers if qk == qkey)
+    for edge in kb.entities[eb].relations:
+        if edge.predicate == relation and edge.direction == "backward" and edge.target == ea:
+            found.extend(qv for qk, qv in edge.qualifiers if qk == qkey)
+    if not found:
+        raise ToolFailure(f"no qualifier {qkey!r} on the {relation!r} relation")
+    return found[0]
 
 
 def trigrams(term: str) -> set[str]:

@@ -276,6 +276,32 @@ def test_attribute_filters_match_compare_typed_per_fact(kb, data):
                         == oracles.qualifier_filter(grounder, entities, qkey, target, op))
 
 
+@given(knowledge_bases(attributes=True, values=VALUES), st.data())
+def test_queries_match_their_references(kb, data):
+    """The query and select tools over empty and shared inputs, self-loops
+    and facts stored on both ends: the same value or the same failure."""
+    grounder = Grounder(build_index(kb))
+    sets = st.lists(st.sampled_from(list(kb.entities)), unique=True).map(
+        lambda ids: EntitySet(tuple(ids)))
+    a = data.draw(sets)
+    b = data.draw(st.one_of(st.just(a), sets))  # one entity on both sides, often
+    calls = [("query_relation", (kb, a, b))]
+    for key in ATTRIBUTE_KEYS:
+        calls += [("query_attr", (kb, grounder, a, key))]
+        calls += [("select_among", (kb, grounder, a, key, mode))
+                  for mode in ("largest", "smallest")]
+        calls += [("select_between", (kb, grounder, a, b, key, mode))
+                  for mode in ("greater", "less")]
+        for qkey, target in itertools.product(QUALIFIER_KEYS, TARGETS):
+            calls += [("query_attr_under_condition", (kb, grounder, a, key, qkey, target)),
+                      ("query_attr_qualifier", (kb, grounder, a, key, target, qkey))]
+    calls += [("query_relation_qualifier", (kb, grounder, a, b, relation, qkey))
+              for relation in PREDICATES for qkey in QUALIFIER_KEYS]
+    for name, args in calls:
+        assert (oracles.outcome_of(getattr(kopl, name), *args)
+                == oracles.outcome_of(getattr(oracles, name), *args)), name
+
+
 # few letters and the separators the normalizer folds: many terms are
 # normalized-equal and many candidates tie on score
 TERMS = st.text(alphabet="abAB _-", max_size=6)
