@@ -102,14 +102,14 @@ def _gold_shape(task) -> tuple[int, float]:
     return plans.depth(graph), float(plans.breadth(graph))
 
 
-def _outcome_from_trace(trace, task, planner, shape: tuple[int, float]) -> stats.Outcome:
+def _outcome_from_trace(trace, task, shape: tuple[int, float]) -> stats.Outcome:
     label = trace.status if trace.error else stats.match_answer(
         trace.answer or "", task.gold_answer, mode=task.controls.get("match_mode", "exact-set"))
     tokens_in, tokens_out = harness.account_tokens(trace)
     return stats.Outcome(
         question_id=task.id,
         trial=trace.trial,
-        planner=planner,
+        planner=trace.planner,
         success=1 if label == "correct" else 0,
         depth=shape[0],
         breadth=shape[1],
@@ -164,27 +164,27 @@ def _run_dataset(args: argparse.Namespace, config: dict, dataset: tasks.Dataset)
     except Exception as exc:  # noqa: BLE001 - surfaced as a runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    results = [((task, planner, trial),
-                _run_one(env, task, planner, config["policy"], trial, config["seed"], budget))
+    results = [(task, _run_one(env, task, planner, config["policy"], trial, config["seed"],
+                               budget))
                for task in dataset.tasks
                for planner in planners
                for trial in range(config["trials"])]
 
     # one deterministic trace log, ordered by (task id, planner, trial)
-    results.sort(key=lambda item: (item[0][0].id, item[0][1], item[0][2]))
-    failed = [trace for _job, trace in results if trace.error]
+    results.sort(key=lambda item: (item[0].id, item[1].planner, item[1].trial))
+    failed = [trace for _task, trace in results if trace.error]
     for trace in failed:
         print(f"{trace.status.replace('-', ' ')} in {trace.run_id}: {trace.error}",
               file=sys.stderr)
     with (out_dir / "traces.jsonl").open("w", encoding="utf-8") as handle:
-        for _job, trace in results:
+        for _task, trace in results:
             for line in trace.log_lines():
                 handle.write(line + "\n")
 
     # task ids are unique, and the gold DAG is a fact of the task
     shapes = {task.id: _gold_shape(task) for task in dataset.tasks}
-    records = [dataclasses.asdict(_outcome_from_trace(trace, task, planner, shapes[task.id]))
-               for (task, planner, _t), trace in results]
+    records = [dataclasses.asdict(_outcome_from_trace(trace, task, shapes[task.id]))
+               for task, trace in results]
     with (out_dir / "outcomes.jsonl").open("w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")

@@ -70,12 +70,11 @@ class Environment:
     def tool_definitions(self) -> str:
         return json.dumps(self.catalog)
 
-    def execute(self, call: ToolCall,
-                bindings: dict[int, tuple[object, str]]) -> tuple[ToolOutcome, tuple]:
-        """Resolve $i references against executed outputs, then dispatch.
+    def execute(self, call: ToolCall, records: list[StepRecord]) -> tuple[ToolOutcome, tuple]:
+        """Resolve $j references against the executed steps, then dispatch.
         `call` names one of `params`' tools: `parse_plan` rejects any other.
-        `bindings` maps each successful step to (its output, its observation
-        text, which is `render` of that output).
+        `records[j]` is step j; $j resolves when step j succeeded, a
+        whole-value $j to its output and an inline one to its observation.
 
         Returns the outcome and the call's `repetition_key`, its arguments
         resolved (as written when a reference fails). A resolved reference
@@ -90,20 +89,20 @@ class Environment:
                 if j is None:
                     return ToolOutcome.failure(
                         f"parameter {name!r} of {call.tool} must reference a step ($i)"
-                    ), repetition_key(call.tool, call.args, str)
-                if j not in bindings:
+                    ), repetition_key(call.tool, call.args)
+                if j >= len(records) or not records[j].ok:
                     return ToolOutcome.failure(
                         f"reference {value} does not point to a successfully "
                         "executed step"
-                    ), repetition_key(call.tool, call.args, str)
-                resolved[name], texts[name] = bindings[j]
+                    ), repetition_key(call.tool, call.args)
+                resolved[name], texts[name] = records[j].value, records[j].observation
             elif isinstance(value, str):
                 # free text: inline $i become the rendered outputs (mock tools)
-                resolved[name] = texts[name] = rewrite_refs(
-                    value, lambda j: bindings[j][1] if j in bindings else None)
+                resolved[name] = texts[name] = rewrite_refs(value, lambda j: (
+                    records[j].observation if j < len(records) and records[j].ok else None))
             else:
                 resolved[name] = texts[name] = value
-        return self.run_tool(call.tool, resolved), repetition_key(call.tool, texts, self.render)
+        return self.run_tool(call.tool, resolved), repetition_key(call.tool, texts)
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +193,18 @@ def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
     return None
 
 
-def _record(trace: Trace, env: Environment, call: ToolCall,
-            bindings: dict[int, tuple[object, str]]) -> StepRecord:
-    outcome, key = env.execute(call, bindings)
+def _record(trace: Trace, env: Environment, call: ToolCall) -> StepRecord:
+    outcome, key = env.execute(call, trace.records)
     rec = StepRecord(
         step=len(trace.records),
         call=call,
         ok=outcome.ok,
         observation=env.render(outcome.value) if outcome.ok else outcome.feedback,
+        value=outcome.value,
         invocation_id=len(trace.invocations) - 1,
         key=key,
     )
     trace.records.append(rec)
-    if rec.ok:
-        bindings[rec.step] = (outcome.value, rec.observation)
     return rec
 
 
@@ -223,7 +220,6 @@ def run_task(task, policy, env: Environment, planner: str,
     `trace.replans` counts the re-invocations made."""
     eager = planner == "sh"
     trace = Trace(question_id=task.id, planner=planner)
-    bindings: dict[int, tuple[object, str]] = {}
     pending: list[ToolCall] = []
     mode = "sh-next-step" if eager else "fh-initial"
     while True:
@@ -238,7 +234,7 @@ def run_task(task, policy, env: Environment, planner: str,
                 return trace
             pending = list(plan.steps)
         step = pending.pop(0)
-        rec = _record(trace, env, step, bindings)
+        rec = _record(trace, env, step)
         if rec.ok and (step.final or not (eager or pending)):
             trace.answer = rec.observation
             trace.status = "answered"

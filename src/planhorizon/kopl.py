@@ -122,7 +122,26 @@ TOOLS = ToolTable("KoPL", globals(), {
 
 
 # ---------------------------------------------------------------------------
-# Core operations
+# Core operations, and the first-match walks the lookups share
+
+def _facts(kb: KnowledgeBase, ids, key: str):
+    """The attribute facts under `key` of each entity of `ids` in turn."""
+    return (fact for eid in ids for fact in kb.entities[eid].attributes if fact.key == key)
+
+
+def _qualified(fact, qkey: str, test) -> bool:
+    """Whether `fact` carries a `qkey` qualifier whose value passes `test`."""
+    return any(k == qkey and test(v) for k, v in fact.qualifiers)
+
+
+def _edges(kb: KnowledgeBase, ea: str, eb: str):
+    """The relation edges from ea to eb: ea's forward edges to eb, then eb's
+    backward edges to ea."""
+    yield from (edge for edge in kb.entities[ea].relations
+                if edge.direction == "forward" and edge.target == eb)
+    yield from (edge for edge in kb.entities[eb].relations
+                if edge.direction == "backward" and edge.target == ea)
+
 
 def find_all(kb: KnowledgeBase) -> EntitySet:
     ids = tuple(kb.entities)
@@ -175,8 +194,7 @@ def qualifier_filter(grounder: Grounder, entities: EntitySet, qkey: str,
     test = value_test(op, qvalue)
     kept_ids, kept_facts = [], []
     for eid, facts in zip(entities.ids, entities.facts):
-        admitting = tuple(fact for fact in facts
-                          if any(k == qkey and test(v) for k, v in fact.qualifiers))
+        admitting = tuple(fact for fact in facts if _qualified(fact, qkey, test))
         if admitting:
             kept_ids.append(eid)
             kept_facts.append(admitting)
@@ -187,13 +205,12 @@ def qualifier_filter(grounder: Grounder, entities: EntitySet, qkey: str,
 
 def _neighbors(kb: KnowledgeBase, eid: str, predicate: str, direction: str):
     """Targets reachable from eid via predicate in the given direction: its
-    own edges, then the flipped edges other entities store towards it."""
+    own edges, then the flipped edges stored towards it, a self-loop's too."""
     flip = "backward" if direction == "forward" else "forward"
     out = [(edge.target, edge) for edge in kb.entities[eid].relations
            if edge.predicate == predicate and edge.direction == direction]
     out.extend((source, edge) for source, edge in kb.incoming.get(eid, ())
-               if source != eid and edge.predicate == predicate
-               and edge.direction == flip)
+               if edge.predicate == predicate and edge.direction == flip)
     return out
 
 
@@ -232,10 +249,8 @@ def count(entities: EntitySet) -> int:
 
 
 def _number_attr(kb: KnowledgeBase, eid: str, key: str) -> TypedValue | None:
-    for fact in kb.entities[eid].attributes:
-        if fact.key == key and fact.value.kind == "number":
-            return fact.value
-    return None
+    return next((fact.value for fact in _facts(kb, (eid,), key)
+                 if fact.value.kind == "number"), None)
 
 
 def select_between(kb: KnowledgeBase, grounder: Grounder, a: EntitySet,
@@ -292,12 +307,7 @@ def query_attr(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
     if not entities.ids:
         raise ToolFailure("cannot query an attribute of an empty entity set")
     key = grounder.term(key, "attribute-key")
-    value = next((
-        fact.value
-        for eid in entities.ids
-        for fact in kb.entities[eid].attributes
-        if fact.key == key
-    ), None)
+    value = next((fact.value for fact in _facts(kb, entities.ids, key)), None)
     if value is None:
         raise ToolFailure(f"no value for attribute {key!r}")
     return value
@@ -309,12 +319,8 @@ def query_attr_under_condition(kb: KnowledgeBase, grounder: Grounder,
     key = grounder.term(key, "attribute-key")
     qkey = grounder.term(qkey, "qualifier-key")
     test = value_test("=", qvalue)
-    value = next((
-        fact.value
-        for eid in entities.ids
-        for fact in kb.entities[eid].attributes
-        if fact.key == key and any(k == qkey and test(v) for k, v in fact.qualifiers)
-    ), None)
+    value = next((fact.value for fact in _facts(kb, entities.ids, key)
+                  if _qualified(fact, qkey, test)), None)
     if value is None:
         raise ToolFailure(f"no {key!r} fact carries qualifier {qkey} = {qvalue.render()}")
     return value
@@ -324,13 +330,10 @@ def query_relation(kb: KnowledgeBase, a: EntitySet, b: EntitySet) -> str:
     if not a.ids or not b.ids:
         raise ToolFailure("QueryRelation needs two nonempty entity sets")
     ea, eb = a.ids[0], b.ids[0]
-    predicates = [edge.predicate for edge in kb.entities[ea].relations
-                  if edge.direction == "forward" and edge.target == eb]
-    predicates += [edge.predicate for edge in kb.entities[eb].relations
-                   if edge.direction == "backward" and edge.target == ea]
-    if not predicates:
+    edge = next(_edges(kb, ea, eb), None)
+    if edge is None:
         raise ToolFailure(f"no relation from {kb.entities[ea].name!r} to {kb.entities[eb].name!r}")
-    return predicates[0]
+    return edge.predicate
 
 
 def query_attr_qualifier(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
@@ -338,14 +341,8 @@ def query_attr_qualifier(kb: KnowledgeBase, grounder: Grounder, entities: Entity
     key = grounder.term(key, "attribute-key")
     qkey = grounder.term(qkey, "qualifier-key")
     test = value_test("=", value)
-    found = next((
-        qv
-        for eid in entities.ids
-        for fact in kb.entities[eid].attributes
-        if fact.key == key and test(fact.value)
-        for qk, qv in fact.qualifiers
-        if qk == qkey
-    ), None)
+    found = next((qv for fact in _facts(kb, entities.ids, key) if test(fact.value)
+                  for qk, qv in fact.qualifiers if qk == qkey), None)
     if found is None:
         raise ToolFailure(f"no qualifier {qkey!r} on fact {key} = {value.render()}")
     return found
@@ -357,17 +354,11 @@ def query_relation_qualifier(kb: KnowledgeBase, grounder: Grounder, a: EntitySet
     qkey = grounder.term(qkey, "qualifier-key")
     if not a.ids or not b.ids:
         raise ToolFailure("QueryRelationQualifier needs two nonempty sets")
-    ea, eb = a.ids[0], b.ids[0]
-    found = []
-    for edge in kb.entities[ea].relations:
-        if edge.predicate == relation and edge.direction == "forward" and edge.target == eb:
-            found.extend(qv for qk, qv in edge.qualifiers if qk == qkey)
-    for edge in kb.entities[eb].relations:
-        if edge.predicate == relation and edge.direction == "backward" and edge.target == ea:
-            found.extend(qv for qk, qv in edge.qualifiers if qk == qkey)
-    if not found:
+    found = next((qv for edge in _edges(kb, a.ids[0], b.ids[0]) if edge.predicate == relation
+                  for qk, qv in edge.qualifiers if qk == qkey), None)
+    if found is None:
         raise ToolFailure(f"no qualifier {qkey!r} on the {relation!r} relation")
-    return found[0]
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,7 @@ class StepRecord:
     call: ToolCall
     ok: bool
     observation: str
+    value: object  # the tool output; None when the step failed
     invocation_id: int  # the index of its invocation in the trace
     key: tuple  # the `repetition_key` of the call, its arguments resolved
 
@@ -206,13 +207,11 @@ class Trace:
         return lines
 
 
-def repetition_key(tool: str, args: dict, render) -> tuple:
-    """What two calls repeat by: the tool and its sorted (name, text)
-    arguments, the text of a string or number its `str` and of any other
-    value `render(value)`."""
-    return (tool, tuple(sorted(
-        (name, str(value) if isinstance(value, (str, int, float)) else render(value))
-        for name, value in args.items())))
+def repetition_key(tool: str, args: dict) -> tuple:
+    """What two calls repeat by: the tool and its sorted (name, str(value))
+    arguments. A resolved reference arrives as its step's observation text,
+    and every engine renders any other JSON value as its `str`."""
+    return (tool, tuple(sorted((name, str(value)) for name, value in args.items())))
 
 
 def detect_repetition(trace: Trace) -> bool:

@@ -390,18 +390,12 @@ class Report:
     output_ratio: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        def num(value):
-            return float(value) if value is not None else None
-
-        return {
-            "accuracy": {f"{d}/{p}": num(v) for (d, p), v in self.accuracy.items()},
-            "tokens_in": {f"{d}/{p}": num(v) for (d, p), v in self.tokens_in.items()},
-            "tokens_out": {f"{d}/{p}": num(v) for (d, p), v in self.tokens_out.items()},
-            "repetition": {f"{d}/{p}": num(v) for (d, p), v in self.repetition.items()},
-            "delta_sh": {d: num(v) for d, v in self.delta_sh.items()},
-            "input_ratio": {d: num(v) for d, v in self.input_ratio.items()},
-            "output_ratio": {d: num(v) for d, v in self.output_ratio.items()},
-        }
+        """Each field in order, its numbers as floats (None stays None) and a
+        (dataset, planner) key as "dataset/planner"."""
+        return {f.name: {"/".join(k) if isinstance(k, tuple) else k:
+                         None if v is None else float(v)
+                         for k, v in getattr(self, f.name).items()}
+                for f in dataclasses.fields(self)}
 
     def to_text(self) -> str:
         lines = [f"{'dataset':<16}{'planner':<9}{'accuracy':<10}{'in_tok':<9}"

@@ -7,8 +7,9 @@ S-expressions, the gold DAG with structurally identical KoPL subtrees
 merged, repetition by comparing every pair of calls, the schema terms of a
 store by one walk, and the lookups the engines and the grounder answer from
 indexes done by scanning everything, the KoPL filters calling compare_typed per
-fact, the KoPL queries each walking its own facts, the store orderings by scanning the whole store, the KB and graph loaders formatting every item's location up front,
-and the run summary and design matrix built
+fact, the KoPL queries each walking its own facts, the store orderings by
+scanning the whole store, the KB and graph loaders formatting every item's
+location up front, and the run summary and design matrix built
 row by row from ``Outcome`` objects, and the clustered logit fitted row by
 row rather than on (cluster, design row) cells. None of them is used by ``src/``.
 """
@@ -441,8 +442,6 @@ def kopl_neighbors(kb: KnowledgeBase, eid: str, predicate: str, direction: str):
         if edge.predicate == predicate and edge.direction == direction:
             out.append((edge.target, edge))
     for other in kb.entities.values():
-        if other.id == eid:
-            continue
         for edge in other.relations:
             if edge.predicate == predicate and edge.direction == flip and edge.target == eid:
                 out.append((other.id, edge))

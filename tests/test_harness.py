@@ -13,7 +13,7 @@ from planhorizon.harness import Budget, INVALID_FORMAT_MESSAGE
 from planhorizon.kb import TypedValue
 from planhorizon.kopl import EntitySet, KoplEngine
 from planhorizon.mocktools import MockEngine
-from planhorizon.plans import ToolCall, step_ref
+from planhorizon.plans import StepRecord, ToolCall, step_ref
 
 import oracles
 
@@ -359,12 +359,36 @@ def test_execute_key_matches_the_reference(kopl_dataset, atomic_dataset, mock_da
         else:  # a failed reference: the call's arguments as written
             resolved = None
             break
-    _outcome, key = env.execute(ToolCall(tool, args),
-                                {j: (v, env.render(v)) for j, v in bindings.items()})
+    # record j is step j: a step missing from `bindings` failed, and $5, $6 were never run
+    records = [StepRecord(step=j, call=ToolCall(tool, {}), ok=j in bindings,
+                          observation=env.render(bindings[j]) if j in bindings else "failed",
+                          value=bindings.get(j), invocation_id=0, key=())
+               for j in range(5)]
+    _outcome, key = env.execute(ToolCall(tool, args), records)
     if resolved is None:
         assert key == oracles.canonical_call(tool, args, str)
     else:
         assert key == oracles.canonical_call(tool, resolved, env.render)
+
+
+# every value a plan argument can hold: what JSON decodes to
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("name", ["kopl", "atomic", "mock"])
+@settings(deadline=None)
+@given(values=st.lists(JSON_VALUES, min_size=1, max_size=4))
+def test_engines_render_plan_literals_as_str(kopl_dataset, atomic_dataset, mock_dataset,
+                                             name, values):
+    # why `plans.repetition_key` can key a literal argument by `str` alone
+    env = {"kopl": kopl_dataset, "atomic": atomic_dataset,
+           "mock": mock_dataset}[name].make_env("high")
+    for value in values:
+        assert env.render(value) == str(value)
 
 
 @pytest.mark.parametrize("planner", ["sh", "fh"])

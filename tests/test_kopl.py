@@ -108,6 +108,26 @@ class TestBasicOps:
                   direction="backward")
         assert out.value.ids == ("q_lebron_jr",)
 
+    def test_relate_follows_a_self_loop_stored_either_way(self):
+        # a self-loop is an edge into its own entity: Relate follows it in the
+        # direction it means, as QueryRelation does, whichever way it is stored
+        loops = kbmod.load_kb({"concepts": [], "entities": [
+            {"id": "a", "name": "A",
+             "relations": [{"predicate": "likes", "direction": "backward", "target": "a"}]},
+            {"id": "b", "name": "B",
+             "relations": [{"predicate": "likes", "direction": "forward", "target": "b"}]},
+        ]})
+        g = Grounder(build_index(loops), mode="high")
+        for eid, direction in (("a", "forward"), ("b", "backward"), ("a", "backward"),
+                               ("b", "forward")):
+            me = EntitySet((eid,))
+            assert kopl.run_tool(loops, g, "QueryRelation", {"left": me, "right": me}).value \
+                == "likes"
+            out = kopl.run_tool(loops, g, "Relate",
+                                {"entities": me, "relation": "likes", "direction": direction})
+            assert out.value.ids == (eid,)
+            assert len(out.value.facts[0]) == 1
+
     def test_qualifier_filter(self, kb, grounder):
         everyone = run(kb, grounder, "FindAll").value
         with_height = run(kb, grounder, "FilterNum", entities=everyone,

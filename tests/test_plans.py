@@ -163,8 +163,8 @@ class TestRepetition:
         trace = plans.Trace()
         for i, (tool, args) in enumerate(calls):
             trace.records.append(plans.StepRecord(
-                step=i, call=ToolCall(tool, args), ok=True, observation="",
-                invocation_id=0, key=plans.repetition_key(tool, args, str)))
+                step=i, call=ToolCall(tool, args), ok=True, observation="", value=None,
+                invocation_id=0, key=plans.repetition_key(tool, args)))
         return trace
 
     def test_identical_resolved_args_detected(self):
@@ -201,8 +201,8 @@ def test_repetition_matches_pairwise_comparison(calls):
     trace = plans.Trace()
     for i, (tool, args) in enumerate(calls):
         trace.records.append(plans.StepRecord(
-            step=i, call=ToolCall(tool, args), ok=True, observation="",
-            invocation_id=0, key=plans.repetition_key(tool, args, str)))
+            step=i, call=ToolCall(tool, args), ok=True, observation="", value=None,
+            invocation_id=0, key=plans.repetition_key(tool, args)))
     assert plans.detect_repetition(trace) is oracles.repeated(trace)
 
 
