@@ -164,8 +164,8 @@ def _run_dataset(args: argparse.Namespace, config: dict, dataset: tasks.Dataset)
     except Exception as exc:  # noqa: BLE001 - surfaced as a runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    results = [(task, _run_one(env, task, planner, config["policy"], trial, config["seed"],
-                               budget))
+    results = [(task, _run_one(env, task, planner, config["policy"], trial,
+                               config["seed"], budget))
                for task in dataset.tasks
                for planner in planners
                for trial in range(config["trials"])]

@@ -371,6 +371,16 @@ def test_execute_key_matches_the_reference(kopl_dataset, atomic_dataset, mock_da
         assert key == oracles.canonical_call(tool, resolved, env.render)
 
 
+def test_inline_reference_resolves_to_a_successful_step_only(mock_dataset):
+    env = mock_dataset.make_env("high")
+    records = [StepRecord(step=j, call=ToolCall("search", {"question": "q"}), ok=ok,
+                          observation=text, value=text if ok else None, invocation_id=0, key=())
+               for j, (ok, text) in enumerate([(True, "Paris"), (False, "no document")])]
+    _outcome, key = env.execute(
+        ToolCall("reasoning", {"instruction": "compare $0, $1 and $2"}), records)
+    assert key == ("reasoning", (("instruction", "compare Paris, $1 and $2"),))
+
+
 # every value a plan argument can hold: what JSON decodes to
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

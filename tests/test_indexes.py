@@ -276,6 +276,7 @@ def test_attribute_filters_match_compare_typed_per_fact(kb, data):
                         == oracles.qualifier_filter(grounder, entities, qkey, target, op))
 
 
+@settings(max_examples=300)
 @given(knowledge_bases(attributes=True, values=VALUES), st.data())
 def test_queries_match_their_references(kb, data):
     """The query and select tools over empty and shared inputs, self-loops

@@ -281,6 +281,14 @@ class TestSummarizeRun:
         doc = report.to_json()
         assert doc["accuracy"]["fixture/sh"] == 1.0
 
+    def test_json_keeps_the_field_order_and_none(self):
+        # report.json is written without sorted keys, so the order is its bytes
+        doc = stats.Report(accuracy={("d", "sh"): Fraction(1, 4)},
+                           input_ratio={"d": None}).to_json()
+        assert list(doc) == ["accuracy", "tokens_in", "tokens_out", "repetition",
+                             "delta_sh", "input_ratio", "output_ratio"]
+        assert doc["accuracy"] == {"d/sh": 0.25} and doc["input_ratio"] == {"d": None}
+
 
 # ---------------------------------------------------------------------------
 # The columnar summary and design matrix against the row-wise oracles
