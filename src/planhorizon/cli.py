@@ -128,10 +128,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config = _load_config(config_path, args)
     dataset = tasks.load_dataset(config_path.parent / config["dataset"])
-    # The store lives for the whole run. Frozen before anything else is
-    # allocated, it is walked by no collection, not even the first one after
-    # loading; unfrozen after, so that garbage frozen with it is collected
-    # when several runs share a process.
+    # The store outlives the run: `load_dataset` holds it for the process
+    # while its data file is unchanged. Frozen before anything else is
+    # allocated, it is walked by no collection during the run, not even the
+    # first one after loading; unfrozen after, so that garbage frozen with it
+    # is collected when several runs share a process.
     gc.freeze()
     try:
         return _run_dataset(args, config, dataset)

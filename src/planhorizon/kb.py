@@ -65,11 +65,13 @@ def _norm_op(op: str) -> str:
     return op
 
 
-def read_text(path) -> str:
-    """The text of the UTF-8 file at `path`; bytes that are not UTF-8 raise
-    MalformedDocumentError naming the file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def read_text(path, data: bytes | None = None) -> str:
+    """The text of the UTF-8 file at `path`, or of `data` when its bytes were
+    read already; bytes that are not UTF-8 raise MalformedDocumentError naming
+    the file."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -77,13 +79,14 @@ def read_text(path) -> str:
             f"not UTF-8 text ({exc.reason} at byte {exc.start})", str(path)) from None
 
 
-def read_document(path_or_doc) -> dict:
-    """The JSON object in the data or task file at a path; an already-parsed
-    document passes through. A file that is not UTF-8, or any top level but
-    an object, raises MalformedDocumentError."""
+def read_document(path_or_doc, data: bytes | None = None) -> dict:
+    """The JSON object in the data or task file at a path (decoded from `data`
+    when its bytes were read already); an already-parsed document passes
+    through. A file that is not UTF-8, or any top level but an object, raises
+    MalformedDocumentError."""
     if isinstance(path_or_doc, dict):
         return path_or_doc
-    doc = json.loads(read_text(path_or_doc))
+    doc = json.loads(read_text(path_or_doc, data))
     if not isinstance(doc, dict):
         raise MalformedDocumentError(
             f"the top level must be a JSON object, not {type(doc).__name__}", str(path_or_doc))

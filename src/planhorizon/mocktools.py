@@ -44,7 +44,7 @@ class MockCorpus:
         return {}
 
     # Both tables are built on first use and kept with the corpus, which
-    # `planhorizon run` loads once per run.
+    # `tasks.load_dataset` holds for the process while its file is unchanged.
     @cached_property
     def answering(self) -> dict[str, tuple[int, ...]]:
         """Normalized question -> positions of the documents that answer it,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -11,14 +12,15 @@ from dataclasses import dataclass, field
 from . import atomic, kb as kbmod, kopl, mocktools, stats
 from .plans import Plan, parse_plan
 
-# A dataset file's "engine" field -> (key of its data file, loader, engine
-# type, optional dataset fields handed on to the engine). Each loader looks its
-# module's function up at call time, as the engines do for their tools.
+# A dataset file's "engine" field -> (key of its data file, loader of its
+# decoded document, engine type, optional dataset fields handed on to the
+# engine). Each loader looks its module's function up at call time, as the
+# engines do for their tools.
 ENGINES = {
-    "kopl": ("kb", lambda path: kbmod.load_kb(path), kopl.KoplEngine, ()),
-    "atomic": ("graph", lambda path: atomic.load_graph(path), atomic.AtomicEngine,
+    "kopl": ("kb", lambda doc: kbmod.load_kb(doc), kopl.KoplEngine, ()),
+    "atomic": ("graph", lambda doc: atomic.load_graph(doc), atomic.AtomicEngine,
                ("eval_year",)),
-    "mock": ("corpus", lambda path: mocktools.load_corpus(path), mocktools.MockEngine, ()),
+    "mock": ("corpus", lambda doc: mocktools.load_corpus(doc), mocktools.MockEngine, ()),
 }
 
 
@@ -67,12 +69,15 @@ class Dataset:
 
 
 def load_dataset(path) -> Dataset:
-    """The dataset in the task file at `path`, with its data file loaded.
+    """The dataset in the task file at `path`, with its data file's store.
 
-    The cyclic collector is paused while the file decodes and the store
-    builds (Mercurial's `util.nogc`): the ~85,000 objects of a 2,000-entity KB
-    are acyclic and live for the whole run, so a collection meanwhile only
-    re-walks them. The caller's collector state is restored on return or raise."""
+    The task file, its plans and the engine factory are built on every call;
+    the store is the one `_held_store` keeps for the engine kind while the
+    data file's bytes are unchanged. The cyclic collector is paused while the
+    files decode and the store builds (Mercurial's `util.nogc`): the ~85,000
+    objects of a 2,000-entity KB are acyclic and may stay held for the life
+    of the process, so a collection meanwhile only re-walks them. The
+    caller's collector state is restored on return or raise."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -80,6 +85,33 @@ def load_dataset(path) -> Dataset:
     finally:
         if enabled:
             gc.enable()
+
+
+# Engine kind -> (SHA-256 digest of a data file's bytes, the store loaded from
+# them): one store per kind for the life of the process, so the runs of a
+# sweep in one process share one load and the tables each store builds on
+# first use. The key is the content, not a path or mtime, so a rewritten file
+# is never served stale; only the digest is held, not the bytes. Stores are
+# frozen and no tool mutates one, so sharing changes no output.
+_STORES: dict[str, tuple[bytes, object]] = {}
+
+
+def _held_store(engine: str, loader, path: str):
+    """The store of the data file at `path`: the held one of kind `engine`
+    when the file's bytes are those it was loaded from, else `loader`'s, which
+    takes the slot. The held store is released before another one builds, so
+    the hold never keeps two of one kind alive; a load that raises leaves
+    none of its kind held."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).digest()
+    held = _STORES.get(engine)
+    if held is None or held[0] != digest:
+        _STORES.pop(engine, None)
+        doc = kbmod.read_document(path, data)
+        del data  # not kept while the store builds
+        held = _STORES[engine] = digest, loader(doc)
+    return held[1]
 
 
 def _read_dataset(path) -> Dataset:
@@ -93,7 +125,7 @@ def _read_dataset(path) -> Dataset:
         raise DatasetError(f"a {engine} dataset needs a {data_key!r} file name")
     if "eval_year" in doc and type(doc["eval_year"]) is not int:
         raise DatasetError(f"eval_year must be an integer, got {doc['eval_year']!r}")
-    data = loader(os.path.join(base, doc[data_key]))
+    data = _held_store(engine, loader, os.path.join(base, doc[data_key]))
     settings = {name: doc[name] for name in fields if name in doc}
     factory = functools.partial(engine_type, data, **settings)
 

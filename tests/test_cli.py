@@ -218,6 +218,27 @@ class TestRun:
         capsys.readouterr()
         assert outs[0] == outs[1]
 
+    # `load_dataset` holds each store for the process, so an FH run after an
+    # SH run reuses the store and the tables the SH run built on it
+    @pytest.mark.parametrize("config", ["run_kopl_oracle.json", "run_atomic_oracle.json",
+                                        "run_mock_noisy.json"])
+    def test_a_held_store_changes_no_byte(self, tmp_path, fixtures_dir, monkeypatch, capsys,
+                                          config):
+        def run(planner, out):
+            assert run_cli("run", "--config", str(fixtures_dir / config), "--planner", planner,
+                           "--out", str(tmp_path / out)) == 0
+            return [(tmp_path / out / name).read_bytes()
+                    for name in ("traces.jsonl", "outcomes.jsonl")]
+
+        monkeypatch.setattr(tasks, "_STORES", {})
+        fresh = run("fh", "fresh")
+        monkeypatch.setattr(tasks, "_STORES", {})
+        run("sh", "sh")
+        [(engine, held)] = tasks._STORES.items()
+        assert run("fh", "held") == fresh
+        assert tasks._STORES[engine] is held
+        capsys.readouterr()
+
     def test_one_environment_per_run(self, tmp_path, fixtures_dir, monkeypatch, capsys):
         built = []
         init = harness.Environment.__init__
