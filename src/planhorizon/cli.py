@@ -124,15 +124,21 @@ def _outcome_from_trace(trace, task, shape: tuple[int, float]) -> stats.Outcome:
     )
 
 
+# The stores `run` loads, kept for the process while their data files are
+# unchanged. The console runs one command per process, so this saves nothing
+# there; a script that calls `main` once per cell of a grid
+# (scripts/reproduce.py) loads each store once.
+STORES = tasks.StoreHold()
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config = _load_config(config_path, args)
-    dataset = tasks.load_dataset(config_path.parent / config["dataset"])
-    # The store outlives the run: `load_dataset` holds it for the process
-    # while its data file is unchanged. Frozen before anything else is
-    # allocated, it is walked by no collection during the run, not even the
-    # first one after loading; unfrozen after, so that garbage frozen with it
-    # is collected when several runs share a process.
+    dataset = tasks.load_dataset(config_path.parent / config["dataset"], STORES)
+    # The store outlives the run, held in STORES. Frozen before anything else
+    # is allocated, it is walked by no collection during the run, not even
+    # the first one after loading; unfrozen after, so that garbage frozen with
+    # it is collected when several runs share a process.
     gc.freeze()
     try:
         return _run_dataset(args, config, dataset)

@@ -65,13 +65,9 @@ def _norm_op(op: str) -> str:
     return op
 
 
-def read_text(path, data: bytes | None = None) -> str:
-    """The text of the UTF-8 file at `path`, or of `data` when its bytes were
-    read already; bytes that are not UTF-8 raise MalformedDocumentError naming
-    the file."""
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
+def decode_text(data: bytes, path) -> str:
+    """`data`, the bytes of the file at `path`, as text; bytes that are not
+    UTF-8 raise MalformedDocumentError naming the file."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -79,18 +75,30 @@ def read_text(path, data: bytes | None = None) -> str:
             f"not UTF-8 text ({exc.reason} at byte {exc.start})", str(path)) from None
 
 
-def read_document(path_or_doc, data: bytes | None = None) -> dict:
-    """The JSON object in the data or task file at a path (decoded from `data`
-    when its bytes were read already); an already-parsed document passes
-    through. A file that is not UTF-8, or any top level but an object, raises
-    MalformedDocumentError."""
-    if isinstance(path_or_doc, dict):
-        return path_or_doc
-    doc = json.loads(read_text(path_or_doc, data))
+def read_text(path) -> str:
+    """The text of the UTF-8 file at `path` (see `decode_text`)."""
+    with open(path, "rb") as fh:
+        return decode_text(fh.read(), path)
+
+
+def decode_document(data: bytes, path) -> dict:
+    """The JSON object in `data`, the bytes of the data or task file at
+    `path`. Bytes that are not UTF-8, or any top level but an object, raise
+    MalformedDocumentError naming the file."""
+    doc = json.loads(decode_text(data, path))
     if not isinstance(doc, dict):
         raise MalformedDocumentError(
-            f"the top level must be a JSON object, not {type(doc).__name__}", str(path_or_doc))
+            f"the top level must be a JSON object, not {type(doc).__name__}", str(path))
     return doc
+
+
+def read_document(path_or_doc) -> dict:
+    """The JSON object in the data or task file at a path (see
+    `decode_document`); an already-parsed document passes through."""
+    if isinstance(path_or_doc, dict):
+        return path_or_doc
+    with open(path_or_doc, "rb") as fh:
+        return decode_document(fh.read(), path_or_doc)
 
 
 def require_keys(doc, keys: tuple[str, ...], what: str, location: str = "") -> None:

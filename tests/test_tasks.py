@@ -16,7 +16,6 @@ class TestLoadDataset:
     ])
     def test_loaders_are_looked_up_at_call_time(self, fixtures_dir, monkeypatch,
                                                 name, module, loader):
-        monkeypatch.setattr(tasks, "_STORES", {})  # a fresh load, not a held store
         loaded = []
         original = getattr(module, loader)
         monkeypatch.setattr(module, loader,
@@ -80,24 +79,19 @@ class TestLoadDataset:
         assert task.dataset == "mock-wiki"
 
 
-# One store per engine kind is held for the process, keyed by the digest of
-# its data file's bytes. Each test starts from an empty hold.
+# A StoreHold keeps one store per engine kind, keyed by the digest of its data
+# file's bytes; load_dataset without one loads afresh.
 ENGINE_STORES = [("kopl_tasks.json", kb, "load_kb", "kb"),
                  ("atomic_tasks.json", atomic, "load_graph", "store"),
                  ("mock_tasks.json", mocktools, "load_corpus", "corpus")]
 
 
-@pytest.fixture()
-def empty_hold(monkeypatch):
-    monkeypatch.setattr(tasks, "_STORES", {})
-    return tasks._STORES
-
-
 def counting(monkeypatch, module, loader):
-    """The documents `module.loader` is called with from now on."""
+    """The paths or documents `module.loader` is called with from now on."""
     loaded = []
     original = getattr(module, loader)
-    monkeypatch.setattr(module, loader, lambda doc: loaded.append(doc) or original(doc))
+    monkeypatch.setattr(module, loader,
+                        lambda source: loaded.append(source) or original(source))
     return loaded
 
 
@@ -110,24 +104,28 @@ def kb_dataset(tmp_path, name: str, entity_name: str):
     return path
 
 
-class TestHeldStores:
+class TestStoreHold:
     @pytest.mark.parametrize("name,module,loader,attr", ENGINE_STORES)
-    def test_one_load_per_file(self, fixtures_dir, monkeypatch, empty_hold, name, module,
-                               loader, attr):
+    def test_one_load_per_file(self, fixtures_dir, monkeypatch, name, module, loader, attr):
         loaded = counting(monkeypatch, module, loader)
-        first, second = (tasks.load_dataset(fixtures_dir / name) for _ in range(2))
-        assert len(loaded) == 1
+        hold = tasks.StoreHold()
+        first, second = (tasks.load_dataset(fixtures_dir / name, hold) for _ in range(2))
+        assert len(loaded) == 1 and (hold.loads, hold.reuses) == (1, 1)
         assert getattr(first.make_env(), attr) is getattr(second.make_env(), attr)
         # the task file and its plans are built on every call
         assert first.tasks == second.tasks and first.tasks is not second.tasks
         # the digest and the store, never the file's bytes
-        [(digest, store)] = empty_hold.values()
+        [(digest, store)] = hold._held.values()
         assert len(digest) == 32 and store is getattr(first.make_env(), attr)
+        # without a hold, every call loads afresh
+        assert getattr(tasks.load_dataset(fixtures_dir / name).make_env(), attr) is not store
+        assert len(loaded) == 2
 
-    def test_rewritten_file_loads_afresh(self, tmp_path, monkeypatch, empty_hold):
+    def test_rewritten_file_loads_afresh(self, tmp_path, monkeypatch):
         path = kb_dataset(tmp_path, "kb.json", "Ann")
         loaded = counting(monkeypatch, kb, "load_kb")
-        before = tasks.load_dataset(path).make_env().kb
+        hold = tasks.StoreHold()
+        before = tasks.load_dataset(path, hold).make_env().kb
         kb_file = tmp_path / "kb.json"
         stat = kb_file.stat()
         kb_file.write_text(kb_file.read_text().replace("Ann", "Bob"))
@@ -135,42 +133,57 @@ class TestHeldStores:
         os.utime(kb_file, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         assert kb_file.stat().st_size == stat.st_size
         assert kb_file.stat().st_mtime_ns == stat.st_mtime_ns
-        after = tasks.load_dataset(path).make_env().kb
+        after = tasks.load_dataset(path, hold).make_env().kb
         assert len(loaded) == 2 and after is not before
         assert [e.name for e in after.entities.values()] == ["Bob"]
 
-    def test_another_file_releases_the_held_store(self, tmp_path, fixtures_dir,
-                                                  empty_hold):
-        first = weakref.ref(tasks.load_dataset(kb_dataset(tmp_path, "a.json", "Ann"))
+    def test_another_file_releases_the_held_store(self, tmp_path, fixtures_dir):
+        hold = tasks.StoreHold()
+        first = weakref.ref(tasks.load_dataset(kb_dataset(tmp_path, "a.json", "Ann"), hold)
                             .make_env().kb)
-        graph = weakref.ref(tasks.load_dataset(fixtures_dir / "atomic_tasks.json")
+        graph = weakref.ref(tasks.load_dataset(fixtures_dir / "atomic_tasks.json", hold)
                             .make_env().store)
-        second = tasks.load_dataset(kb_dataset(tmp_path, "b.json", "Bob")).make_env().kb
+        second = tasks.load_dataset(kb_dataset(tmp_path, "b.json", "Bob"), hold).make_env().kb
         gc.collect()
         assert first() is None
         # a store of another engine stays held
         assert graph() is not None
-        assert empty_hold["kopl"][1] is second and empty_hold["atomic"][1] is graph()
+        assert hold._held["kopl"][1] is second and hold._held["atomic"][1] is graph()
 
-    def test_failed_load_raises_on_every_call(self, tmp_path, monkeypatch, empty_hold):
+    def test_failed_load_raises_on_every_call(self, tmp_path, monkeypatch):
         (tmp_path / "kb.json").write_text(json.dumps({"entities": [5]}))
         path = tmp_path / "d.json"
         path.write_text(json.dumps({"engine": "kopl", "kb": "kb.json", "tasks": []}))
         loaded = counting(monkeypatch, kb, "load_kb")
+        hold = tasks.StoreHold()
         errors = []
-        for _ in range(2):
+        for use in (hold, hold, None):
             with pytest.raises(kb.MalformedDocumentError) as err:
-                tasks.load_dataset(path)
+                tasks.load_dataset(path, use)
             errors.append(str(err.value))
-        assert errors[0] == errors[1] and len(loaded) == 2
-        assert empty_hold == {}
+        # the same error with a hold as without one
+        assert errors[0] == errors[1] == errors[2] and len(loaded) == 3
+        assert hold._held == {} and hold.loads == 0
 
-    def test_deleted_file_is_a_config_error(self, tmp_path, empty_hold, capsys):
+    @pytest.mark.parametrize("content", [b"[1]", b"\xff{}", b"{"])
+    def test_bad_data_file_fails_as_without_a_hold(self, tmp_path, content):
+        (tmp_path / "kb.json").write_bytes(content)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"engine": "kopl", "kb": "kb.json", "tasks": []}))
+        errors = []
+        for use in (None, tasks.StoreHold()):
+            with pytest.raises(Exception) as err:
+                tasks.load_dataset(path, use)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+
+    def test_deleted_file_is_a_config_error(self, tmp_path, capsys):
         path = kb_dataset(tmp_path, "kb.json", "Ann")
-        tasks.load_dataset(path)
-        assert "kopl" in empty_hold
+        hold = tasks.StoreHold()
+        tasks.load_dataset(path, hold)
+        assert "kopl" in hold._held
         (tmp_path / "kb.json").unlink()
         with pytest.raises(FileNotFoundError):
-            tasks.load_dataset(path)
+            tasks.load_dataset(path, hold)
         assert cli.main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
