@@ -12,7 +12,6 @@ from .kb import (
     MalformedDocumentError,
     TypedValue,
     parse_value_text,
-    read_document,
     require_keys,
     require_list,
     require_strings,
@@ -105,10 +104,9 @@ class GraphStore:
                 for key, by_node in links.items()}
 
 
-def load_graph(path_or_doc) -> GraphStore:
-    """Load and validate a graph document (path or parsed dict). As in
-    `kb.load_kb`, an item's location is formatted only when it is malformed."""
-    doc = read_document(path_or_doc)
+def load_graph(doc: dict) -> GraphStore:
+    """Load and validate a decoded graph document. As in `kb.load_kb`, an
+    item's location is formatted only when it is malformed."""
     nodes = {}
     for i, n in enumerate(require_list(doc, "nodes")):
         try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -166,11 +167,7 @@ def _run_dataset(args: argparse.Namespace, config: dict, dataset: tasks.Dataset)
 
     planners = ["sh", "fh"] if config["planner"] == "both" else [config["planner"]]
     budget = harness.Budget()
-    try:
-        env = dataset.make_env(config["robustness"])
-    except Exception as exc:  # noqa: BLE001 - surfaced as a runtime failure
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    env = dataset.make_env(config["robustness"])
     results = [(task, _run_one(env, task, planner, config["policy"], trial,
                                config["seed"], budget))
                for task in dataset.tasks
@@ -361,7 +358,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; `main` runs the
+    `cmd_<command>` function it looks up in this module at call time."""
     parser = argparse.ArgumentParser(
         prog="planhorizon",
         description="Run planning-horizon experiments and analyze their traces.")
@@ -374,31 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--planner", choices=("sh", "fh", "both"), default=None)
     run.add_argument("--robustness", choices=("high", "low"), default=None)
     run.add_argument("--trials", type=int, default=None)
-    run.set_defaults(func=cmd_run)
 
     st = sub.add_parser("stats", help="summarize a finished run")
     st.add_argument("run_dir")
     st.add_argument("--out", default=None)
     st.add_argument("--controls", default="",
                     help=f"comma-separated control columns ({', '.join(stats.CONTROLS)})")
-    st.set_defaults(func=cmd_stats)
 
     insp = sub.add_parser("inspect", help="pretty-print one trace")
     insp.add_argument("trace")
     insp.add_argument("--run-id", dest="run_id", default=None)
-    insp.set_defaults(func=cmd_inspect)
 
     val = sub.add_parser("validate", help="lint a KB/graph/corpus/dataset file")
     val.add_argument("path")
-    val.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigError, OSError, json.JSONDecodeError, kb.KBError, tasks.DatasetError,
             policies.PolicyError) as exc:  # an unreadable or rejected input, or --out
         print(f"config error: {exc}", file=sys.stderr)

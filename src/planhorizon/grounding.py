@@ -145,49 +145,39 @@ class GroundingResult:
 
 @dataclass
 class SchemaIndex:
-    """Per-namespace term sets built from a store's `schema_terms()`.
+    """A store's `schema_terms()`: namespace -> its distinct terms (dict keys)
+    in vocabulary order. An exact lookup tests a namespace's own terms; its
+    soft-matching tables are built on its first non-exact lookup and live as
+    long as the index, which `planhorizon run` builds once per run."""
 
-    The terms of a namespace are distinct. The set of a namespace is built on
-    its first lookup, its soft-matching tables on its first non-exact one;
-    both live as long as the index, which `planhorizon run` builds once per
-    run."""
-
-    terms: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    _sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    terms: dict[str, dict[str, None]] = field(default_factory=dict)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def namespace(self, namespace: str) -> tuple[str, ...]:
+    def namespace(self, namespace: str) -> dict[str, None]:
         if namespace not in NAMESPACES:
             raise UnknownNamespaceError(f"unknown namespace {namespace!r}")
-        return self.terms.get(namespace, ())
+        return self.terms.get(namespace, {})
 
-    def term_set(self, namespace: str) -> frozenset[str]:
-        """The terms of one namespace, for exact lookups."""
-        found = self._sets.get(namespace)
-        if found is None:
-            found = self._sets[namespace] = frozenset(self.namespace(namespace))
-        return found
-
-    def match_tables(self, namespace: str) -> tuple[dict[str, str], TrigramIndex]:
-        """(normalized form -> first term with that form, a trigram index over
-        the normalized forms in vocabulary order) for one namespace."""
+    def match_tables(self, namespace: str) -> tuple[dict[str, str], tuple[str, ...],
+                                                    TrigramIndex]:
+        """(normalized form -> first term with that form, the terms in
+        vocabulary order, a trigram index over their normalized forms) for
+        one namespace."""
         tables = self._tables.get(namespace)
         if tables is None:
+            vocabulary = tuple(self.namespace(namespace))
+            norms = [_normalize(term) for term in vocabulary]
             by_norm: dict[str, str] = {}
-            norms = []
-            for term in self.namespace(namespace):
-                norm = _normalize(term)
+            for norm, term in zip(norms, vocabulary):
                 by_norm.setdefault(norm, term)
-                norms.append(norm)
-            tables = self._tables[namespace] = (by_norm, TrigramIndex(norms))
+            tables = self._tables[namespace] = (by_norm, vocabulary, TrigramIndex(norms))
         return tables
 
 
 def build_index(source) -> SchemaIndex:
-    """Index the schema terms a store lists: `source.schema_terms()` maps a
-    namespace to its distinct terms in vocabulary order."""
-    listed = source.schema_terms()
-    return SchemaIndex(terms={ns: tuple(listed.get(ns, ())) for ns in NAMESPACES})
+    """Index the schema terms a store lists, as `source.schema_terms()`
+    returns them."""
+    return SchemaIndex(terms=source.schema_terms())
 
 
 class Grounder:
@@ -223,16 +213,15 @@ def ground(index: SchemaIndex, term: str, namespace: str, mode: str) -> Groundin
     """Ground a planner-supplied term against the schema. Exact match always wins.
 
     Candidates are ranked by trigram similarity; ties keep vocabulary order."""
-    if term in index.term_set(namespace):
+    if term in index.namespace(namespace):
         return GroundingResult("exact", term, ())
-    by_norm, trigram_index = index.match_tables(namespace)
+    by_norm, vocabulary, trigram_index = index.match_tables(namespace)
     norm = _normalize(term)
     if norm in by_norm:
         return GroundingResult("exact", by_norm[norm], ())
 
     # no candidate is normalized-equal here, so similarity is the plain Jaccard
     limit = MAX_CANDIDATES_LOW if mode == "low" else MAX_CANDIDATES_HIGH
-    vocabulary = index.namespace(namespace)
     top = tuple((vocabulary[i], score) for i, score in trigram_index.ranked(norm, limit))
     if mode == "low":
         return GroundingResult("failed", None, top)

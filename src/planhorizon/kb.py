@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import datetime
 import functools
+import graphlib
 import json
 import operator
 import re
@@ -92,13 +93,11 @@ def decode_document(data: bytes, path) -> dict:
     return doc
 
 
-def read_document(path_or_doc) -> dict:
-    """The JSON object in the data or task file at a path (see
-    `decode_document`); an already-parsed document passes through."""
-    if isinstance(path_or_doc, dict):
-        return path_or_doc
-    with open(path_or_doc, "rb") as fh:
-        return decode_document(fh.read(), path_or_doc)
+def read_document(path) -> dict:
+    """The JSON object in the data or task file at `path` (see
+    `decode_document`)."""
+    with open(path, "rb") as fh:
+        return decode_document(fh.read(), path)
 
 
 def require_keys(doc, keys: tuple[str, ...], what: str, location: str = "") -> None:
@@ -373,16 +372,14 @@ def _parse_qualifiers(fact: dict) -> tuple[tuple[str, TypedValue], ...]:
     return tuple(out)
 
 
-def load_kb(path_or_doc) -> KnowledgeBase:
-    """Load and validate a KB document (path or parsed dict).
+def load_kb(doc: dict) -> KnowledgeBase:
+    """Load and validate a decoded KB document (see `read_document`).
 
     A 2,000-entity KB holds ~30,000 items, so an item's location
     (`entities[i].attributes[j]`) is formatted only when the item is
     malformed: each error is raised located within its item and nested
     under the enclosing items on its way out, and `require_keys` is called
     only to raise its message."""
-    doc = read_document(path_or_doc)
-
     concepts: dict[str, Concept] = {}
     for i, c in enumerate(require_list(doc, "concepts")):
         try:
@@ -472,23 +469,14 @@ def load_kb(path_or_doc) -> KnowledgeBase:
 
 
 def _check_acyclic_taxonomy(concepts: dict[str, Concept]) -> None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {cid: WHITE for cid in concepts}
-
-    def visit(cid, stack):
-        color[cid] = GRAY
-        for parent in concepts[cid].subclass_of:
-            if color[parent] == GRAY:
-                raise CyclicTaxonomyError(
-                    "cyclic subclass_of chain: " + " -> ".join(stack + [parent])
-                )
-            if color[parent] == WHITE:
-                visit(parent, stack + [parent])
-        color[cid] = BLACK
-
-    for cid in concepts:
-        if color[cid] == WHITE:
-            visit(cid, [cid])
+    """Raise CyclicTaxonomyError naming one cycle of `subclass_of` links, in
+    link order (`a -> b -> a`: a is a subclass of b, b of a)."""
+    try:
+        graphlib.TopologicalSorter({c.id: c.subclass_of for c in concepts.values()}).prepare()
+    except graphlib.CycleError as exc:
+        # the sorter lists the cycle against the links, ending where it starts
+        raise CyclicTaxonomyError(
+            "cyclic subclass_of chain: " + " -> ".join(reversed(exc.args[1]))) from None
 
 
 def concept_closure(kb: KnowledgeBase, concept_id: str) -> set[str]:

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import grounding
 from .harness import Environment
-from .kb import (MalformedDocumentError, read_document, require_keys, require_list,
-                 require_strings)
+from .kb import MalformedDocumentError, require_keys, require_list, require_strings
 from .outcome import Param, Tool, ToolFailure, ToolOutcome, ToolTable
 
 
@@ -39,7 +38,7 @@ class MockCorpus:
         if type(self.top_k) is not int or self.top_k < 1:
             raise MalformedDocumentError(f"top_k must be an integer >= 1, got {self.top_k!r}")
 
-    def schema_terms(self) -> dict[str, tuple[str, ...]]:
+    def schema_terms(self) -> dict[str, dict[str, None]]:
         """No namespace has terms: the mock tools take free text."""
         return {}
 
@@ -70,8 +69,8 @@ def normalize_question(text: str) -> str:
     return _PUNCT.sub("", text.lower()).strip()
 
 
-def load_corpus(path_or_doc) -> MockCorpus:
-    doc = read_document(path_or_doc)
+def load_corpus(doc: dict) -> MockCorpus:
+    """Load and validate a decoded corpus document."""
     documents = []
     for i, d in enumerate(require_list(doc, "documents")):
         loc = f"documents[{i}]"

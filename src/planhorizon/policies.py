@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .harness import PolicyRequest
 from .plans import Plan, rewrite_refs, step_ref
+from .stats import JSON_TYPES
 
 
 class PolicyError(Exception):
@@ -203,8 +204,6 @@ def remote_llm_policy(cfg: RemotePolicyConfig, params: dict[str, dict]):
 # the settings of each policy kind build_policy constructs, read from the
 # spec's fields of the same names
 KINDS = {"oracle": None, "noisy": NoiseModel, "remote": RemotePolicyConfig}
-# the JSON values a settings field takes, by its annotation (a string here)
-_TAKES = {"float": (int, float), "int": (int,), "bool": (bool,), "str": (str,)}
 
 
 def parse_spec(spec: dict) -> NoiseModel | RemotePolicyConfig | None:
@@ -229,7 +228,7 @@ def parse_spec(spec: dict) -> NoiseModel | RemotePolicyConfig | None:
                 raise PolicyError(f"a {kind} policy needs {field.name!r}")
             continue
         value = spec[field.name]
-        if type(value) not in _TAKES[field.type]:
+        if type(value) not in JSON_TYPES[field.type]:
             raise PolicyError(f"policy {field.name} must be {field.type}, got {value!r}")
         values[field.name] = value
     try:

@@ -277,9 +277,10 @@ class Outcome:
     label: str = ""
 
 
-# JSON values each annotated Outcome field accepts (a bool is no int here),
-# and the only values of the fields that take a few
-_ACCEPTED = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+# the JSON values a field takes, by its annotation (a string here; a bool is
+# no int), for Outcome's fields and policy settings; then the only values of
+# the Outcome fields that take a few
+JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
 _VALUES = {"planner": ("sh", "fh"), "success": (0, 1)}
 _ABSENT = object()  # a field the record leaves out
 
@@ -313,7 +314,7 @@ def outcome_columns(records: list) -> dict[str, list]:
         if absent:
             column = [f.default if v is _ABSENT else v for v in column]
         present += len(records) - absent
-        accepted = _ACCEPTED[f.type]
+        accepted = JSON_TYPES[f.type]
         if not set(map(type, column)).issubset(accepted):
             index = next(i for i, v in enumerate(column) if type(v) not in accepted)
             raise RecordError(index, f"{f.name} must be {f.type}, got {column[index]!r}")

@@ -13,14 +13,14 @@ from . import atomic, kb as kbmod, kopl, mocktools, stats
 from .plans import Plan, parse_plan
 
 # A dataset file's "engine" field -> (key of its data file, loader of that
-# file's path or decoded document, engine type, optional dataset fields handed
-# on to the engine). Each loader looks its module's function up at call time,
+# file's decoded document, engine type, optional dataset fields handed on to
+# the engine). Each loader looks its module's function up at call time,
 # as the engines do for their tools.
 ENGINES = {
-    "kopl": ("kb", lambda source: kbmod.load_kb(source), kopl.KoplEngine, ()),
-    "atomic": ("graph", lambda source: atomic.load_graph(source), atomic.AtomicEngine,
+    "kopl": ("kb", lambda doc: kbmod.load_kb(doc), kopl.KoplEngine, ()),
+    "atomic": ("graph", lambda doc: atomic.load_graph(doc), atomic.AtomicEngine,
                ("eval_year",)),
-    "mock": ("corpus", lambda source: mocktools.load_corpus(source), mocktools.MockEngine,
+    "mock": ("corpus", lambda doc: mocktools.load_corpus(doc), mocktools.MockEngine,
              ()),
 }
 
@@ -136,7 +136,8 @@ def _read_dataset(path, hold: StoreHold | None) -> Dataset:
     if "eval_year" in doc and type(doc["eval_year"]) is not int:
         raise DatasetError(f"eval_year must be an integer, got {doc['eval_year']!r}")
     data_path = os.path.join(base, doc[data_key])
-    data = hold.store(engine, loader, data_path) if hold is not None else loader(data_path)
+    data = (hold.store(engine, loader, data_path) if hold is not None
+            else loader(kbmod.read_document(data_path)))
     settings = {name: doc[name] for name in fields if name in doc}
     factory = functools.partial(engine_type, data, **settings)
 

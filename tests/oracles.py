@@ -31,8 +31,8 @@ from planhorizon.grounding import (DEFAULT_THRESHOLD, MAX_CANDIDATES_HIGH,
 from planhorizon.kb import (AttributeFact, Concept, DanglingReferenceError, Entity, KBError,
                             KnowledgeBase, MalformedDocumentError, RelationEdge, TypedValue,
                             UnknownConceptError, _check_acyclic_taxonomy, compare_typed,
-                            parse_value_text, read_document, require_keys,
-                            require_list, require_strings, string_list)
+                            parse_value_text, require_keys, require_list, require_strings,
+                            string_list)
 from planhorizon.outcome import ToolFailure, ToolOutcome
 from planhorizon.plans import ExecutionGraph, Plan, ToolCall
 from planhorizon.stats import (DIVERGED, FIT_MAX_ITER, FIT_TOLERANCE, MAX_COEFFICIENT,
@@ -777,7 +777,7 @@ def trigram_similarity(a: str, b: str) -> float:
 def ground(index: SchemaIndex, term: str, namespace: str, mode: str) -> GroundingResult:
     """grounding.ground re-normalizing and re-scoring every candidate per
     lookup, ties broken by vocabulary position."""
-    vocabulary = index.namespace(namespace)
+    vocabulary = tuple(index.namespace(namespace))
     if term in vocabulary:
         return GroundingResult("exact", term, ())
     norm = _normalize(term)
@@ -865,10 +865,8 @@ def _parse_qualifiers(fact, location) -> tuple[tuple[str, TypedValue], ...]:
     return tuple(out)
 
 
-def load_kb(path_or_doc) -> KnowledgeBase:
+def load_kb(doc: dict) -> KnowledgeBase:
     """kb.load_kb formatting every item's location before checking it."""
-    doc = read_document(path_or_doc)
-
     concepts: dict[str, Concept] = {}
     for i, c in enumerate(require_list(doc, "concepts")):
         loc = f"concepts[{i}]"
@@ -950,9 +948,8 @@ def load_kb(path_or_doc) -> KnowledgeBase:
     )
 
 
-def load_graph(path_or_doc) -> atomic.GraphStore:
+def load_graph(doc: dict) -> atomic.GraphStore:
     """atomic.load_graph formatting every item's location before checking it."""
-    doc = read_document(path_or_doc)
     nodes = {}
     for i, n in enumerate(require_list(doc, "nodes")):
         loc = f"nodes[{i}]"

@@ -14,6 +14,7 @@ import pytest
 
 from planhorizon import atomic, harness, kopl, mocktools, plans, policies, stats, tasks
 from planhorizon.grounding import Grounder, build_index, ground
+from planhorizon.kb import read_document
 from planhorizon.mocktools import MockCorpus, MockDocument
 from planhorizon.outcome import ToolFailure
 from planhorizon.plans import ExecutionGraph, breadth, build_dag, depth
@@ -67,7 +68,7 @@ def test_table_1a_golden_run(kopl_dataset):
         "evaluates to m.02686wj both ways")
 def test_table_1b_golden_run(atomic_dataset, fixtures_dir):
     start = time.monotonic()
-    store = atomic.load_graph(fixtures_dir / "toy_graph.json")
+    store = atomic.load_graph(read_document(fixtures_dir / "toy_graph.json"))
     grounder = Grounder(build_index(store), mode="high")
     task = next(t for t in atomic_dataset.tasks if t.id == "atomic-short-film")
     chain = [{"tool": s.tool, "args": s.args} for s in task.gold_plan.steps]
@@ -119,7 +120,7 @@ def test_robustness_dominance(kopl_dataset, atomic_dataset, mock_dataset,
     assert len(answers["high"]) > len(answers["low"])  # high strictly dominates here
 
     from planhorizon.kb import load_kb
-    index = build_index(load_kb(fixtures_dir / "mini_kb.json"))
+    index = build_index(load_kb(read_document(fixtures_dir / "mini_kb.json")))
     high = ground(index, "employees", "attribute-key", "high")
     assert high.status == "soft-matched" and high.matched_term == "employee_counts"
     low = ground(index, "employees", "attribute-key", "low")
@@ -146,7 +147,7 @@ def test_recall_monotonicity(fixtures_dir):
             assert ok or not previous
             previous = ok
 
-    corpus = mocktools.load_corpus(fixtures_dir / "corpus.json")
+    corpus = mocktools.load_corpus(read_document(fixtures_dir / "corpus.json"))
     q = "When was the Great Wall of China built?"
     ranked = [d.title for d in oracles.rank_documents(corpus, q)]
     assert ranked.index("Ming fortification records") == 2

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from planhorizon import atomic
 from planhorizon.atomic import NodeSet, load_graph
 from planhorizon.grounding import Grounder, build_index
+from planhorizon.kb import read_document
 from planhorizon.outcome import ToolFailure
 
 import oracles
@@ -14,7 +15,7 @@ from oracles import (App, Seed, compile_chain, eval_sexpr, execute_chain,
 
 @pytest.fixture(scope="module")
 def store(fixtures_dir):
-    return load_graph(fixtures_dir / "toy_graph.json")
+    return load_graph(read_document(fixtures_dir / "toy_graph.json"))
 
 
 @pytest.fixture()
@@ -184,7 +185,8 @@ def random_chains(draw):
 @given(random_chains())
 def test_compiled_equals_stepwise_property(chain):
     import pathlib
-    store = load_graph(pathlib.Path(__file__).parent.parent / "fixtures" / "toy_graph.json")
+    store = load_graph(read_document(
+        pathlib.Path(__file__).parent.parent / "fixtures" / "toy_graph.json"))
     grounder = Grounder(build_index(store), mode="high")
     compiled = eval_sexpr(store, grounder, compile_chain(chain), eval_year=2015)
     stepwise = execute_chain(store, grounder, chain, eval_year=2015)

@@ -858,3 +858,25 @@ def test_other_errors_are_not_config_errors(run_dir, capsys, monkeypatch):
     with pytest.raises(RuntimeError, match="a bug in the summary"):
         run_cli("stats", str(run_dir))
     assert "config error" not in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(fixtures_dir, capsys,
+                                                                   monkeypatch):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "planhorizon":
+            built.append(self)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert run_cli("validate", str(fixtures_dir / "mini_kb.json")) == 0
+    # a wrapper installed after the parser is built is the one that runs
+    calls = []
+    monkeypatch.setattr(cli, "cmd_stats", lambda args: calls.append(args.run_dir) or 0)
+    assert run_cli("stats", "some-run") == 0
+    assert calls == ["some-run"]
+    assert len(built) == 1
+    capsys.readouterr()

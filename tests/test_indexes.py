@@ -195,9 +195,9 @@ def test_schema_terms_match_full_walk(source):
     walked = oracles.schema_terms(source)
     listed = source.schema_terms()
     assert {ns: tuple(listed.get(ns, ())) for ns in grounding.NAMESPACES} == walked
-    # the same namespaces in the same order, each with its terms in order
-    terms = build_index(source).terms
-    assert list(terms.items()) == list(walked.items())
+    # every namespace with its terms in order
+    index = build_index(source)
+    assert {ns: tuple(index.namespace(ns)) for ns in grounding.NAMESPACES} == walked
 
 
 @pytest.mark.parametrize("robustness", ["high", "low"])
@@ -218,7 +218,8 @@ def test_set_up_builds_no_table(fixtures_dir, name, robustness):
 
 def test_corpus_lists_no_schema_terms():
     corpus = MockCorpus(documents=(MockDocument("Paris", "capital"),))
-    assert build_index(corpus).terms == {ns: () for ns in grounding.NAMESPACES}
+    index = build_index(corpus)
+    assert all(not index.namespace(ns) for ns in grounding.NAMESPACES)
 
 
 # every kind, two units and two strings: values of another kind or unit meet
@@ -312,11 +313,27 @@ TERMS = st.text(alphabet="abAB _-", max_size=6)
 @given(st.lists(TERMS, unique=True, max_size=12), st.lists(TERMS, min_size=1, max_size=4),
        st.sampled_from(["high", "low"]))
 def test_ground_matches_full_scan(vocabulary, queries, mode):
-    index = SchemaIndex(terms={"relation": tuple(vocabulary)})
+    index = SchemaIndex(terms={"relation": dict.fromkeys(vocabulary)})
     # later queries reuse the tables the first non-exact one built
     for query in queries:
         assert (grounding.ground(index, query, "relation", mode)
                 == oracles.ground(index, query, "relation", mode))
+
+
+@given(st.one_of(knowledge_bases(attributes=True), graph_stores(classes=True)))
+def test_ground_over_a_store_index_matches_full_scan(source):
+    """Every namespace of a store's index under both modes: each of its terms
+    in every namespace, a normalized-equal variant of each, near misses and
+    terms no store holds."""
+    index = build_index(source)
+    terms = {term for ns in grounding.NAMESPACES for term in index.namespace(ns)}
+    probes = [probe for term in sorted(terms)
+              for probe in (term, f" {term.upper()}_", term + "x", term[:-1])]
+    probes += ["", "zzz", "Adx"]
+    for namespace, mode in itertools.product(grounding.NAMESPACES, ("high", "low")):
+        for probe in probes:
+            assert (grounding.ground(index, probe, namespace, mode)
+                    == oracles.ground(index, probe, namespace, mode)), (probe, namespace)
 
 
 # short texts over a few letters, case and the separators the normalizer

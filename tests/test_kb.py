@@ -160,13 +160,22 @@ class TestLoadKb:
         with pytest.raises(kb.CyclicTaxonomyError):
             kb.load_kb(doc)
 
+    def test_cycle_reached_from_outside_names_only_the_cycle(self):
+        # x is a subclass of a, which lies on the 3-cycle a -> b -> c -> a
+        links = {"x": ["a"], "a": ["b"], "b": ["c"], "c": ["a"]}
+        doc = make_doc(entities=[], concepts=[{"id": cid, "name": cid, "subclass_of": parents}
+                                              for cid, parents in links.items()])
+        with pytest.raises(kb.CyclicTaxonomyError,
+                           match=r"^cyclic subclass_of chain: a -> b -> c -> a$"):
+            kb.load_kb(doc)
+
     def test_round_trip(self):
         base = kb.load_kb(make_doc())
         again = kb.load_kb(json.loads(json.dumps(oracles.serialize_kb(base))))
         assert oracles.serialize_kb(again) == oracles.serialize_kb(base)
 
     def test_mini_kb_fixture(self, fixtures_dir):
-        base = kb.load_kb(fixtures_dir / "mini_kb.json")
+        base = kb.load_kb(kb.read_document(fixtures_dir / "mini_kb.json"))
         assert len(base.entities) == 5
         jr = base.entities[base.name_index["LeBron James Jr."][0]]
         assert jr.attributes[0].value == kb.TypedValue("number", 208, "centimetre")

@@ -24,7 +24,7 @@ EXPECTED_TOOLS = (
 
 @pytest.fixture(scope="module")
 def kb(fixtures_dir):
-    return kbmod.load_kb(fixtures_dir / "mini_kb.json")
+    return kbmod.load_kb(kbmod.read_document(fixtures_dir / "mini_kb.json"))
 
 
 @pytest.fixture()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planhorizon import grounding, harness, mocktools, tasks
-from planhorizon.kb import MalformedDocumentError
+from planhorizon.kb import MalformedDocumentError, read_document
 from planhorizon.mocktools import (MockCorpus, MockDocument, load_corpus,
                                    mock_reasoning, mock_search)
 from planhorizon.outcome import ToolFailure
@@ -17,7 +17,7 @@ import oracles
 
 @pytest.fixture(scope="module")
 def corpus(fixtures_dir):
-    return load_corpus(fixtures_dir / "corpus.json")
+    return load_corpus(read_document(fixtures_dir / "corpus.json"))
 
 
 class TestCorpus:
@@ -169,6 +169,7 @@ def test_recall_monotonicity_randomized():
 @given(st.text(max_size=30), st.integers(1, 12))
 def test_determinism(question, k):
     import pathlib
-    corpus = load_corpus(pathlib.Path(__file__).parent.parent / "fixtures" / "corpus.json")
+    corpus = load_corpus(read_document(
+        pathlib.Path(__file__).parent.parent / "fixtures" / "corpus.json"))
     first = oracles.outcome_of(mock_search, corpus, question, k)
     assert oracles.outcome_of(mock_search, corpus, question, k) == first

@@ -17,16 +17,16 @@ from hypothesis import strategies as st
 from planhorizon import atomic, kopl, mocktools
 from planhorizon.atomic import NodeSet, load_graph
 from planhorizon.grounding import Grounder, build_index
-from planhorizon.kb import TypedValue, load_kb
+from planhorizon.kb import TypedValue, load_kb, read_document
 from planhorizon.kopl import EntitySet
 from planhorizon.mocktools import load_corpus
 from planhorizon.outcome import ToolFailure, ToolOutcome
 
 from conftest import FIXTURES
 
-KB = load_kb(FIXTURES / "mini_kb.json")
-STORE = load_graph(FIXTURES / "toy_graph.json")
-CORPUS = load_corpus(FIXTURES / "corpus.json")
+KB = load_kb(read_document(FIXTURES / "mini_kb.json"))
+STORE = load_graph(read_document(FIXTURES / "toy_graph.json"))
+CORPUS = load_corpus(read_document(FIXTURES / "corpus.json"))
 INDEXES = {"kopl": build_index(KB), "atomic": build_index(STORE)}
 OUTPUTS = (EntitySet, NodeSet, TypedValue, str, int)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from planhorizon import atomic, harness, kopl
 from planhorizon.atomic import AtomicEngine, NodeSet, load_graph
 from planhorizon.grounding import Grounder, SchemaIndex, build_index, format_candidate_feedback
-from planhorizon.kb import load_kb, parse_value_text
+from planhorizon.kb import load_kb, parse_value_text, read_document
 from planhorizon.kopl import EntitySet, KoplEngine
 from planhorizon.outcome import ToolFailure
 
@@ -129,8 +129,8 @@ ENGINES = {"kopl": KoplEngine, "atomic": AtomicEngine}
 
 @pytest.fixture(scope="module")
 def data(fixtures_dir):
-    return {"kopl": load_kb(fixtures_dir / "mini_kb.json"),
-            "atomic": load_graph(fixtures_dir / "toy_graph.json")}
+    return {"kopl": load_kb(read_document(fixtures_dir / "mini_kb.json")),
+            "atomic": load_graph(read_document(fixtures_dir / "toy_graph.json"))}
 
 
 def unknown_term_feedback(source, mode: str, term: str, namespace: str) -> str:
