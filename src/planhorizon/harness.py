@@ -9,6 +9,13 @@ step is followed by at most `max_replans` re-invocations. Both planners
 build the action-observation history with the same serializer, so a
 replanning FH policy sees element-wise what an SH policy would see at the
 same execution point.
+
+Every part of a prompt is counted once: the system prompt once per
+environment and planner, the question line and each executed record's
+history JSON once per trajectory (in its `_Ledger`), and the replan and
+format-error messages where they are added. The parts are joined by
+whitespace, so an invocation's `prompt_tokens`, the sum of its parts' counts,
+is the whitespace count of its whole prompt, which is never split itself.
 """
 
 from __future__ import annotations
@@ -56,8 +63,9 @@ class Environment:
     `catalog` (the prompt's tool list) and `params` (its `ToolTable.params`),
     and defines ``run_tool(tool, args) -> ToolOutcome`` (one tool, its
     references resolved to values) and ``render(value) -> str`` (a tool output's
-    observation and answer text). `planhorizon run` builds one per run; the
-    catalog is serialized on first use and kept with it."""
+    observation and answer text). `planhorizon run` builds one per run; each
+    planner's system prompt, the catalog serialized into it, is made and
+    counted on first use and kept with it."""
 
     catalog: list[dict]
     params: dict[str, dict[str, str]]
@@ -67,8 +75,17 @@ class Environment:
         self.grounder = Grounder(build_index(data), robustness)
 
     @functools.cached_property
-    def tool_definitions(self) -> str:
-        return json.dumps(self.catalog)
+    def _system_prompts(self) -> dict[str, tuple[str, int]]:
+        return {}
+
+    def system_prompt(self, mode: str) -> tuple[str, int]:
+        """`mode`'s system prompt and its token count. SH has one template and
+        both FH modes share the other."""
+        name = "sh_system" if mode == "sh-next-step" else "fh_system"
+        if name not in self._system_prompts:
+            text = load_prompt(name).format(tool_definitions=json.dumps(self.catalog))
+            self._system_prompts[name] = text, whitespace_tokenizer(text)
+        return self._system_prompts[name]
 
     def execute(self, call: ToolCall, records: list[StepRecord]) -> tuple[ToolOutcome, tuple]:
         """Resolve $j references against the executed steps, then dispatch.
@@ -121,8 +138,28 @@ def render_history(records) -> list[dict]:
     ]
 
 
-def serialize_history(history: list[dict]) -> str:
-    return json.dumps(history, sort_keys=True)
+class _Ledger:
+    """The parts one trajectory's prompts repeat, each made once: the question
+    line's token count and, for every executed record from the first prompt
+    it enters on, its history item, its JSON text and the text's token count.
+    `run_task` keeps one for the trajectory; the trace does not hold it."""
+
+    def __init__(self, query: str):
+        self.query = query
+        self.question_tokens = whitespace_tokenizer(f"Question: {query}")
+        self.items: list[dict] = []
+        self.texts: list[str] = []
+        self.tokens = 0  # the texts' counts, summed
+
+    def history(self, records: list[StepRecord]) -> list[dict]:
+        """The history of `records`; only the records not seen before are
+        rendered, serialized and counted."""
+        for item in render_history(records[len(self.items):]):
+            text = json.dumps(item, sort_keys=True)
+            self.items.append(item)
+            self.texts.append(text)
+            self.tokens += whitespace_tokenizer(text)
+        return list(self.items)
 
 
 @dataclass
@@ -138,29 +175,41 @@ class PolicyRequest:
         return "\n".join([self.system_prompt, self.user_prompt, *self.errors])
 
 
-def build_prompts(env: Environment, query: str, mode: str,
-                  history: list[dict]) -> tuple[str, str]:
-    template = load_prompt("sh_system" if mode == "sh-next-step" else "fh_system")
-    system = template.format(tool_definitions=env.tool_definitions)
+def build_prompts(env: Environment, query: str, mode: str, history: list[dict],
+                  texts: list[str] | None = None) -> tuple[str, str]:
+    """The system and user prompts of a request. The executed steps are
+    `history` as a JSON list, joined from its items' `texts` (each
+    `json.dumps(item, sort_keys=True)`; made here when not given). `", "` is
+    `json.dumps`' item separator, so the join is the list's own JSON."""
+    system, _ = env.system_prompt(mode)
     user = f"Question: {query}"
     if history:
-        user += "\n\nExecuted steps:\n" + serialize_history(history)
+        if texts is None:
+            texts = [json.dumps(item, sort_keys=True) for item in history]
+        user += "\n\nExecuted steps:\n[" + ", ".join(texts) + "]"
     if mode == "fh-replan":
         user += "\n\n" + load_prompt("replan_message").format(start_index=len(history))
     return system, user
 
 
-def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
+def _invoke(policy, env: Environment, trace: Trace, ledger: _Ledger, mode: str,
             budget: Budget) -> Plan | None:
     """Invoke the policy with format retries; returns None on retry exhaustion
     or when the policy raises or returns no string, with the trace's status
     set. The plan's steps are numbered from the next record's index.
 
     Tokens are counted by the module's `whitespace_tokenizer`, looked up at
-    call time."""
+    call time, one prompt part at a time: the parts are joined by whitespace,
+    so their counts sum to the whole prompt's."""
     base_index = len(trace.records)
-    history = render_history(trace.records)
-    system, user = build_prompts(env, query, mode, history)
+    history = ledger.history(trace.records)
+    system, user = build_prompts(env, ledger.query, mode, history, ledger.texts)
+    tokens = env.system_prompt(mode)[1] + ledger.question_tokens
+    if history:
+        tokens += 2 + ledger.tokens  # "Executed steps:" and the records
+    if mode == "fh-replan":
+        tokens += whitespace_tokenizer(
+            load_prompt("replan_message").format(start_index=len(history)))
     errors: list[str] = []
     for attempt in range(budget.max_format_retries):
         request = PolicyRequest(mode=mode, history=history, system_prompt=system,
@@ -177,8 +226,7 @@ def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
         invocation = Invocation(
             mode=mode,
             prompt_text=request.prompt, completion_text=text,
-            prompt_tokens=whitespace_tokenizer(request.prompt),
-            completion_tokens=whitespace_tokenizer(text),
+            prompt_tokens=tokens, completion_tokens=whitespace_tokenizer(text),
         )
         trace.invocations.append(invocation)
         try:
@@ -189,6 +237,7 @@ def _invoke(policy, env: Environment, trace: Trace, query: str, mode: str,
         except PlanParseError:
             trace.format_retries += 1
             errors.append(INVALID_FORMAT_MESSAGE)
+            tokens += whitespace_tokenizer(INVALID_FORMAT_MESSAGE)
     trace.status = "format-failed"
     return None
 
@@ -220,6 +269,7 @@ def run_task(task, policy, env: Environment, planner: str,
     `trace.replans` counts the re-invocations made."""
     eager = planner == "sh"
     trace = Trace(question_id=task.id, planner=planner)
+    ledger = _Ledger(task.question)
     pending: list[ToolCall] = []
     mode = "sh-next-step" if eager else "fh-initial"
     while True:
@@ -229,7 +279,7 @@ def run_task(task, policy, env: Environment, planner: str,
         if mode is not None:
             if trace.records and not trace.records[-1].ok:
                 trace.replans += 1
-            plan = _invoke(policy, env, trace, task.question, mode, budget)
+            plan = _invoke(policy, env, trace, ledger, mode, budget)
             if plan is None:
                 return trace
             pending = list(plan.steps)
@@ -246,8 +296,8 @@ def run_task(task, policy, env: Environment, planner: str,
 
 
 # run_sh, run_fh and run_task keep their `budget` default and account_tokens
-# its `tokenizer` default: perfbench/child.py rewrites the `__defaults__` of
-# all four, which fails on a function without any.
+# its `tokenizer` default, which it never calls: perfbench/child.py rewrites
+# the `__defaults__` of all four, which fails on a function without any.
 def run_sh(task, policy, env: Environment, budget: Budget = Budget()) -> Trace:
     """Eager monitoring: every executed step is preceded by a policy invocation."""
     return run_task(task, policy, env, "sh", budget)
@@ -259,7 +309,8 @@ def run_fh(task, policy, env: Environment, budget: Budget = Budget()) -> Trace:
 
 
 def account_tokens(trace: Trace, tokenizer=whitespace_tokenizer) -> tuple[int, int]:
-    """(prompt tokens, completion tokens) summed over the trace's invocations
-    with the given tokenizer."""
-    return (sum(tokenizer(inv.prompt_text) for inv in trace.invocations),
-            sum(tokenizer(inv.completion_text) for inv in trace.invocations))
+    """(prompt tokens, completion tokens) summed over the counts the trace's
+    invocations hold; no text is split again. `tokenizer` is unused: it is
+    kept only as the default argument the benchmark's traced run rewrites."""
+    return (sum(inv.prompt_tokens for inv in trace.invocations),
+            sum(inv.completion_tokens for inv in trace.invocations))

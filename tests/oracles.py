@@ -11,7 +11,9 @@ fact, the KoPL queries each walking its own facts, the store orderings by
 scanning the whole store, the KB and graph loaders formatting every item's
 location up front, and the run summary and design matrix built
 row by row from ``Outcome`` objects, and the clustered logit fitted row by
-row rather than on (cluster, design row) cells. None of them is used by ``src/``.
+row rather than on (cluster, design row) cells, a history serialized as one
+list and token totals split from every prompt and completion text rather
+than summed from each prompt's parts. None of them is used by ``src/``.
 """
 
 from __future__ import annotations
@@ -84,6 +86,21 @@ def repeated(trace) -> bool:
     keys = [rec.key for rec in trace.records]
     return any(keys[i] == keys[j]
                for i in range(len(keys)) for j in range(i + 1, len(keys)))
+
+
+# ---------------------------------------------------------------------------
+# Prompts and tokens
+
+def serialize_history(history: list[dict]) -> str:
+    """The executed steps of a prompt, the rendered history as one JSON list."""
+    return json.dumps(history, sort_keys=True)
+
+
+def account_tokens(trace) -> tuple[int, int]:
+    """harness.account_tokens by splitting every prompt and completion text on
+    whitespace again."""
+    return (sum(len(inv.prompt_text.split()) for inv in trace.invocations),
+            sum(len(inv.completion_text.split()) for inv in trace.invocations))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from planhorizon import atomic, harness, kopl, mocktools, policies, stats
 from planhorizon.outcome import Param
 
+import oracles
+
 STATUSES = {"answered", "format-failed", "budget-failed", "retry-budget-failed",
             "replan-budget-failed", "policy-error"}
 
@@ -189,3 +191,47 @@ def test_repeats_never_cost_the_gold_answer(datasets, envs, engine, planner, dat
     if trace.status == "answered":
         assert stats.match_answer(trace.answer, task.gold_answer,
                                   task.controls.get("match_mode", "exact-set")) == "correct"
+
+
+@pytest.fixture(scope="module")
+def envs_at(datasets):
+    return {(name, robustness): dataset.make_env(robustness)
+            for name, dataset in datasets.items() for robustness in ("high", "low")}
+
+
+@st.composite
+def any_policy(draw, engine: str, task, env):
+    """The oracle, the noisy policy (repeats, corrections, replans), the
+    scripted catalog plans or drawn replies (format retries, budgets)."""
+    kind = draw(st.sampled_from(["oracle", "noisy", "scripted", "replies"]))
+    if kind == "oracle":
+        return policies.oracle_policy(task.gold_plan)
+    if kind == "noisy":
+        noise = draw(st.builds(policies.NoiseModel, RATES, RATES, RATES, st.booleans()))
+        return policies.noisy_policy(task.gold_plan, noise, env.params,
+                                     draw(st.integers(0, 2**16)))
+    if kind == "scripted":
+        return scripted_policy(draw(catalog_plans(engine)))
+    replies = draw(st.lists(JSON.map(json.dumps) | st.sampled_from(["", "[]", "not a plan"]),
+                            min_size=1, max_size=4))
+    returned = iter(replies)
+    return lambda request: next(returned, replies[-1])
+
+
+@pytest.mark.parametrize("robustness", ["high", "low"])
+@pytest.mark.parametrize("planner", ["sh", "fh"])
+@pytest.mark.parametrize("engine", sorted(TABLES))
+@FUZZ
+@given(data=st.data(), budget=BUDGETS | st.just(harness.Budget()))
+def test_prompt_tokens_are_the_whole_prompt_count(datasets, envs_at, engine, planner,
+                                                  robustness, data, budget):
+    """Each prompt is counted as the sum of its parts; the sum is the count of
+    the whole text, and the trace's totals are the whole texts' counts."""
+    task = data.draw(st.sampled_from(datasets[engine].tasks))
+    env = envs_at[engine, robustness]
+    trace = harness.run_task(task, data.draw(any_policy(engine, task, env)), env, planner,
+                             budget)
+    for inv in trace.invocations:
+        assert inv.prompt_tokens == len(inv.prompt_text.split())
+        assert inv.completion_tokens == len(inv.completion_text.split())
+    assert harness.account_tokens(trace) == oracles.account_tokens(trace)

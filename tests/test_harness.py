@@ -269,21 +269,103 @@ class TestTokens:
     @pytest.mark.parametrize("planner", ["sh", "fh"])
     def test_drivers_look_the_tokenizer_up_at_call_time(self, kopl_dataset, taller_task,
                                                         planner, monkeypatch):
+        """The module's tokenizer is looked up when a prompt is counted. It sees
+        each record's history JSON once per trajectory and never a whole
+        prompt: an invocation's count is its parts' counts summed."""
         counted = []
 
         def counting_tokenizer(text):
             counted.append(text)
             return len(text)  # characters, so a whitespace count cannot pass
 
+        # the second step fails, so both planners re-invoke after a history
+        steps = iter([{"tool": "Find", "args": {"name": "LeBron James Jr."}},
+                      {"tool": "Relate", "args": {"entities": "$0", "relation": "mother",
+                                                  "direction": "forward"}},
+                      {"tool": "QueryName", "args": {"entities": "$0"}, "final": True}])
+
+        def policy(request):
+            if request.mode == "fh-initial":
+                return json.dumps([next(steps), next(steps)])
+            return json.dumps([next(steps)])
+
         monkeypatch.setattr(harness, "whitespace_tokenizer", counting_tokenizer)
-        trace = harness.run_task(taller_task, policies.oracle_policy(taller_task.gold_plan),
-                                 kopl_dataset.make_env("high"), planner)
-        assert trace.invocations
-        assert counted == [text for inv in trace.invocations
-                           for text in (inv.prompt_text, inv.completion_text)]
-        for inv in trace.invocations:
-            assert inv.prompt_tokens == len(inv.prompt_text)
+        env = kopl_dataset.make_env("high")
+        trace = harness.run_task(taller_task, policy, env, planner)
+        assert trace.status == "answered" and trace.replans == 1
+        prompts = {inv.prompt_text for inv in trace.invocations}
+        assert not prompts & set(counted)
+        texts = [json.dumps(item, sort_keys=True)
+                 for item in harness.render_history(trace.records[:-1])]
+        assert [counted.count(text) for text in texts] == [1] * len(texts)
+        for i, inv in enumerate(trace.invocations):
+            executed = sum(1 for rec in trace.records if rec.invocation_id < i)
+            parts = [env.system_prompt(inv.mode)[0], f"Question: {taller_task.question}"]
+            if inv.mode == "fh-replan":
+                parts.append(harness.load_prompt("replan_message").format(
+                    start_index=executed))
+            assert inv.prompt_tokens == sum(map(len, parts)) + (
+                2 + sum(map(len, texts[:executed])) if executed else 0)
             assert inv.completion_tokens == len(inv.completion_text)
+
+    def test_an_sh_pass_tokenizes_less_than_its_prompts(self, kopl_dataset, monkeypatch):
+        """One SH oracle pass over the KoPL fixtures passes the tokenizer fewer
+        characters than its prompts hold: no prompt is split whole."""
+        tokenized = 0
+
+        def counting_tokenizer(text):
+            nonlocal tokenized
+            tokenized += len(text)
+            return len(text.split())
+
+        monkeypatch.setattr(harness, "whitespace_tokenizer", counting_tokenizer)
+        env = kopl_dataset.make_env("high")
+        prompt_chars = 0
+        for task in kopl_dataset.tasks:
+            trace = harness.run_task(task, policies.oracle_policy(task.gold_plan), env, "sh")
+            assert trace.status == "answered"
+            prompt_chars += sum(len(inv.prompt_text) for inv in trace.invocations)
+        assert tokenized < prompt_chars
+
+
+# strings JSON escapes: quotes, backslashes, newlines, U+2028 (whitespace to
+# str.split), astral characters, lone surrogates and the empty string
+SPECIAL = st.sampled_from(['"', "\\", "\n", "\u2028", "\U0001f600", "\ud800", "\udfff", ""])
+TEXT = st.lists(SPECIAL | st.characters(), max_size=6).map("".join)
+SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+VALUE = st.recursive(SCALAR, lambda inner: st.lists(inner, max_size=2)
+                     | st.dictionaries(TEXT, inner, max_size=2), max_leaves=4)
+RECORDS = st.lists(st.tuples(TEXT, st.dictionaries(TEXT, VALUE, max_size=3), st.booleans(),
+                             TEXT), max_size=5).map(lambda rows: [
+    StepRecord(step=i, call=ToolCall(tool, args), ok=ok, observation=observation,
+               value=None, invocation_id=i, key=())
+    for i, (tool, args, ok, observation) in enumerate(rows)])
+
+
+@pytest.fixture(scope="module")
+def shared_kopl_env(kopl_dataset):
+    return kopl_dataset.make_env("high")
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=RECORDS)
+def test_history_json_is_joined_from_each_records_json(shared_kopl_env, records):
+    """As the history grows one record at a time, each record is serialized
+    once, and the executed steps are the whole history's JSON list."""
+    ledger = harness._Ledger("q?")
+    for k in range(len(records) + 1):
+        history = ledger.history(records[:k])
+        assert history == harness.render_history(records[:k])
+        system, user = harness.build_prompts(shared_kopl_env, "q?", "sh-next-step",
+                                             history, ledger.texts)
+        assert harness.build_prompts(shared_kopl_env, "q?", "sh-next-step",
+                                     history) == (system, user)
+        if not k:
+            assert user == "Question: q?"
+            continue
+        whole = oracles.serialize_history(harness.render_history(records[:k]))
+        assert user == "Question: q?\n\nExecuted steps:\n" + whole
+        assert ledger.tokens == len(whole.split())
 
 
 class TestLogLines:
