@@ -47,7 +47,7 @@ class GraphStore:
                 names["concept"].setdefault(cls)
         for s, p, o in self.triples:
             names["relation"].setdefault(p)
-        return names
+        return dict(names)
 
     # Indexes, built on first use and kept with the store, so loading does no
     # indexing.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,12 +147,15 @@ class GroundingResult:
 @dataclass
 class SchemaIndex:
     """A store's `schema_terms()`: namespace -> its distinct terms (dict keys)
-    in vocabulary order. An exact lookup tests a namespace's own terms; its
-    soft-matching tables are built on its first non-exact lookup and live as
-    long as the index, which `planhorizon run` builds once per run."""
+    in vocabulary order, and what grounding derives from those terms alone.
+    An exact lookup tests a namespace's own terms; its soft-matching tables are
+    built on its first non-exact lookup, and each robustness mode memoizes its
+    results per (term, namespace). `build_index` keeps one index per store
+    while the store lives, so every run over a held store shares all three."""
 
     terms: dict[str, dict[str, None]] = field(default_factory=dict)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def namespace(self, namespace: str) -> dict[str, None]:
         if namespace not in NAMESPACES:
@@ -173,32 +177,47 @@ class SchemaIndex:
             tables = self._tables[namespace] = (by_norm, vocabulary, TrigramIndex(norms))
         return tables
 
+    def memo(self, mode: str) -> dict[tuple[str, str], GroundingResult]:
+        """(term, namespace) -> its grounding under robustness `mode`."""
+        return self._memos.setdefault(mode, {})
+
+
+# id(store) -> its index. A finalizer drops the entry as the store is
+# collected, before its id can be reused, and an index holds only the
+# store's terms, so the map keeps no store alive.
+_INDEXES: dict[int, SchemaIndex] = {}
+
 
 def build_index(source) -> SchemaIndex:
-    """Index the schema terms a store lists, as `source.schema_terms()`
-    returns them."""
-    return SchemaIndex(terms=source.schema_terms())
+    """The schema index of store `source`: built from `source.schema_terms()`
+    on the first call for that store, the same index on every later call
+    while the store lives."""
+    key = id(source)
+    index = _INDEXES.get(key)
+    if index is None:
+        weakref.finalize(source, _INDEXES.pop, key, None)
+        index = _INDEXES[key] = SchemaIndex(terms=source.schema_terms())
+    return index
 
 
 class Grounder:
-    """Caches grounding per (term, namespace) under one robustness mode.
-
-    `planhorizon run` builds one environment, hence one grounder and one
-    schema index, per run: the memo and the index's tables serve every
-    trajectory of the run."""
+    """One robustness mode's view of a schema index: `ground` answers from
+    the index's memo for that mode and grounds a term on its first lookup.
+    A result depends only on (store, mode, term, namespace), so every
+    grounder over one store and mode shares each result."""
 
     def __init__(self, index: SchemaIndex, mode: str = "high"):
         if mode not in ("high", "low"):
             raise GroundingError(f"robustness mode must be high or low, got {mode!r}")
         self.index = index
         self.mode = mode
-        self._cache: dict[tuple[str, str], GroundingResult] = {}
+        self._memo = index.memo(mode)
 
     def ground(self, term: str, namespace: str) -> GroundingResult:
         key = (term, namespace)
-        if key not in self._cache:
-            self._cache[key] = ground(self.index, term, namespace, self.mode)
-        return self._cache[key]
+        if key not in self._memo:
+            self._memo[key] = ground(self.index, term, namespace, self.mode)
+        return self._memo[key]
 
     def term(self, term: str, namespace: str) -> str:
         """The schema term `term` grounds to; a term that grounds to nothing

@@ -71,7 +71,8 @@ class Environment:
     params: dict[str, dict[str, str]]
 
     def __init__(self, data, robustness: str):
-        """The grounder matches the schema terms `data` lists under `robustness`."""
+        """The grounder is `robustness`'s view of the schema index of store
+        `data`, which every environment over that store shares."""
         self.grounder = Grounder(build_index(data), robustness)
 
     @functools.cached_property

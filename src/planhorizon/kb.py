@@ -344,7 +344,7 @@ class KnowledgeBase:
                 names["relation"].setdefault(r.predicate)
                 for qk, _ in r.qualifiers:
                     names["qualifier-key"].setdefault(qk)
-        return names
+        return dict(names)
 
     @functools.cached_property
     def subclasses(self) -> dict[str, tuple[str, ...]]:
@@ -354,6 +354,16 @@ class KnowledgeBase:
             for parent in c.subclass_of:
                 children[parent].append(c.id)
         return {cid: tuple(ids) for cid, ids in children.items()}
+
+    @functools.cached_property
+    def members(self) -> dict[str, tuple[str, ...]]:
+        """Concept id -> ids of the entities that list it in `instance_of`,
+        each once, in KB order."""
+        members: dict[str, list[str]] = {cid: [] for cid in self.concepts}
+        for e in self.entities.values():
+            for cid in dict.fromkeys(e.instance_of):
+                members[cid].append(e.id)
+        return {cid: tuple(ids) for cid, ids in members.items()}
 
 
 def _parse_qualifiers(fact: dict) -> tuple[tuple[str, TypedValue], ...]:

@@ -164,7 +164,9 @@ def filter_concept(kb: KnowledgeBase, grounder: Grounder, entities: EntitySet,
     closure: set[str] = set()
     for cid in by_name:
         closure |= concept_closure(kb, cid)
-    kept = tuple(i for i in entities.ids if not closure.isdisjoint(kb.entities[i].instance_of))
+    members = kb.members
+    instances = set().union(*(members[cid] for cid in closure))
+    kept = tuple(filter(instances.__contains__, entities.ids))
     if not kept:
         raise ToolFailure(f"no entities are instances of {concept!r}")
     return EntitySet(kept)

@@ -92,8 +92,9 @@ def load_dataset(path, hold: StoreHold | None = None) -> Dataset:
 class StoreHold:
     """Loaded stores that outlive a dataset, for the caller that owns the
     hold: one per engine kind, with the SHA-256 digest of the data file's
-    bytes it was loaded from. A load of the same bytes reuses the store and
-    every table it built on first use; a load of other bytes releases it
+    bytes it was loaded from. A load of the same bytes reuses the store,
+    every table it built on first use and its schema index (`build_index`,
+    with each mode's grounding memo); a load of other bytes releases it
     first, so the hold never keeps two of one kind. The key is the content, not
     a path or mtime, so a rewritten file is never served stale, and only the
     digest is kept, not the bytes. Stores are frozen and no tool mutates one,

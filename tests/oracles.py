@@ -1,19 +1,19 @@
 """Reference implementations the tests compare the pipeline against.
 
 The pipeline executes plans one tool call at a time through
-``harness.Environment``. The oracles here evaluate the same tools another
-way: KoPL programs with positional inputs, atomic call chains compiled to
-S-expressions, the gold DAG with structurally identical KoPL subtrees
-merged, repetition by comparing every pair of calls, the schema terms of a
-store by one walk, and the lookups the engines and the grounder answer from
-indexes done by scanning everything, the KoPL filters calling compare_typed per
-fact, the KoPL queries each walking its own facts, the store orderings by
-scanning the whole store, the KB and graph loaders formatting every item's
-location up front, and the run summary and design matrix built
-row by row from ``Outcome`` objects, and the clustered logit fitted row by
-row rather than on (cluster, design row) cells, a history serialized as one
-list and token totals split from every prompt and completion text rather
-than summed from each prompt's parts. None of them is used by ``src/``.
+``harness.Environment``. The oracles here evaluate the same tools another way:
+KoPL programs with positional inputs, atomic call chains compiled to
+S-expressions, the gold DAG with structurally identical KoPL subtrees merged,
+repetition by comparing every pair of calls, the schema terms of a store by one
+walk, and the lookups the engines and the grounder answer from indexes done by
+scanning everything, the KoPL filters calling compare_typed per fact or testing
+each entity's concepts, the KoPL queries each walking its own facts, the store
+orderings by scanning the whole store, the KB and graph loaders formatting
+every item's location up front, and the run summary and design matrix built row
+by row from ``Outcome`` objects, and the clustered logit fitted row by row
+rather than on (cluster, design row) cells, a history serialized as one list
+and token totals split from every prompt and completion text rather than summed
+from each prompt's parts. None of them is used by ``src/``.
 """
 
 from __future__ import annotations
@@ -610,6 +610,23 @@ def comparable(value: TypedValue, op: str, target: TypedValue) -> bool:
         return compare_typed(value, op, target)
     except KBError:
         return False
+
+
+def filter_concept(kb: KnowledgeBase, grounder: Grounder, entities,
+                   concept: str) -> ToolOutcome:
+    """kopl.filter_concept testing each input entity's `instance_of` against
+    the closure of every concept with the grounded name."""
+    result = grounder.ground(concept, "concept")
+    if not result.ok:
+        return ToolOutcome.failure(format_candidate_feedback(result, concept, "concept"))
+    closure: set[str] = set()
+    for c in kb.concepts.values():
+        if c.name == result.matched_term:
+            closure |= concept_closure(kb, c.id)
+    kept = tuple(i for i in entities.ids if not closure.isdisjoint(kb.entities[i].instance_of))
+    if not kept:
+        return ToolOutcome.failure(f"no entities are instances of {concept!r}")
+    return ToolOutcome.success(kopl.EntitySet(kept))
 
 
 def filter_attribute(kb: KnowledgeBase, grounder: Grounder, entities,

@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from planhorizon import cli, harness, kopl, plans, stats, tasks
+from planhorizon import cli, grounding, harness, kopl, plans, stats, tasks
 from planhorizon.kb import MalformedDocumentError
 
 
@@ -218,26 +218,47 @@ class TestRun:
         capsys.readouterr()
         assert outs[0] == outs[1]
 
-    # `run` keeps each store in cli.STORES for the process, so an FH run after
-    # an SH run reuses the store and the tables the SH run built on it
+    # `run` keeps each store in cli.STORES for the process, so a run after
+    # another over the same store reuses the store, the tables the earlier run
+    # built on it and its schema index. The oracle configs run SH, then FH.
+    # The noisy configs, written here, corrupt every schema term on its first
+    # emission and run low robustness, then high, then low again, so that the
+    # index memoizes misses under both modes. Each run directory equals that
+    # of a fresh hold, byte for byte.
     @pytest.mark.parametrize("config", ["run_kopl_oracle.json", "run_atomic_oracle.json",
-                                        "run_mock_noisy.json"])
+                                        "run_mock_noisy.json", "kopl_noisy.json",
+                                        "atomic_noisy.json"])
     def test_a_held_store_changes_no_byte(self, tmp_path, fixtures_dir, monkeypatch, capsys,
                                           config):
-        def run(planner, out):
-            assert run_cli("run", "--config", str(fixtures_dir / config), "--planner", planner,
-                           "--out", str(tmp_path / out)) == 0
-            return [(tmp_path / out / name).read_bytes()
-                    for name in ("traces.jsonl", "outcomes.jsonl")]
+        if config.startswith("run_"):
+            path = fixtures_dir / config
+            runs = [("--planner", "sh"), ("--planner", "fh")]
+        else:
+            path = tmp_path / config
+            dataset = fixtures_dir / config.replace("_noisy", "_tasks")
+            path.write_text(json.dumps({
+                "dataset": str(dataset), "trials": 2,
+                "policy": {"kind": "noisy", "wrong_schema_rate": 1.0}}))
+            runs = [("--robustness", mode) for mode in ("low", "high", "low")]
+        # the same relative --out for every run, so that manifests name one out_dir
+        monkeypatch.chdir(tmp_path)
 
-        monkeypatch.setattr(cli, "STORES", tasks.StoreHold())
-        fresh = run("fh", "fresh")
-        monkeypatch.setattr(cli, "STORES", tasks.StoreHold())
-        run("sh", "sh")
-        [(engine, held)] = cli.STORES._held.items()
-        assert run("fh", "held") == fresh
-        assert cli.STORES._held[engine] is held
-        assert (cli.STORES.loads, cli.STORES.reuses) == (1, 1)
+        def run(args, hold):
+            monkeypatch.setattr(cli, "STORES", hold)
+            assert run_cli("run", "--config", str(path), *args, "--out", "run") == 0
+            files = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+            shutil.rmtree(tmp_path / "run")
+            return files
+
+        held = tasks.StoreHold()
+        outputs = [run(args, held) for args in runs]
+        assert outputs == [run(args, tasks.StoreHold()) for args in runs]
+        assert (held.loads, held.reuses) == (1, len(runs) - 1)
+        if not config.startswith("run_"):
+            [(_digest, store)] = held._held.values()
+            memos = grounding.build_index(store)._memos
+            assert all(any(result.status != "exact" for result in memos[mode].values())
+                       for mode in ("high", "low"))
         capsys.readouterr()
 
     def test_one_environment_per_run(self, tmp_path, fixtures_dir, monkeypatch, capsys):

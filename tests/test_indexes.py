@@ -1,13 +1,15 @@
-"""The indexed lookups (KB reverse adjacency and subclass map, graph-store
-triple, name, class and link indexes, the stores' position maps, grounding
-tables, the corpus answer map and trigram index) return exactly what full
-scans return, and the comparisons built once per call what compare_typed
-returns per fact: the same ids, in the same order, with the same admitting
-facts, the same ranked candidates and the same search answers. None of the
-tables is built before its first use."""
+"""The indexed lookups (KB reverse adjacency, subclass and member maps,
+graph-store triple, name, class and link indexes, the stores' position maps,
+grounding tables, the corpus answer map and trigram index) return exactly
+what full scans return, and the comparisons built once per call what
+compare_typed returns per fact: the same ids, in the same order, with the
+same admitting facts, the same ranked candidates and the same search answers.
+None of the tables is built before its first use."""
 
 import functools
+import gc
 import itertools
+import weakref
 from unittest import mock
 
 import pytest
@@ -36,14 +38,16 @@ CLASSES = ("C", "D", "Ada")
 
 
 @st.composite
-def knowledge_bases(draw, attributes=False, values=None):
+def knowledge_bases(draw, attributes=False, values=None, taxonomy=False):
     """A random KB; with `attributes`, entities also hold attribute facts
     whose keys and qualifier keys come from small pools, and whose values and
-    qualifier values come from `values` when given."""
-    concept_ids = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
+    qualifier values come from `values` when given. With `taxonomy`, concept
+    names come from CLASSES, so that concepts share names, and an entity can
+    list a concept twice."""
+    concept_ids = [f"c{i}" for i in range(draw(st.integers(1, 6 if taxonomy else 4)))]
     concepts = [
         # parents come from earlier concepts only, so the taxonomy is acyclic
-        {"id": cid, "name": cid,
+        {"id": cid, "name": draw(st.sampled_from(CLASSES)) if taxonomy else cid,
          "subclass_of": draw(st.lists(st.sampled_from(concept_ids[:i]), unique=True,
                                       max_size=2)) if i else []}
         for i, cid in enumerate(concept_ids)
@@ -64,8 +68,8 @@ def knowledge_bases(draw, attributes=False, values=None):
                                       "target": source, "qualifiers": qualifiers})
     entities = [
         {"id": eid, "name": draw(st.sampled_from(NAMES)),
-         "instance_of": draw(st.lists(st.sampled_from(concept_ids), unique=True,
-                                      max_size=2)),
+         "instance_of": draw(st.lists(st.sampled_from(concept_ids), unique=not taxonomy,
+                                      max_size=3 if taxonomy else 2)),
          "relations": relations[eid]}
         for eid in ids
     ]
@@ -112,6 +116,24 @@ def test_relate_matches_full_scan(kb, data):
 def test_concept_closure_matches_full_scan(kb):
     for cid in kb.concepts:
         assert kbmod.concept_closure(kb, cid) == oracles.concept_closure(kb, cid)
+
+
+@given(knowledge_bases(taxonomy=True), st.sampled_from(["high", "low"]), st.data())
+def test_filter_concept_matches_full_scan(kb, mode, data):
+    """FilterConcept over the member table keeps what testing each input
+    entity's concepts keeps, in input order: concepts sharing a name, several
+    parents, a concept listed twice, inputs in KB order, reversed, drawn in
+    any order and from an Or, and names that are near misses or unknown."""
+    grounder = Grounder(build_index(kb), mode)
+    ids = tuple(kb.entities)
+    left, right = (tuple(data.draw(st.lists(st.sampled_from(ids), unique=True)))
+                   for _ in range(2))
+    inputs = [EntitySet(ids), EntitySet(ids[::-1]), EntitySet(left)]
+    if left or right:
+        inputs.append(kopl.set_op(EntitySet(left), EntitySet(right), "or"))
+    for entities, concept in itertools.product(inputs, (*CLASSES, "c", "Cx", "zz")):
+        assert (oracles.outcome_of(kopl.filter_concept, kb, grounder, entities, concept)
+                == oracles.filter_concept(kb, grounder, entities, concept)), concept
 
 
 YEARS = st.integers(1990, 1992)
@@ -194,6 +216,9 @@ def test_store_order_matches_full_scan(source, data):
 def test_schema_terms_match_full_walk(source):
     walked = oracles.schema_terms(source)
     listed = source.schema_terms()
+    # a plain dict: a read of a missing namespace adds nothing to the terms
+    # that every run over a held store shares
+    assert type(listed) is dict
     assert {ns: tuple(listed.get(ns, ())) for ns in grounding.NAMESPACES} == walked
     # every namespace with its terms in order
     index = build_index(source)
@@ -214,6 +239,44 @@ def test_set_up_builds_no_table(fixtures_dir, name, robustness):
         assert {"by_name", "by_class", "links"} <= tables
     assert tables and not tables & vars(store).keys()
     assert env.grounder.index._tables == {}
+
+
+@settings(max_examples=200)
+@given(st.one_of(knowledge_bases(attributes=True), graph_stores(classes=True)), st.data())
+def test_environments_over_one_store_share_its_index(source, data):
+    """Two environments over one store, one per robustness mode, share the
+    store's index. Lookups interleaved across them, of store terms, near
+    misses and unknown terms, each repeated, ground as a fresh index does
+    under each environment's own mode."""
+    engine = kopl.KoplEngine if isinstance(source, kbmod.KnowledgeBase) else atomic.AtomicEngine
+    envs = {mode: engine(source, mode) for mode in ("high", "low")}
+    assert envs["high"].grounder.index is envs["low"].grounder.index is build_index(source)
+    fresh = SchemaIndex(terms=source.schema_terms())
+    terms = sorted({term for ns in grounding.NAMESPACES for term in fresh.namespace(ns)})
+    probes = st.one_of(st.sampled_from(terms),
+                       st.sampled_from(terms).map(lambda term: term + "x"),
+                       st.sampled_from(terms).map(lambda term: f" {term.upper()}_"),
+                       st.sampled_from(["", "zzz", "Adx", "Cx"]))
+    lookups = data.draw(st.lists(st.tuples(st.sampled_from(["high", "low"]), probes,
+                                           st.sampled_from(grounding.NAMESPACES)),
+                                 min_size=1, max_size=12))
+    for mode, term, namespace in lookups + lookups[::-1]:
+        assert (envs[mode].grounder.ground(term, namespace)
+                == oracles.ground(fresh, term, namespace, mode)), (mode, term, namespace)
+
+
+def test_an_index_lives_as_long_as_its_store():
+    """build_index keeps one index per store while the store lives, and
+    holds no reference that keeps a released store alive."""
+    store = atomic.load_graph({"nodes": [{"id": "n", "name": "Ada"}], "triples": []})
+    index = build_index(store)
+    assert build_index(store) is index
+    Grounder(index, "low").ground("Adx", "entity-name")
+    released = weakref.ref(store)
+    del store
+    gc.collect()
+    assert released() is None
+    assert all(held is not index for held in grounding._INDEXES.values())
 
 
 def test_corpus_lists_no_schema_terms():
