@@ -5,27 +5,24 @@ robustness, policy).
 
     PYTHONPATH=src python3 scripts/reproduce.py --seed 1 --out repro
 
-`perfbench/gen.py` writes the seeded KoPL, atomic and mock suites. Each cell
-of the grid, suite x robustness (high, low) x policy (oracle, noisy) x noise
-seed, is one `planhorizon run` of both planners through `cli.main` in this
-one process, so the stores `run` keeps in `cli.STORES` are loaded once for the
-whole grid; the script prints how many runs loaded a store and how many
-reused one. `<out>` gets the suites, one run directory per cell and
-`table.md`. `--small` generates small suites, for a quick check.
+`perfbench/gen.py` writes the seeded KoPL, atomic and mock suites, and each
+suite's dataset is loaded once. Each cell of the grid, suite x robustness
+(high, low) x policy (oracle, noisy) x noise seed, is one run of both
+planners through `cli.check_config` and `cli.run_dataset`, the calls behind
+`planhorizon run`, so it writes the run directory that command would write.
+`<out>` gets the suites, one run directory per cell and `table.md`.
+`--small` generates small suites, for a quick check.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib.util
-import io
-import json
 import pathlib
 import sys
 import time
 
-from planhorizon import cli, stats
+from planhorizon import cli, stats, tasks
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -47,39 +44,34 @@ def load_gen():
     return module
 
 
-def write_configs(gen, out: pathlib.Path, seed: int, small: bool, trials: int) -> dict:
-    """(suite, policy) -> the path of a run config over that generated suite."""
+def generate(gen, out: pathlib.Path, seed: int, small: bool) -> dict:
+    """suite -> the path of its generated dataset file."""
     sizes = SMALL if small else gen.SIZES
-    generate = {"kopl": gen.generate_kopl, "atomic": gen.generate_atomic,
-                "mock": gen.generate_mock}
-    configs = {}
-    for suite, make in generate.items():
-        made = make(str(out / suite), seed, **sizes[suite])
-        for policy, spec in POLICIES.items():
-            path = out / suite / f"grid_{policy}.json"
-            path.write_text(json.dumps({"dataset": pathlib.Path(made["dataset"]).name,
-                                        "policy": spec, "trials": trials}) + "\n")
-            configs[suite, policy] = path
-    return configs
+    makers = {"kopl": gen.generate_kopl, "atomic": gen.generate_atomic,
+              "mock": gen.generate_mock}
+    return {suite: pathlib.Path(make(str(out / suite), seed, **sizes[suite])["dataset"])
+            for suite, make in makers.items()}
 
 
-def run_grid(configs: dict, out: pathlib.Path, seeds: int) -> dict:
+def run_grid(datasets: dict, out: pathlib.Path, seeds: int, trials: int) -> dict:
     """(suite, robustness, policy) -> the outcome records of its cells, every
     record's dataset set to the suite's name."""
     records = {}
-    for (suite, policy), config in configs.items():
-        for robustness in ROBUSTNESS:
-            cell_records = records.setdefault((suite, robustness, policy), [])
-            for noise in range(seeds):
-                run_dir = out / "runs" / f"{suite}-{robustness}-{policy}-s{noise}"
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(["run", "--config", str(config), "--planner", "both",
-                                     "--robustness", robustness, "--seed", str(noise),
-                                     "--out", str(run_dir)])
-                if code != cli.EXIT_OK:
-                    raise SystemExit(f"{run_dir.name}: planhorizon run exited {code}")
-                for line in (run_dir / "outcomes.jsonl").read_text().splitlines():
-                    cell_records.append({**json.loads(line), "dataset": suite})
+    for suite, path in datasets.items():
+        dataset = tasks.load_dataset(path)
+        for policy, spec in POLICIES.items():
+            for robustness in ROBUSTNESS:
+                cell_records = records.setdefault((suite, robustness, policy), [])
+                for noise in range(seeds):
+                    run_dir = out / "runs" / f"{suite}-{robustness}-{policy}-s{noise}"
+                    config = cli.check_config({
+                        "dataset": path.name, "policy": spec, "trials": trials,
+                        "planner": "both", "robustness": robustness, "seed": noise})
+                    rows, failed = cli.run_dataset(config, dataset, run_dir)
+                    if failed:
+                        raise SystemExit(f"{run_dir.name}: {len(failed)} trajectories "
+                                         "ended in an error")
+                    cell_records += ({**row, "dataset": suite} for row in rows)
     return records
 
 
@@ -107,17 +99,15 @@ def main(argv=None) -> int:
     parser.add_argument("--small", action="store_true", help="small suites")
     args = parser.parse_args(argv)
     out = pathlib.Path(args.out)
-    configs = write_configs(load_gen(), out, args.seed, args.small, args.trials)
-    loads, reuses = cli.STORES.loads, cli.STORES.reuses
+    datasets = generate(load_gen(), out, args.seed, args.small)
     start = time.perf_counter()
-    records = run_grid(configs, out, args.seeds)
+    records = run_grid(datasets, out, args.seeds, args.trials)
     wall = time.perf_counter() - start
     text = table(records)
     (out / "table.md").write_text(text)
     print(text, end="")
-    loads, reuses = cli.STORES.loads - loads, cli.STORES.reuses - reuses
-    print(f"{loads + reuses} runs in {wall:.1f} s: {loads} loaded a store, "
-          f"{reuses} reused one")
+    runs = len(records) * args.seeds
+    print(f"{runs} runs in {wall:.1f} s: {len(datasets)} stores loaded")
     return 0
 
 

@@ -43,11 +43,10 @@ _TYPES = {"dataset": str, "out": str, "seed": int, "trials": int, "policy": dict
 _KEYS = ("dataset", "out", *_DEFAULTS)
 
 
-def _load_config(path: Path, overrides: argparse.Namespace) -> dict:
-    """The run config at `path` with the `overrides` given, then defaults,
-    applied. A config `run` cannot use raises ConfigError or PolicyError; a
-    remote policy that asks for a startup check has its endpoint contacted."""
-    config = json.loads(kb.read_text(path))
+def check_config(config) -> dict:
+    """The decoded run config `config` with defaults applied. A config `run`
+    cannot use raises ConfigError or PolicyError; a remote policy that asks
+    for a startup check has its endpoint contacted."""
     if type(config) is not dict:
         raise ConfigError("a run config must be a JSON object")
     for key in config:
@@ -55,10 +54,6 @@ def _load_config(path: Path, overrides: argparse.Namespace) -> dict:
             raise ConfigError(
                 f"unknown run config key {key!r}; a config holds {', '.join(_KEYS)}")
     config = {**_DEFAULTS, **config}
-    for key in ("seed", "planner", "robustness", "trials"):
-        value = getattr(overrides, key, None)
-        if value is not None:
-            config[key] = value
     if config["planner"] not in ("sh", "fh", "both"):
         raise ConfigError(f"unknown planner {config['planner']!r}")
     if config["robustness"] not in ("high", "low"):
@@ -127,81 +122,89 @@ def _outcome_from_trace(trace, task, shape: tuple[int, float]) -> stats.Outcome:
 
 # The stores `run` loads, kept for the process while their data files are
 # unchanged. The console runs one command per process, so this saves nothing
-# there; a script that calls `main` once per cell of a grid
-# (scripts/reproduce.py) loads each store once.
+# there; the benchmark child, which calls `main` for an SH run and then an FH
+# run in one process, loads each store once.
 STORES = tasks.StoreHold()
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    config = _load_config(config_path, args)
+    config = json.loads(kb.read_text(config_path))
+    if type(config) is dict:
+        config.update({key: getattr(args, key)
+                       for key in ("seed", "planner", "robustness", "trials")
+                       if getattr(args, key) is not None})
+    config = check_config(config)
     dataset = tasks.load_dataset(config_path.parent / config["dataset"], STORES)
-    # The store outlives the run, held in STORES. Frozen before anything else
-    # is allocated, it is walked by no collection during the run, not even
-    # the first one after loading; unfrozen after, so that garbage frozen with
-    # it is collected when several runs share a process.
-    gc.freeze()
-    try:
-        return _run_dataset(args, config, dataset)
-    finally:
-        gc.unfreeze()
-
-
-def _run_dataset(args: argparse.Namespace, config: dict, dataset: tasks.Dataset) -> int:
-    """Run every job of `config` over `dataset` and write the run directory."""
-    out_dir = Path(args.out or config.get("out", "runs/latest"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "config_hash": _config_hash(config),
-        "seed": config["seed"],
-        "dataset": config["dataset"],
-        "planner": config["planner"],
-        "policy": config["policy"].get("kind", "oracle"),
-        "robustness": config["robustness"],
-        "trials": config["trials"],
-        "out_dir": str(out_dir),
-    }
-    # manifest goes to disk before any task executes
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-
-    planners = ["sh", "fh"] if config["planner"] == "both" else [config["planner"]]
-    budget = harness.Budget()
-    env = dataset.make_env(config["robustness"])
-    results = [(task, _run_one(env, task, planner, config["policy"], trial,
-                               config["seed"], budget))
-               for task in dataset.tasks
-               for planner in planners
-               for trial in range(config["trials"])]
-
-    # one deterministic trace log, ordered by (task id, planner, trial)
-    results.sort(key=lambda item: (item[0].id, item[1].planner, item[1].trial))
-    failed = [trace for _task, trace in results if trace.error]
-    for trace in failed:
-        print(f"{trace.status.replace('-', ' ')} in {trace.run_id}: {trace.error}",
-              file=sys.stderr)
-    with (out_dir / "traces.jsonl").open("w", encoding="utf-8") as handle:
-        for _task, trace in results:
-            for line in trace.log_lines():
-                handle.write(line + "\n")
-
-    # task ids are unique, and the gold DAG is a fact of the task
-    shapes = {task.id: _gold_shape(task) for task in dataset.tasks}
-    records = [dataclasses.asdict(_outcome_from_trace(trace, task, shapes[task.id]))
-               for task, trace in results]
-    with (out_dir / "outcomes.jsonl").open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-    report = stats.summarize_run(stats.outcome_columns(records))
-    print(report.to_text())
+    records, failed = run_dataset(
+        config, dataset, Path(args.out or config.get("out", "runs/latest")))
+    print(stats.summarize_run(stats.outcome_columns(records)).to_text())
     # every file is written, but a failed trajectory is not data for `stats`
     for status in FAILED_LABELS:
         count = sum(1 for trace in failed if trace.status == status)
         if count:
-            print(f"runtime failure: {count} of {len(results)} trajectories ended in "
+            print(f"runtime failure: {count} of {len(records)} trajectories ended in "
                   f"{FAILED_LABELS[status][0]}", file=sys.stderr)
     return EXIT_RUNTIME if failed else EXIT_OK
+
+
+def run_dataset(config: dict, dataset: tasks.Dataset,
+                out_dir: Path) -> tuple[list[dict], list[plans.Trace]]:
+    """Run every job of `config`, as `check_config` returned it, over
+    `dataset` and write the run directory `out_dir`: `manifest.json` before
+    any job runs, then `traces.jsonl` and `outcomes.jsonl`. Returns the
+    outcome records in trace-log order and the traces that ended in an
+    error, each named on standard error. The caller's store, frozen before
+    the run allocates anything, is walked by no collection during the run;
+    it is unfrozen after, so that garbage frozen with it is collected when
+    several runs share a process."""
+    gc.freeze()
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        manifest = {
+            "config_hash": _config_hash(config),
+            "seed": config["seed"],
+            "dataset": config["dataset"],
+            "planner": config["planner"],
+            "policy": config["policy"].get("kind", "oracle"),
+            "robustness": config["robustness"],
+            "trials": config["trials"],
+            "out_dir": str(out_dir),
+        }
+        # manifest goes to disk before any task executes
+        (out_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+
+        planners = ["sh", "fh"] if config["planner"] == "both" else [config["planner"]]
+        budget = harness.Budget()
+        env = dataset.make_env(config["robustness"])
+        results = [(task, _run_one(env, task, planner, config["policy"], trial,
+                                   config["seed"], budget))
+                   for task in dataset.tasks
+                   for planner in planners
+                   for trial in range(config["trials"])]
+
+        # one deterministic trace log, ordered by (task id, planner, trial)
+        results.sort(key=lambda item: (item[0].id, item[1].planner, item[1].trial))
+        failed = [trace for _task, trace in results if trace.error]
+        for trace in failed:
+            print(f"{trace.status.replace('-', ' ')} in {trace.run_id}: {trace.error}",
+                  file=sys.stderr)
+        with (out_dir / "traces.jsonl").open("w", encoding="utf-8") as handle:
+            for _task, trace in results:
+                for line in trace.log_lines():
+                    handle.write(line + "\n")
+
+        # task ids are unique, and the gold DAG is a fact of the task
+        shapes = {task.id: _gold_shape(task) for task in dataset.tasks}
+        records = [dataclasses.asdict(_outcome_from_trace(trace, task, shapes[task.id]))
+                   for task, trace in results]
+        with (out_dir / "outcomes.jsonl").open("w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        return records, failed
+    finally:
+        gc.unfreeze()
 
 
 _JSON_SPACE = " \t\r"  # the whitespace JSON allows within a line

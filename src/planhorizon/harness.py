@@ -176,20 +176,18 @@ class PolicyRequest:
         return "\n".join([self.system_prompt, self.user_prompt, *self.errors])
 
 
-def build_prompts(env: Environment, query: str, mode: str, history: list[dict],
-                  texts: list[str] | None = None) -> tuple[str, str]:
-    """The system and user prompts of a request. The executed steps are
-    `history` as a JSON list, joined from its items' `texts` (each
-    `json.dumps(item, sort_keys=True)`; made here when not given). `", "` is
-    `json.dumps`' item separator, so the join is the list's own JSON."""
+def build_prompts(env: Environment, query: str, mode: str,
+                  texts: list[str]) -> tuple[str, str]:
+    """The system and user prompts of a request. The executed steps are the
+    history as a JSON list, joined from its items' `texts` (each
+    `json.dumps(item, sort_keys=True)`). `", "` is `json.dumps`' item
+    separator, so the join is the list's own JSON."""
     system, _ = env.system_prompt(mode)
     user = f"Question: {query}"
-    if history:
-        if texts is None:
-            texts = [json.dumps(item, sort_keys=True) for item in history]
+    if texts:
         user += "\n\nExecuted steps:\n[" + ", ".join(texts) + "]"
     if mode == "fh-replan":
-        user += "\n\n" + load_prompt("replan_message").format(start_index=len(history))
+        user += "\n\n" + load_prompt("replan_message").format(start_index=len(texts))
     return system, user
 
 
@@ -204,7 +202,7 @@ def _invoke(policy, env: Environment, trace: Trace, ledger: _Ledger, mode: str,
     so their counts sum to the whole prompt's."""
     base_index = len(trace.records)
     history = ledger.history(trace.records)
-    system, user = build_prompts(env, ledger.query, mode, history, ledger.texts)
+    system, user = build_prompts(env, ledger.query, mode, ledger.texts)
     tokens = env.system_prompt(mode)[1] + ledger.question_tokens
     if history:
         tokens += 2 + ledger.tokens  # "Executed steps:" and the records

@@ -143,7 +143,10 @@ def _read_dataset(path, hold: StoreHold | None) -> Dataset:
     factory = functools.partial(engine_type, data, **settings)
 
     tasks, ids = [], set()
-    for i, t in enumerate(kbmod.require_list(doc, "tasks")):
+    raw_tasks = kbmod.require_list(doc, "tasks")
+    if not raw_tasks:
+        raise DatasetError("a dataset needs a non-empty list of tasks")
+    for i, t in enumerate(raw_tasks):
         if not isinstance(t, dict) or any(
                 k not in t for k in ("id", "question", "gold_answer", "gold_plan")):
             raise DatasetError(f"tasks[{i}] needs id, question, gold_answer and gold_plan")

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import pathlib
 import re
 import shutil
 import urllib.request
@@ -224,7 +225,8 @@ class TestRun:
     # The noisy configs, written here, corrupt every schema term on its first
     # emission and run low robustness, then high, then low again, so that the
     # index memoizes misses under both modes. Each run directory equals that
-    # of a fresh hold, byte for byte.
+    # of a fresh hold, byte for byte, and that of the same run made by
+    # `check_config`, `load_dataset` and `run_dataset`, the calls behind `run`.
     @pytest.mark.parametrize("config", ["run_kopl_oracle.json", "run_atomic_oracle.json",
                                         "run_mock_noisy.json", "kopl_noisy.json",
                                         "atomic_noisy.json"])
@@ -232,27 +234,38 @@ class TestRun:
                                           config):
         if config.startswith("run_"):
             path = fixtures_dir / config
-            runs = [("--planner", "sh"), ("--planner", "fh")]
+            runs = [{"planner": "sh"}, {"planner": "fh"}]
         else:
             path = tmp_path / config
             dataset = fixtures_dir / config.replace("_noisy", "_tasks")
             path.write_text(json.dumps({
                 "dataset": str(dataset), "trials": 2,
                 "policy": {"kind": "noisy", "wrong_schema_rate": 1.0}}))
-            runs = [("--robustness", mode) for mode in ("low", "high", "low")]
+            runs = [{"robustness": mode} for mode in ("low", "high", "low")]
         # the same relative --out for every run, so that manifests name one out_dir
         monkeypatch.chdir(tmp_path)
 
-        def run(args, hold):
-            monkeypatch.setattr(cli, "STORES", hold)
-            assert run_cli("run", "--config", str(path), *args, "--out", "run") == 0
-            files = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+        def files():
+            found = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
             shutil.rmtree(tmp_path / "run")
-            return files
+            return found
+
+        def run(overrides, hold):
+            monkeypatch.setattr(cli, "STORES", hold)
+            args = [word for key, value in overrides.items() for word in (f"--{key}", value)]
+            assert run_cli("run", "--config", str(path), *args, "--out", "run") == 0
+            return files()
+
+        def call(overrides):
+            config = cli.check_config({**json.loads(path.read_text()), **overrides})
+            dataset = tasks.load_dataset(path.parent / config["dataset"])
+            assert cli.run_dataset(config, dataset, pathlib.Path("run"))[1] == []
+            return files()
 
         held = tasks.StoreHold()
-        outputs = [run(args, held) for args in runs]
-        assert outputs == [run(args, tasks.StoreHold()) for args in runs]
+        outputs = [run(overrides, held) for overrides in runs]
+        assert outputs == [run(overrides, tasks.StoreHold()) for overrides in runs]
+        assert outputs == [call(overrides) for overrides in runs]
         assert (held.loads, held.reuses) == (1, len(runs) - 1)
         if not config.startswith("run_"):
             [(_digest, store)] = held._held.values()

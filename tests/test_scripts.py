@@ -31,7 +31,9 @@ def test_reproduce_grid_loads_each_store_once(tmp_path):
     assert done.returncode == 0, done.stderr
     # 3 suites x 2 policies x 2 robustness levels x 2 seeds, one load per suite
     assert done.stdout.splitlines()[-1].startswith("24 runs in ")
-    assert done.stdout.splitlines()[-1].endswith(": 3 loaded a store, 21 reused one")
+    assert done.stdout.splitlines()[-1].endswith(" s: 3 stores loaded")
+    # each cell is a run config checked in memory, never a file
+    assert not list((tmp_path / "repro").glob("*/grid_*.json"))
     rows = (tmp_path / "repro" / "table.md").read_text().splitlines()[2:]
     assert len(rows) == 12
     assert len(list((tmp_path / "repro" / "runs").iterdir())) == 24

@@ -7,6 +7,10 @@ import pytest
 
 from planhorizon import atomic, cli, kb, mocktools, tasks
 
+# a task any KoPL store can load: its plan is checked against the catalog only
+ONE_TASK = {"id": "t", "question": "q?", "gold_answer": ["Ann"],
+            "gold_plan": [{"tool": "Find", "args": {"name": "Ann"}}]}
+
 
 class TestLoadDataset:
     @pytest.mark.parametrize("name,module,loader", [
@@ -28,6 +32,24 @@ class TestLoadDataset:
         assert atomic_dataset.engine == "atomic"
         assert mock_dataset.engine == "mock"
 
+    # a task file without tasks: `run` exits 2 before it writes a file, and
+    # `validate` reports the file invalid
+    @pytest.mark.parametrize("empty", [[], None], ids=["empty", "null"])
+    def test_a_dataset_needs_a_task(self, tmp_path, fixtures_dir, capsys, empty):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"engine": "kopl", "kb": str(fixtures_dir / "mini_kb.json"),
+                                    "tasks": empty}))
+        (tmp_path / "config.json").write_text(json.dumps({"dataset": "d.json"}))
+        assert cli.main(["run", "--config", str(tmp_path / "config.json"),
+                         "--out", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("config error: a dataset needs a non-empty list "
+                                     "of tasks\n")
+        assert not (tmp_path / "run").exists()
+        assert cli.main(["validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "invalid: a dataset needs a non-empty list of tasks\n"
+
     def test_unknown_engine(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(json.dumps({"engine": "sparql", "tasks": []}))
@@ -41,7 +63,7 @@ class TestLoadDataset:
     def test_collector_state_is_restored(self, tmp_path, enabled, entities):
         (tmp_path / "kb.json").write_text(json.dumps({"entities": entities}))
         path = tmp_path / "d.json"
-        path.write_text(json.dumps({"engine": "kopl", "kb": "kb.json", "tasks": []}))
+        path.write_text(json.dumps({"engine": "kopl", "kb": "kb.json", "tasks": [ONE_TASK]}))
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
@@ -100,7 +122,7 @@ def kb_dataset(tmp_path, name: str, entity_name: str):
     (tmp_path / name).write_text(json.dumps(
         {"entities": [{"id": "e", "name": entity_name}]}))
     path = tmp_path / f"{name}.tasks.json"
-    path.write_text(json.dumps({"engine": "kopl", "kb": name, "tasks": []}))
+    path.write_text(json.dumps({"engine": "kopl", "kb": name, "tasks": [ONE_TASK]}))
     return path
 
 
