@@ -53,12 +53,14 @@ def generate(gen, out: pathlib.Path, seed: int, small: bool) -> dict:
             for suite, make in makers.items()}
 
 
-def run_grid(datasets: dict, out: pathlib.Path, seeds: int, trials: int) -> dict:
+def run_grid(datasets: dict, out: pathlib.Path, seeds: int, trials: int) -> tuple:
     """(suite, robustness, policy) -> the outcome records of its cells, every
-    record's dataset set to the suite's name."""
-    records = {}
+    record's dataset set to the suite's name; and the number of dataset loads
+    and of runs the grid made."""
+    records, loads, runs = {}, 0, 0
     for suite, path in datasets.items():
         dataset = tasks.load_dataset(path)
+        loads += 1
         for policy, spec in POLICIES.items():
             for robustness in ROBUSTNESS:
                 cell_records = records.setdefault((suite, robustness, policy), [])
@@ -68,11 +70,12 @@ def run_grid(datasets: dict, out: pathlib.Path, seeds: int, trials: int) -> dict
                         "dataset": path.name, "policy": spec, "trials": trials,
                         "planner": "both", "robustness": robustness, "seed": noise})
                     rows, failed = cli.run_dataset(config, dataset, run_dir)
+                    runs += 1
                     if failed:
                         raise SystemExit(f"{run_dir.name}: {len(failed)} trajectories "
                                          "ended in an error")
                     cell_records += ({**row, "dataset": suite} for row in rows)
-    return records
+    return records, loads, runs
 
 
 def table(records: dict) -> str:
@@ -101,13 +104,12 @@ def main(argv=None) -> int:
     out = pathlib.Path(args.out)
     datasets = generate(load_gen(), out, args.seed, args.small)
     start = time.perf_counter()
-    records = run_grid(datasets, out, args.seeds, args.trials)
+    records, loads, runs = run_grid(datasets, out, args.seeds, args.trials)
     wall = time.perf_counter() - start
     text = table(records)
     (out / "table.md").write_text(text)
     print(text, end="")
-    runs = len(records) * args.seeds
-    print(f"{runs} runs in {wall:.1f} s: {len(datasets)} stores loaded")
+    print(f"{runs} runs in {wall:.1f} s: {loads} stores loaded")
     return 0
 
 

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """A register of mutants the test suite must kill.
 
-    python3 tests/mutants.py [NAME ...]
+    python3 tests/mutants.py
 
-Each mutant is one exact text in one source file and its replacement. For
-each mutant (or each one named), the checkout's source, tests, fixtures,
-scripts and benchmark files are copied to a temporary directory, the mutant
-is applied there, and the test files it names are run against the copy. A
-mutant is killed when those tests fail. The register fails, exit 1, when a
-mutant survives, when its old text does not occur exactly once in its file
-(it no longer matches the code and must be re-homed), or when pytest gives
-no verdict (a collection error, say). The checkout is never
-written. The last line printed is the kill count.
+The checkout's source, tests, fixtures, scripts and benchmark files are
+copied to a temporary directory, and the test files the mutants name are run
+there once, unmutated: they must pass, or no kill would mean anything. Then,
+for each mutant, a fresh copy is made, the mutant's one exact text in one
+source file is replaced there, and the test files that mutant names are run
+against the copy. A mutant is killed when those tests fail. The register
+fails, exit 1, when the unmutated run fails, when a mutant survives, when its
+old text does not occur exactly once in its file (it no longer matches the
+code and must be re-homed), or when pytest gives no verdict (a collection
+error, say). pytest's last lines are printed for every outcome but a kill.
+The checkout is never written. The last line printed is the kill count.
 
 Standard library only. mutmut and Cosmic Ray generate mutants; this register
 keeps hand-written ones, each a fault that a test was written to catch.
@@ -31,6 +33,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # what the tests read of the checkout
 COPIED = ("pyproject.toml", "src", "tests", "fixtures", "scripts", "perfbench")
+# lines of pytest's output printed for an outcome other than a kill
+TAIL = 15
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,19 @@ MUTANTS = (
 )
 
 
+def copy_tree(tmp: str) -> pathlib.Path:
+    """Copy what the tests read of the checkout to `tmp`; the copy's root."""
+    tree = pathlib.Path(tmp)
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, tree / name, ignore=shutil.ignore_patterns(
+                "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-work"))
+        else:
+            shutil.copy2(source, tree / name)
+    return tree
+
+
 def apply(mutant: Mutant, tree: pathlib.Path) -> str | None:
     """Apply `mutant` to the copy at `tree`; the reason it cannot be, or None."""
     path = tree / mutant.path
@@ -95,48 +112,51 @@ def apply(mutant: Mutant, tree: pathlib.Path) -> str | None:
     return None
 
 
-def check(mutant: Mutant) -> str:
-    """'killed', 'SURVIVED', 'STALE: <why>' or 'ERROR: <why>' for `mutant`."""
+def pytest(tree: pathlib.Path, tests) -> tuple[int, str]:
+    """Run the test files `tests` in the copy at `tree`: pytest's exit code
+    and the last lines of its output."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    return done.returncode, "\n".join(done.stdout.splitlines()[-TAIL:])
+
+
+def check(mutant: Mutant) -> tuple[str, str]:
+    """'killed', 'SURVIVED', 'STALE: <why>' or 'ERROR: <why>' for `mutant`,
+    and the last lines of pytest's output."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        tree = pathlib.Path(tmp)
-        for name in COPIED:
-            source = ROOT / name
-            if source.is_dir():
-                shutil.copytree(source, tree / name, ignore=shutil.ignore_patterns(
-                    "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-work"))
-            else:
-                shutil.copy2(source, tree / name)
+        tree = copy_tree(tmp)
         problem = apply(mutant, tree)
         if problem is not None:
-            return f"STALE: {problem}"
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             *mutant.tests],
-            cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        # pytest exits 1 when a test failed; any other code is no verdict
-        if done.returncode == 0:
-            return "SURVIVED"
-        if done.returncode == 1:
-            return "killed"
-        return f"ERROR: pytest exited {done.returncode}"
+            return f"STALE: {problem}", ""
+        code, tail = pytest(tree, mutant.tests)
+    # pytest exits 1 when a test failed; any other code is no verdict
+    if code == 0:
+        return "SURVIVED", tail
+    if code == 1:
+        return "killed", tail
+    return f"ERROR: pytest exited {code}", tail
 
 
-def main(argv=None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    unknown = [name for name in names if name not in {m.name for m in MUTANTS}]
-    if unknown:
-        print(f"unknown mutant {unknown[0]!r}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
+    named = sorted({test for mutant in MUTANTS for test in mutant.tests})
+    with tempfile.TemporaryDirectory(prefix="mutants-clean-") as tmp:
+        code, tail = pytest(copy_tree(tmp), named)
+    if code != 0:
+        print(f"ERROR: the named tests fail on the unmutated copy, pytest exited {code}",
+              tail, f"0 of {len(MUTANTS)} mutants killed", sep="\n")
+        return 1
     killed = 0
-    for mutant in chosen:
-        verdict = check(mutant)
+    for mutant in MUTANTS:
+        verdict, tail = check(mutant)
         killed += verdict == "killed"
         print(f"{verdict}: {mutant.name} ({mutant.path}; {', '.join(mutant.tests)})",
               flush=True)
-    print(f"{killed} of {len(chosen)} mutants killed")
-    return 0 if killed == len(chosen) else 1
+        if verdict != "killed" and tail:
+            print(tail, flush=True)
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
