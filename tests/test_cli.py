@@ -593,11 +593,17 @@ class TestInspect:
 
 class TestValidate:
     def test_valid_files(self, fixtures_dir, capsys):
-        for name in ("mini_kb.json", "toy_graph.json", "corpus.json",
-                     "kopl_tasks.json"):
+        for name in ("toy_graph.json", "mini_kb.json", "corpus.json",
+                     "kopl_tasks.json", "atomic_tasks.json", "mock_tasks.json"):
             assert run_cli("validate", str(fixtures_dir / name)) == 0
-        out = capsys.readouterr().out
-        assert out.count("ok:") == 4
+        assert capsys.readouterr().out.splitlines() == [
+            "ok: graph with 5 nodes, 10 triples",
+            "ok: knowledge base with 5 entities, 2 concepts",
+            "ok: corpus with 7 documents",
+            "ok: kopl dataset with 5 tasks",
+            "ok: atomic dataset with 3 tasks",
+            "ok: mock dataset with 3 tasks",
+        ]
 
     def test_invalid_kb(self, tmp_path, capsys):
         doc = {"concepts": [{"id": "a", "name": "a", "subclass_of": ["b"]}],
