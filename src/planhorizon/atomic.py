@@ -309,6 +309,14 @@ class AtomicEngine(Environment):
 
     catalog = TOOLS.catalog()
     params = TOOLS.params()
+    data_key = "graph"
+    settings = ("eval_year",)
+    marks = ("nodes",)
+    load = staticmethod(lambda doc: load_graph(doc))
+
+    @staticmethod
+    def describe(store: GraphStore) -> str:
+        return f"graph with {len(store.nodes)} nodes, {len(store.triples)} triples"
 
     def __init__(self, store: GraphStore, robustness: str, eval_year: int = 2026):
         super().__init__(store, robustness)

@@ -17,8 +17,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import harness, kb, mocktools, plans, policies, stats, tasks
-from .atomic import load_graph
+from . import harness, kb, plans, policies, stats, tasks
 
 
 EXIT_OK = 0
@@ -337,17 +336,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.path)
     try:
         raw = kb.read_document(path)
-        if "concepts" in raw or "entities" in raw:
-            base = kb.load_kb(raw)
-            print(f"ok: knowledge base with {len(base.entities)} entities, "
-                  f"{len(base.concepts)} concepts")
-        elif "nodes" in raw:
-            graph = load_graph(raw)
-            print(f"ok: graph with {len(graph.nodes)} nodes, "
-                  f"{len(graph.triples)} triples")
-        elif "documents" in raw:
-            corpus = mocktools.load_corpus(raw)
-            print(f"ok: corpus with {len(corpus.documents)} documents")
+        # a data document is the first engine's whose marks it has
+        engine = next((engine for engine in tasks.ENGINES.values()
+                       if any(mark in raw for mark in engine.marks)), None)
+        if engine is not None:
+            print(f"ok: {engine.describe(engine.load(raw))}")
         elif "tasks" in raw:
             dataset = tasks.load_dataset(path)
             print(f"ok: {dataset.engine} dataset with {len(dataset.tasks)} tasks")

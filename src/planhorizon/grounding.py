@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,21 +181,13 @@ class SchemaIndex:
         return self._memos.setdefault(mode, {})
 
 
-# id(store) -> its index. A finalizer drops the entry as the store is
-# collected, before its id can be reused, and an index holds only the
-# store's terms, so the map keeps no store alive.
-_INDEXES: dict[int, SchemaIndex] = {}
-
-
 def build_index(source) -> SchemaIndex:
-    """The schema index of store `source`: built from `source.schema_terms()`
-    on the first call for that store, the same index on every later call
-    while the store lives."""
-    key = id(source)
-    index = _INDEXES.get(key)
+    """The schema index of store `source`, built from `source.schema_terms()`
+    on the first call and kept in the store's `__dict__`, as a
+    `functools.cached_property` keeps a table: it lives as long as the store."""
+    index = source.__dict__.get("schema_index")
     if index is None:
-        weakref.finalize(source, _INDEXES.pop, key, None)
-        index = _INDEXES[key] = SchemaIndex(terms=source.schema_terms())
+        index = source.__dict__["schema_index"] = SchemaIndex(terms=source.schema_terms())
     return index
 
 

@@ -63,21 +63,26 @@ class Environment:
     `catalog` (the prompt's tool list) and `params` (its `ToolTable.params`),
     and defines ``run_tool(tool, args) -> ToolOutcome`` (one tool, its
     references resolved to values) and ``render(value) -> str`` (a tool output's
-    observation and answer text). `planhorizon run` builds one per run; each
-    planner's system prompt, the catalog serialized into it, is made and
-    counted on first use and kept with it."""
+    observation and answer text). It also says all a task file and `validate`
+    need to know of it: `data_key` (the task-file key naming its data file),
+    `settings` (the task-file fields its constructor takes), `marks` (the
+    top-level keys of its data documents), and the static ``load(doc)`` (a
+    data document's store, by its module's loader looked up at call time) and
+    ``describe(store)`` (`validate`'s text). `planhorizon run` builds one per
+    run; each planner's system prompt, the catalog serialized into it, is made
+    and counted on first use and kept with it."""
 
     catalog: list[dict]
     params: dict[str, dict[str, str]]
+    data_key: str
+    settings: tuple[str, ...] = ()
+    marks: tuple[str, ...]
 
     def __init__(self, data, robustness: str):
         """The grounder is `robustness`'s view of the schema index of store
         `data`, which every environment over that store shares."""
         self.grounder = Grounder(build_index(data), robustness)
-
-    @functools.cached_property
-    def _system_prompts(self) -> dict[str, tuple[str, int]]:
-        return {}
+        self._system_prompts: dict[str, tuple[str, int]] = {}
 
     def system_prompt(self, mode: str) -> tuple[str, int]:
         """`mode`'s system prompt and its token count. SH has one template and
@@ -176,39 +181,32 @@ class PolicyRequest:
         return "\n".join([self.system_prompt, self.user_prompt, *self.errors])
 
 
-def build_prompts(env: Environment, query: str, mode: str,
-                  texts: list[str]) -> tuple[str, str]:
-    """The system and user prompts of a request. The executed steps are the
-    history as a JSON list, joined from its items' `texts` (each
-    `json.dumps(item, sort_keys=True)`). `", "` is `json.dumps`' item
-    separator, so the join is the list's own JSON."""
-    system, _ = env.system_prompt(mode)
-    user = f"Question: {query}"
-    if texts:
-        user += "\n\nExecuted steps:\n[" + ", ".join(texts) + "]"
+def build_prompts(env: Environment, ledger: _Ledger, mode: str) -> tuple[str, str, int]:
+    """The system and user prompts of a request over the steps `ledger` holds,
+    and their token count: each part's count, by the module's
+    `whitespace_tokenizer` looked up at call time, summed. The executed steps
+    are the ledger's texts joined by `", "`, `json.dumps`' own separator."""
+    system, tokens = env.system_prompt(mode)
+    user = f"Question: {ledger.query}"
+    tokens += ledger.question_tokens
+    if ledger.texts:
+        user += "\n\nExecuted steps:\n[" + ", ".join(ledger.texts) + "]"
+        tokens += 2 + ledger.tokens  # "Executed steps:" and the records
     if mode == "fh-replan":
-        user += "\n\n" + load_prompt("replan_message").format(start_index=len(texts))
-    return system, user
+        replan = load_prompt("replan_message").format(start_index=len(ledger.texts))
+        user += "\n\n" + replan
+        tokens += whitespace_tokenizer(replan)
+    return system, user, tokens
 
 
 def _invoke(policy, env: Environment, trace: Trace, ledger: _Ledger, mode: str,
             budget: Budget) -> Plan | None:
     """Invoke the policy with format retries; returns None on retry exhaustion
     or when the policy raises or returns no string, with the trace's status
-    set. The plan's steps are numbered from the next record's index.
-
-    Tokens are counted by the module's `whitespace_tokenizer`, looked up at
-    call time, one prompt part at a time: the parts are joined by whitespace,
-    so their counts sum to the whole prompt's."""
+    set. The plan's steps are numbered from the next record's index."""
     base_index = len(trace.records)
     history = ledger.history(trace.records)
-    system, user = build_prompts(env, ledger.query, mode, ledger.texts)
-    tokens = env.system_prompt(mode)[1] + ledger.question_tokens
-    if history:
-        tokens += 2 + ledger.tokens  # "Executed steps:" and the records
-    if mode == "fh-replan":
-        tokens += whitespace_tokenizer(
-            load_prompt("replan_message").format(start_index=len(history)))
+    system, user, tokens = build_prompts(env, ledger, mode)
     errors: list[str] = []
     for attempt in range(budget.max_format_retries):
         request = PolicyRequest(mode=mode, history=history, system_prompt=system,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kb as kbmod
 from .grounding import Grounder
 from .harness import Environment
 from .kb import (COMPARE_OPS, OP_ALIASES, KnowledgeBase, TypedValue, compare_typed,
@@ -386,6 +387,13 @@ class KoplEngine(Environment):
 
     catalog = TOOLS.catalog()
     params = TOOLS.params()
+    data_key = "kb"
+    marks = ("concepts", "entities")
+    load = staticmethod(lambda doc: kbmod.load_kb(doc))
+
+    @staticmethod
+    def describe(kb: KnowledgeBase) -> str:
+        return f"knowledge base with {len(kb.entities)} entities, {len(kb.concepts)} concepts"
 
     def __init__(self, kb: KnowledgeBase, robustness: str):
         super().__init__(kb, robustness)

@@ -191,6 +191,13 @@ class MockEngine(Environment):
 
     catalog = TOOLS.catalog()
     params = TOOLS.params()
+    data_key = "corpus"
+    marks = ("documents",)
+    load = staticmethod(lambda doc: load_corpus(doc))
+
+    @staticmethod
+    def describe(corpus: MockCorpus) -> str:
+        return f"corpus with {len(corpus.documents)} documents"
 
     def __init__(self, corpus: MockCorpus, robustness: str):
         super().__init__(corpus, robustness)

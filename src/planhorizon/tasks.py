@@ -12,17 +12,9 @@ from dataclasses import dataclass, field
 from . import atomic, kb as kbmod, kopl, mocktools, stats
 from .plans import Plan, parse_plan
 
-# A dataset file's "engine" field -> (key of its data file, loader of that
-# file's decoded document, engine type, optional dataset fields handed on to
-# the engine). Each loader looks its module's function up at call time,
-# as the engines do for their tools.
-ENGINES = {
-    "kopl": ("kb", lambda doc: kbmod.load_kb(doc), kopl.KoplEngine, ()),
-    "atomic": ("graph", lambda doc: atomic.load_graph(doc), atomic.AtomicEngine,
-               ("eval_year",)),
-    "mock": ("corpus", lambda doc: mocktools.load_corpus(doc), mocktools.MockEngine,
-             ()),
-}
+# A dataset file's "engine" field -> its engine (see `harness.Environment`)
+ENGINES = {"kopl": kopl.KoplEngine, "atomic": atomic.AtomicEngine,
+           "mock": mocktools.MockEngine}
 
 
 class DatasetError(Exception):
@@ -73,7 +65,8 @@ def load_dataset(path, hold: StoreHold | None = None) -> Dataset:
     """The dataset in the task file at `path`, with its data file's store:
     the one `hold` keeps while the file's bytes are unchanged, given a hold,
     else a store loaded afresh. The task file, its plans and the engine
-    factory are built on every call.
+    factory are built on every call; every task is checked before the store
+    loads, so a rejected task file loads nothing and leaves `hold` as it was.
 
     The cyclic collector is paused while the files decode and the store
     builds (Mercurial's `util.nogc`): the ~85,000 objects of a 2,000-entity KB
@@ -83,7 +76,23 @@ def load_dataset(path, hold: StoreHold | None = None) -> Dataset:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _read_dataset(path, hold)
+        doc = kbmod.read_document(path)
+        engine = doc.get("engine")
+        if type(engine) is not str or engine not in ENGINES:
+            raise DatasetError(f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
+        engine_type = ENGINES[engine]
+        data_key = engine_type.data_key
+        if not isinstance(doc.get(data_key), str):
+            raise DatasetError(f"a {engine} dataset needs a {data_key!r} file name")
+        if "eval_year" in doc and type(doc["eval_year"]) is not int:
+            raise DatasetError(f"eval_year must be an integer, got {doc['eval_year']!r}")
+        tasks = _read_tasks(doc, engine_type.params)
+        data_path = os.path.join(os.path.dirname(os.path.abspath(path)), doc[data_key])
+        store = (hold.store(engine, engine_type.load, data_path) if hold is not None
+                 else engine_type.load(kbmod.read_document(data_path)))
+        settings = {name: doc[name] for name in engine_type.settings if name in doc}
+        return Dataset(engine=engine, tasks=tasks,
+                       env_factory=functools.partial(engine_type, store, **settings))
     finally:
         if enabled:
             gc.enable()
@@ -125,23 +134,8 @@ class StoreHold:
         return self._held[engine][1]
 
 
-def _read_dataset(path, hold: StoreHold | None) -> Dataset:
-    doc = kbmod.read_document(path)
-    base = os.path.dirname(os.path.abspath(path))
-    engine = doc.get("engine")
-    if type(engine) is not str or engine not in ENGINES:
-        raise DatasetError(f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
-    data_key, loader, engine_type, fields = ENGINES[engine]
-    if not isinstance(doc.get(data_key), str):
-        raise DatasetError(f"a {engine} dataset needs a {data_key!r} file name")
-    if "eval_year" in doc and type(doc["eval_year"]) is not int:
-        raise DatasetError(f"eval_year must be an integer, got {doc['eval_year']!r}")
-    data_path = os.path.join(base, doc[data_key])
-    data = (hold.store(engine, loader, data_path) if hold is not None
-            else loader(kbmod.read_document(data_path)))
-    settings = {name: doc[name] for name in fields if name in doc}
-    factory = functools.partial(engine_type, data, **settings)
-
+def _read_tasks(doc: dict, params: dict) -> tuple[Task, ...]:
+    """The tasks of dataset `doc`, their gold plans parsed against `params`."""
     tasks, ids = [], set()
     raw_tasks = kbmod.require_list(doc, "tasks")
     if not raw_tasks:
@@ -163,7 +157,7 @@ def _read_dataset(path, hold: StoreHold | None) -> Dataset:
         if type(t.get("dataset", "")) is not str:
             raise DatasetError(f"tasks[{i}] dataset must be a string, got {t['dataset']!r}")
         try:
-            plan = parse_plan(json.dumps(t["gold_plan"]), engine_type.params)
+            plan = parse_plan(json.dumps(t["gold_plan"]), params)
         except Exception as exc:
             raise DatasetError(f"tasks[{i}] gold plan invalid: {exc}")
         tasks.append(Task(
@@ -174,4 +168,4 @@ def _read_dataset(path, hold: StoreHold | None) -> Dataset:
             dataset=t.get("dataset", "fixture"),
             controls=_check_controls(t.get("controls", {}), f"tasks[{i}]"),
         ))
-    return Dataset(engine=engine, tasks=tuple(tasks), env_factory=factory)
+    return tuple(tasks)

@@ -85,6 +85,23 @@ MUTANTS = (
         "a run's traces and outcomes are written in (task id, planner, trial) "
         "order, not in the order the jobs ran",
         ("tests/test_cli.py", "tests/test_golden.py")),
+    Mutant(
+        "store-loads-before-task-checks", "src/planhorizon/tasks.py",
+        """\
+        tasks = _read_tasks(doc, engine_type.params)
+        data_path = os.path.join(os.path.dirname(os.path.abspath(path)), doc[data_key])
+        store = (hold.store(engine, engine_type.load, data_path) if hold is not None
+                 else engine_type.load(kbmod.read_document(data_path)))
+""",
+        """\
+        data_path = os.path.join(os.path.dirname(os.path.abspath(path)), doc[data_key])
+        store = (hold.store(engine, engine_type.load, data_path) if hold is not None
+                 else engine_type.load(kbmod.read_document(data_path)))
+        tasks = _read_tasks(doc, engine_type.params)
+""",
+        "a task file is checked before its store loads: a rejected one pays for "
+        "no load and leaves a held store of its kind in place",
+        ("tests/test_tasks.py",)),
 )
 
 

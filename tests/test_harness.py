@@ -167,8 +167,11 @@ class TestDrivers:
         assert reads.misses == 3 and reads.currsize == 3  # sh_system, fh_system, replan
         assert reads.hits > 0
         # the prompts are the package files, filled in as on every call
-        texts = [json.dumps({"step": i}) for i in range(3)]
-        system, user = harness.build_prompts(env, "q?", "fh-replan", texts)
+        ledger = harness._Ledger("q?")
+        ledger.history([StepRecord(step=i, call=ToolCall("FindAll", {}), ok=True,
+                                   observation="x", value=None, invocation_id=0, key=())
+                        for i in range(3)])
+        system, user, _tokens = harness.build_prompts(env, ledger, "fh-replan")
         package = importlib.resources.files("planhorizon.data.prompts")
         assert system == (package / "fh_system.txt").read_text(encoding="utf-8").format(
             tool_definitions=json.dumps(env.catalog))
@@ -356,8 +359,9 @@ def test_history_json_is_joined_from_each_records_json(shared_kopl_env, records)
     for k in range(len(records) + 1):
         history = ledger.history(records[:k])
         assert history == harness.render_history(records[:k])
-        system, user = harness.build_prompts(shared_kopl_env, "q?", "sh-next-step",
-                                             ledger.texts)
+        system, user, tokens = harness.build_prompts(shared_kopl_env, ledger, "sh-next-step")
+        # the parts' counts sum to the whole prompt's
+        assert tokens == len(f"{system}\n{user}".split())
         if not k:
             assert user == "Question: q?"
             continue

@@ -266,17 +266,16 @@ def test_environments_over_one_store_share_its_index(source, data):
 
 
 def test_an_index_lives_as_long_as_its_store():
-    """build_index keeps one index per store while the store lives, and
-    holds no reference that keeps a released store alive."""
+    """build_index keeps one index per store while the store lives, and the
+    index is released along with its store."""
     store = atomic.load_graph({"nodes": [{"id": "n", "name": "Ada"}], "triples": []})
     index = build_index(store)
     assert build_index(store) is index
     Grounder(index, "low").ground("Adx", "entity-name")
-    released = weakref.ref(store)
-    del store
+    released = weakref.ref(store), weakref.ref(index)
+    del store, index
     gc.collect()
-    assert released() is None
-    assert all(held is not index for held in grounding._INDEXES.values())
+    assert [ref() for ref in released] == [None, None]
 
 
 def test_corpus_lists_no_schema_terms():

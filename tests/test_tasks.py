@@ -175,7 +175,7 @@ class TestStoreHold:
     def test_failed_load_raises_on_every_call(self, tmp_path, monkeypatch):
         (tmp_path / "kb.json").write_text(json.dumps({"entities": [5]}))
         path = tmp_path / "d.json"
-        path.write_text(json.dumps({"engine": "kopl", "kb": "kb.json", "tasks": []}))
+        path.write_text(json.dumps({"engine": "kopl", "kb": "kb.json", "tasks": [ONE_TASK]}))
         loaded = counting(monkeypatch, kb, "load_kb")
         hold = tasks.StoreHold()
         errors = []
@@ -191,13 +191,29 @@ class TestStoreHold:
     def test_bad_data_file_fails_as_without_a_hold(self, tmp_path, content):
         (tmp_path / "kb.json").write_bytes(content)
         path = tmp_path / "d.json"
-        path.write_text(json.dumps({"engine": "kopl", "kb": "kb.json", "tasks": []}))
+        path.write_text(json.dumps({"engine": "kopl", "kb": "kb.json", "tasks": [ONE_TASK]}))
         errors = []
         for use in (None, tasks.StoreHold()):
             with pytest.raises(Exception) as err:
                 tasks.load_dataset(path, use)
             errors.append((type(err.value), str(err.value)))
         assert errors[0] == errors[1]
+
+    # the tasks are checked before the store loads: a rejected task file
+    # loads nothing, so the held store of its kind stays held
+    def test_bad_task_file_keeps_the_held_store(self, tmp_path, monkeypatch):
+        hold = tasks.StoreHold()
+        held = tasks.load_dataset(kb_dataset(tmp_path, "a.json", "Ann"), hold).make_env().kb
+        (tmp_path / "b.json").write_text('{"entities": [5]}')  # a bad data file too
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"engine": "kopl", "kb": "b.json",
+                                    "tasks": [{**ONE_TASK, "question": 5}]}))
+        loaded = counting(monkeypatch, kb, "load_kb")
+        for use in (hold, None):
+            with pytest.raises(tasks.DatasetError, match=r"tasks\[0\] question"):
+                tasks.load_dataset(path, use)
+        assert loaded == [] and (hold.loads, hold.reuses) == (1, 0)
+        assert hold._held["kopl"][1] is held
 
     def test_deleted_file_is_a_config_error(self, tmp_path, capsys):
         path = kb_dataset(tmp_path, "kb.json", "Ann")
