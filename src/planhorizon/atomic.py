@@ -310,7 +310,7 @@ class AtomicEngine(Environment):
     catalog = TOOLS.catalog()
     params = TOOLS.params()
     data_key = "graph"
-    settings = ("eval_year",)
+    settings = {"eval_year": int}
     marks = ("nodes",)
     load = staticmethod(lambda doc: load_graph(doc))
 
@@ -320,7 +320,6 @@ class AtomicEngine(Environment):
 
     def __init__(self, store: GraphStore, robustness: str, eval_year: int = 2026):
         super().__init__(store, robustness)
-        self.store = store
         self.eval_year = eval_year
 
     def run_tool(self, tool: str, args: dict) -> ToolOutcome:

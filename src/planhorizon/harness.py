@@ -65,23 +65,25 @@ class Environment:
     references resolved to values) and ``render(value) -> str`` (a tool output's
     observation and answer text). It also says all a task file and `validate`
     need to know of it: `data_key` (the task-file key naming its data file),
-    `settings` (the task-file fields its constructor takes), `marks` (the
-    top-level keys of its data documents), and the static ``load(doc)`` (a
-    data document's store, by its module's loader looked up at call time) and
-    ``describe(store)`` (`validate`'s text). `planhorizon run` builds one per
-    run; each planner's system prompt, the catalog serialized into it, is made
-    and counted on first use and kept with it."""
+    `settings` (each task-file field its constructor takes -> its JSON type),
+    `marks` (the top-level keys of its data documents), and the static
+    ``load(doc)`` (a data document's store, by its module's loader looked up
+    at call time) and ``describe(store)`` (`validate`'s text). `planhorizon
+    run` builds one per run; each planner's system prompt, the catalog
+    serialized into it, is made and counted on first use and kept with it."""
 
     catalog: list[dict]
     params: dict[str, dict[str, str]]
     data_key: str
-    settings: tuple[str, ...] = ()
+    settings: dict[str, type] = {}
     marks: tuple[str, ...]
 
-    def __init__(self, data, robustness: str):
-        """The grounder is `robustness`'s view of the schema index of store
-        `data`, which every environment over that store shares."""
-        self.grounder = Grounder(build_index(data), robustness)
+    def __init__(self, store, robustness: str):
+        """The engine over `store`, its loaded data; the grounder is
+        `robustness`'s view of the store's schema index, which every
+        environment over that store shares."""
+        self.store = store
+        self.grounder = Grounder(build_index(store), robustness)
         self._system_prompts: dict[str, tuple[str, int]] = {}
 
     def system_prompt(self, mode: str) -> tuple[str, int]:

@@ -395,12 +395,8 @@ class KoplEngine(Environment):
     def describe(kb: KnowledgeBase) -> str:
         return f"knowledge base with {len(kb.entities)} entities, {len(kb.concepts)} concepts"
 
-    def __init__(self, kb: KnowledgeBase, robustness: str):
-        super().__init__(kb, robustness)
-        self.kb = kb
-
     def run_tool(self, tool: str, args: dict) -> ToolOutcome:
-        return run_tool(self.kb, self.grounder, tool, args)
+        return run_tool(self.store, self.grounder, tool, args)
 
     def render(self, value) -> str:
-        return render_value(self.kb, value)
+        return render_value(self.store, value)

@@ -201,11 +201,10 @@ class MockEngine(Environment):
 
     def __init__(self, corpus: MockCorpus, robustness: str):
         super().__init__(corpus, robustness)
-        self.corpus = corpus
         self.top_k = 1 if robustness == "low" else corpus.top_k
 
     def run_tool(self, tool: str, args: dict) -> ToolOutcome:
-        return TOOLS.call(tool, args, {"corpus": self.corpus, "top_k": self.top_k})
+        return TOOLS.call(tool, args, {"corpus": self.store, "top_k": self.top_k})
 
     def render(self, value) -> str:
         return str(value)

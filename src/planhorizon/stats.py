@@ -336,14 +336,6 @@ def outcome_columns(records: list) -> dict[str, list]:
     return columns
 
 
-def _codes(values: list) -> tuple[list, np.ndarray]:
-    """The sorted distinct values, and each row's index among them."""
-    levels = sorted(set(values))
-    index = {level: i for i, level in enumerate(levels)}
-    return levels, np.fromiter(map(index.__getitem__, values), dtype=np.intp,
-                               count=len(values))
-
-
 # the control columns build_design takes
 CONTROLS = ("dataset", "last_tool", "has_bridge", "has_comparison")
 
@@ -356,17 +348,18 @@ def build_design(columns: dict[str, list], controls: tuple[str, ...] = ()):
     n = len(columns["planner"])
     d_star = standardize(columns["depth"])
     b_star = standardize(columns["breadth"])
-    planners, planner_codes = _codes(columns["planner"])
-    x_sh = ((planner_codes == planners.index("sh")).astype(float) if "sh" in planners
-            else np.zeros(n))
+    x_sh = (np.array(columns["planner"], dtype=object) == "sh").astype(float)
     names = ["intercept", "depth", "breadth", "sh", "depth:sh", "breadth:sh"]
     matrix = [np.ones(n), d_star, b_star, x_sh, d_star * x_sh, b_star * x_sh]
     for control in controls:
         if control in ("dataset", "last_tool"):
-            levels, codes = _codes(columns[control])
-            for i, level in enumerate(levels[1:], 1):  # first level is the reference
-                names.append(f"{control}[{level}]")
-                matrix.append((codes == i).astype(float))
+            levels = sorted(set(columns[control]))[1:]  # the first level is the reference
+            names.extend(f"{control}[{level}]" for level in levels)
+            # object arrays compare by Python's ==; numpy strings would drop a
+            # level's trailing NULs and merge it with another level
+            dummies = (np.array(columns[control], dtype=object)[:, None]
+                       == np.array(levels, dtype=object))
+            matrix.extend(dummies.T.astype(float))
         elif control in ("has_bridge", "has_comparison"):
             names.append(control)
             matrix.append(np.array(columns[control], dtype=float))
@@ -426,24 +419,17 @@ def summarize_run(columns: dict[str, list]) -> Report:
     Python-int sums."""
     if not columns["planner"]:
         raise StatsError("no outcome records to summarize")
-    datasets, dataset_codes = _codes(columns["dataset"])
-    planners, planner_codes = _codes(columns["planner"])
-    groups = dataset_codes * len(planners) + planner_codes
-    order = np.argsort(groups, kind="stable")
-    found, starts, sizes = np.unique(groups[order], return_index=True, return_counts=True)
-    rows = order.tolist()
-    # each summed column in group order, so that a group is one slice
-    summed = {name: list(map(columns[name].__getitem__, rows))
-              for name in ("success", "tokens_in", "tokens_out", "repeated")}
+    groups: dict = {}  # (dataset, planner) -> its rows, in order of first appearance
+    for row, key in enumerate(zip(columns["dataset"], columns["planner"])):
+        groups.setdefault(key, []).append(row)
     report = Report()
-    for g in np.argsort(order[starts]).tolist():  # in order of first appearance
-        key = (datasets[found[g] // len(planners)], planners[found[g] % len(planners)])
-        n, group = int(sizes[g]), slice(starts[g], starts[g] + sizes[g])
-        report.accuracy[key] = Fraction(sum(summed["success"][group]), n)
-        report.tokens_in[key] = Fraction(sum(summed["tokens_in"][group]), n)
-        report.tokens_out[key] = Fraction(sum(summed["tokens_out"][group]), n)
-        report.repetition[key] = Fraction(sum(summed["repeated"][group]), n)
-    for dataset in datasets:
+    for key, rows in groups.items():
+        n = len(rows)
+        report.accuracy[key] = Fraction(sum(map(columns["success"].__getitem__, rows)), n)
+        report.tokens_in[key] = Fraction(sum(map(columns["tokens_in"].__getitem__, rows)), n)
+        report.tokens_out[key] = Fraction(sum(map(columns["tokens_out"].__getitem__, rows)), n)
+        report.repetition[key] = Fraction(sum(map(columns["repeated"].__getitem__, rows)), n)
+    for dataset in sorted(set(columns["dataset"])):
         sh, fh = (dataset, "sh"), (dataset, "fh")
         if sh in report.accuracy and fh in report.accuracy:
             report.delta_sh[dataset] = report.accuracy[sh] - report.accuracy[fh]

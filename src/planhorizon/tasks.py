@@ -17,6 +17,10 @@ ENGINES = {"kopl": kopl.KoplEngine, "atomic": atomic.AtomicEngine,
            "mock": mocktools.MockEngine}
 
 
+# the keys a task may hold; the first four are required
+TASK_KEYS = ("id", "question", "gold_answer", "gold_plan", "dataset", "controls")
+
+
 class DatasetError(Exception):
     pass
 
@@ -82,10 +86,16 @@ def load_dataset(path, hold: StoreHold | None = None) -> Dataset:
             raise DatasetError(f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
         engine_type = ENGINES[engine]
         data_key = engine_type.data_key
+        keys = ("engine", data_key, "tasks", *engine_type.settings)
+        for key in doc:
+            if key not in keys:
+                raise DatasetError(f"unknown {engine} task file key {key!r}; it holds "
+                                   f"{', '.join(keys)}")
         if not isinstance(doc.get(data_key), str):
             raise DatasetError(f"a {engine} dataset needs a {data_key!r} file name")
-        if "eval_year" in doc and type(doc["eval_year"]) is not int:
-            raise DatasetError(f"eval_year must be an integer, got {doc['eval_year']!r}")
+        for name, kind in engine_type.settings.items():
+            if name in doc and type(doc[name]) is not kind:
+                raise DatasetError(f"{name} must be {kind.__name__}, got {doc[name]!r}")
         tasks = _read_tasks(doc, engine_type.params)
         data_path = os.path.join(os.path.dirname(os.path.abspath(path)), doc[data_key])
         store = (hold.store(engine, engine_type.load, data_path) if hold is not None
@@ -141,9 +151,12 @@ def _read_tasks(doc: dict, params: dict) -> tuple[Task, ...]:
     if not raw_tasks:
         raise DatasetError("a dataset needs a non-empty list of tasks")
     for i, t in enumerate(raw_tasks):
-        if not isinstance(t, dict) or any(
-                k not in t for k in ("id", "question", "gold_answer", "gold_plan")):
+        if not isinstance(t, dict) or any(k not in t for k in TASK_KEYS[:4]):
             raise DatasetError(f"tasks[{i}] needs id, question, gold_answer and gold_plan")
+        for key in t:
+            if key not in TASK_KEYS:
+                raise DatasetError(f"tasks[{i}] has unknown key {key!r}; a task holds "
+                                   f"{', '.join(TASK_KEYS)}")
         if type(t["id"]) is not str or t["id"] in ids:
             raise DatasetError(f"tasks[{i}] id must be a string no other task has, "
                                f"got {t['id']!r}")

@@ -62,6 +62,20 @@ MUTANTS = (
         "report.json keeps an undefined ratio or delta as null, never as 0",
         ("tests/test_stats.py", "tests/test_cli.py")),
     Mutant(
+        "report-datasets-in-appearance-order", "src/planhorizon/stats.py",
+        'for dataset in sorted(set(columns["dataset"])):',
+        'for dataset in dict.fromkeys(columns["dataset"]):',
+        "report.json lists the per-dataset delta and ratios in sorted dataset "
+        "order, whatever order the outcome records come in",
+        ("tests/test_stats.py",)),
+    Mutant(
+        "design-levels-as-numpy-strings", "src/planhorizon/stats.py",
+        "== np.array(levels, dtype=object))",
+        "== np.array(levels))",
+        "a control's dummies compare its levels as Python strings; a numpy "
+        "string array drops trailing NULs and merges two levels",
+        ("tests/test_stats.py",)),
+    Mutant(
         "edges-backward-first", "src/planhorizon/kopl.py",
         """\
     yield from (edge for edge in kb.entities[ea].relations

@@ -1175,8 +1175,7 @@ def summarize_run(outcomes: list[Outcome]) -> Report:
         report.tokens_in[key] = Fraction(sum(o.tokens_in for o in group), n)
         report.tokens_out[key] = Fraction(sum(o.tokens_out for o in group), n)
         report.repetition[key] = Fraction(sum(1 for o in group if o.repeated), n)
-    datasets = {d for d, _ in groups}
-    for dataset in datasets:
+    for dataset in sorted({d for d, _ in groups}):
         sh, fh = (dataset, "sh"), (dataset, "fh")
         if sh in report.accuracy and fh in report.accuracy:
             report.delta_sh[dataset] = report.accuracy[sh] - report.accuracy[fh]

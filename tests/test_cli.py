@@ -768,6 +768,17 @@ MALFORMED = [
                  tasks.DatasetError, "eval_year", id="eval-year-string"),
     pytest.param("atomic", "tasks", put("eval_year", value=True),
                  tasks.DatasetError, "eval_year", id="eval-year-bool"),
+    # a key no engine, setting or task field reads
+    pytest.param("kopl", "tasks", put("eval_year", value=2020), tasks.DatasetError,
+                 "unknown kopl task file key 'eval_year'; it holds engine, kb, tasks",
+                 id="kopl-eval-year"),
+    pytest.param("atomic", "tasks", put("eval_yaer", value=2020), tasks.DatasetError,
+                 "unknown atomic task file key 'eval_yaer'; it holds engine, graph, tasks, "
+                 "eval_year", id="eval-year-misspelled"),
+    pytest.param("mock", "tasks", lambda doc: put("tasks", 0, "contorls",
+                                                  value=doc["tasks"][0].pop("controls"))(doc),
+                 tasks.DatasetError, "tasks[0] has unknown key 'contorls'; a task holds id, "
+                 "question, gold_answer, gold_plan, dataset, controls", id="task-contorls"),
     # a dataset's engine is one of the engine names, and a gold plan's final a boolean
     *[pytest.param("kopl", "tasks", put("engine", value=value), tasks.DatasetError,
                    f"engine must be one of kopl, atomic, mock, got {value!r}",

@@ -406,7 +406,7 @@ def step_outputs(name: str, env) -> list:
     plain = ["Paris", 5, 2.5, TypedValue("number", 206.0, "centimetre"),
              TypedValue("date", datetime.date(2003, 12, 30)), TypedValue("year", 2003)]
     if name == "kopl":
-        return plain + [EntitySet(tuple(env.kb.entities)[:2]), EntitySet(())]
+        return plain + [EntitySet(tuple(env.store.entities)[:2]), EntitySet(())]
     if name == "atomic":
         return plain + [NodeSet(tuple(env.store.nodes)[:2]), NodeSet(("no-such-node",))]
     return plain

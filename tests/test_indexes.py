@@ -231,8 +231,7 @@ def test_set_up_builds_no_table(fixtures_dir, name, robustness):
     """Every lookup table is built on first use and kept with its store:
     loading a dataset and making its environment builds none."""
     env = tasks.load_dataset(fixtures_dir / f"{name}.json").make_env(robustness)
-    store = {"kopl_tasks": "kb", "atomic_tasks": "store", "mock_tasks": "corpus"}[name]
-    store = getattr(env, store)
+    store = env.store
     tables = {attr for attr, value in vars(type(store)).items()
               if isinstance(value, functools.cached_property)}
     if isinstance(store, atomic.GraphStore):

@@ -71,7 +71,7 @@ class TestSearch:
                                 trigrammed.append(arg) or code(arg))
         env = tasks.load_dataset(fixtures_dir / "mock_tasks.json").make_env("high")
         assert trigrammed == []
-        corpus = env.corpus
+        corpus = env.store
         # the top k covers the corpus, and one document answers: no ranking
         assert corpus.top_k >= len(corpus.documents)
         assert mock_search(corpus, "Where is the Eiffel Tower?", corpus.top_k) == "Paris"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -230,6 +231,13 @@ class TestBuildDesign:
                                              controls=("last_tool",))
         assert names[-1] == "last_tool[Find]"  # "Count" is the reference level
 
+    def test_levels_apart_by_a_trailing_nul_get_apart_dummies(self):
+        outcomes = [dataclasses.replace(o, dataset="a\x00" if i < 4 else "a")
+                    for i, o in enumerate(self.outcomes())]
+        X, y, clusters, names = build_design(columns(outcomes), controls=("dataset",))
+        assert names[-1] == "dataset[a\x00]"  # "a" is the reference level
+        assert list(X[:, -1]) == [1.0] * 4 + [0.0] * 4
+
     def test_unknown_control_rejected(self):
         with pytest.raises(stats.StatsError):
             build_design(columns(self.outcomes()), controls=("favorite_color",))
@@ -280,6 +288,16 @@ class TestSummarizeRun:
         assert "delta_SH" in report.to_text()
         doc = report.to_json()
         assert doc["accuracy"]["fixture/sh"] == 1.0
+
+    def test_groups_in_appearance_order_datasets_sorted(self):
+        outcomes = [make_outcome(0, "sh", 1, dataset="b", tokens_in=300, tokens_out=30),
+                    make_outcome(1, "fh", 0, dataset="a", tokens_in=100, tokens_out=10),
+                    make_outcome(2, "fh", 1, dataset="b", tokens_in=100, tokens_out=20),
+                    make_outcome(3, "sh", 1, dataset="a", tokens_in=200, tokens_out=10)]
+        report = summarize_run(columns(outcomes))
+        assert list(report.accuracy) == [("b", "sh"), ("a", "fh"), ("b", "fh"), ("a", "sh")]
+        assert list(report.delta_sh) == list(report.input_ratio) == ["a", "b"]
+        assert list(report.output_ratio) == ["a", "b"]
 
     def test_json_keeps_the_field_order_and_none(self):
         # report.json is written without sorted keys, so the order is its bytes
@@ -348,7 +366,8 @@ class TestColumnsMatchRowOracle:
                      "delta_sh", "input_ratio", "output_ratio"):
             assert getattr(report, name) == getattr(expected, name)
         assert list(report.accuracy) == list(expected.accuracy)  # first-appearance order
-        assert report.to_json() == expected.to_json()
+        # report.json's bytes: its keys in the summary's dict order
+        assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
         assert report.to_text() == expected.to_text()
 
         design = outcome_or_error(build_design, cols, controls)

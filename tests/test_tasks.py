@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import weakref
@@ -103,8 +104,9 @@ class TestLoadDataset:
 
 # A StoreHold keeps one store per engine kind, keyed by the digest of its data
 # file's bytes; load_dataset without one loads afresh.
+# (task file, loader module, loader, the task-file key naming the data file)
 ENGINE_STORES = [("kopl_tasks.json", kb, "load_kb", "kb"),
-                 ("atomic_tasks.json", atomic, "load_graph", "store"),
+                 ("atomic_tasks.json", atomic, "load_graph", "graph"),
                  ("mock_tasks.json", mocktools, "load_corpus", "corpus")]
 
 
@@ -127,27 +129,30 @@ def kb_dataset(tmp_path, name: str, entity_name: str):
 
 
 class TestStoreHold:
-    @pytest.mark.parametrize("name,module,loader,attr", ENGINE_STORES)
-    def test_one_load_per_file(self, fixtures_dir, monkeypatch, name, module, loader, attr):
+    @pytest.mark.parametrize("name,module,loader,data_key", ENGINE_STORES)
+    def test_one_load_per_file(self, fixtures_dir, monkeypatch, name, module, loader,
+                               data_key):
         loaded = counting(monkeypatch, module, loader)
         hold = tasks.StoreHold()
         first, second = (tasks.load_dataset(fixtures_dir / name, hold) for _ in range(2))
         assert len(loaded) == 1 and (hold.loads, hold.reuses) == (1, 1)
-        assert getattr(first.make_env(), attr) is getattr(second.make_env(), attr)
+        assert first.make_env().store is second.make_env().store
         # the task file and its plans are built on every call
         assert first.tasks == second.tasks and first.tasks is not second.tasks
-        # the digest and the store, never the file's bytes
+        # the data file's digest and the store, never the file's bytes
         [(digest, store)] = hold._held.values()
-        assert len(digest) == 32 and store is getattr(first.make_env(), attr)
+        data_file = fixtures_dir / json.loads((fixtures_dir / name).read_text())[data_key]
+        assert digest == hashlib.sha256(data_file.read_bytes()).digest()
+        assert store is first.make_env().store
         # without a hold, every call loads afresh
-        assert getattr(tasks.load_dataset(fixtures_dir / name).make_env(), attr) is not store
+        assert tasks.load_dataset(fixtures_dir / name).make_env().store is not store
         assert len(loaded) == 2
 
     def test_rewritten_file_loads_afresh(self, tmp_path, monkeypatch):
         path = kb_dataset(tmp_path, "kb.json", "Ann")
         loaded = counting(monkeypatch, kb, "load_kb")
         hold = tasks.StoreHold()
-        before = tasks.load_dataset(path, hold).make_env().kb
+        before = tasks.load_dataset(path, hold).make_env().store
         kb_file = tmp_path / "kb.json"
         stat = kb_file.stat()
         kb_file.write_text(kb_file.read_text().replace("Ann", "Bob"))
@@ -155,17 +160,17 @@ class TestStoreHold:
         os.utime(kb_file, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         assert kb_file.stat().st_size == stat.st_size
         assert kb_file.stat().st_mtime_ns == stat.st_mtime_ns
-        after = tasks.load_dataset(path, hold).make_env().kb
+        after = tasks.load_dataset(path, hold).make_env().store
         assert len(loaded) == 2 and after is not before
         assert [e.name for e in after.entities.values()] == ["Bob"]
 
     def test_another_file_releases_the_held_store(self, tmp_path, fixtures_dir):
         hold = tasks.StoreHold()
         first = weakref.ref(tasks.load_dataset(kb_dataset(tmp_path, "a.json", "Ann"), hold)
-                            .make_env().kb)
+                            .make_env().store)
         graph = weakref.ref(tasks.load_dataset(fixtures_dir / "atomic_tasks.json", hold)
                             .make_env().store)
-        second = tasks.load_dataset(kb_dataset(tmp_path, "b.json", "Bob"), hold).make_env().kb
+        second = tasks.load_dataset(kb_dataset(tmp_path, "b.json", "Bob"), hold).make_env().store
         gc.collect()
         assert first() is None
         # a store of another engine stays held
@@ -203,7 +208,7 @@ class TestStoreHold:
     # loads nothing, so the held store of its kind stays held
     def test_bad_task_file_keeps_the_held_store(self, tmp_path, monkeypatch):
         hold = tasks.StoreHold()
-        held = tasks.load_dataset(kb_dataset(tmp_path, "a.json", "Ann"), hold).make_env().kb
+        held = tasks.load_dataset(kb_dataset(tmp_path, "a.json", "Ann"), hold).make_env().store
         (tmp_path / "b.json").write_text('{"entities": [5]}')  # a bad data file too
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"engine": "kopl", "kb": "b.json",
