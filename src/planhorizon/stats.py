@@ -355,8 +355,9 @@ def build_design(columns: dict[str, list], controls: tuple[str, ...] = ()):
         if control in ("dataset", "last_tool"):
             levels = sorted(set(columns[control]))[1:]  # the first level is the reference
             names.extend(f"{control}[{level}]" for level in levels)
-            # object arrays compare by Python's ==; numpy strings would drop a
-            # level's trailing NULs and merge it with another level
+            # object arrays on both sides compare by Python's ==; a numpy string,
+            # which a str scalar is turned into, would drop a level's trailing
+            # NULs and merge it with another level
             dummies = (np.array(columns[control], dtype=object)[:, None]
                        == np.array(levels, dtype=object))
             matrix.extend(dummies.T.astype(float))

@@ -17,8 +17,9 @@ ENGINES = {"kopl": kopl.KoplEngine, "atomic": atomic.AtomicEngine,
            "mock": mocktools.MockEngine}
 
 
-# the keys a task may hold; the first four are required
-TASK_KEYS = ("id", "question", "gold_answer", "gold_plan", "dataset", "controls")
+# the keys a task must hold, and all the keys it may hold
+REQUIRED_TASK_KEYS = ("id", "question", "gold_answer", "gold_plan")
+TASK_KEYS = (*REQUIRED_TASK_KEYS, "dataset", "controls")
 
 
 class DatasetError(Exception):
@@ -151,8 +152,9 @@ def _read_tasks(doc: dict, params: dict) -> tuple[Task, ...]:
     if not raw_tasks:
         raise DatasetError("a dataset needs a non-empty list of tasks")
     for i, t in enumerate(raw_tasks):
-        if not isinstance(t, dict) or any(k not in t for k in TASK_KEYS[:4]):
-            raise DatasetError(f"tasks[{i}] needs id, question, gold_answer and gold_plan")
+        if not isinstance(t, dict) or any(k not in t for k in REQUIRED_TASK_KEYS):
+            raise DatasetError(f"tasks[{i}] needs {', '.join(REQUIRED_TASK_KEYS[:-1])} "
+                               f"and {REQUIRED_TASK_KEYS[-1]}")
         for key in t:
             if key not in TASK_KEYS:
                 raise DatasetError(f"tasks[{i}] has unknown key {key!r}; a task holds "
